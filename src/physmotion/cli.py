@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -193,28 +194,13 @@ def pipeline_cmd(config_path: str, ablation: str, seed: int, strict: bool, out_d
         sys.exit(EXIT_CONFIG)
 
     try:
-        if "scenario" in doc:
-            scen_doc = dict(doc.pop("scenario"))
-            if seed is not None:
-                scen_doc["seed"] = seed
-            scenario = SyntheticScenario(**scen_doc)
-            target = Path(out_dir or doc.get("output_dir", "out"))
-            inputs = target / "inputs"
-            inputs.mkdir(parents=True, exist_ok=True)
-            bundle = generate_scenario(scenario)
-            save_motion(bundle.noisy, inputs / "noisy_motion.jsonl")
-            save_motion(bundle.ground_truth, inputs / "gt_motion.jsonl")
-            save_obj(bundle.mesh, inputs / "scene.obj")
-            save_contacts_csv(bundle.contacts, inputs / "contacts.csv")
-            doc.setdefault("motion_path", str(inputs / "noisy_motion.jsonl"))
-            doc.setdefault("gt_motion_path", str(inputs / "gt_motion.jsonl"))
-            doc.setdefault("mesh_path", str(inputs / "scene.obj"))
-            doc.setdefault("contacts_path", str(inputs / "contacts.csv"))
         config = config_from_dict(doc)
     except (PhysmotionError, TypeError, ValueError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
 
+    if seed is not None and config.scenario is not None:
+        config.scenario = replace(config.scenario, seed=seed)
     if out_dir:
         config.output_dir = out_dir
     config.strict = strict or config.strict

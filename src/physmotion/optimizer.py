@@ -1,17 +1,27 @@
 """Per-frame constrained quadratic program over floating-base dynamics.
 
-Each frame solves for accelerations, contact forces, and joint torques
+Each frame solves for accelerations and contact forces x = (qdd, lambda)
 
     min  E_pd + E_reg
-    s.t. tau + Jc^T lambda = M qdd + h        (equation of motion)
-         lambda in linearized friction cone    (per active contact)
-         Jc qdd + Jcdot qd = a_corr            (no sliding, Baumgarte)
-         qdd[0:3] = future-frame target        (no drifting, when available)
+    s.t. M[:6] qdd + h[:6] = Jc[:, :6]^T lambda   (unactuated floating base)
+         lambda in linearized friction cone      (per active contact)
+         Jc qdd + Jcdot qd = a_corr              (no sliding, Baumgarte)
+         qdd[0:3] = future-frame target          (no drifting, when available)
+
+The joint torques are not decision variables: they enter only the actuated
+rows of the equation of motion, so they are recovered by substitution,
+tau[6:] = M[6:] qdd + h[6:] - Jc[:, 6:]^T lambda, and those rows hold by
+construction (tau[0:6] = 0: the floating base is unactuated).
 
 E_pd combines an angle-space PD toward the reference pose and a Cartesian PD
 pulling contact-labeled foot points toward their reference world positions.
-E_reg = reg_weight * (|lambda|^2 + |tau|^2). The root rows of tau are not
-decision variables: the floating base is unactuated.
+E_reg = reg_weight * (|lambda|^2 + |tau[6:]|^2), a quadratic in x after the
+substitution.
+
+`refine_sequence` hands each frame's active inequality set to the next
+frame, where it seeds the QP's active-set crossover (contact phases persist
+for tens of frames); when that seed does not close within a few rounds the
+solver falls back to the cold interior-point path.
 
 Contact activation requires both the per-frame contact label and foot height
 below surface + 1 cm; labels alone can be stale when the kinematic input
@@ -26,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, QPInfeasibleError, SolverError
+from .errors import InvalidInputError, SolverError
 from .humanoid import (
     DEFAULT_DT,
     NV,
@@ -62,8 +72,14 @@ CONTACT_MAX_CORRECTION_VELOCITY = 0.3
 # unactuated base corrupts every joint position, so when contact constraints
 # conflict with the reference the compromise should land in the limbs
 ROOT_ORIENT_WEIGHT_SCALE = 10.0
-
-NUM_ACTUATED = NV - 6
+# degradation chain: (level, no-sliding rows, friction cone, tolerance scale);
+# every level after the first flags the frame degraded
+FALLBACK_LEVELS = (
+    ("full", True, True, 1.0),
+    ("no-slide", False, True, 1.0),
+    ("no-cone", False, False, 1.0),
+    ("loose", False, False, 1e4),
+)
 
 
 def _critical_damping(kp: float) -> float:
@@ -153,9 +169,14 @@ class FrameSolution:
     contact_names: Tuple[str, ...]
     contact_forces: np.ndarray  # (nc, 3) world frame
     tau: np.ndarray  # (75,), rows 0..5 identically zero
-    degraded: bool = False
+    level: str = "full"  # the FALLBACK_LEVELS entry the frame was solved at
+    active_set: Tuple[int, ...] = ()  # active friction-cone rows of the QP
     kkt_residual: float = 0.0
     iterations: int = 0
+
+    @property
+    def degraded(self) -> bool:
+        return self.level != FALLBACK_LEVELS[0][0]
 
     def force_for(self, name: str) -> np.ndarray:
         return self.contact_forces[self.contact_names.index(name)]
@@ -245,8 +266,9 @@ def solve_frame(
     dt: float = DEFAULT_DT,
     flat_ground_height: float = 0.0,
     latched: Optional[np.ndarray] = None,
+    previous: Optional[FrameSolution] = None,
 ) -> FrameSolution:
-    """Solve one frame for (qdd, lambda, tau).
+    """Solve one frame for (qdd, lambda) and recover tau by substitution.
 
     A labeled contact activates once the foot point is within 1 cm of the
     surface; `latched` marks contacts already established on earlier frames,
@@ -259,6 +281,10 @@ def solve_frame(
     On an infeasible constraint set the no-sliding rows are dropped, then the
     friction cone, and the frame is flagged degraded. Non-convergence of the
     solver raises SolverError with iteration diagnostics.
+
+    `previous` is the preceding frame's solution; its active set warm-starts
+    the QP when the same contacts are active and the same level is tried.
+    Without it the solve is cold.
     """
     gains = gains or PDGains()
     q, qd = state.q, state.qd
@@ -318,54 +344,61 @@ def solve_frame(
             gains.position_kp * (target - p.position) - gains.position_kd * p.velocity
         )
 
+    # Decision variables x = (qdd, lambda). The actuated torques are
+    # substituted out, tau[6:] = B x + h[6:] with B = [M[6:], -Jc[:, 6:]^T],
+    # so the actuated equation-of-motion rows hold by construction and the
+    # torque regulariser becomes reg (B^T B, B^T h[6:]) on (P, q).
+    nc = len(active)
+    n = NV + 3 * nc
+    lam0 = NV
+    jc_t = np.zeros((NV, 3 * nc))
+    for c, point in enumerate(active):
+        jc_t[:, 3 * c : 3 * c + 3] = point.jacobian.T
+    b_mat = np.hstack([m_mat[6:], -jc_t[6:]])
+
+    p_mat = np.zeros((n, n))
+    q_vec = np.zeros(n)
+    idx = np.arange(3, NV)
+    w = np.full(NV, 2.0 * settings.angle_weight)
+    w[3:6] *= ROOT_ORIENT_WEIGHT_SCALE
+    if settings.use_angle_pd:
+        target = qdd_des
+    else:
+        # angle tracking ablated: the reference-tracking term is removed;
+        # a weak velocity-damping term (1% of the tracking weight) stays
+        # so the otherwise-unconstrained degrees of freedom remain
+        # numerically solvable
+        w *= 0.01
+        target = np.zeros(NV)
+        target[3:6] = -gains.root_orient_kd * qd[3:6]
+        target[6:] = -gains.angle_kd * qd[6:]
+    p_mat[idx, idx] += w[idx]
+    q_vec[idx] -= w[idx] * target[idx]
+    if settings.use_position_pd:
+        w = 2.0 * settings.point_weight
+        for name, point in points.items():
+            if name not in a_des:
+                continue
+            jac, rhs = point.jacobian, a_des[name] - point.bias
+            p_mat[:NV, :NV] += w * jac.T @ jac
+            q_vec[:NV] -= w * jac.T @ rhs
+    reg = 2.0 * settings.reg_weight
+    diag = np.arange(lam0, n)
+    p_mat[diag, diag] += reg
+    # reg * B on the right is a separate buffer: numpy sends X.T @ X to a
+    # multithreaded syrk, whose thread wake-up costs far more than its flops
+    # at this size
+    p_mat += b_mat.T @ (reg * b_mat)
+    q_vec += reg * (b_mat.T @ h_vec[6:])
+
+    # floating-base rows of the equation of motion: M[:6] qdd - Jc[:, :6]^T lambda = -h[:6]
+    eom = np.hstack([m_mat[:6], -jc_t[:6]])
+
     def build_and_solve(
-        use_slide: bool, use_cone: bool, tol_scale: float = 1.0
-    ) -> Tuple[QPSolution, List[_ContactPoint]]:
-        nc = len(active)
-        n = NV + 3 * nc + NUM_ACTUATED
-        lam0 = NV
-        tau0 = NV + 3 * nc
-
-        p_mat = np.zeros((n, n))
-        q_vec = np.zeros(n)
-        idx = np.arange(3, NV)
-        w = np.full(NV, 2.0 * settings.angle_weight)
-        w[3:6] *= ROOT_ORIENT_WEIGHT_SCALE
-        if settings.use_angle_pd:
-            target = qdd_des
-        else:
-            # angle tracking ablated: the reference-tracking term is removed;
-            # a weak velocity-damping term (1% of the tracking weight) stays
-            # so the otherwise-unconstrained degrees of freedom remain
-            # numerically solvable
-            w *= 0.01
-            target = np.zeros(NV)
-            target[3:6] = -gains.root_orient_kd * qd[3:6]
-            target[6:] = -gains.angle_kd * qd[6:]
-        p_mat[idx, idx] += w[idx]
-        q_vec[idx] -= w[idx] * target[idx]
-        if settings.use_position_pd:
-            w = 2.0 * settings.point_weight
-            for name, point in points.items():
-                if name not in a_des:
-                    continue
-                jac, rhs = point.jacobian, a_des[name] - point.bias
-                p_mat[:NV, :NV] += w * jac.T @ jac
-                q_vec[:NV] -= w * jac.T @ rhs
-        reg = 2.0 * settings.reg_weight
-        diag = np.arange(lam0, n)
-        p_mat[diag, diag] += reg
-
-        # equality block: equation of motion, then contact and root rows
-        eq_rows: List[np.ndarray] = []
-        eq_rhs: List[np.ndarray] = []
-        eom = np.zeros((NV, n))
-        eom[:, :NV] = m_mat
-        for c, point in enumerate(active):
-            eom[:, lam0 + 3 * c : lam0 + 3 * c + 3] = -point.jacobian.T
-        eom[6:, tau0:] -= np.eye(NUM_ACTUATED)
-        eq_rows.append(eom)
-        eq_rhs.append(-h_vec)
+        use_slide: bool, use_cone: bool, tol_scale: float, seed: Optional[Tuple[int, ...]]
+    ) -> QPSolution:
+        eq_rows: List[np.ndarray] = [eom]
+        eq_rhs: List[np.ndarray] = [-h_vec[:6]]
 
         if use_slide:
             # Two active points on one foot body are rigidly linked: their
@@ -432,7 +465,7 @@ def solve_frame(
         g_mat = np.vstack(g_rows) if g_rows else None
         h_ineq = np.zeros(len(g_rows)) if g_rows else None
 
-        sol = solve_qp(
+        return solve_qp(
             p_mat,
             q_vec,
             a_mat,
@@ -441,39 +474,37 @@ def solve_frame(
             h_ineq,
             tol=settings.solver_tol * tol_scale,
             max_iter=settings.max_iter,
+            warm_start=seed,
         )
-        return sol, active
 
     # An (approximately) infeasible constraint set, e.g. a leg locked at full
     # extension fighting the no-sliding target, downgrades through the chain:
     # drop no-sliding, then the friction cone, finally accept a loose solve.
-    # Every fallback flags the frame as degraded.
-    degraded = False
-    try:
-        sol, used = build_and_solve(use_slide=True, use_cone=True)
-    except (QPInfeasibleError, SolverError):
-        degraded = True
+    # The previous frame's active set seeds the solve at the level it was
+    # solved at, provided the same contacts are active (the inequality rows
+    # are then laid out alike).
+    names = tuple(p.name for p in active)
+    warm = previous if previous is not None and previous.contact_names == names else None
+    for k, (level, use_slide, use_cone, tol_scale) in enumerate(FALLBACK_LEVELS):
+        seed = warm.active_set if warm is not None and warm.level == level else None
         try:
-            sol, used = build_and_solve(use_slide=False, use_cone=True)
-        except (QPInfeasibleError, SolverError):
-            try:
-                sol, used = build_and_solve(use_slide=False, use_cone=False)
-            except SolverError:
-                sol, used = build_and_solve(
-                    use_slide=False, use_cone=False, tol_scale=1e4
-                )
+            sol = build_and_solve(use_slide, use_cone, tol_scale, seed)
+            break
+        except SolverError:
+            if k == len(FALLBACK_LEVELS) - 1:
+                raise
 
-    nc = len(used)
     qdd = sol.x[:NV]
-    forces = sol.x[NV : NV + 3 * nc].reshape(nc, 3) if nc else np.zeros((0, 3))
+    forces = sol.x[lam0:].reshape(nc, 3)
     tau = np.zeros(NV)
-    tau[6:] = sol.x[NV + 3 * nc :]
+    tau[6:] = b_mat @ sol.x + h_vec[6:]
     return FrameSolution(
         qdd=qdd,
-        contact_names=tuple(p.name for p in used),
+        contact_names=names,
         contact_forces=forces,
         tau=tau,
-        degraded=degraded,
+        level=level,
+        active_set=sol.active_set,
         kkt_residual=sol.kkt_residual,
         iterations=sol.iterations,
     )
@@ -549,6 +580,7 @@ def refine_sequence(
                 dt=dt,
                 flat_ground_height=flat_height,
                 latched=latched,
+                previous=solutions[-1] if solutions else None,
             )
         except SolverError as exc:
             raise SolverError(f"frame {t}: {exc}") from exc

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .frames import FilterParams, Trajectory, camera_to_world, load_trajectory, one_euro_filter
 from .humanoid import NV, HumanoidModel, default_model, load_model
 from .metrics import MetricReport, evaluate
@@ -28,8 +28,11 @@ from .scene import (
     build_height_map,
     load_contacts_csv,
     load_obj,
+    save_contacts_csv,
     save_height_map,
+    save_obj,
 )
+from .synth import SyntheticScenario, generate_scenario
 
 log = logging.getLogger("physmotion")
 
@@ -42,7 +45,14 @@ ABLATION_PRESETS = {
 
 @dataclass
 class RunConfig:
-    motion_path: str
+    """One pipeline run.
+
+    With `scenario` set, its inputs are generated under `output_dir/inputs`
+    when the run starts and fill every input path left unset, so a run is
+    reproducible from the scenario seed alone.
+    """
+
+    motion_path: Optional[str] = None
     mesh_path: Optional[str] = None
     gt_motion_path: Optional[str] = None
     camera_trajectory_path: Optional[str] = None
@@ -57,12 +67,15 @@ class RunConfig:
     settings: QPSettings = field(default_factory=QPSettings)
     gains: PDGains = field(default_factory=PDGains)
     filter_params: FilterParams = field(default_factory=FilterParams)
+    scenario: Optional[SyntheticScenario] = None
 
     def __post_init__(self):
         if self.frame_rate <= 0:
             raise ConfigError("frame_rate must be positive")
 
     def validate_paths(self) -> None:
+        if self.motion_path is None:
+            raise ConfigError("motion_path is required unless a scenario block is given")
         for name in ("motion_path", "mesh_path", "gt_motion_path", "camera_trajectory_path",
                      "contacts_path", "model_path"):
             value = getattr(self, name)
@@ -76,6 +89,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     settings = QPSettings(**doc.get("settings", {}))
     gains = PDGains(**doc.get("gains", {}))
     filter_params = FilterParams(**doc.get("filter", {}))
+    scenario = SyntheticScenario(**doc["scenario"]) if "scenario" in doc else None
     known = {
         k: doc[k]
         for k in (
@@ -94,7 +108,9 @@ def config_from_dict(doc: dict) -> RunConfig:
         )
         if k in doc
     }
-    return RunConfig(settings=settings, gains=gains, filter_params=filter_params, **known)
+    return RunConfig(
+        settings=settings, gains=gains, filter_params=filter_params, scenario=scenario, **known
+    )
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -108,24 +124,29 @@ def apply_ablation(settings: QPSettings, name: Optional[str]) -> QPSettings:
         return settings
     if name not in ABLATION_PRESETS:
         raise ConfigError(f"unknown ablation {name!r}; expected one of {sorted(ABLATION_PRESETS)}")
-    out = QPSettings(**{**asdict_settings(settings), **ABLATION_PRESETS[name]})
-    return out
+    return replace(settings, **ABLATION_PRESETS[name])
 
 
-def asdict_settings(settings: QPSettings) -> dict:
-    return {
-        "friction_mu": settings.friction_mu,
-        "cone_facets": settings.cone_facets,
-        "solver_tol": settings.solver_tol,
-        "max_iter": settings.max_iter,
-        "reg_weight": settings.reg_weight,
-        "angle_weight": settings.angle_weight,
-        "point_weight": settings.point_weight,
-        "use_angle_pd": settings.use_angle_pd,
-        "use_position_pd": settings.use_position_pd,
-        "use_height_map": settings.use_height_map,
-        "use_root_supervision": settings.use_root_supervision,
+def _scenario_inputs(config: RunConfig, model: Optional[HumanoidModel]) -> RunConfig:
+    """Generate the scenario's input files; returns the config with its unset paths filled."""
+    inputs = Path(config.output_dir) / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    try:
+        bundle = generate_scenario(config.scenario, model)
+    except InvalidInputError as exc:
+        raise ConfigError(f"scenario: {exc}") from exc
+    files = {
+        "motion_path": inputs / "noisy_motion.jsonl",
+        "gt_motion_path": inputs / "gt_motion.jsonl",
+        "mesh_path": inputs / "scene.obj",
+        "contacts_path": inputs / "contacts.csv",
     }
+    save_motion(bundle.noisy, files["motion_path"])
+    save_motion(bundle.ground_truth, files["gt_motion_path"])
+    save_obj(bundle.mesh, files["mesh_path"])
+    save_contacts_csv(bundle.contacts, files["contacts_path"])
+    unset = {name: str(path) for name, path in files.items() if getattr(config, name) is None}
+    return replace(config, **unset)
 
 
 def convert_camera_frame(seq: MotionSequence, camera: Trajectory) -> MotionSequence:
@@ -205,6 +226,8 @@ def run_pipeline(
     model: Optional[HumanoidModel] = None,
 ) -> PipelineResult:
     """Execute the full pipeline and write outputs under config.output_dir."""
+    if config.scenario is not None:
+        config = _scenario_inputs(config, model)
     config.validate_paths()
     settings = apply_ablation(config.settings, ablation)
     model = model or (load_model(config.model_path) if config.model_path else default_model())

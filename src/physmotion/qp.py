@@ -11,9 +11,12 @@ for P positive semidefinite and strictly convex on the equality null space
 1. Diagonal variable scaling evens out the objective's dynamic range.
 2. The equality-constrained KKT system is solved outright and accepted when
    all inequalities already hold (the common case for settled contacts).
-3. Otherwise a Mehrotra predictor-corrector interior-point iteration runs on
+3. Warm start: a caller-supplied active set (typically the previous frame's)
+   seeds a few rounds of the active-set crossover; its result is accepted
+   only when it passes the KKT check.
+4. Otherwise a Mehrotra predictor-corrector interior-point iteration runs on
    the augmented KKT system.
-4. Polish: the detected active inequalities are re-solved as equalities,
+5. Polish: the detected active inequalities are re-solved as equalities,
    restoring exact complementarity and a machine-precision KKT residual; the
    interior-point iterate is kept if the polished candidate fails checks.
 
@@ -25,12 +28,17 @@ SolverError with iteration diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import QPInfeasibleError, SolverError
+
+# active-set crossover rounds after the interior point, and the rounds a warm
+# start may take before the cold path runs instead
+CROSSOVER_ROUNDS = 40
+WARM_START_ROUNDS = 5
 
 
 @dataclass
@@ -215,6 +223,8 @@ def _interior_point(
             dx = dxy[:n]
             dy = dxy[n:]
             ds = (rc_vec - s * dz) / z
+            if not (np.isfinite(dxy).all() and np.isfinite(ds).all()):
+                raise np.linalg.LinAlgError("non-finite Newton step")
             return dx, dy, ds, dz
 
         def max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -223,12 +233,17 @@ def _interior_point(
                 return 1.0
             return min(1.0, float((-v[neg] / dv[neg]).min()))
 
-        dx, dy, ds, dz = newton(-s * z)
-        alpha_aff = min(max_step(s, ds), max_step(z, dz))
-        mu_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz)) / mi
-        sigma = min(max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-10), 1.0)
-
-        dx, dy, ds, dz = newton(sigma * mu - s * z - ds * dz)
+        # a singular Schur system or a non-finite or overflowing step is a
+        # numerical breakdown: stop and return the best iterate seen
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                dx, dy, ds, dz = newton(-s * z)
+                alpha_aff = min(max_step(s, ds), max_step(z, dz))
+                mu_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz)) / mi
+                sigma = min(max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-10), 1.0)
+                dx, dy, ds, dz = newton(sigma * mu - s * z - ds * dz)
+        except (np.linalg.LinAlgError, ArithmeticError):
+            break
         alpha = 0.995 * min(max_step(s, ds), max_step(z, dz))
         if alpha < 1e-12:
             break
@@ -250,7 +265,14 @@ def solve_qp(
     h_vec: Optional[np.ndarray] = None,
     tol: float = 1e-8,
     max_iter: int = 200,
+    warm_start: Optional[Sequence[int]] = None,
 ) -> QPSolution:
+    """Solve the QP; `warm_start` is a guess of the active inequality rows.
+
+    A warm start that does not reach a KKT-checked solution within
+    WARM_START_ROUNDS crossover rounds (or that names rows outside G) is
+    ignored, and the cold interior-point path runs as without it.
+    """
     p_in = np.asarray(p_mat, dtype=float)
     q_in = np.asarray(q_vec, dtype=float).reshape(-1)
     n = q_in.shape[0]
@@ -317,6 +339,26 @@ def solve_qp(
             raise SolverError(f"KKT residual {residual:.3e} above tolerance on equality solve")
         return QPSolution(x, nu, mu, 1, (), residual)
 
+    def polish(seed: np.ndarray, max_rounds: int, iters: int) -> Optional[QPSolution]:
+        polished = _crossover(p_s, q_s, a_s, b_s, g_s, h_s, seed, me, mi, max_rounds)
+        if polished is None:
+            return None
+        xp_s, nu_s, mu_s, rounds, active = polished
+        xp = unscale(xp_s)
+        nu = unscale_eq_mult(nu_s)
+        mu = unscale_ineq_mult(mu_s)
+        residual = kkt_residual(p_in, q_in, a_in, b_in, g_in, h_in, xp, nu, mu)
+        if residual > tol:
+            return None
+        return QPSolution(xp, nu, mu, iters + rounds, active, residual)
+
+    if warm_start is not None and len(warm_start):
+        warm = np.asarray(warm_start, dtype=int)
+        if warm.min() >= 0 and warm.max() < mi:
+            sol = polish(warm, WARM_START_ROUNDS, 0)
+            if sol is not None:
+                return sol
+
     xs_ip, y_ip, z_ip, iters = _interior_point(
         p_s, q_s, a_s, b_s, g_s, h_s, xs, mult, min(max_iter, 100)
     )
@@ -325,15 +367,9 @@ def solve_qp(
     seed = np.flatnonzero(z_ip > slack)
 
     # crossover: active-set cleanup seeded with the interior-point active set
-    polished = _crossover(p_s, q_s, a_s, b_s, g_s, h_s, seed, me, mi)
-    if polished is not None:
-        xp_s, nu_s, mu_s, rounds, active = polished
-        xp = unscale(xp_s)
-        nu = unscale_eq_mult(nu_s)
-        mu = unscale_ineq_mult(mu_s)
-        residual = kkt_residual(p_in, q_in, a_in, b_in, g_in, h_in, xp, nu, mu)
-        if residual <= tol:
-            return QPSolution(xp, nu, mu, iters + rounds, active, residual)
+    sol = polish(seed, CROSSOVER_ROUNDS, iters)
+    if sol is not None:
+        return sol
 
     residual_ip = kkt_residual(
         p_in,
@@ -391,16 +427,17 @@ def _crossover(
     seed: np.ndarray,
     me: int,
     mi: int,
-    max_rounds: int = 40,
+    max_rounds: int,
 ):
     """Finish to machine precision: add violated rows, drop negative multipliers.
 
-    Starting from the interior-point active-set estimate this settles in a
-    couple of rounds; returns None if it cycles or the set goes inconsistent.
+    Starting from the interior-point active-set estimate (or a warm start)
+    this settles in a couple of rounds; returns None if it cycles, the set
+    goes inconsistent, or max_rounds pass.
     """
     feas_tol = 1e-9 * (1.0 + float(np.abs(h_in).max()) if mi else 1.0)
     base_q = np.linalg.qr(a_s.T)[0] if me else np.zeros((p_s.shape[0], 0))
-    working = sorted(int(i) for i in seed)
+    working = sorted({int(i) for i in seed})
     seen = set()
     for rounds in range(1, max_rounds + 1):
         key = tuple(working)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,47 @@ class TestSolveFrame:
         assert sol.degraded
         assert len(calls) >= 2
 
+    def test_singular_schur_falls_through_the_chain(self, model, flat_map, monkeypatch, rng):
+        import physmotion.qp as qp_module
+
+        calls = []
+
+        def singular(*args, **kwargs):
+            calls.append(1)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(qp_module.np.linalg, "solve", singular)
+        monkeypatch.setattr(qp_module, "_crossover", lambda *args, **kwargs: None)
+        state, ref = standing_setup(model)
+        state.qd = rng.normal(size=NV) * 0.5
+        sol = solve_frame(model, state, ref, flat_map, QPSettings(friction_mu=0.05))
+        assert calls
+        assert sol.level == "no-cone" and sol.degraded
+
+    def test_warm_start_needs_same_contacts_and_level(self, model, flat_map, monkeypatch, rng):
+        import physmotion.optimizer as opt
+
+        state, ref = standing_setup(model)
+        state.qd = rng.normal(size=NV) * 0.5
+        settings = QPSettings(friction_mu=0.05)
+        cold = solve_frame(model, state, ref, flat_map, settings)
+        assert cold.active_set and not cold.degraded
+        seeds = []
+        original = opt.solve_qp
+
+        def record(*args, **kwargs):
+            seeds.append(kwargs.get("warm_start"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "solve_qp", record)
+        other_contacts = replace(cold, contact_names=cold.contact_names[:2])
+        other_level = replace(cold, level="no-slide")
+        for previous, expected in ((cold, cold.active_set), (other_contacts, None), (other_level, None)):
+            seeds.clear()
+            warm = solve_frame(model, state, ref, flat_map, settings, previous=previous)
+            assert seeds == [expected]
+            assert np.abs(warm.qdd - cold.qdd).max() <= 1e-8 * (1.0 + np.abs(cold.qdd).max())
+
 
 class TestRefineSequence:
     def test_standing_fixed_point(self, model):
@@ -274,6 +317,30 @@ class TestRefineSequence:
         short.contacts = None
         with pytest.raises(InvalidInputError):
             refine_sequence(model, short, None, QPSettings(use_height_map=False))
+
+    def test_warm_started_sequence_is_deterministic(self, model, monkeypatch):
+        import physmotion.optimizer as opt
+
+        bundle = generate_scenario(SyntheticScenario(scene="ramp", motion="walk", duration=1.0, seed=7), model)
+        hm = build_height_map(bundle.mesh, (64, 64))
+        warm_calls = []
+        original = opt.solve_qp
+
+        def record(*args, **kwargs):
+            warm_calls.append(bool(kwargs.get("warm_start")))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "solve_qp", record)
+        runs = [refine_sequence(model, bundle.ground_truth, hm, QPSettings()) for _ in range(2)]
+        assert any(warm_calls)
+        (ref_a, sols_a), (ref_b, sols_b) = runs
+        assert np.array_equal(ref_a.root_trans, ref_b.root_trans)
+        assert np.array_equal(ref_a.joint_angles, ref_b.joint_angles)
+        for a, b in zip(sols_a, sols_b):
+            assert np.array_equal(a.qdd, b.qdd)
+            assert np.array_equal(a.contact_forces, b.contact_forces)
+            assert np.array_equal(a.tau, b.tau)
+            assert (a.level, a.active_set, a.iterations) == (b.level, b.active_set, b.iterations)
 
     def test_solution_count_matches_frames(self, model):
         bundle = generate_scenario(SyntheticScenario(scene="flat", motion="stand", duration=0.2, seed=1), model)

@@ -46,6 +46,41 @@ class TestRunConfig:
         assert config.gains.angle_kp == 1200.0
         assert config.filter_params.min_cutoff == 1.5
 
+    def test_scenario_block_round_trip(self, tmp_path, model):
+        from physmotion.pipeline import config_from_dict
+
+        block = {"scene": "flat", "motion": "stand", "noise_sigma": 0.02, "duration": 0.5, "seed": 3}
+        config = config_from_dict({"scenario": block, "output_dir": str(tmp_path / "lib"), "grid_resolution": 32})
+        assert config.scenario == SyntheticScenario(**block)
+        result = run_pipeline(config, model=model)
+        assert (tmp_path / "lib" / "inputs" / "noisy_motion.jsonl").exists()
+        # the same scenario written by hand and named by path gives the same run
+        write_scenario(tmp_path, model, noise_sigma=0.02, duration=0.5)
+        by_path = RunConfig(
+            motion_path=str(tmp_path / "noisy.jsonl"),
+            gt_motion_path=str(tmp_path / "gt.jsonl"),
+            mesh_path=str(tmp_path / "scene.obj"),
+            contacts_path=str(tmp_path / "contacts.csv"),
+            output_dir=str(tmp_path / "paths"),
+            grid_resolution=32,
+        )
+        expected = run_pipeline(by_path, model=model)
+        for key in ("refined_motion", "forces", "report"):
+            assert Path(result.outputs[key]).read_bytes() == Path(expected.outputs[key]).read_bytes()
+
+    def test_invalid_scenario_is_a_config_error(self, tmp_path, model):
+        from physmotion.pipeline import config_from_dict
+
+        block = {"scene": "flat", "motion": "step-climb"}
+        config = config_from_dict({"scenario": block, "output_dir": str(tmp_path)})
+        with pytest.raises(ConfigError):
+            run_pipeline(config, model=model)
+
+    def test_missing_motion_without_scenario(self):
+        with pytest.raises(ConfigError) as err:
+            RunConfig().validate_paths()
+        assert "motion_path" in str(err.value)
+
     def test_missing_mesh_with_height_map_names_field(self, tmp_path, model):
         write_scenario(tmp_path, model)
         config = RunConfig(motion_path=str(tmp_path / "noisy.jsonl"), mesh_path=None)
@@ -216,6 +251,18 @@ class TestCLI:
             assert r.exit_code == 0, r.output
             assert Path("out/refined_motion.jsonl").exists()
             assert Path("out/report.json").exists()
+
+    def test_pipeline_scenario_seed_override(self, tmp_path, model):
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            block = {"scene": "flat", "motion": "stand", "noise_sigma": 0.02, "duration": 0.3, "seed": 3}
+            cfg = {"scenario": block, "output_dir": "out", "grid_resolution": 32}
+            Path("cfg.json").write_text(json.dumps(cfg))
+            r = runner.invoke(main, ["pipeline", "--config", "cfg.json", "--seed", "5"])
+            assert r.exit_code == 0, r.output
+            bundle = generate_scenario(SyntheticScenario(**{**block, "seed": 5}), model)
+            save_motion(bundle.noisy, "expected.jsonl")
+            assert Path("out/inputs/noisy_motion.jsonl").read_bytes() == Path("expected.jsonl").read_bytes()
 
     def test_pipeline_config_error_exit_code(self, tmp_path):
         runner = CliRunner()

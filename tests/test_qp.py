@@ -1,9 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from physmotion.errors import QPInfeasibleError
+import physmotion.qp as qp_module
+from physmotion.errors import QPInfeasibleError, SolverError
 from physmotion.qp import kkt_residual, solve_qp
 
 
@@ -126,3 +128,81 @@ class TestSolveQP:
         h = np.array([1.0, 1.0, 0.5])
         sol = solve_qp(p, q, None, None, g, h)
         assert abs(sol.x[0] - 1.0) < 1e-8
+
+
+def qps_with_active_inequalities(rng, count=8):
+    out = []
+    while len(out) < count:
+        prob = random_convex_qp(rng, n=8, me=3, mi=6)
+        cold = solve_qp(*prob)
+        if cold.active_set:
+            out.append((prob, cold))
+    return out
+
+
+class TestWarmStart:
+    def test_optimal_seed_returns_cold_solution(self, rng):
+        for prob, cold in qps_with_active_inequalities(rng):
+            warm = solve_qp(*prob, warm_start=cold.active_set)
+            assert warm.iterations == 1  # one crossover round, no interior point
+            assert np.abs(warm.x - cold.x).max() <= 1e-8 * (1.0 + np.abs(cold.x).max())
+            assert warm.kkt_residual <= 1e-8
+
+    def test_out_of_range_seed_is_ignored(self, rng):
+        for prob, cold in qps_with_active_inequalities(rng):
+            mi = prob[4].shape[0]
+            for seed in ((mi,), (-1,), (0, mi + 3)):
+                sol = solve_qp(*prob, warm_start=seed)
+                assert np.array_equal(sol.x, cold.x)
+                assert sol.iterations == cold.iterations
+
+    def test_stale_or_infeasible_seed_gives_the_cold_solution(self, rng):
+        for prob, cold in qps_with_active_inequalities(rng):
+            mi = prob[4].shape[0]
+            inactive = tuple(i for i in range(mi) if i not in cold.active_set)
+            for seed in (inactive, tuple(range(mi))):
+                sol = solve_qp(*prob, warm_start=seed)
+                assert np.abs(sol.x - cold.x).max() <= 1e-8 * (1.0 + np.abs(cold.x).max())
+                assert sol.kkt_residual <= 1e-8
+
+
+class TestInteriorPointBreakdown:
+    """A singular Schur system or an overflowing Newton step ends the
+    interior point; solve_qp then polishes or raises SolverError, and no
+    LinAlgError or floating-point warning escapes."""
+
+    @pytest.fixture()
+    def prob(self, rng):
+        return qps_with_active_inequalities(rng, count=1)[0][0]
+
+    def test_singular_schur_raises_solver_error(self, prob, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(qp_module.np.linalg, "solve", singular)
+        monkeypatch.setattr(qp_module, "_crossover", lambda *args, **kwargs: None)
+        with pytest.raises(SolverError):
+            solve_qp(*prob)
+
+    def test_singular_schur_still_polishes(self, prob, monkeypatch):
+        expected = brute_force_qp(*prob)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(qp_module.np.linalg, "solve", singular)
+        # the breakdown returns the starting iterate, whose active-set
+        # estimate the crossover still completes
+        sol = solve_qp(*prob)
+        assert np.abs(sol.x - expected).max() < 1e-6
+
+    def test_overflowing_step_stops_without_warning(self, prob, monkeypatch):
+        def huge(a, b):
+            return np.full(np.shape(b), 1e200)
+
+        monkeypatch.setattr(qp_module.np.linalg, "solve", huge)
+        monkeypatch.setattr(qp_module, "_crossover", lambda *args, **kwargs: None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError):
+                solve_qp(*prob)
