@@ -12,6 +12,10 @@ Jacobian of SO(3) converts between the two inside the recursions. Each body's
 center of mass sits at its joint origin and carries the body-frame inertia
 from the model file.
 
+`frame_dynamics` runs forward kinematics and one forward sweep, and derives
+M (CRBA), h (RNEA backward pass) and the contact-point terms from them; the
+other dynamics functions are views of the same sweep.
+
 Sign conventions: gravity enters the nonlinear-effects vector so that
 unsupported free fall solves qdd_y = -9.81 with zero torques and contact
 forces under tau + Jc^T lambda = M qdd + h.
@@ -72,10 +76,16 @@ class HumanoidModel:
         self.bodies: Tuple[Body, ...] = tuple(bodies)
         self.gravity = np.asarray(gravity, dtype=float).reshape(3)
         self.parents = np.array([b.parent for b in bodies])
-        self.children: List[List[int]] = [[] for _ in range(NUM_BODIES)]
-        for i in range(1, NUM_BODIES):
-            self.children[bodies[i].parent].append(i)
         self.total_mass = float(sum(b.mass for b in bodies))
+        self.masses = np.array([b.mass for b in bodies])
+        self.inertias = np.stack([b.inertia for b in bodies])
+        # generalized columns of each body's joint and of every ancestor's
+        self.support_cols: List[np.ndarray] = []
+        for i, b in enumerate(bodies):
+            own = np.arange(NV)[self.joint_cols(i)]
+            if b.parent != -1:
+                own = np.concatenate([self.support_cols[b.parent], own])
+            self.support_cols.append(own)
         # end effector registry in a stable order
         self.end_effectors: List[Tuple[str, int, np.ndarray]] = []
         for i, b in enumerate(bodies):
@@ -155,12 +165,203 @@ def end_effector_positions(model: HumanoidModel, fk: FKResult) -> Dict[str, np.n
     }
 
 
-def _path_to_root(model: HumanoidModel, body: int) -> List[int]:
-    path = []
-    while body != -1:
-        path.append(body)
-        body = model.parents[body]
-    return path
+def _joint_axes(model: HumanoidModel, q: np.ndarray, fk: FKResult) -> np.ndarray:
+    """(24, 3, 3) world joint axes: axes[i] @ (joint i rates) is the angular
+    velocity of body i relative to its parent; axes[0] maps root-orientation
+    rates to the base's angular velocity."""
+    axes = np.empty((NUM_BODIES, 3, 3))
+    axes[0] = left_jacobian(q[3:6])
+    for i in range(1, NUM_BODIES):
+        axes[i] = fk.rotations[model.parents[i]] @ left_jacobian(_joint_angles(q, i))
+    return axes
+
+
+def _skew_rows(v: np.ndarray) -> np.ndarray:
+    """skew() of every row of an (n, 3) array."""
+    out = np.zeros((len(v), 3, 3))
+    out[:, 0, 1], out[:, 0, 2], out[:, 1, 2] = -v[:, 2], v[:, 1], -v[:, 0]
+    return out - out.transpose(0, 2, 1)
+
+
+def _motion_subspace(fk: FKResult, axes: np.ndarray) -> np.ndarray:
+    """(6, 75) world motion subspace, Plucker rows (omega; velocity of the
+    body-fixed point at the world origin): body i's spatial velocity is
+    S[:, support_cols[i]] @ qd[support_cols[i]]."""
+    s = np.zeros((6, NV))
+    s[3:, 0:3] = np.eye(3)  # root translation
+    s[:3, 3:] = axes.transpose(1, 0, 2).reshape(3, 3 * NUM_BODIES)
+    s[3:, 3:] = (_skew_rows(fk.positions) @ axes).transpose(1, 0, 2).reshape(3, 3 * NUM_BODIES)
+    return s
+
+
+def _point_jacobian(
+    model: HumanoidModel, fk: FKResult, subspace: np.ndarray, body_id: int, local_point: np.ndarray
+) -> np.ndarray:
+    if not 0 <= body_id < NUM_BODIES:
+        raise InvalidInputError(f"body_id {body_id} out of range")
+    p = fk.positions[body_id] + fk.rotations[body_id] @ np.asarray(local_point, dtype=float)
+    cols = model.support_cols[body_id]
+    jac = np.zeros((3, NV))
+    # velocity of the point p: v(origin) + omega x p
+    jac[:, cols] = subspace[3:, cols] - skew(p) @ subspace[:3, cols]
+    return jac
+
+
+def _forward_sweep(
+    model: HumanoidModel,
+    q: np.ndarray,
+    qd: np.ndarray,
+    qdd: np.ndarray,
+    fk: FKResult,
+    axes: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The forward recursion, root to leaves: every body's world angular
+    velocity, joint-origin velocity, angular acceleration and joint-origin
+    acceleration (each 24 x 3). Gravity is not in the accelerations."""
+    rot, pos = fk.rotations, fk.positions
+    omega = np.empty((NUM_BODIES, 3))
+    vel = np.empty((NUM_BODIES, 3))
+    omega_dot = np.empty((NUM_BODIES, 3))
+    acc = np.empty((NUM_BODIES, 3))
+    omega[0] = axes[0] @ qd[3:6]
+    vel[0] = qd[0:3]
+    omega_dot[0] = axes[0] @ qdd[3:6] + left_jacobian_dot(q[3:6], qd[3:6]) @ qd[3:6]
+    acc[0] = qdd[0:3]
+    for i in range(1, NUM_BODIES):
+        p = model.parents[i]
+        th, thd = _joint_angles(q, i), _joint_angles(qd, i)
+        d = pos[i] - pos[p]
+        w_rel = axes[i] @ thd
+        omega[i] = omega[p] + w_rel
+        vel[i] = vel[p] + cross3(omega[p], d)
+        omega_dot[i] = (
+            omega_dot[p]
+            + cross3(omega[p], w_rel)
+            + axes[i] @ _joint_angles(qdd, i)
+            + rot[p] @ (left_jacobian_dot(th, thd) @ thd)
+        )
+        acc[i] = acc[p] + cross3(omega_dot[p], d) + cross3(omega[p], cross3(omega[p], d))
+    return omega, vel, omega_dot, acc
+
+
+def _world_inertias(model: HumanoidModel, fk: FKResult) -> np.ndarray:
+    return fk.rotations @ model.inertias @ fk.rotations.transpose(0, 2, 1)
+
+
+def _backward_pass(
+    model: HumanoidModel,
+    fk: FKResult,
+    axes: np.ndarray,
+    inertia_w: np.ndarray,
+    omega: np.ndarray,
+    omega_dot: np.ndarray,
+    acc: np.ndarray,
+) -> np.ndarray:
+    """The RNEA backward pass: generalized forces producing the given body
+    motion. Gravity is folded in by passing acc - gravity."""
+    pos = fk.positions
+    force = model.masses[:, None] * acc
+    moment = np.einsum("bij,bj->bi", inertia_w, omega_dot) + np.cross(
+        omega, np.einsum("bij,bj->bi", inertia_w, omega)
+    )
+    # children come after their parents, so each body's subtree is complete
+    # when it is folded into its parent
+    for i in range(NUM_BODIES - 1, 0, -1):
+        p = model.parents[i]
+        force[p] += force[i]
+        moment[p] += moment[i] + cross3(pos[i] - pos[p], force[i])
+    tau = np.empty(NV)
+    tau[0:3] = force[0]
+    tau[3:] = np.einsum("bji,bj->bi", axes, moment).ravel()
+    return tau
+
+
+def _crba(
+    model: HumanoidModel, fk: FKResult, subspace: np.ndarray, inertia_w: np.ndarray
+) -> np.ndarray:
+    """Joint-space inertia matrix by the composite-rigid-body algorithm: the
+    block of joint i and an ancestor j is S_j^T I_c(i) S_i, with I_c(i) the
+    spatial inertia of the subtree at i about the world origin."""
+    mass = model.masses[:, None, None]
+    cc = _skew_rows(fk.positions)
+    composite = np.empty((NUM_BODIES, 6, 6))
+    composite[:, :3, :3] = inertia_w - mass * (cc @ cc)
+    composite[:, :3, 3:] = mass * cc
+    composite[:, 3:, :3] = -mass * cc
+    composite[:, 3:, 3:] = mass * np.eye(3)
+    for i in range(NUM_BODIES - 1, 0, -1):
+        composite[model.parents[i]] += composite[i]
+
+    m = np.zeros((NV, NV))
+    for i in range(NUM_BODIES):
+        cols_i = model.joint_cols(i)
+        support = model.support_cols[i]
+        block = subspace[:, support].T @ (composite[i] @ subspace[:, cols_i])
+        m[support, cols_i] = block
+        m[cols_i, support] = block.T
+    return m
+
+
+@dataclass
+class FrameDynamics:
+    """Rigid-body quantities of one state (q, qd), from one forward sweep.
+
+    `m` and `h` are the terms of M(q) qdd + h(q, qd) = tau + Jc^T lambda.
+    The point methods give a body-fixed point's world position, Jacobian,
+    velocity and velocity-product acceleration Jdot qd (no gravity).
+    """
+
+    model: HumanoidModel
+    fk: FKResult
+    subspace: np.ndarray  # (6, 75) world motion subspace, see _motion_subspace
+    omega: np.ndarray  # (24, 3) world angular velocities
+    vel: np.ndarray  # (24, 3) joint-origin linear velocities
+    omega_dot_bias: np.ndarray  # (24, 3) angular accelerations at qdd = 0
+    acc_bias: np.ndarray  # (24, 3) joint-origin accelerations at qdd = 0, no gravity
+    m: np.ndarray  # (75, 75) joint-space inertia matrix
+    h: np.ndarray  # (75,) Coriolis, centrifugal and gravity generalized forces
+
+    def _arm(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
+        return self.fk.rotations[body_id] @ np.asarray(local_point, dtype=float)
+
+    def point_position(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
+        return self.fk.positions[body_id] + self._arm(body_id, local_point)
+
+    def point_jacobian(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
+        """3x75 Jacobian of a body-fixed point; see point_jacobian."""
+        return _point_jacobian(self.model, self.fk, self.subspace, body_id, local_point)
+
+    def point_velocity(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
+        return self.vel[body_id] + cross3(self.omega[body_id], self._arm(body_id, local_point))
+
+    def point_bias_acceleration(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
+        """Jdot @ qd for the point: its acceleration with qdd = 0 and no gravity."""
+        arm = self._arm(body_id, local_point)
+        w = self.omega[body_id]
+        return (
+            self.acc_bias[body_id]
+            + cross3(self.omega_dot_bias[body_id], arm)
+            + cross3(w, cross3(w, arm))
+        )
+
+
+def frame_dynamics(model: HumanoidModel, q: np.ndarray, qd: np.ndarray) -> FrameDynamics:
+    """Forward kinematics once, then one forward sweep at qdd = 0.
+
+    M comes from the CRBA over the sweep's joint axes, h from one RNEA
+    backward pass over its accelerations with gravity folded in; the
+    contact-point quantities are methods of the result.
+    """
+    q = np.asarray(q, dtype=float)
+    qd = np.asarray(qd, dtype=float)
+    fk = forward_kinematics(model, q)
+    axes = _joint_axes(model, q, fk)
+    subspace = _motion_subspace(fk, axes)
+    omega, vel, omega_dot, acc = _forward_sweep(model, q, qd, np.zeros(NV), fk, axes)
+    inertia_w = _world_inertias(model, fk)
+    m = _crba(model, fk, subspace, inertia_w)
+    h = _backward_pass(model, fk, axes, inertia_w, omega, omega_dot, acc - model.gravity)
+    return FrameDynamics(model, fk, subspace, omega, vel, omega_dot, acc, m, h)
 
 
 def point_jacobian(
@@ -174,83 +375,21 @@ def point_jacobian(
 
     Columns of joints off the root-to-body path are zero.
     """
-    if not 0 <= body_id < NUM_BODIES:
-        raise InvalidInputError(f"body_id {body_id} out of range")
+    q = np.asarray(q, dtype=float)
     if fk is None:
         fk = forward_kinematics(model, q)
-    p = fk.positions[body_id] + fk.rotations[body_id] @ np.asarray(local_point, dtype=float)
-    jac = np.zeros((3, NV))
-    jac[:, 0:3] = np.eye(3)
-    for j in _path_to_root(model, body_id):
-        if j == 0:
-            axes = left_jacobian(q[3:6])
-            cols = slice(3, 6)
-        else:
-            axes = fk.rotations[model.parents[j]] @ left_jacobian(_joint_angles(q, j))
-            cols = slice(3 + 3 * j, 6 + 3 * j)
-        jac[:, cols] = -skew(p - fk.positions[j]) @ axes
-    return jac
-
-
-def _spatial_inertia(mass: float, inertia_world: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """6x6 spatial inertia about the world origin, Plucker (angular; linear-at-origin)."""
-    cc = skew(r)
-    out = np.empty((6, 6))
-    out[:3, :3] = inertia_world - mass * (cc @ cc)
-    out[:3, 3:] = mass * cc
-    out[3:, :3] = -mass * cc
-    out[3:, 3:] = mass * np.eye(3)
-    return out
-
-
-def _motion_subspaces(model: HumanoidModel, q: np.ndarray, fk: FKResult) -> List[np.ndarray]:
-    """Per-body world-frame motion subspace (6 x ndof), Plucker rows (omega; v_origin)."""
-    subs: List[np.ndarray] = []
-    s0 = np.zeros((6, 6))
-    s0[3:, 0:3] = np.eye(3)  # root translation
-    axes = left_jacobian(q[3:6])
-    s0[:3, 3:6] = axes
-    s0[3:, 3:6] = skew(fk.positions[0]) @ axes  # v_origin = r x omega... see note below
-    subs.append(s0)
-    for i in range(1, NUM_BODIES):
-        axes = fk.rotations[model.parents[i]] @ left_jacobian(_joint_angles(q, i))
-        s = np.empty((6, 3))
-        s[:3] = axes
-        s[3:] = skew(fk.positions[i]) @ axes
-        subs.append(s)
-    return subs
+    subspace = _motion_subspace(fk, _joint_axes(model, q, fk))
+    return _point_jacobian(model, fk, subspace, body_id, local_point)
 
 
 def mass_matrix(model: HumanoidModel, q: np.ndarray) -> np.ndarray:
-    """Joint-space inertia matrix by the composite-rigid-body algorithm.
+    """Joint-space inertia matrix M(q), symmetric positive definite."""
+    return frame_dynamics(model, q, np.zeros(NV)).m
 
-    Composite spatial inertias are accumulated leaf-to-root in world
-    coordinates; block (i, j) couples joint i with its ancestor j through the
-    composite inertia of the deeper body. Symmetric by construction.
-    """
-    q = np.asarray(q, dtype=float)
-    fk = forward_kinematics(model, q)
-    subs = _motion_subspaces(model, q, fk)
-    composite = [
-        _spatial_inertia(b.mass, fk.rotations[i] @ b.inertia @ fk.rotations[i].T, fk.positions[i])
-        for i, b in enumerate(model.bodies)
-    ]
-    for i in range(NUM_BODIES - 1, 0, -1):
-        composite[model.parents[i]] += composite[i]
 
-    m = np.zeros((NV, NV))
-    for i in range(NUM_BODIES - 1, -1, -1):
-        cols_i = model.joint_cols(i)
-        f = composite[i] @ subs[i]
-        m[cols_i, cols_i] = subs[i].T @ f
-        j = model.parents[i]
-        while j != -1:
-            cols_j = model.joint_cols(j)
-            block = subs[j].T @ f
-            m[cols_j, cols_i] = block
-            m[cols_i, cols_j] = block.T
-            j = model.parents[j]
-    return m
+def nonlinear_effects(model: HumanoidModel, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
+    """Coriolis, centrifugal and gravity generalized forces h(q, qd)."""
+    return frame_dynamics(model, q, qd).h
 
 
 def inverse_dynamics(
@@ -258,181 +397,17 @@ def inverse_dynamics(
 ) -> np.ndarray:
     """Generalized forces for the given motion, recursive Newton-Euler.
 
-    Returns M(q) qdd + h(q, qd); gravity is folded in through a fictitious
-    base acceleration of -gravity.
+    Returns M(q) qdd + h(q, qd), with qdd pushed through the forward sweep;
+    gravity is folded in through a fictitious base acceleration of -gravity.
     """
     q = np.asarray(q, dtype=float)
     qd = np.asarray(qd, dtype=float)
     qdd = np.asarray(qdd, dtype=float)
     fk = forward_kinematics(model, q)
-    rot, pos = fk.rotations, fk.positions
-
-    omega = np.empty((NUM_BODIES, 3))
-    omega_dot = np.empty((NUM_BODIES, 3))
-    acc = np.empty((NUM_BODIES, 3))  # linear acceleration of the joint origin
-    axes_cache: List[np.ndarray] = [np.empty(0)] * NUM_BODIES
-
-    jl_root = left_jacobian(q[3:6])
-    axes_cache[0] = jl_root
-    omega[0] = jl_root @ qd[3:6]
-    omega_dot[0] = jl_root @ qdd[3:6] + left_jacobian_dot(q[3:6], qd[3:6]) @ qd[3:6]
-    acc[0] = qdd[0:3] - model.gravity
-
-    for i in range(1, NUM_BODIES):
-        p = model.parents[i]
-        th, thd, thdd = _joint_angles(q, i), _joint_angles(qd, i), _joint_angles(qdd, i)
-        d = rot[p] @ model.bodies[i].offset
-        jl = left_jacobian(th)
-        axes = rot[p] @ jl
-        axes_cache[i] = axes
-        w_rel = axes @ thd
-        omega[i] = omega[p] + w_rel
-        omega_dot[i] = (
-            omega_dot[p]
-            + cross3(omega[p], w_rel)
-            + rot[p] @ (jl @ thdd + left_jacobian_dot(th, thd) @ thd)
-        )
-        acc[i] = acc[p] + cross3(omega_dot[p], d) + cross3(omega[p], cross3(omega[p], d))
-
-    force = np.empty((NUM_BODIES, 3))
-    moment = np.empty((NUM_BODIES, 3))
-    for i in range(NUM_BODIES):
-        b = model.bodies[i]
-        inertia_w = rot[i] @ b.inertia @ rot[i].T
-        force[i] = b.mass * acc[i]
-        moment[i] = inertia_w @ omega_dot[i] + cross3(omega[i], inertia_w @ omega[i])
-
-    tau = np.zeros(NV)
-    for i in range(NUM_BODIES - 1, 0, -1):
-        p = model.parents[i]
-        tau[3 + 3 * i : 6 + 3 * i] = axes_cache[i].T @ moment[i]
-        force[p] += force[i]
-        moment[p] += moment[i] + cross3(pos[i] - pos[p], force[i])
-    tau[0:3] = force[0]
-    tau[3:6] = axes_cache[0].T @ moment[0]
-    return tau
-
-
-def nonlinear_effects(model: HumanoidModel, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-    """Coriolis, centrifugal and gravity generalized forces (RNEA with qdd = 0)."""
-    return inverse_dynamics(model, q, qd, np.zeros(NV))
-
-
-def _velocity_recursion(model: HumanoidModel, q: np.ndarray, qd: np.ndarray, fk: FKResult):
-    rot, pos = fk.rotations, fk.positions
-    omega = np.empty((NUM_BODIES, 3))
-    vel = np.empty((NUM_BODIES, 3))
-    omega[0] = left_jacobian(q[3:6]) @ qd[3:6]
-    vel[0] = qd[0:3]
-    for i in range(1, NUM_BODIES):
-        p = model.parents[i]
-        d = rot[p] @ model.bodies[i].offset
-        omega[i] = omega[p] + rot[p] @ (left_jacobian(_joint_angles(q, i)) @ _joint_angles(qd, i))
-        vel[i] = vel[p] + cross3(omega[p], d)
-    return omega, vel
-
-
-@dataclass
-class BodyKinematics:
-    """Per-body velocity state and velocity-product (qdd = 0) accelerations."""
-
-    fk: FKResult
-    omega: np.ndarray  # (24, 3) world angular velocities
-    vel: np.ndarray  # (24, 3) joint-origin linear velocities
-    omega_dot_bias: np.ndarray  # (24, 3) angular acceleration at qdd = 0
-    acc_bias: np.ndarray  # (24, 3) joint-origin acceleration at qdd = 0, no gravity
-
-    def point_velocity(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
-        arm = self.fk.rotations[body_id] @ np.asarray(local_point, dtype=float)
-        return self.vel[body_id] + cross3(self.omega[body_id], arm)
-
-    def point_bias_acceleration(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
-        arm = self.fk.rotations[body_id] @ np.asarray(local_point, dtype=float)
-        return (
-            self.acc_bias[body_id]
-            + cross3(self.omega_dot_bias[body_id], arm)
-            + cross3(self.omega[body_id], cross3(self.omega[body_id], arm))
-        )
-
-
-def body_kinematics(
-    model: HumanoidModel, q: np.ndarray, qd: np.ndarray, fk: Optional[FKResult] = None
-) -> BodyKinematics:
-    """One forward sweep collecting every body's velocity and bias acceleration."""
-    if fk is None:
-        fk = forward_kinematics(model, q)
-    rot = fk.rotations
-    omega = np.empty((NUM_BODIES, 3))
-    vel = np.empty((NUM_BODIES, 3))
-    omega_dot = np.empty((NUM_BODIES, 3))
-    acc = np.empty((NUM_BODIES, 3))
-    omega[0] = left_jacobian(q[3:6]) @ qd[3:6]
-    vel[0] = qd[0:3]
-    omega_dot[0] = left_jacobian_dot(q[3:6], qd[3:6]) @ qd[3:6]
-    acc[0] = 0.0
-    for i in range(1, NUM_BODIES):
-        p = model.parents[i]
-        th, thd = _joint_angles(q, i), _joint_angles(qd, i)
-        d = rot[p] @ model.bodies[i].offset
-        w_rel = rot[p] @ (left_jacobian(th) @ thd)
-        omega[i] = omega[p] + w_rel
-        vel[i] = vel[p] + cross3(omega[p], d)
-        omega_dot[i] = (
-            omega_dot[p] + cross3(omega[p], w_rel) + rot[p] @ (left_jacobian_dot(th, thd) @ thd)
-        )
-        acc[i] = acc[p] + cross3(omega_dot[p], d) + cross3(omega[p], cross3(omega[p], d))
-    return BodyKinematics(fk, omega, vel, omega_dot, acc)
-
-
-def point_velocity(
-    model: HumanoidModel,
-    q: np.ndarray,
-    qd: np.ndarray,
-    body_id: int,
-    local_point: np.ndarray,
-    fk: Optional[FKResult] = None,
-) -> np.ndarray:
-    if fk is None:
-        fk = forward_kinematics(model, q)
-    omega, vel = _velocity_recursion(model, q, qd, fk)
-    arm = fk.rotations[body_id] @ np.asarray(local_point, dtype=float)
-    return vel[body_id] + cross3(omega[body_id], arm)
-
-
-def point_bias_acceleration(
-    model: HumanoidModel,
-    q: np.ndarray,
-    qd: np.ndarray,
-    body_id: int,
-    local_point: np.ndarray,
-    fk: Optional[FKResult] = None,
-) -> np.ndarray:
-    """Jdot @ qd for the point: its acceleration with qdd = 0 and no gravity."""
-    if fk is None:
-        fk = forward_kinematics(model, q)
-    rot, pos = fk.rotations, fk.positions
-    omega = np.empty((NUM_BODIES, 3))
-    omega_dot = np.empty((NUM_BODIES, 3))
-    acc = np.empty((NUM_BODIES, 3))
-    omega[0] = left_jacobian(q[3:6]) @ qd[3:6]
-    omega_dot[0] = left_jacobian_dot(q[3:6], qd[3:6]) @ qd[3:6]
-    acc[0] = 0.0
-    for i in range(1, NUM_BODIES):
-        p = model.parents[i]
-        th, thd = _joint_angles(q, i), _joint_angles(qd, i)
-        d = rot[p] @ model.bodies[i].offset
-        w_rel = rot[p] @ (left_jacobian(th) @ thd)
-        omega[i] = omega[p] + w_rel
-        omega_dot[i] = (
-            omega_dot[p] + cross3(omega[p], w_rel) + rot[p] @ (left_jacobian_dot(th, thd) @ thd)
-        )
-        acc[i] = acc[p] + cross3(omega_dot[p], d) + cross3(omega[p], cross3(omega[p], d))
-    arm = rot[body_id] @ np.asarray(local_point, dtype=float)
-    return (
-        acc[body_id]
-        + cross3(omega_dot[body_id], arm)
-        + cross3(omega[body_id], cross3(omega[body_id], arm))
-    )
+    axes = _joint_axes(model, q, fk)
+    omega, _, omega_dot, acc = _forward_sweep(model, q, qd, qdd, fk, axes)
+    inertia_w = _world_inertias(model, fk)
+    return _backward_pass(model, fk, axes, inertia_w, omega, omega_dot, acc - model.gravity)
 
 
 def integrate(state: GeneralizedState, dt: float) -> GeneralizedState:

@@ -26,6 +26,16 @@ solver falls back to the cold interior-point path.
 Contact activation requires both the per-frame contact label and foot height
 below surface + 1 cm; labels alone can be stale when the kinematic input
 floats above the scene.
+
+A frame whose QP fails goes down the FALLBACK_LEVELS chain: full, then
+no-slide (no-sliding rows dropped), then no-cone (friction cone dropped as
+well), then loose (the same QP at a 1e4 times looser solver tolerance).
+Every level after the first flags the frame degraded. A SolverError
+(QPInfeasibleError included) at any level moves the frame to the next one;
+only the error of the last level escapes `solve_frame`.
+
+The rigid-body terms of a frame (M, h and the contact-point Jacobians,
+velocities and bias accelerations) come from one `frame_dynamics` sweep.
 """
 
 from __future__ import annotations
@@ -40,19 +50,15 @@ from .errors import InvalidInputError, SolverError
 from .humanoid import (
     DEFAULT_DT,
     NV,
-    FKResult,
+    FrameDynamics,
     GeneralizedState,
     HumanoidModel,
-    body_kinematics,
     end_effector_positions,
     forward_kinematics,
+    frame_dynamics,
     integrate,
-    mass_matrix,
-    nonlinear_effects,
-    point_jacobian,
-    point_velocity,
 )
-from .motion import MotionSequence, sequence_from_generalized
+from .motion import MotionSequence, resample_motion, sequence_from_generalized
 from .qp import QPSolution, solve_qp
 from .scene import CONTACT_NAMES, HeightMap, query_height, surface_normal
 
@@ -197,21 +203,14 @@ def pd_desired_accel_angles(
 
 
 def pd_desired_accel_points(
-    q: np.ndarray,
-    qd: np.ndarray,
-    targets: Dict[str, np.ndarray],
-    gains: PDGains,
-    model: HumanoidModel,
-    fk: Optional[FKResult] = None,
+    dyn: FrameDynamics, targets: Dict[str, np.ndarray], gains: PDGains
 ) -> Dict[str, np.ndarray]:
     """Cartesian PD per tracked end effector: kp (r_ref - p) - kd (J qd)."""
-    if fk is None:
-        fk = forward_kinematics(model, q)
     out = {}
     for name, target in targets.items():
-        body, off = model.end_effector(name)
-        pos = fk.positions[body] + fk.rotations[body] @ off
-        vel = point_velocity(model, q, qd, body, off, fk)
+        body, off = dyn.model.end_effector(name)
+        pos = dyn.point_position(body, off)
+        vel = dyn.point_velocity(body, off)
         out[name] = gains.position_kp * (np.asarray(target) - pos) - gains.position_kd * vel
     return out
 
@@ -247,7 +246,6 @@ def _tangent_basis(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 class _ContactPoint:
     name: str
     body: int
-    offset: np.ndarray
     position: np.ndarray
     jacobian: np.ndarray
     bias: np.ndarray
@@ -278,9 +276,11 @@ def solve_frame(
     With hm None (or use_height_map off) the ground is the horizontal plane
     at flat_ground_height.
 
-    On an infeasible constraint set the no-sliding rows are dropped, then the
-    friction cone, and the frame is flagged degraded. Non-convergence of the
-    solver raises SolverError with iteration diagnostics.
+    When the QP raises SolverError (infeasible or not converged), the frame
+    is solved again one FALLBACK_LEVELS level down: without the no-sliding
+    rows, then also without the friction cone, then at a looser tolerance;
+    the level reached is recorded and any level after the first flags the
+    frame degraded. Only the last level's SolverError escapes.
 
     `previous` is the preceding frame's solution; its active set warm-starts
     the QP when the same contacts are active and the same level is tried.
@@ -288,8 +288,7 @@ def solve_frame(
     """
     gains = gains or PDGains()
     q, qd = state.q, state.qd
-    fk = forward_kinematics(model, q)
-    kin = body_kinematics(model, q, qd, fk)
+    dyn = frame_dynamics(model, q, qd)
     if latched is None:
         latched = np.zeros(4, dtype=bool)
 
@@ -302,16 +301,15 @@ def solve_frame(
     if ref.contacts.any():
         for k, name in enumerate(CONTACT_NAMES):
             body, off = model.end_effector(name)
-            pos = fk.positions[body] + fk.rotations[body] @ off
+            pos = dyn.point_position(body, off)
             height, normal = _ground(hm, settings, flat_ground_height, pos[0], pos[2])
             points[name] = _ContactPoint(
                 name=name,
                 body=body,
-                offset=off,
                 position=pos,
-                jacobian=point_jacobian(model, q, body, off, fk),
-                bias=kin.point_bias_acceleration(body, off),
-                velocity=kin.point_velocity(body, off),
+                jacobian=dyn.point_jacobian(body, off),
+                bias=dyn.point_bias_acceleration(body, off),
+                velocity=dyn.point_velocity(body, off),
                 surface_height=height,
                 normal=normal,
             )
@@ -325,12 +323,11 @@ def solve_frame(
         if hold[name] or p.position[1] < p.surface_height + CONTACT_ACTIVATION_MARGIN:
             active.append(p)
 
-    m_mat = mass_matrix(model, q)
-    h_vec = nonlinear_effects(model, q, qd)
+    m_mat, h_vec = dyn.m, dyn.h
 
     qdd_des = pd_desired_accel_angles(q, qd, ref.q_ref, gains)
-    a_des = {}
-    for name, p in points.items():
+    targets = {}
+    for name in points:
         if name not in ref.ee_targets:
             continue
         target = np.asarray(ref.ee_targets[name], dtype=float).copy()
@@ -340,9 +337,8 @@ def solve_frame(
             # lands the foot where the ground actually is
             height, _ = _ground(hm, settings, flat_ground_height, target[0], target[2])
             target[1] = height + CONTACT_REST_OFFSET
-        a_des[name] = (
-            gains.position_kp * (target - p.position) - gains.position_kd * p.velocity
-        )
+        targets[name] = target
+    a_des = pd_desired_accel_points(dyn, targets, gains)
 
     # Decision variables x = (qdd, lambda). The actuated torques are
     # substituted out, tau[6:] = B x + h[6:] with B = [M[6:], -Jc[:, 6:]^T],
@@ -527,8 +523,6 @@ def refine_sequence(
     seq = kinematic_seq
     if len(seq) < 3:
         raise InvalidInputError("refinement needs at least 3 frames")
-    from .motion import resample_motion  # local import to avoid cycle at module load
-
     target_fps = 1.0 / DEFAULT_DT
     original_fps = seq.frame_rate
     if abs(seq.frame_rate - target_fps) > 1e-9:

@@ -83,9 +83,15 @@ def load_obj(path: str | Path) -> TriangleMesh:
             if parts[0] == "v":
                 if len(parts) < 4:
                     raise MotionFormatError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                try:
+                    vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                except ValueError as exc:
+                    raise MotionFormatError(f"{path}:{lineno}: bad vertex coordinate: {exc}") from exc
             elif parts[0] == "f":
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                try:
+                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                except ValueError as exc:
+                    raise MotionFormatError(f"{path}:{lineno}: bad face index: {exc}") from exc
                 if len(idx) < 3:
                     raise MotionFormatError(f"{path}:{lineno}: face needs at least 3 vertices")
                 for k in range(1, len(idx) - 1):
@@ -256,14 +262,26 @@ def save_contacts_csv(labels: ContactLabels, path: str | Path) -> None:
 
 
 def load_contacts_csv(path: str | Path) -> ContactLabels:
+    """Per-frame labels written by save_contacts_csv: every row holds a frame
+    index and one 0/1 field per contact point."""
     rows = []
-    with open(path) as fh:
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header[1:5]) != CONTACT_NAMES:
             raise MotionFormatError(f"{path}: expected header frame,{','.join(CONTACT_NAMES)}")
         for rec in reader:
-            rows.append([bool(int(v)) for v in rec[1:5]])
+            try:
+                values = [int(v) for v in rec]
+            except ValueError:
+                values = []  # reported below like a short row
+            labels = values[1:]
+            if len(values) != 5 or any(v not in (0, 1) for v in labels):
+                raise MotionFormatError(
+                    f"{path}:{reader.line_num}: expected an integer frame and four 0/1 labels, "
+                    f"got {','.join(rec)!r}"
+                )
+            rows.append([v == 1 for v in labels])
     return ContactLabels(np.array(rows, dtype=bool).reshape(-1, 4))
 
 

@@ -8,17 +8,15 @@ from physmotion.humanoid import (
     GeneralizedState,
     HumanoidModel,
     forward_kinematics,
+    frame_dynamics,
     integrate,
     inverse_dynamics,
     kinetic_energy,
     load_model,
     mass_matrix,
     nonlinear_effects,
-    point_bias_acceleration,
     point_jacobian,
-    point_velocity,
     save_model,
-    _velocity_recursion,
 )
 from physmotion.rotations import exp_so3
 
@@ -106,23 +104,27 @@ class TestPointJacobian:
             assert np.abs(v_fd - v).max() / denom < 1e-5
 
     def test_velocity_helper_matches_jacobian(self, model, rng):
-        q, qd, _ = random_state(rng)
-        for body in (0, 7, 23):
-            lp = rng.normal(size=3) * 0.1
-            v1 = point_jacobian(model, q, body, lp) @ qd
-            v2 = point_velocity(model, q, qd, body, lp)
-            assert np.abs(v1 - v2).max() < 1e-12
+        for _ in range(5):
+            q, qd, _ = random_state(rng)
+            dyn = frame_dynamics(model, q, qd)
+            for body in range(24):
+                lp = rng.normal(size=3) * 0.1
+                v1 = point_jacobian(model, q, body, lp) @ qd
+                v2 = dyn.point_velocity(body, lp)
+                assert np.abs(v1 - v2).max() < 1e-12
 
     def test_bias_acceleration_finite_difference(self, model, rng):
-        q, qd, _ = random_state(rng)
         eps = 1e-6
-        for body in (5, 10, 23):
-            lp = rng.normal(size=3) * 0.1
-            j0 = point_jacobian(model, q, body, lp)
-            j1 = point_jacobian(model, q + eps * qd, body, lp)
-            fd = (j1 @ qd - j0 @ qd) / eps
-            bias = point_bias_acceleration(model, q, qd, body, lp)
-            assert np.abs(fd - bias).max() / max(1.0, np.abs(bias).max()) < 1e-4
+        for _ in range(5):
+            q, qd, _ = random_state(rng)
+            dyn = frame_dynamics(model, q, qd)
+            for body in range(24):
+                lp = rng.normal(size=3) * 0.1
+                j0 = point_jacobian(model, q, body, lp)
+                j1 = point_jacobian(model, q + eps * qd, body, lp)
+                fd = (j1 @ qd - j0 @ qd) / eps
+                bias = dyn.point_bias_acceleration(body, lp)
+                assert np.abs(fd - bias).max() / max(1.0, np.abs(bias).max()) < 1e-4
 
     def test_invalid_body_rejected(self, model):
         with pytest.raises(InvalidInputError):
@@ -145,9 +147,10 @@ class TestMassMatrix:
     def test_kinetic_energy_oracle(self, model, rng):
         for _ in range(10):
             q, qd, _ = random_state(rng)
-            ke_matrix = 0.5 * qd @ mass_matrix(model, q) @ qd
+            dyn = frame_dynamics(model, q, qd)
+            ke_matrix = 0.5 * qd @ dyn.m @ qd
             fk = forward_kinematics(model, q)
-            omega, vel = _velocity_recursion(model, q, qd, fk)
+            omega, vel = dyn.omega, dyn.vel
             ke_direct = 0.0
             for i, body in enumerate(model.bodies):
                 inertia_w = fk.rotations[i] @ body.inertia @ fk.rotations[i].T
@@ -187,6 +190,54 @@ class TestInverseDynamics:
             rhs = mass_matrix(model, q) @ qdd
             h_scale = 1.0 + np.abs(nonlinear_effects(model, q, qd)).max()
             assert np.abs(lhs - rhs).max() / h_scale < 1e-8
+
+
+class TestFrameDynamics:
+    """frame_dynamics against finite-difference oracles and the public views."""
+
+    def test_mass_matrix_is_kinetic_energy_of_finite_difference_motion(self, model, rng):
+        # body velocities from central differences of forward kinematics
+        eps = 1e-6
+        for _ in range(5):
+            q, qd, _ = random_state(rng)
+            fk, fk_p, fk_m = (forward_kinematics(model, q + s * eps * qd) for s in (0.0, 1.0, -1.0))
+            ke_direct = 0.0
+            for i, body in enumerate(model.bodies):
+                vel = (fk_p.positions[i] - fk_m.positions[i]) / (2 * eps)
+                w_hat = (fk_p.rotations[i] - fk_m.rotations[i]) / (2 * eps) @ fk.rotations[i].T
+                omega = np.array([w_hat[2, 1], w_hat[0, 2], w_hat[1, 0]])
+                inertia_w = fk.rotations[i] @ body.inertia @ fk.rotations[i].T
+                ke_direct += 0.5 * body.mass * vel @ vel + 0.5 * omega @ inertia_w @ omega
+            ke_matrix = 0.5 * qd @ frame_dynamics(model, q, qd).m @ qd
+            assert abs(ke_matrix - ke_direct) / ke_direct < 1e-7
+
+    def test_h_is_inverse_dynamics_at_zero_acceleration(self, model, rng):
+        for _ in range(10):
+            q, qd, _ = random_state(rng)
+            h = frame_dynamics(model, q, qd).h
+            oracle = inverse_dynamics(model, q, qd, np.zeros(NV))
+            assert np.abs(h - oracle).max() / (1.0 + np.abs(oracle).max()) < 1e-12
+
+    def test_jacobian_matches_finite_difference_fk(self, model, rng):
+        eps = 1e-6
+        for _ in range(5):
+            q, qd, _ = random_state(rng)
+            dyn = frame_dynamics(model, q, qd)
+            fk_p = forward_kinematics(model, q + eps * qd)
+            fk_m = forward_kinematics(model, q - eps * qd)
+            for body in range(24):
+                lp = rng.normal(size=3) * 0.1
+                p_p = fk_p.positions[body] + fk_p.rotations[body] @ lp
+                p_m = fk_m.positions[body] + fk_m.rotations[body] @ lp
+                v_fd = (p_p - p_m) / (2 * eps)
+                v = dyn.point_jacobian(body, lp) @ qd
+                assert np.abs(v_fd - v).max() / max(1.0, np.abs(v).max()) < 1e-7
+
+    def test_public_views_are_the_sweep(self, model, rng):
+        q, qd, _ = random_state(rng)
+        dyn = frame_dynamics(model, q, qd)
+        assert np.array_equal(nonlinear_effects(model, q, qd), dyn.h)
+        assert np.array_equal(mass_matrix(model, q), dyn.m)
 
 
 class TestIntegrate:

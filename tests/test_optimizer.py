@@ -9,6 +9,7 @@ from physmotion.humanoid import (
     GeneralizedState,
     end_effector_positions,
     forward_kinematics,
+    frame_dynamics,
     mass_matrix,
     nonlinear_effects,
     point_jacobian,
@@ -85,7 +86,7 @@ class TestPDPoints:
     def test_at_target_at_rest(self, model):
         q = np.zeros(NV)
         ee = end_effector_positions(model, forward_kinematics(model, q))
-        out = pd_desired_accel_points(q, np.zeros(NV), ee, PDGains(), model)
+        out = pd_desired_accel_points(frame_dynamics(model, q, np.zeros(NV)), ee, PDGains())
         for v in out.values():
             assert np.abs(v).max() < 1e-12
 
@@ -94,7 +95,7 @@ class TestPDPoints:
         ee = end_effector_positions(model, forward_kinematics(model, q))
         targets = {"l_toe": ee["l_toe"] + np.array([0.01, 0.0, 0.0])}
         gains = PDGains(position_kp=400.0, position_kd=0.0)
-        out = pd_desired_accel_points(q, np.zeros(NV), targets, gains, model)
+        out = pd_desired_accel_points(frame_dynamics(model, q, np.zeros(NV)), targets, gains)
         assert np.isclose(np.linalg.norm(out["l_toe"]), 4.0)
 
     def test_direct_recomputation_oracle(self, model, rng):
@@ -104,7 +105,7 @@ class TestPDPoints:
         ee = end_effector_positions(model, fk)
         targets = {name: p + rng.normal(size=3) * 0.05 for name, p in ee.items()}
         gains = PDGains(position_kp=123.0, position_kd=4.5)
-        out = pd_desired_accel_points(q, qd, targets, gains, model)
+        out = pd_desired_accel_points(frame_dynamics(model, q, qd), targets, gains)
         for name in targets:
             body, off = model.end_effector(name)
             pos = fk.positions[body] + fk.rotations[body] @ off
@@ -215,6 +216,29 @@ class TestSolveFrame:
         assert np.array_equal(a.qdd, b.qdd)
         assert np.array_equal(a.contact_forces, b.contact_forces)
         assert np.array_equal(a.tau, b.tau)
+
+    def test_one_kinematics_and_dynamics_pass_per_frame(self, model, flat_map, monkeypatch, rng):
+        import physmotion.humanoid as humanoid
+        import physmotion.optimizer as opt
+
+        state, ref = standing_setup(model)
+        state.qd = rng.normal(size=NV) * 0.5
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        fk = counted(humanoid.forward_kinematics)
+        # frame_dynamics reaches forward kinematics through its own module
+        monkeypatch.setattr(humanoid, "forward_kinematics", fk)
+        monkeypatch.setattr(opt, "forward_kinematics", fk)
+        monkeypatch.setattr(opt, "frame_dynamics", counted(humanoid.frame_dynamics))
+        solve_frame(model, state, ref, flat_map, QPSettings())
+        assert sorted(calls) == ["forward_kinematics", "frame_dynamics"]
 
     def test_determinism(self, model, flat_map, rng):
         state, ref = standing_setup(model)

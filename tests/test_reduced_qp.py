@@ -17,9 +17,9 @@ import physmotion.optimizer as opt
 from physmotion.humanoid import (
     NV,
     GeneralizedState,
-    body_kinematics,
     end_effector_positions,
     forward_kinematics,
+    frame_dynamics,
     mass_matrix,
     nonlinear_effects,
     point_jacobian,
@@ -45,8 +45,8 @@ def full_qp(model, state, ref, hm, settings, gains, names, reduced):
     q, qd = state.q, state.qd
     nc = len(names)
     n = NV + 3 * nc + NA
-    fk = forward_kinematics(model, q)
-    kin = body_kinematics(model, q, qd, fk)
+    dyn = frame_dynamics(model, q, qd)
+    fk = dyn.fk
     p_mat = np.zeros((n, n))
     q_vec = np.zeros(n)
 
@@ -65,8 +65,8 @@ def full_qp(model, state, ref, hm, settings, gains, names, reduced):
         goal = np.array(ref.ee_targets[name], dtype=float)
         if ref.contacts[k]:
             goal[1] = query_height(hm, goal[0], goal[2]) + CONTACT_REST_OFFSET
-        accel = gains.position_kp * (goal - pos) - gains.position_kd * kin.point_velocity(body, off)
-        rhs = accel - kin.point_bias_acceleration(body, off)
+        accel = gains.position_kp * (goal - pos) - gains.position_kd * dyn.point_velocity(body, off)
+        rhs = accel - dyn.point_bias_acceleration(body, off)
         p_mat[:NV, :NV] += 2.0 * settings.point_weight * jac.T @ jac
         q_vec[:NV] -= 2.0 * settings.point_weight * jac.T @ rhs
     p_mat[NV:, NV:] += 2.0 * settings.reg_weight * np.eye(3 * nc + NA)

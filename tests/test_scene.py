@@ -252,6 +252,37 @@ class TestFileFormats:
         with pytest.raises(MotionFormatError):
             load_contacts_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            # two short rows would reshape into one frame [T, F, F, T]
+            ("0,1,0\n1,0,1\n", 2),
+            ("0,1,0,0,1\n1,yes,0,0,1\n", 3),
+            ("0,1,0,0,1,1\n", 2),
+            ("0.5,1,0,0,1\n", 2),
+            ("0,1,0,2,1\n", 2),
+            ("0,1,0,0,1\n\n1,0,1,1,0\n", 3),
+        ],
+    )
+    def test_contacts_csv_malformed_row_names_its_line(self, tmp_path, body, line):
+        path = tmp_path / "contacts.csv"
+        path.write_text("frame,l_toe,r_toe,l_heel,r_heel\n" + body)
+        with pytest.raises(MotionFormatError, match=f"{path.name}:{line}:"):
+            load_contacts_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("v 0 0 0\nv 1 zero 0\nv 0 0 1\nf 1 2 3\n", 2),
+            ("v 0 0 0\nv 1 0 0\nv 0 0 1\nf 1 two 3\n", 4),
+        ],
+    )
+    def test_obj_non_numeric_token_names_its_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.obj"
+        path.write_text(body)
+        with pytest.raises(MotionFormatError, match=f"{path.name}:{line}:"):
+            load_obj(path)
+
 
 def test_mesh_validation():
     with pytest.raises(InvalidInputError):
