@@ -234,27 +234,22 @@ def penetration_stats(
     Depth averages over penetrating frames only; height above the surface
     averages the lowest foot joint over contact-labeled frames.
     """
-    p = _joints(seq)
+    p = _joints(seq)[:, list(FOOT_JOINTS)]  # (T, F, 3)
     n = len(p)
-    depths = []
+    surf = query_height(hm, p[..., 0], p[..., 2])
+    worst = (surf - p[..., 1]).max(axis=1, initial=0.0)
+    depths = worst[worst > 0.0]
+    penetrating = len(depths)
     heights = []
-    penetrating = 0
-    for t in range(n):
-        worst_depth = 0.0
-        for j in FOOT_JOINTS:
-            x, y, z = p[t, j]
-            surf = query_height(hm, x, z)
-            worst_depth = max(worst_depth, surf - y)
-        if worst_depth > 0.0:
-            penetrating += 1
-            depths.append(worst_depth)
-        if contacts is not None and contacts.data[t].any():
-            j_low = min(FOOT_JOINTS, key=lambda j: p[t, j, 1])
-            x, y, z = p[t, j_low]
-            heights.append(max(0.0, y - query_height(hm, x, z)))
+    if contacts is not None:
+        if len(contacts) != n:
+            raise InvalidInputError("contacts length differs from sequence length")
+        frames = np.flatnonzero(contacts.data.any(axis=1))
+        low = np.argmin(p[frames, :, 1], axis=1)
+        heights = np.maximum(0.0, p[frames, low, 1] - surf[frames, low])
     pct = 100.0 * penetrating / n if n else 0.0
-    depth_mm = float(np.mean(depths) * 1000.0) if depths else 0.0
-    height_mm = float(np.mean(heights) * 1000.0) if heights else 0.0
+    depth_mm = float(np.mean(depths) * 1000.0) if len(depths) else 0.0
+    height_mm = float(np.mean(heights) * 1000.0) if len(heights) else 0.0
     return pct, depth_mm, height_mm
 
 

@@ -228,11 +228,13 @@ def root_supervision_accel(
 
 
 def _ground(
-    hm: Optional[HeightMap], settings: QPSettings, flat_height: float, x: float, z: float
-) -> Tuple[float, np.ndarray]:
+    hm: Optional[HeightMap], settings: QPSettings, flat_height: float, points: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Surface heights (k,) and upward normals (k, 3) below points (k, 3)."""
+    x, z = points[:, 0], points[:, 2]
     if settings.use_height_map and hm is not None:
         return query_height(hm, x, z), surface_normal(hm, x, z)
-    return flat_height, np.array([0.0, 1.0, 0.0])
+    return np.full(len(points), float(flat_height)), np.tile([0.0, 1.0, 0.0], (len(points), 1))
 
 
 def _tangent_basis(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -298,20 +300,34 @@ def solve_frame(
     # and the base follows pure ballistics.
     points: Dict[str, _ContactPoint] = {}
     hold = {}
+    targets: Dict[str, np.ndarray] = {}
     if ref.contacts.any():
-        for k, name in enumerate(CONTACT_NAMES):
-            body, off = model.end_effector(name)
-            pos = dyn.point_position(body, off)
-            height, normal = _ground(hm, settings, flat_ground_height, pos[0], pos[2])
+        effectors = [model.end_effector(name) for name in CONTACT_NAMES]
+        targets = {
+            name: np.asarray(ref.ee_targets[name], dtype=float).copy()
+            for name in CONTACT_NAMES
+            if name in ref.ee_targets
+        }
+        # a contact label asserts ground contact: project the height target
+        # onto the scene surface so a floating or penetrating reference still
+        # lands the foot where the ground actually is
+        grounded = [name for name in targets if ref.contacts[CONTACT_NAMES.index(name)]]
+        # one scene query: the four foot points, then the grounded targets
+        feet = [dyn.point_position(body, off) for body, off in effectors]
+        probes = np.array(feet + [targets[name] for name in grounded])
+        heights, normals = _ground(hm, settings, flat_ground_height, probes)
+        for name, height in zip(grounded, heights[len(effectors) :]):
+            targets[name][1] = height + CONTACT_REST_OFFSET
+        for k, (name, (body, off)) in enumerate(zip(CONTACT_NAMES, effectors)):
             points[name] = _ContactPoint(
                 name=name,
                 body=body,
-                position=pos,
+                position=probes[k],
                 jacobian=dyn.point_jacobian(body, off),
                 bias=dyn.point_bias_acceleration(body, off),
                 velocity=dyn.point_velocity(body, off),
-                surface_height=height,
-                normal=normal,
+                surface_height=float(heights[k]),
+                normal=normals[k],
             )
             hold[name] = bool(latched[k]) and bool(ref.contacts[k])
 
@@ -326,18 +342,6 @@ def solve_frame(
     m_mat, h_vec = dyn.m, dyn.h
 
     qdd_des = pd_desired_accel_angles(q, qd, ref.q_ref, gains)
-    targets = {}
-    for name in points:
-        if name not in ref.ee_targets:
-            continue
-        target = np.asarray(ref.ee_targets[name], dtype=float).copy()
-        if ref.contacts[CONTACT_NAMES.index(name)]:
-            # the label asserts ground contact: project the height target onto
-            # the scene surface so a floating or penetrating reference still
-            # lands the foot where the ground actually is
-            height, _ = _ground(hm, settings, flat_ground_height, target[0], target[2])
-            target[1] = height + CONTACT_REST_OFFSET
-        targets[name] = target
     a_des = pd_desired_accel_points(dyn, targets, gains)
 
     # Decision variables x = (qdd, lambda). The actuated torques are

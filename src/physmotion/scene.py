@@ -3,6 +3,11 @@
 The map stores the top surface only: a vertical downward ray is cast through
 every cell center and the highest hit wins. Cells the mesh never covers get
 the minimum mesh height so queries off the scanned area degrade gracefully.
+
+The rasteriser is vectorised over triangles, in chunks of bounding-box cells
+so its memory stays flat for dense scanned meshes and whole-scene quads
+alike. Height and normal queries take scalars or arrays of points; one call
+answers a frame's contact points or a whole sequence.
 """
 
 from __future__ import annotations
@@ -107,6 +112,46 @@ def save_obj(mesh: TriangleMesh, path: str | Path) -> None:
             fh.write(f"f {int(t[0]) + 1} {int(t[1]) + 1} {int(t[2]) + 1}\n")
 
 
+# Bounding-box cells one vectorised rasteriser step evaluates; keeps each
+# per-cell temporary to a few hundred kB whatever the mesh.
+_CHUNK_CELLS = 1 << 14
+_EPS = 1e-12
+
+
+def _plane_heights(px, pz, ay, by, cy, v0x, v0z, v1x, v1z, den):
+    """Height of a triangle's plane at plan-view offsets (px, pz) from vertex
+    a, or -inf where the point falls outside the triangle.
+
+    Barycentric weights of b and c from the edge vectors v0 = b - a and
+    v1 = c - a with den = v0 x v1; the arguments broadcast, so one call
+    serves one triangle over a block of cells or many triangles over their
+    own cells.
+    """
+    w1 = (px * v1z - v1x * pz) / den
+    w2 = (v0x * pz - px * v0z) / den
+    w0 = 1.0 - w1 - w2
+    inside = (w0 >= -1e-12) & (w1 >= -1e-12) & (w2 >= -1e-12)
+    y = w0 * ay + w1 * by + w2 * cy
+    return np.where(inside, y, -np.inf)
+
+
+def _planes(verts: np.ndarray, tris: np.ndarray):
+    """Per triangle: vertex a's plan position (x, z), then the arguments of
+    _plane_heights after (px, pz)."""
+    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
+    v0x, v0z = b[:, 0] - a[:, 0], b[:, 2] - a[:, 2]
+    v1x, v1z = c[:, 0] - a[:, 0], c[:, 2] - a[:, 2]
+    return a[:, 0], a[:, 2], a[:, 1], b[:, 1], c[:, 1], v0x, v0z, v1x, v1z, v0x * v1z - v1x * v0z
+
+
+def _cell_range(centers: np.ndarray, coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """First and one-past-last cell whose center lies in [min, max] of each
+    row of coords, widened by _EPS."""
+    lo = np.searchsorted(centers, coords.min(axis=1) - _EPS, side="left")
+    hi = np.searchsorted(centers, coords.max(axis=1) + _EPS, side="right")
+    return lo, hi
+
+
 def build_height_map(
     mesh: TriangleMesh,
     resolution: Tuple[int, int] = DEFAULT_GRID_RESOLUTION,
@@ -118,6 +163,12 @@ def build_height_map(
     omitted. heights[i, j] is the y of the highest triangle intersected by the
     downward ray through the center of cell (i, j); uncovered cells get the
     minimum mesh y.
+
+    Triangles are evaluated over their bounding boxes of cells in chunks of
+    about _CHUNK_CELLS cells; a triangle whose box is larger than that goes
+    by itself, in blocks of rows. Heights fold in with a maximum, which does
+    not depend on order, so the result equals a triangle-by-triangle scan
+    bit for bit.
     """
     if mesh.empty:
         raise EmptySceneError("cannot build a height map from an empty mesh")
@@ -142,72 +193,109 @@ def build_height_map(
     xs = xmin + (np.arange(nx) + 0.5) * cell
     zs = zmin + (np.arange(nz) + 0.5) * cell
 
-    tri = verts[mesh.triangles]  # (F, 3, 3)
-    eps = 1e-12
-    for a, b, c in tri:
-        # Project to the (x, z) plane and rasterize with barycentric weights.
-        lo_x, hi_x = min(a[0], b[0], c[0]), max(a[0], b[0], c[0])
-        lo_z, hi_z = min(a[2], b[2], c[2]), max(a[2], b[2], c[2])
-        i0 = int(np.searchsorted(xs, lo_x - eps, side="left"))
-        i1 = int(np.searchsorted(xs, hi_x + eps, side="right"))
-        j0 = int(np.searchsorted(zs, lo_z - eps, side="left"))
-        j1 = int(np.searchsorted(zs, hi_z + eps, side="right"))
-        if i0 >= i1 or j0 >= j1:
-            continue
-        v0 = np.array([b[0] - a[0], b[2] - a[2]])
-        v1 = np.array([c[0] - a[0], c[2] - a[2]])
-        den = v0[0] * v1[1] - v1[0] * v0[1]
-        if abs(den) < eps:
+    # Project to the (x, z) plane: each triangle's bounding box of cells.
+    tris = mesh.triangles
+    i0, i1 = _cell_range(xs, verts[tris, 0])
+    j0, j1 = _cell_range(zs, verts[tris, 2])
+    cells = (i1 - i0) * (j1 - j0)
+
+    # A triangle larger than a chunk: blocks of whole rows, each evaluated by
+    # broadcasting and folded in place.
+    for t in np.flatnonzero(cells > _CHUNK_CELLS):
+        ax, az, *args = (v[0] for v in _planes(verts, tris[t : t + 1]))
+        if abs(args[-1]) < _EPS:
             continue  # degenerate in plan view: vertical wall, no top surface
-        px, pz = np.meshgrid(xs[i0:i1] - a[0], zs[j0:j1] - a[2], indexing="ij")
-        w1 = (px * v1[1] - v1[0] * pz) / den
-        w2 = (v0[0] * pz - px * v0[1]) / den
-        w0 = 1.0 - w1 - w2
-        inside = (w0 >= -1e-12) & (w1 >= -1e-12) & (w2 >= -1e-12)
-        y = w0 * a[1] + w1 * b[1] + w2 * c[1]
-        block = heights[i0:i1, j0:j1]
-        np.maximum(block, np.where(inside, y, -np.inf), out=block)
+        step = max(1, _CHUNK_CELLS // int(j1[t] - j0[t]))
+        pz = (zs[j0[t] : j1[t]] - az)[None, :]
+        for r0 in range(i0[t], i1[t], step):
+            r1 = min(r0 + step, i1[t])
+            block = heights[r0:r1, j0[t] : j1[t]]
+            np.maximum(block, _plane_heights((xs[r0:r1] - ax)[:, None], pz, *args), out=block)
+
+    # The other triangles, in consecutive runs of about _CHUNK_CELLS cells:
+    # a new chunk starts at the triangle holding each multiple of it, so a
+    # chunk holds fewer than 2 * _CHUNK_CELLS cells. Every cell of every box
+    # is one entry, folded with an unbuffered maximum since neighbouring
+    # triangles share cells.
+    small = np.flatnonzero((cells > 0) & (cells <= _CHUNK_CELLS))
+    end = np.cumsum(cells[small])
+    total = end[-1] if len(end) else 0
+    cuts = np.searchsorted(end, np.arange(_CHUNK_CELLS, total, _CHUNK_CELLS), side="right")
+    edges = np.unique(np.concatenate([[0], cuts, [len(small)]]))
+    flat = heights.reshape(-1)
+    for p, q in zip(edges[:-1], edges[1:]):
+        t = small[p:q]
+        planes = _planes(verts, tris[t])
+        has_area = np.abs(planes[-1]) >= _EPS  # a vertical wall has no top surface
+        t, planes = t[has_area], [v[has_area] for v in planes]
+        cols = j1[t] - j0[t]
+        n = cells[t]
+        owner = np.repeat(np.arange(len(t)), n)
+        local = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        r = local // cols[owner]
+        i = i0[t][owner] + r
+        j = j0[t][owner] + (local - r * cols[owner])
+        ax, az, *args = (v[owner] for v in planes)
+        y = _plane_heights(xs[i] - ax, zs[j] - az, *args)
+        hit = y > -np.inf
+        np.maximum.at(flat, (i * nz + j)[hit], y[hit])
 
     heights[~np.isfinite(heights)] = default
     return HeightMap(origin=(float(xmin), float(zmin)), cell_size=float(cell), heights=heights, default_height=default)
 
 
-def query_height(hm: HeightMap, x: float, z: float) -> float:
+def query_height(hm: HeightMap, x: float | np.ndarray, z: float | np.ndarray) -> float | np.ndarray:
     """Bilinear interpolation of the four surrounding cell-center heights.
 
-    Total function: out-of-grid queries return the default height; queries in
-    the half-cell margin inside the grid clamp to the edge cells.
+    x and z are scalars or arrays that broadcast together. Scalar input
+    returns a float, array input an array of the broadcast shape, and each
+    element equals the scalar query of its point bit for bit. Points off the
+    grid, infinite coordinates included, get the default height; points in
+    the half-cell margin inside the grid clamp to the edge cells. A NaN
+    coordinate raises InvalidInputError.
     """
+    x, z = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
+    for name, v in (("x", x), ("z", z)):
+        bad = np.isnan(v)
+        if bad.any():
+            where = f" at index {tuple(int(i) for i in np.argwhere(bad)[0])}" if v.ndim else ""
+            raise InvalidInputError(f"height query with non-finite {name} coordinate (NaN){where}")
     nx, nz = hm.heights.shape
-    if (
-        x < hm.origin[0]
-        or x > hm.origin[0] + nx * hm.cell_size
-        or z < hm.origin[1]
-        or z > hm.origin[1] + nz * hm.cell_size
-    ):
-        return hm.default_height
-    gx = (x - hm.origin[0]) / hm.cell_size - 0.5
-    gz = (z - hm.origin[1]) / hm.cell_size - 0.5
-    i0 = int(np.clip(np.floor(gx), 0, nx - 2))
-    j0 = int(np.clip(np.floor(gz), 0, nz - 2))
+    ox, oz = hm.origin
+    off = (x < ox) | (x > ox + nx * hm.cell_size) | (z < oz) | (z > oz + nz * hm.cell_size)
+    # off-grid points are evaluated at the origin and replaced below
+    gx = (np.where(off, ox, x) - ox) / hm.cell_size - 0.5
+    gz = (np.where(off, oz, z) - oz) / hm.cell_size - 0.5
+    i0 = np.clip(np.floor(gx), 0, nx - 2).astype(np.intp)
+    j0 = np.clip(np.floor(gz), 0, nz - 2).astype(np.intp)
     fx = np.clip(gx - i0, 0.0, 1.0)
     fz = np.clip(gz - j0, 0.0, 1.0)
     h = hm.heights
-    return float(
+    out = np.where(
+        off,
+        hm.default_height,
         (1 - fx) * (1 - fz) * h[i0, j0]
         + fx * (1 - fz) * h[i0 + 1, j0]
         + (1 - fx) * fz * h[i0, j0 + 1]
-        + fx * fz * h[i0 + 1, j0 + 1]
+        + fx * fz * h[i0 + 1, j0 + 1],
     )
+    return float(out) if out.ndim == 0 else out
 
 
-def surface_normal(hm: HeightMap, x: float, z: float) -> np.ndarray:
-    """Upward unit normal from central differences of the interpolated height."""
+def surface_normal(hm: HeightMap, x: float | np.ndarray, z: float | np.ndarray) -> np.ndarray:
+    """Upward unit normal from central differences of the interpolated height.
+
+    Scalar x, z give a (3,) array; arrays that broadcast together give
+    (..., 3). The four neighbour heights of every point come from one query.
+    """
+    x, z = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
     d = hm.cell_size
-    dhdx = (query_height(hm, x + d, z) - query_height(hm, x - d, z)) / (2.0 * d)
-    dhdz = (query_height(hm, x, z + d) - query_height(hm, x, z - d)) / (2.0 * d)
-    n = np.array([-dhdx, 1.0, -dhdz])
-    return n / np.linalg.norm(n)
+    h = query_height(hm, np.stack([x + d, x - d, x, x]), np.stack([z, z, z + d, z - d]))
+    dhdx = (h[0] - h[1]) / (2.0 * d)
+    dhdz = (h[2] - h[3]) / (2.0 * d)
+    n = np.stack([-dhdx, np.ones_like(dhdx), -dhdz], axis=-1)
+    # length from the same dot product np.linalg.norm takes of one vector
+    return n / np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
 
 
 def penetration_check(foot_pos: np.ndarray, hm: HeightMap) -> bool:
@@ -298,7 +386,7 @@ def save_height_map(hm: HeightMap, path: str | Path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(hm.heights, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(hm.heights, dtype="<f8").data)
 
 
 def load_height_map(path: str | Path) -> HeightMap:

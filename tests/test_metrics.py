@@ -17,7 +17,7 @@ from physmotion.metrics import (
 )
 from physmotion.motion import MotionSequence
 from physmotion.rotations import random_rotation
-from physmotion.scene import ContactLabels, build_height_map, make_box_mesh, query_height
+from physmotion.scene import ContactLabels, HeightMap, build_height_map, make_box_mesh, query_height
 
 
 def make_seq(rng, n=10, joints=None, walk=True):
@@ -310,8 +310,7 @@ class TestPenetrationStats:
         assert pct == 0.0 and depth == 0.0
         assert abs(above - 25.0) < 1e-9
 
-    def test_mixed_matches_bruteforce(self, rng):
-        hm = self.flat_map()
+    def assert_matches_loop(self, rng, hm):
         n = 20
         pos = rng.normal(size=(n, 24, 3)) * 0.05
         seq = MotionSequence(60.0, np.zeros((n, 3)), np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 23, 3)), pos)
@@ -329,6 +328,18 @@ class TestPenetrationStats:
         assert abs(pct - 100.0 * pen_frames / n) < 1e-9
         assert abs(depth - (np.mean(depths) * 1000 if depths else 0.0)) < 1e-9
         assert abs(above - (np.mean(heights) * 1000 if heights else 0.0)) < 1e-9
+
+    def test_mixed_matches_bruteforce(self, rng):
+        self.assert_matches_loop(rng, self.flat_map())
+
+    def test_uneven_ground_matches_bruteforce(self, rng):
+        # some foot joints fall off the grid onto the default height
+        heights = rng.normal(size=(10, 10)) * 0.03
+        self.assert_matches_loop(rng, HeightMap((-0.1, -0.1), 0.02, heights, default_height=-0.05))
+
+    def test_contacts_length_must_match(self):
+        with pytest.raises(InvalidInputError, match="contacts length"):
+            penetration_stats(self.seq_at_height(0.0), self.flat_map(), ContactLabels(np.ones((9, 4), bool)))
 
     def test_strictly_above_is_zero_pct(self, rng):
         seq = self.seq_at_height(0.001)

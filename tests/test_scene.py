@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from physmotion import scene
 from physmotion.errors import EmptySceneError, InvalidInputError, MotionFormatError
 from physmotion.scene import (
     ContactLabels,
@@ -32,6 +33,69 @@ def plane_mesh(slope_x: float, extent: float = 1.0) -> TriangleMesh:
             [xs[0], slope_x * xs[0], extent],
         ]
     )
+    return TriangleMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
+
+
+def loop_height_map(mesh: TriangleMesh, resolution, bounds=None) -> np.ndarray:
+    """Reference rasteriser: one triangle at a time over its whole bounding box.
+
+    The grid set-up and the per-cell arithmetic are those build_height_map
+    documents, so its heights must equal these bit for bit.
+    """
+    nx, nz = resolution
+    verts = mesh.vertices
+    if bounds is None:
+        xmin, xmax = verts[:, 0].min(), verts[:, 0].max()
+        zmin, zmax = verts[:, 2].min(), verts[:, 2].max()
+    else:
+        xmin, xmax, zmin, zmax = bounds
+    cell = max((xmax - xmin) / nx, (zmax - zmin) / nz)
+    heights = np.full((nx, nz), -np.inf)
+    xs = xmin + (np.arange(nx) + 0.5) * cell
+    zs = zmin + (np.arange(nz) + 0.5) * cell
+    eps = 1e-12
+    for a, b, c in verts[mesh.triangles]:
+        lo_x, hi_x = min(a[0], b[0], c[0]), max(a[0], b[0], c[0])
+        lo_z, hi_z = min(a[2], b[2], c[2]), max(a[2], b[2], c[2])
+        i0 = int(np.searchsorted(xs, lo_x - eps, side="left"))
+        i1 = int(np.searchsorted(xs, hi_x + eps, side="right"))
+        j0 = int(np.searchsorted(zs, lo_z - eps, side="left"))
+        j1 = int(np.searchsorted(zs, hi_z + eps, side="right"))
+        if i0 >= i1 or j0 >= j1:
+            continue
+        v0 = np.array([b[0] - a[0], b[2] - a[2]])
+        v1 = np.array([c[0] - a[0], c[2] - a[2]])
+        den = v0[0] * v1[1] - v1[0] * v0[1]
+        if abs(den) < eps:
+            continue
+        px, pz = np.meshgrid(xs[i0:i1] - a[0], zs[j0:j1] - a[2], indexing="ij")
+        w1 = (px * v1[1] - v1[0] * pz) / den
+        w2 = (v0[0] * pz - px * v0[1]) / den
+        w0 = 1.0 - w1 - w2
+        inside = (w0 >= -1e-12) & (w1 >= -1e-12) & (w2 >= -1e-12)
+        y = w0 * a[1] + w1 * b[1] + w2 * c[1]
+        block = heights[i0:i1, j0:j1]
+        np.maximum(block, np.where(inside, y, -np.inf), out=block)
+    heights[~np.isfinite(heights)] = verts[:, 1].min()
+    return heights
+
+
+def wave_terrain(rng, n: int = 40) -> TriangleMesh:
+    """Seeded sum-of-waves surface on an n x n vertex grid over 3 m x 5 m."""
+    gx, gz = np.meshgrid(np.linspace(-1.0, 2.0, n), np.linspace(0.5, 5.5, n), indexing="ij")
+    k, phase = rng.uniform(2.0, 9.0, size=(4, 2)), rng.uniform(0.0, 2 * np.pi, size=4)
+    gy = 0.03 * np.sin(gx[..., None] * k[:, 0] + gz[..., None] * k[:, 1] + phase).sum(axis=-1)
+    idx = np.arange(n * n).reshape(n, n)
+    a, b = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel()
+    c, d = idx[1:, 1:].ravel(), idx[:-1, 1:].ravel()
+    tris = np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, d], 1)])
+    return TriangleMesh(np.stack([gx, gy, gz], axis=-1).reshape(-1, 3), tris)
+
+
+def vertical_wall() -> TriangleMesh:
+    """Two triangles standing over the diagonal x = z of the unit square: no
+    area in plan view, though the line passes through cell centers."""
+    verts = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
     return TriangleMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
 
 
@@ -73,6 +137,56 @@ class TestBuildHeightMap:
             build_height_map(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)), (4, 4))
 
 
+class TestRasteriserMatchesLoop:
+    """build_height_map against the triangle-by-triangle reference, bit for bit."""
+
+    def check(self, mesh, resolution, bounds=None):
+        hm = build_height_map(mesh, resolution, bounds)
+        expected = loop_height_map(mesh, resolution, bounds)
+        assert np.array_equal(hm.heights, expected)
+        return hm
+
+    def test_wave_terrain(self, rng):
+        self.check(wave_terrain(rng), (96, 160))
+
+    def test_stacked_overlapping_meshes(self, rng):
+        mesh = merge_meshes(
+            [
+                wave_terrain(rng, n=12),
+                make_box_mesh(-0.5, 1.0, 1.0, 3.0, 0.02),
+                make_box_mesh(0.0, 1.5, 2.0, 4.0, -0.01),
+                plane_mesh(0.2, extent=2.0),
+            ]
+        )
+        self.check(mesh, (64, 64))
+
+    def test_vertical_wall_adds_no_surface(self):
+        mesh = merge_meshes([make_box_mesh(0, 1, 0, 1, 0.0), vertical_wall()])
+        hm = self.check(mesh, (16, 16))
+        assert np.abs(hm.heights).max() == 0.0
+
+    def test_only_vertical_walls(self):
+        hm = self.check(vertical_wall(), (8, 8), bounds=(0, 1, 0, 1))
+        assert np.all(hm.heights == 0.0)
+        # each wall triangle's box now spans more cells than one chunk
+        hm = self.check(vertical_wall(), (200, 200), bounds=(0, 1, 0, 1))
+        assert hm.heights.size > scene._CHUNK_CELLS and np.all(hm.heights == 0.0)
+
+    def test_bounds_clip_triangles(self, rng):
+        self.check(wave_terrain(rng, n=20), (50, 50), bounds=(0.0, 1.5, 1.0, 3.0))
+        self.check(wave_terrain(rng, n=20), (50, 50), bounds=(-3.0, 0.0, -1.0, 1.0))
+
+    def test_non_square_resolution(self, rng):
+        self.check(merge_meshes([wave_terrain(rng, n=15), make_box_mesh(0, 1, 1, 2, 0.05)]), (37, 64))
+
+    def test_triangle_larger_than_one_chunk(self, rng):
+        # each box triangle covers about half of 200 x 300 cells, several
+        # chunks' worth, next to many small terrain triangles
+        mesh = merge_meshes([make_box_mesh(-1.0, 2.0, 0.5, 5.5, -0.02), wave_terrain(rng, n=10)])
+        hm = self.check(mesh, (200, 300))
+        assert hm.heights.size // 2 > scene._CHUNK_CELLS
+
+
 class TestQueryHeight:
     def test_flat_everywhere(self):
         hm = build_height_map(make_box_mesh(0, 1, 0, 1, 0.0), (8, 8))
@@ -107,6 +221,74 @@ class TestQueryHeight:
         hm = HeightMap(origin=(0.0, 0.0), cell_size=1.0, heights=np.ones((3, 3)), default_height=-7.0)
         assert query_height(hm, -0.5, 1.0) == -7.0
         assert query_height(hm, 1.0, 99.0) == -7.0
+
+    def test_nan_coordinate_rejected(self):
+        hm = HeightMap(origin=(0.0, 0.0), cell_size=1.0, heights=np.ones((3, 3)), default_height=-7.0)
+        with pytest.raises(InvalidInputError, match="x coordinate"):
+            query_height(hm, np.nan, 1.0)
+        with pytest.raises(InvalidInputError, match="z coordinate"):
+            query_height(hm, 1.0, float("nan"))
+        with pytest.raises(InvalidInputError, match=r"z coordinate .*index \(1, 0\)"):
+            query_height(hm, np.ones((2, 2)), np.array([[1.0, 1.0], [np.nan, 1.0]]))
+        with pytest.raises(InvalidInputError, match="x coordinate"):
+            surface_normal(hm, np.nan, 1.0)
+
+    def test_grid_edge_clamps_to_edge_cells(self):
+        heights = np.arange(9, dtype=float).reshape(3, 3)
+        hm = HeightMap(origin=(0.0, 0.0), cell_size=1.0, heights=heights, default_height=-7.0)
+        assert query_height(hm, 3.0, 1.5) == heights[2, 1]
+        assert query_height(hm, 0.0, 3.0) == heights[0, 2]
+        assert np.array_equal(query_height(hm, [3.0, 0.0], [1.5, 3.0]), [heights[2, 1], heights[0, 2]])
+
+    def test_infinite_coordinates_get_default(self):
+        hm = HeightMap(origin=(0.0, 0.0), cell_size=1.0, heights=np.ones((3, 3)), default_height=-7.0)
+        assert query_height(hm, np.inf, 1.0) == -7.0
+        assert query_height(hm, 1.0, -np.inf) == -7.0
+        assert np.array_equal(query_height(hm, [np.inf, 1.0], [1.0, 1.0]), [-7.0, 1.0])
+
+    def test_array_query_equals_scalar_queries(self, rng):
+        hm = HeightMap(origin=(-0.3, 0.2), cell_size=0.1, heights=rng.normal(size=(7, 9)), default_height=-2.0)
+        ox, oz = hm.origin
+        d = hm.cell_size
+        edges_x = ox + d * np.arange(8)  # cell boundaries, grid edges included
+        edges_z = oz + d * np.arange(10)
+        x = np.concatenate(
+            [
+                rng.uniform(ox - 0.5, ox + 1.2, 40),  # on and off the grid
+                ox + d * rng.uniform(0.0, 0.5, 10),  # half-cell margin at the low edge
+                ox + 7 * d - d * rng.uniform(0.0, 0.5, 10),  # and at the high edge
+                rng.choice(edges_x, 20),
+                edges_x[[0, -1]],
+            ]
+        )
+        z = np.concatenate([rng.uniform(oz - 0.5, oz + 1.4, 60), rng.choice(edges_z, 20), edges_z[[-1, 0]]])
+        got = query_height(hm, x, z)
+        assert got.shape == x.shape
+        assert np.array_equal(got, [query_height(hm, xi, zi) for xi, zi in zip(x, z)])
+        normals = surface_normal(hm, x, z)
+        assert normals.shape == x.shape + (3,)
+        assert np.array_equal(normals, [surface_normal(hm, xi, zi) for xi, zi in zip(x, z)])
+        # central differences of the scalar queries, one point at a time
+        for xi, zi, n in zip(x, z, normals):
+            dhdx = (query_height(hm, xi + d, zi) - query_height(hm, xi - d, zi)) / (2.0 * d)
+            dhdz = (query_height(hm, xi, zi + d) - query_height(hm, xi, zi - d)) / (2.0 * d)
+            expected = np.array([-dhdx, 1.0, -dhdz])
+            np.testing.assert_allclose(n, expected / np.linalg.norm(expected), rtol=1e-15, atol=1e-16)
+
+    def test_array_shape_is_preserved(self, rng):
+        hm = HeightMap(origin=(0.0, 0.0), cell_size=0.5, heights=rng.normal(size=(6, 6)), default_height=0.0)
+        x, z = rng.uniform(-0.5, 3.5, size=(2, 5, 4, 3))
+        assert query_height(hm, x, z).shape == (5, 4, 3)
+        assert query_height(hm, x, 1.0).shape == (5, 4, 3)  # z broadcasts
+        assert surface_normal(hm, x, z).shape == (5, 4, 3, 3)
+        assert query_height(hm, np.zeros(0), np.zeros(0)).shape == (0,)
+
+    def test_scalar_query_returns_float(self, rng):
+        hm = HeightMap(origin=(0.0, 0.0), cell_size=0.5, heights=rng.normal(size=(4, 4)), default_height=0.0)
+        assert type(query_height(hm, 0.7, 1.1)) is float
+        assert type(query_height(hm, np.float64(0.7), np.array(1.1))) is float
+        assert type(query_height(hm, -9.0, 1.1)) is float  # off the grid
+        assert surface_normal(hm, 0.7, 1.1).shape == (3,)
 
 
 class TestPenetrationCheck:
