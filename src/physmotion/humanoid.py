@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError
-from .rotations import cross3, exp_so3, left_jacobian, left_jacobian_dot, skew
+from .rotations import cross3, exp_so3, left_jacobian, left_jacobian_dot, skew, skew_rows
 
 NUM_BODIES = 24
 NV = 75  # 3 translation + 3 root orientation + 23 * 3 joints
@@ -136,8 +136,10 @@ class GeneralizedState:
 
 @dataclass
 class FKResult:
-    rotations: np.ndarray  # (24, 3, 3) world rotations
-    positions: np.ndarray  # (24, 3) world joint origins
+    """World pose of every body, for one q or a stack of them."""
+
+    rotations: np.ndarray  # (..., 24, 3, 3) world rotations
+    positions: np.ndarray  # (..., 24, 3) world joint origins
 
 
 def _joint_angles(q: np.ndarray, body: int) -> np.ndarray:
@@ -145,22 +147,32 @@ def _joint_angles(q: np.ndarray, body: int) -> np.ndarray:
 
 
 def forward_kinematics(model: HumanoidModel, q: np.ndarray) -> FKResult:
-    """World transform of every body: parent transform * offset * joint rotation."""
+    """World transform of every body: parent transform * offset * joint rotation.
+
+    q is one generalized position (75,) or a stack (..., 75), e.g. the (T, 75)
+    positions of a sequence; the result carries the same leading axes. The
+    joint rotations of all bodies and frames come from one exp_so3 call and
+    every frame is composed down the tree at once.
+    """
     q = np.asarray(q, dtype=float)
-    rot = np.empty((NUM_BODIES, 3, 3))
-    pos = np.empty((NUM_BODIES, 3))
-    rot[0] = exp_so3(q[3:6])
-    pos[0] = q[0:3]
+    lead = q.shape[:-1]
+    q = q.reshape(-1, NV)
+    joint_rot = exp_so3(q[:, 3:].reshape(-1, NUM_BODIES, 3))
+    rot = np.empty((len(q), NUM_BODIES, 3, 3))
+    pos = np.empty((len(q), NUM_BODIES, 3))
+    rot[:, 0] = joint_rot[:, 0]
+    pos[:, 0] = q[:, 0:3]
     for i in range(1, NUM_BODIES):
         p = model.parents[i]
-        pos[i] = pos[p] + rot[p] @ model.bodies[i].offset
-        rot[i] = rot[p] @ exp_so3(_joint_angles(q, i))
-    return FKResult(rot, pos)
+        pos[:, i] = pos[:, p] + rot[:, p] @ model.bodies[i].offset
+        rot[:, i] = rot[:, p] @ joint_rot[:, i]
+    return FKResult(rot.reshape(lead + rot.shape[1:]), pos.reshape(lead + pos.shape[1:]))
 
 
 def end_effector_positions(model: HumanoidModel, fk: FKResult) -> Dict[str, np.ndarray]:
+    """World position of every end effector, (..., 3) for an (..., 24) FK result."""
     return {
-        name: fk.positions[body] + fk.rotations[body] @ off
+        name: fk.positions[..., body, :] + fk.rotations[..., body, :, :] @ off
         for name, body, off in model.end_effectors
     }
 
@@ -176,13 +188,6 @@ def _joint_axes(model: HumanoidModel, q: np.ndarray, fk: FKResult) -> np.ndarray
     return axes
 
 
-def _skew_rows(v: np.ndarray) -> np.ndarray:
-    """skew() of every row of an (n, 3) array."""
-    out = np.zeros((len(v), 3, 3))
-    out[:, 0, 1], out[:, 0, 2], out[:, 1, 2] = -v[:, 2], v[:, 1], -v[:, 0]
-    return out - out.transpose(0, 2, 1)
-
-
 def _motion_subspace(fk: FKResult, axes: np.ndarray) -> np.ndarray:
     """(6, 75) world motion subspace, Plucker rows (omega; velocity of the
     body-fixed point at the world origin): body i's spatial velocity is
@@ -190,7 +195,7 @@ def _motion_subspace(fk: FKResult, axes: np.ndarray) -> np.ndarray:
     s = np.zeros((6, NV))
     s[3:, 0:3] = np.eye(3)  # root translation
     s[:3, 3:] = axes.transpose(1, 0, 2).reshape(3, 3 * NUM_BODIES)
-    s[3:, 3:] = (_skew_rows(fk.positions) @ axes).transpose(1, 0, 2).reshape(3, 3 * NUM_BODIES)
+    s[3:, 3:] = (skew_rows(fk.positions) @ axes).transpose(1, 0, 2).reshape(3, 3 * NUM_BODIES)
     return s
 
 
@@ -283,7 +288,7 @@ def _crba(
     block of joint i and an ancestor j is S_j^T I_c(i) S_i, with I_c(i) the
     spatial inertia of the subtree at i about the world origin."""
     mass = model.masses[:, None, None]
-    cc = _skew_rows(fk.positions)
+    cc = skew_rows(fk.positions)
     composite = np.empty((NUM_BODIES, 6, 6))
     composite[:, :3, :3] = inertia_w - mass * (cc @ cc)
     composite[:, :3, 3:] = mass * cc

@@ -99,46 +99,47 @@ def similarity_align(source: np.ndarray, target: np.ndarray, with_scale: bool = 
     """Least-squares similarity (or rigid) alignment of two point sets.
 
     Returns (scale, rotation, translation) minimizing
-    sum |s R source_i + t - target_i|^2, reflection excluded.
+    sum |s R source_i + t - target_i|^2, reflection excluded. Point sets
+    (N, 3) give a float, (3, 3) and (3,); stacks (..., N, 3) are aligned set
+    by set, with one batched SVD, and give (...), (..., 3, 3) and (..., 3).
     """
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
-    mu_s = src.mean(axis=0)
-    mu_t = tgt.mean(axis=0)
-    src_c = src - mu_s
-    tgt_c = tgt - mu_t
-    cov = tgt_c.T @ src_c / len(src)
+    n = src.shape[-2]
+    mu_s = src.mean(axis=-2)
+    mu_t = tgt.mean(axis=-2)
+    src_c = src - mu_s[..., None, :]
+    tgt_c = tgt - mu_t[..., None, :]
+    cov = np.swapaxes(tgt_c, -1, -2) @ src_c / n
     u, svals, vt = np.linalg.svd(cov)
-    sign = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        sign[2, 2] = -1.0
-    rot = u @ sign @ vt
+    sign = np.ones_like(svals)
+    sign[..., 2] = np.where(np.linalg.det(u) * np.linalg.det(vt) < 0, -1.0, 1.0)
+    rot = (u * sign[..., None, :]) @ vt
     if with_scale:
-        var = (src_c**2).sum() / len(src)
-        if var == 0.0:
+        var = (src_c**2).sum(axis=(-2, -1)) / n
+        if np.any(var == 0.0):
             raise UndefinedMetricError("degenerate frame: all points coincide")
-        scale = float(np.trace(np.diag(svals) @ sign) / var)
+        scale = (svals * sign).sum(axis=-1) / var
     else:
-        scale = 1.0
-    trans = mu_t - scale * rot @ mu_s
-    return scale, rot, trans
+        scale = np.ones(svals.shape[:-1])
+    trans = mu_t - ((scale[..., None, None] * rot) @ mu_s[..., None])[..., 0]
+    return (float(scale) if scale.ndim == 0 else scale), rot, trans
 
 
 def pa_mpjpe(pred: MotionSequence, gt: MotionSequence) -> float:
     """Mean joint error after per-frame Procrustes alignment, in mm."""
     p, g = _joints(pred), _joints(gt)
     _check_pair(p, g)
-    errs = []
-    for t in range(len(p)):
-        spread = float(((p[t] - p[t].mean(axis=0)) ** 2).sum())
-        if spread == 0.0:
-            warnings.warn(f"frame {t}: all joints coincide, skipped in pa_mpjpe")
-            continue
-        scale, rot, trans = similarity_align(p[t], g[t], with_scale=True)
-        aligned = scale * p[t] @ rot.T + trans
-        errs.append(np.linalg.norm(aligned - g[t], axis=1).mean())
-    if not errs:
+    spread = ((p - p.mean(axis=1, keepdims=True)) ** 2).sum(axis=(1, 2))
+    for t in np.flatnonzero(spread == 0.0):
+        warnings.warn(f"frame {t}: all joints coincide, skipped in pa_mpjpe")
+    valid = spread != 0.0
+    if not valid.any():
         raise UndefinedMetricError("no valid frames for pa_mpjpe")
+    p, g = p[valid], g[valid]
+    scale, rot, trans = similarity_align(p, g, with_scale=True)
+    aligned = scale[:, None, None] * p @ np.swapaxes(rot, -1, -2) + trans[:, None, :]
+    errs = np.linalg.norm(aligned - g, axis=2).mean(axis=1)
     return float(np.mean(errs) * 1000.0)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError, MotionFormatError
 from .humanoid import NV, HumanoidModel, forward_kinematics
-from .rotations import exp_so3, log_so3, matrix_to_quat, quat_to_matrix
+from .rotations import exp_so3, log_so3, matrix_to_quat, quat_to_matrix, vector_norms
 from .scene import ContactLabels
 
 SCHEMA = "physmotion.motion/1"
@@ -71,48 +71,57 @@ class MotionSequence:
             None if self.contacts is None else ContactLabels(self.contacts.data.copy()),
         )
 
+    def _stored_positions(self, frames: slice | list = slice(None)) -> np.ndarray:
+        """(k, 75) q of the given frames as stored: root translation, the log
+        of the root rotation and the joint angles, none of them unwrapped."""
+        trans = self.root_trans[frames]
+        q = np.empty((len(trans), NV))
+        q[:, 0:3] = trans
+        q[:, 3:6] = [log_so3(r) for r in self.root_rot[frames]]
+        q[:, 6:] = self.joint_angles[frames].reshape(len(trans), -1)
+        return q
+
     def generalized_position(self, t: int, previous: Optional[np.ndarray] = None) -> np.ndarray:
         """q vector for frame t; exponential coordinates are kept continuous
         with the previous frame's q when one is supplied."""
-        q = np.empty(NV)
-        q[0:3] = self.root_trans[t]
-        q[3:6] = _continuous_log(self.root_rot[t], None if previous is None else previous[3:6])
-        for j in range(NUM_JOINTS):
-            sl = slice(6 + 3 * j, 9 + 3 * j)
-            prev = None if previous is None else previous[sl]
-            q[sl] = _continuous_exp_coords(self.joint_angles[t, j], prev)
+        q = self._stored_positions([t])[0]
+        if previous is not None:
+            q[3:] = _continuous_exp_coords(q[3:].reshape(-1, 3), previous[3:].reshape(-1, 3)).ravel()
+        return q
+
+    def generalized_positions(self) -> np.ndarray:
+        """(T, 75) q of every frame, each frame's exponential coordinates kept
+        continuous with the frame before: generalized_position(t, previous=q[t-1])
+        for every t > 0, the first frame as stored."""
+        q = self._stored_positions()
+        coords = q[:, 3:].reshape(len(q), -1, 3)  # a view of q
+        for t in range(1, len(q)):
+            coords[t] = _continuous_exp_coords(coords[t], coords[t - 1])
         return q
 
     def with_joint_positions(self, model: HumanoidModel) -> "MotionSequence":
-        """Fill joint_positions by forward kinematics of each frame."""
+        """Fill joint_positions by one forward-kinematics pass over all frames,
+        each from its q as stored (generalized_position(t))."""
         out = self.copy()
-        positions = np.empty((len(self), 24, 3))
-        for t in range(len(self)):
-            fk = forward_kinematics(model, self.generalized_position(t))
-            positions[t] = fk.positions
-        out.joint_positions = positions
+        out.joint_positions = forward_kinematics(model, self._stored_positions()).positions
         return out
 
 
-def _continuous_log(rot: np.ndarray, previous: Optional[np.ndarray]) -> np.ndarray:
-    return _continuous_exp_coords(log_so3(rot), previous)
-
-
-def _continuous_exp_coords(v: np.ndarray, previous: Optional[np.ndarray]) -> np.ndarray:
-    """Pick the 2*pi-equivalent representation closest to the previous frame."""
-    v = np.asarray(v, dtype=float)
-    if previous is None:
-        return v.copy()
-    best = v
-    best_d = float(np.linalg.norm(v - previous))
-    norm = float(np.linalg.norm(v))
-    if norm > 1e-12:
-        for k in (-1, 1):
-            alt = v * (1.0 + k * 2.0 * np.pi / norm)
-            d = float(np.linalg.norm(alt - previous))
-            if d < best_d:
-                best, best_d = alt, d
-    return best.copy()
+def _continuous_exp_coords(v: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Pick, per row of v (k, 3), the 2*pi-equivalent representation closest
+    to the same row of previous; a new array."""
+    best = v.copy()
+    best_d = vector_norms(v - previous)
+    norm = vector_norms(v)
+    unit = norm > 1e-12
+    safe = np.where(unit, norm, 1.0)
+    for k in (-1, 1):
+        alt = v * (1.0 + k * 2.0 * np.pi / safe)
+        d = vector_norms(alt - previous)
+        closer = unit & (d < best_d)
+        best = np.where(closer, alt, best)
+        best_d = np.where(closer, d, best_d)
+    return best
 
 
 def save_motion(seq: MotionSequence, path: str | Path) -> None:
@@ -122,16 +131,14 @@ def save_motion(seq: MotionSequence, path: str | Path) -> None:
         for t in range(len(seq)):
             rec = {
                 "frame": t,
-                "root_trans_xyz": [float(v) for v in seq.root_trans[t]],
-                "root_quat_wxyz": [float(v) for v in matrix_to_quat(seq.root_rot[t])],
-                "joint_angles": [[float(v) for v in row] for row in seq.joint_angles[t]],
+                "root_trans_xyz": seq.root_trans[t].tolist(),
+                "root_quat_wxyz": matrix_to_quat(seq.root_rot[t]).tolist(),
+                "joint_angles": seq.joint_angles[t].tolist(),
             }
             if seq.joint_positions is not None:
-                rec["joint_positions"] = [
-                    [float(v) for v in row] for row in seq.joint_positions[t]
-                ]
+                rec["joint_positions"] = seq.joint_positions[t].tolist()
             if seq.contacts is not None:
-                rec["contacts"] = [bool(v) for v in seq.contacts.data[t]]
+                rec["contacts"] = seq.contacts.data[t].tolist()
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -269,9 +276,7 @@ def sequence_from_generalized(
     q_frames = np.asarray(q_frames, dtype=float).reshape(-1, NV)
     n = len(q_frames)
     trans = q_frames[:, 0:3].copy()
-    rots = np.array([exp_so3(q[3:6]) for q in q_frames])
+    rots = exp_so3(q_frames[:, 3:6])
     angles = q_frames[:, 6:].reshape(n, NUM_JOINTS, 3).copy()
-    positions = np.empty((n, 24, 3))
-    for t in range(n):
-        positions[t] = forward_kinematics(model, q_frames[t]).positions
+    positions = forward_kinematics(model, q_frames).positions
     return MotionSequence(frame_rate, trans, rots, angles, positions, contacts)

@@ -534,19 +534,12 @@ def refine_sequence(
     dt = seq.dt
 
     n = len(seq)
-    q_refs = np.empty((n, NV))
-    q_refs[0] = seq.generalized_position(0)
-    for t in range(1, n):
-        q_refs[t] = seq.generalized_position(t, previous=q_refs[t - 1])
-
-    ee_refs = []
-    for t in range(n):
-        fk = forward_kinematics(model, q_refs[t])
-        ee_refs.append(end_effector_positions(model, fk))
+    q_refs = seq.generalized_positions()
+    ee_refs = end_effector_positions(model, forward_kinematics(model, q_refs))
 
     flat_height = 0.0
     if not settings.use_height_map or hm is None:
-        flat_height = float(min(p[1] for p in ee_refs[0].values()))
+        flat_height = float(min(p[0, 1] for p in ee_refs.values()))
 
     contacts = (
         seq.contacts.data
@@ -563,7 +556,7 @@ def refine_sequence(
         future = q_refs[t + 1 : t + 3, 0:3] if t + 2 < n else None
         ref = ReferenceFrameInput(
             q_ref=q_refs[t],
-            ee_targets=ee_refs[t],
+            ee_targets={name: p[t] for name, p in ee_refs.items()},
             contacts=contacts[t],
             root_future=future,
         )

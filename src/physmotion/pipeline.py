@@ -14,11 +14,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .errors import ConfigError, InvalidInputError
 from .frames import FilterParams, Trajectory, camera_to_world, load_trajectory, one_euro_filter
-from .humanoid import NV, HumanoidModel, default_model, load_model
+from .humanoid import HumanoidModel, default_model, load_model
 from .metrics import MetricReport, evaluate
 from .motion import MotionSequence, load_motion, save_motion
 from .optimizer import FrameSolution, PDGains, QPSettings, refine_sequence
@@ -177,17 +175,12 @@ def filter_motion(seq: MotionSequence, params: FilterParams) -> MotionSequence:
     series first; filtering raw per-frame logs would smear 2-pi branch flips
     into large transients.
     """
-    n = len(seq)
-    q = np.empty((n, NV))
-    q[0] = seq.generalized_position(0)
-    for t in range(1, n):
-        q[t] = seq.generalized_position(t, previous=q[t - 1])
-    smoothed = one_euro_filter(q, params)
+    smoothed = one_euro_filter(seq.generalized_positions(), params)
     return MotionSequence(
         frame_rate=seq.frame_rate,
         root_trans=smoothed[:, 0:3],
-        root_rot=np.array([exp_so3(v) for v in smoothed[:, 3:6]]),
-        joint_angles=smoothed[:, 6:].reshape(n, 23, 3),
+        root_rot=exp_so3(smoothed[:, 3:6]),
+        joint_angles=smoothed[:, 6:].reshape(len(seq), 23, 3),
         joint_positions=None,
         contacts=seq.contacts,
     )
@@ -202,10 +195,10 @@ def save_forces(solutions: List[FrameSolution], path: str | Path) -> None:
             rec = {
                 "frame": t,
                 "contacts": [
-                    {"name": name, "force_xyz": [float(v) for v in force]}
-                    for name, force in zip(sol.contact_names, sol.contact_forces)
+                    {"name": name, "force_xyz": force}
+                    for name, force in zip(sol.contact_names, sol.contact_forces.tolist())
                 ],
-                "tau": [float(v) for v in sol.tau],
+                "tau": sol.tau.tolist(),
                 "degraded": bool(sol.degraded),
             }
             fh.write(json.dumps(rec) + "\n")

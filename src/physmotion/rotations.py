@@ -39,18 +39,47 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def exp_so3(v: np.ndarray) -> np.ndarray:
-    """Rodrigues formula with a series fallback near zero angle."""
+    """Rodrigues formula with a series fallback near zero angle.
+
+    Takes one vector (3,) or a stack (..., 3) and returns (3, 3) or
+    (..., 3, 3); a stack gives the same bits as one call per vector.
+    """
     v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v)
-    k = skew(v)
-    if angle < _SMALL_ANGLE:
-        # sin(t)/t and (1-cos(t))/t^2 to O(t^4)
-        a = 1.0 - angle**2 / 6.0
-        b = 0.5 - angle**2 / 24.0
-    else:
-        a = np.sin(angle) / angle
-        b = (1.0 - np.cos(angle)) / angle**2
-    return np.eye(3) + a * k + b * (k @ k)
+    angle = vector_norms(v)[..., None]
+    # t^2 by libm pow, one Python float at a time, as a numpy scalar's t**2
+    # is: numpy squares arrays exactly, and pow rounds the other way for about
+    # 0.1% of angles; a gait refinement near divergence turns such an ulp
+    # into another abort frame, so the rotations keep pow's bits
+    square = np.array([t**2 for t in angle.ravel().tolist()]).reshape(angle.shape)
+    small = angle < _SMALL_ANGLE
+    safe = np.where(small, 1.0, angle)
+    # sin(t)/t and (1-cos(t))/t^2, to O(t^4) near zero
+    a = np.where(small, 1.0 - square / 6.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5 - square / 24.0, (1.0 - np.cos(safe)) / np.where(small, 1.0, square))
+    k = skew_rows(v)
+    k2 = k @ k
+    k2 *= b
+    # (a K + I) + b K^2 in place: a stack holds two (..., 3, 3) arrays at a time
+    k *= a
+    k += np.eye(3)
+    k += k2
+    return k
+
+
+def vector_norms(v: np.ndarray) -> np.ndarray:
+    """(..., 1) lengths of the vectors of a (..., 3) array, each the same bits
+    as np.linalg.norm of that one vector (np.linalg.norm(axis=-1) can differ
+    from it in the last place)."""
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+
+
+def skew_rows(v: np.ndarray) -> np.ndarray:
+    """skew() of every vector of a (..., 3) array, (..., 3, 3)."""
+    k = np.zeros(v.shape[:-1] + (3, 3))
+    k[..., 0, 1], k[..., 0, 2] = -v[..., 2], v[..., 1]
+    k[..., 1, 0], k[..., 1, 2] = v[..., 2], -v[..., 0]
+    k[..., 2, 0], k[..., 2, 1] = -v[..., 1], v[..., 0]
+    return k
 
 
 def log_so3(rot: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptySceneError, InvalidInputError, MotionFormatError
+from .rotations import vector_norms
 
 DEFAULT_GRID_RESOLUTION = (1024, 1024)
 CONTACT_NAMES = ("l_toe", "r_toe", "l_heel", "r_heel")
@@ -76,32 +77,91 @@ class HeightMap:
         )
 
 
+# OBJ statements of one kind converted per numpy call; bounds the token
+# strings held at once for a dense mesh
+_OBJ_BLOCK = 8192
+
+
 def load_obj(path: str | Path) -> TriangleMesh:
-    """Wavefront OBJ reader: v and f statements only, faces fan-triangulated."""
-    vertices = []
-    faces = []
+    """Wavefront OBJ reader: v and f statements only, faces fan-triangulated.
+
+    Vertex coordinates and face indices are converted a block of statements
+    at a time, one numpy conversion per block. A malformed statement raises
+    MotionFormatError naming the first bad line.
+    """
+    vertices, indices = [np.empty(0)], [np.empty(0, dtype=np.int64)]  # converted blocks
+    v_tokens, v_lines, f_tokens, f_lines, f_counts = [], [], [], [], []
+    errors = []  # (lineno, message) of malformed statements
+
+    def convert_vertices():
+        sizes = [3] * len(v_lines)
+        errors.extend(_convert_block(v_tokens, v_lines, sizes, float, "bad vertex coordinate", vertices))
+
+    def convert_faces():
+        sizes = f_counts[len(f_counts) - len(f_lines) :]
+        errors.extend(_convert_block(f_tokens, f_lines, sizes, np.int64, "bad face index", indices))
+
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
-            if not parts or parts[0].startswith("#"):
+            if not parts:
                 continue
             if parts[0] == "v":
                 if len(parts) < 4:
-                    raise MotionFormatError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                try:
-                    vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
-                except ValueError as exc:
-                    raise MotionFormatError(f"{path}:{lineno}: bad vertex coordinate: {exc}") from exc
+                    errors.append((lineno, "vertex needs 3 coordinates"))
+                    break
+                v_tokens.extend(parts[1:4])
+                v_lines.append(lineno)
+                if len(v_lines) == _OBJ_BLOCK:
+                    convert_vertices()
             elif parts[0] == "f":
-                try:
-                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                except ValueError as exc:
-                    raise MotionFormatError(f"{path}:{lineno}: bad face index: {exc}") from exc
+                idx = [p.split("/")[0] for p in parts[1:]] if "/" in line else parts[1:]
                 if len(idx) < 3:
-                    raise MotionFormatError(f"{path}:{lineno}: face needs at least 3 vertices")
-                for k in range(1, len(idx) - 1):
-                    faces.append([idx[0], idx[k], idx[k + 1]])
-    return TriangleMesh(np.array(vertices).reshape(-1, 3), np.array(faces, dtype=int).reshape(-1, 3))
+                    errors.append((lineno, "face needs at least 3 vertices"))
+                    break
+                f_tokens.extend(idx)
+                f_lines.append(lineno)
+                f_counts.append(len(idx))
+                if len(f_lines) == _OBJ_BLOCK:
+                    convert_faces()
+            if errors:
+                break
+    # statements still pending precede any error found above
+    convert_vertices()
+    convert_faces()
+    if errors:
+        lineno, message = min(errors)
+        raise MotionFormatError(f"{path}:{lineno}: {message}")
+    flat = np.concatenate(indices) - 1
+    # fan (0, k, k + 1), k = 1 .. count - 2, of every face in file order
+    counts = np.array(f_counts, dtype=int)
+    fans = counts - 2
+    first = np.repeat(np.cumsum(counts) - counts, fans)
+    k = np.arange(len(first)) - np.repeat(np.cumsum(fans) - fans, fans) + 1
+    triangles = np.stack([flat[first], flat[first + k], flat[first + k + 1]], axis=1)
+    return TriangleMesh(np.concatenate(vertices).reshape(-1, 3), triangles)
+
+
+def _convert_block(tokens: list, lines: list, sizes: list, dtype, what: str, out: list) -> list:
+    """Append the block's tokens as one array to out and empty the block.
+
+    Returns [] or, when a token does not convert, [(lineno, message)] for
+    the first statement (sizes[i] tokens from line lines[i]) that fails."""
+    try:
+        out.append(np.array(tokens, dtype=dtype))
+        return []
+    except ValueError:
+        start = 0
+        for lineno, size in zip(lines, sizes):
+            try:
+                np.array(tokens[start : start + size], dtype=dtype)
+            except ValueError as exc:
+                return [(lineno, f"{what}: {exc}")]
+            start += size
+        raise
+    finally:
+        tokens.clear()
+        lines.clear()
 
 
 def save_obj(mesh: TriangleMesh, path: str | Path) -> None:
@@ -294,8 +354,7 @@ def surface_normal(hm: HeightMap, x: float | np.ndarray, z: float | np.ndarray) 
     dhdx = (h[0] - h[1]) / (2.0 * d)
     dhdz = (h[2] - h[3]) / (2.0 * d)
     n = np.stack([-dhdx, np.ones_like(dhdx), -dhdz], axis=-1)
-    # length from the same dot product np.linalg.norm takes of one vector
-    return n / np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
+    return n / vector_norms(n)
 
 
 def penetration_check(foot_pos: np.ndarray, hm: HeightMap) -> bool:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from oracles import fk_scalar
+
 from physmotion.errors import InvalidInputError, InvalidStateError
 from physmotion.humanoid import (
     NV,
     Body,
     GeneralizedState,
     HumanoidModel,
+    end_effector_positions,
     forward_kinematics,
     frame_dynamics,
     integrate,
@@ -72,6 +75,37 @@ class TestForwardKinematics:
             for i in range(24):
                 assert np.abs(fk.positions[i] - mats[i][:3, 3]).max() < 1e-10
                 assert np.abs(fk.rotations[i] - mats[i][:3, :3]).max() < 1e-10
+
+
+    def test_single_q_equals_the_scalar_chain_bit_for_bit(self, model, rng):
+        for scale in (0.6, 2.5, 1e-9):
+            for _ in range(20):
+                q, _, _ = random_state(rng, angle_scale=scale)
+                j = rng.integers(23)
+                q[6 + 3 * j : 9 + 3 * j] = 0.0  # a joint on the series branch
+                fk, expected = forward_kinematics(model, q), fk_scalar(model, q)
+                assert fk.rotations.shape == (24, 3, 3) and fk.positions.shape == (24, 3)
+                assert np.array_equal(fk.rotations, expected.rotations)
+                assert np.array_equal(fk.positions, expected.positions)
+
+    def test_stacked_frames_match_the_per_frame_loop(self, model, rng):
+        q = np.concatenate([rng.normal(size=(150, 3)), rng.normal(size=(150, 72)) * 1.5], axis=1)
+        fk = forward_kinematics(model, q)
+        assert fk.rotations.shape == (150, 24, 3, 3) and fk.positions.shape == (150, 24, 3)
+        for t in range(len(q)):
+            expected = fk_scalar(model, q[t])
+            assert np.abs(fk.rotations[t] - expected.rotations).max() <= 1e-12
+            assert np.abs(fk.positions[t] - expected.positions).max() <= 1e-12
+        # any leading shape; end effectors carry it too
+        grid = forward_kinematics(model, q.reshape(10, 15, NV))
+        assert np.array_equal(grid.positions.reshape(150, 24, 3), fk.positions)
+        stacked = end_effector_positions(model, fk)
+        for t in (0, 77, 149):
+            one = end_effector_positions(model, forward_kinematics(model, q[t]))
+            assert one.keys() == stacked.keys()
+            for name, p in one.items():
+                assert p.shape == (3,) and stacked[name].shape == (150, 3)
+                assert np.abs(stacked[name][t] - p).max() <= 1e-12
 
 
 class TestPointJacobian:

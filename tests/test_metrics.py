@@ -12,6 +12,7 @@ from physmotion.metrics import (
     pa_mpjpe,
     penetration_stats,
     rte,
+    similarity_align,
     w_mpjpe,
     wa_mpjpe,
 )
@@ -130,6 +131,47 @@ class TestPAMPJPE:
             errs.append(np.linalg.norm(aligned - gt.joint_positions[t], axis=1).mean())
         expected = float(np.mean(errs) * 1000)
         assert abs(pa_mpjpe(pred, gt) - expected) < 1e-9
+
+    def test_batched_alignment_matches_the_per_frame_oracle(self, rng):
+        gt = make_seq(rng, n=120)
+        pred = make_seq(rng, n=120)
+        # near-similar frames, and mirrored ones where the reflection is excluded
+        noise = 0.01 * rng.normal(size=(40, 24, 3))
+        pred.joint_positions[:40] = 1.3 * gt.joint_positions[:40] @ random_rotation(rng).T + noise
+        pred.joint_positions[40:60] = gt.joint_positions[40:60] * np.array([-1.0, 1.0, 1.0])
+        # a refinement that flew off: small pose, huge offset
+        pred.joint_positions[60:80] = 0.1 * pred.joint_positions[60:80] + rng.normal(size=(20, 1, 3)) * 1e12
+        errs = []
+        for t in range(len(pred)):
+            s, r, tr = umeyama_oracle(pred.joint_positions[t], gt.joint_positions[t])
+            aligned = s * pred.joint_positions[t] @ r.T + tr
+            errs.append(np.linalg.norm(aligned - gt.joint_positions[t], axis=1).mean())
+        assert abs(pa_mpjpe(pred, gt) - float(np.mean(errs) * 1000)) <= 1e-12
+
+    def test_stacked_similarity_align_equals_one_set_at_a_time(self, rng):
+        src, tgt = rng.normal(size=(2, 30, 24, 3))
+        for with_scale in (True, False):
+            scale, rot, trans = similarity_align(src, tgt, with_scale=with_scale)
+            assert scale.shape == (30,) and rot.shape == (30, 3, 3) and trans.shape == (30, 3)
+            for t in range(30):
+                s, r, tr = similarity_align(src[t], tgt[t], with_scale=with_scale)
+                assert isinstance(s, float)
+                assert abs(scale[t] - s) <= 1e-14 and np.abs(rot[t] - r).max() <= 1e-14
+                assert np.abs(trans[t] - tr).max() <= 1e-14
+
+    def test_coincident_frame_warns_and_is_skipped(self, rng):
+        gt, pred = make_seq(rng, n=8), make_seq(rng, n=8)
+        pred.joint_positions[3] = [1.0, 2.0, -0.5]
+        rest = [t for t in range(8) if t != 3]
+        expected = pa_mpjpe(
+            make_seq(rng, n=7, joints=pred.joint_positions[rest], walk=False),
+            make_seq(rng, n=7, joints=gt.joint_positions[rest], walk=False),
+        )
+        with pytest.warns(UserWarning, match="frame 3: all joints coincide"):
+            assert pa_mpjpe(pred, gt) == pytest.approx(expected, abs=1e-12)
+        pred.joint_positions[:] = 0.0
+        with pytest.warns(UserWarning), pytest.raises(UndefinedMetricError):
+            pa_mpjpe(pred, gt)
 
     def test_never_above_mpjpe(self, rng):
         for _ in range(25):

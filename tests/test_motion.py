@@ -2,16 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from oracles import fk_scalar
 
 from physmotion.errors import InvalidInputError, MotionFormatError
+from physmotion.humanoid import NV
 from physmotion.motion import (
+    SCHEMA,
     MotionSequence,
     load_motion,
     resample_motion,
     save_motion,
     sequence_from_generalized,
 )
-from physmotion.rotations import random_rotation
+from physmotion.rotations import exp_so3, log_so3, matrix_to_quat, random_rotation
 from physmotion.scene import ContactLabels
 from physmotion.synth import SyntheticScenario, generate_scenario
 
@@ -27,7 +30,85 @@ def make_sequence(rng, n=5, with_positions=True, with_contacts=True):
     )
 
 
+def save_motion_per_element(seq, path):
+    """Writer with one float() or bool() per element: the byte oracle."""
+    with open(path, "w") as fh:
+        header = {"schema": SCHEMA, "fps": float(seq.frame_rate), "frames": len(seq)}
+        fh.write(json.dumps(header) + "\n")
+        for t in range(len(seq)):
+            rec = {
+                "frame": t,
+                "root_trans_xyz": [float(v) for v in seq.root_trans[t]],
+                "root_quat_wxyz": [float(v) for v in matrix_to_quat(seq.root_rot[t])],
+                "joint_angles": [[float(v) for v in row] for row in seq.joint_angles[t]],
+            }
+            if seq.joint_positions is not None:
+                rec["joint_positions"] = [[float(v) for v in row] for row in seq.joint_positions[t]]
+            if seq.contacts is not None:
+                rec["contacts"] = [bool(v) for v in seq.contacts.data[t]]
+            fh.write(json.dumps(rec) + "\n")
+
+
+def continuous_exp_coords_scalar(v, previous):
+    """One 3-vector: the 2*pi-equivalent representation closest to previous."""
+    best, best_d = v, float(np.linalg.norm(v - previous))
+    norm = float(np.linalg.norm(v))
+    if norm > 1e-12:
+        for k in (-1, 1):
+            alt = v * (1.0 + k * 2.0 * np.pi / norm)
+            d = float(np.linalg.norm(alt - previous))
+            if d < best_d:
+                best, best_d = alt, d
+    return best.copy()
+
+
+def generalized_positions_loop(seq):
+    """q of every frame, unwrapped frame by frame and vector by vector."""
+    q = np.empty((len(seq), NV))
+    for t in range(len(seq)):
+        q[t, 0:3] = seq.root_trans[t]
+        q[t, 3:6] = log_so3(seq.root_rot[t])
+        q[t, 6:] = seq.joint_angles[t].ravel()
+        if t > 0:
+            for sl in [slice(3 + 3 * j, 6 + 3 * j) for j in range(24)]:
+                q[t, sl] = continuous_exp_coords_scalar(q[t, sl], q[t - 1, sl])
+    return q
+
+
+def branch_flipping_sequence(rng, n=90):
+    """Root and joints turning steadily past pi (up to 2.85 pi, within the
+    one-branch reach of the unwrapping), stored as a log map stores them
+    (|v| <= pi), so the stored vectors flip branch."""
+    turn = np.linspace(0.0, 1.9 * np.pi, n)
+    axes = rng.normal(size=(24, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    rates = rng.uniform(0.3, 1.5, size=24)
+    stored = np.array([[log_so3(exp_so3(a * r * th)) for a, r in zip(axes, rates)] for th in turn])
+    stored[:, 5:8] = rng.normal(size=(n, 3, 3)) * 0.4  # joints that stay near zero
+    stored[::7, 9] = 0.0  # and a joint at exactly zero on some frames
+    return MotionSequence(
+        60.0, rng.normal(size=(n, 3)), exp_so3(stored[:, 0]), stored[:, 1:]
+    )
+
+
 class TestMotionFile:
+    def test_writer_bytes_equal_the_per_element_writer(self, rng, model, tmp_path):
+        odd = make_sequence(rng, n=4)
+        odd.root_trans[0] = [-0.0, 1e-300, 1.0 / 3.0]
+        odd.joint_angles[1, 2] = [5e-324, -1e16, np.pi]
+        gait = generate_scenario(SyntheticScenario(scene="ramp", motion="walk", duration=0.3, seed=2), model)
+        sequences = (
+            odd,
+            make_sequence(rng, n=6, with_positions=False, with_contacts=False),
+            make_sequence(rng, n=3, with_positions=True, with_contacts=False),
+            gait.ground_truth,
+            gait.noisy,
+        )
+        for k, seq in enumerate(sequences):
+            save_motion(seq, tmp_path / f"new{k}.jsonl")
+            save_motion_per_element(seq, tmp_path / f"old{k}.jsonl")
+            assert (tmp_path / f"new{k}.jsonl").read_bytes() == (tmp_path / f"old{k}.jsonl").read_bytes()
+
     def test_minimal_three_frame_file(self, rng, tmp_path):
         seq = make_sequence(rng, n=3)
         path = tmp_path / "motion.jsonl"
@@ -105,6 +186,28 @@ class TestGeneralizedConversion:
         q1 = seq.generalized_position(1, previous=q_prev)
         # the continuous branch stays near +pi rather than jumping to -pi
         assert abs(q1[6 + 12] - (np.pi + 0.05)) < 1e-9
+
+    def test_generalized_positions_equal_the_per_frame_unwrapping(self, rng):
+        seq = branch_flipping_sequence(rng)
+        expected = generalized_positions_loop(seq)
+        q = seq.generalized_positions()
+        assert np.array_equal(q, expected)
+        # the stored turning vectors flip branch; unwrapped, they do not jump
+        turning = [c for c in range(24) if c not in (5, 6, 7, 9)]
+        stored = np.array([seq.generalized_position(t) for t in range(len(seq))])
+        step = np.abs(np.diff(stored[:, 3:].reshape(-1, 24, 3)[:, turning], axis=0)).max()
+        assert step > np.pi
+        assert np.abs(np.diff(q[:, 3:].reshape(-1, 24, 3)[:, turning], axis=0)).max() < 0.3
+        for t in range(1, len(seq)):
+            assert np.array_equal(seq.generalized_position(t, previous=q[t - 1]), q[t])
+        assert np.array_equal(seq.generalized_position(0), q[0])
+
+    def test_with_joint_positions_is_fk_of_each_stored_frame(self, model, rng):
+        seq = branch_flipping_sequence(rng, n=40)
+        filled = seq.with_joint_positions(model)
+        for t in range(len(seq)):
+            expected = fk_scalar(model, seq.generalized_position(t)).positions
+            assert np.abs(filled.joint_positions[t] - expected).max() <= 1e-12
 
     def test_with_joint_positions_matches_fk(self, model, rng):
         seq = make_sequence(rng, n=3, with_positions=False, with_contacts=False)

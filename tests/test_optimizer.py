@@ -15,7 +15,7 @@ from physmotion.humanoid import (
     point_jacobian,
 )
 from physmotion.metrics import penetration_stats
-from physmotion.motion import sequence_from_generalized
+from physmotion.motion import MotionSequence, sequence_from_generalized
 from physmotion.optimizer import (
     PDGains,
     QPSettings,
@@ -365,6 +365,32 @@ class TestRefineSequence:
             assert np.array_equal(a.contact_forces, b.contact_forces)
             assert np.array_equal(a.tau, b.tau)
             assert (a.level, a.active_set, a.iterations) == (b.level, b.active_set, b.iterations)
+
+    def test_forward_kinematics_once_per_frame_and_twice_per_sequence(self, model, monkeypatch, fk_calls):
+        import physmotion.optimizer as opt
+
+        bundle = generate_scenario(SyntheticScenario(scene="ramp", motion="walk", duration=0.5, seed=7), model)
+        hm = build_height_map(bundle.mesh, (64, 64))
+        frames = []
+        original = opt.solve_frame
+
+        def record(*args, **kwargs):
+            frames.append(len(calls))
+            return original(*args, **kwargs)
+
+        calls = fk_calls
+        calls.clear()  # the scenario generator's own calls
+        single = []
+        monkeypatch.setattr(opt, "solve_frame", record)
+        monkeypatch.setattr(MotionSequence, "generalized_position", lambda *a, **k: single.append(a))
+        refined, sols = refine_sequence(model, bundle.noisy, hm, QPSettings())
+        n = len(bundle.noisy)
+        assert len(frames) == len(sols) == n
+        assert single == []  # the references are unwrapped in one pass
+        # references before the first frame, output joints after the last;
+        # every frame in between is one single-q call
+        assert calls[0] == calls[-1] == (n, NV)
+        assert calls[1:-1] == [(NV,)] * n
 
     def test_solution_count_matches_frames(self, model):
         bundle = generate_scenario(SyntheticScenario(scene="flat", motion="stand", duration=0.2, seed=1), model)

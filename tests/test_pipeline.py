@@ -10,7 +10,8 @@ from physmotion.cli import main
 from physmotion.errors import ConfigError
 from physmotion.frames import FilterParams
 from physmotion.motion import load_motion, save_motion
-from physmotion.pipeline import RunConfig, filter_motion, run_pipeline
+from physmotion.optimizer import FrameSolution
+from physmotion.pipeline import RunConfig, filter_motion, run_pipeline, save_forces
 from physmotion.scene import save_contacts_csv, save_obj
 from physmotion.synth import SyntheticScenario, generate_scenario
 
@@ -308,3 +309,50 @@ class TestCLI:
             assert r.exit_code == 0, r.output
             doc = json.loads(Path("rep.json").read_text())
             assert "mpjpe" in doc
+
+
+def save_forces_per_element(solutions, path):
+    """Writer with one float() per element: the byte oracle for save_forces."""
+    with open(path, "w") as fh:
+        header = {"schema": "physmotion.forces/1", "frames": len(solutions)}
+        fh.write(json.dumps(header) + "\n")
+        for t, sol in enumerate(solutions):
+            rec = {
+                "frame": t,
+                "contacts": [
+                    {"name": name, "force_xyz": [float(v) for v in force]}
+                    for name, force in zip(sol.contact_names, sol.contact_forces)
+                ],
+                "tau": [float(v) for v in sol.tau],
+                "degraded": bool(sol.degraded),
+            }
+            fh.write(json.dumps(rec) + "\n")
+
+
+def test_forces_bytes_equal_the_per_element_writer(tmp_path, rng):
+    names = ("l_toe", "r_toe", "l_heel", "r_heel")
+    solutions = []
+    for k in range(6):
+        tau = rng.normal(size=75) * 10.0 ** rng.integers(-5, 5)
+        tau[:6] = [0.0, -0.0, 0.0, 0.0, 5e-324, 0.0]
+        forces = rng.normal(size=(k % 5, 3)) * 300.0
+        level = ("full", "no-slide", "loose")[k % 3]
+        solutions.append(
+            FrameSolution(np.zeros(75), names[: k % 5], forces, tau, level=level)
+        )
+    save_forces(solutions, tmp_path / "new.jsonl")
+    save_forces_per_element(solutions, tmp_path / "old.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+
+def test_sequence_stages_make_no_per_frame_forward_kinematics(model, fk_calls, monkeypatch):
+    from physmotion.motion import MotionSequence
+
+    bundle = generate_scenario(SyntheticScenario(scene="flat", motion="walk", duration=0.5, seed=3), model)
+    fk_calls.clear()  # the scenario generator's own calls
+    single = []
+    monkeypatch.setattr(MotionSequence, "generalized_position", lambda *a, **k: single.append(a))
+    filter_motion(bundle.noisy, FilterParams(sample_rate=60.0))
+    assert fk_calls == [] and single == []
+    bundle.noisy.with_joint_positions(model)
+    assert fk_calls == [(len(bundle.noisy), 75)]

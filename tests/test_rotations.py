@@ -1,4 +1,5 @@
 import numpy as np
+from oracles import exp_so3_scalar
 
 from physmotion.rotations import (
     cross3,
@@ -79,3 +80,22 @@ def test_left_jacobian_small_angle_branch(rng):
         assert np.allclose(jl, np.eye(3) + 0.5 * skew(v), atol=1e-7)
         jd = left_jacobian_dot(v, vd)
         assert np.all(np.isfinite(jd))
+
+
+def test_exp_so3_stack_equals_the_scalar_formula_bit_for_bit(rng):
+    v = rng.normal(size=(4000, 3)) * rng.uniform(0.0, 7.0, size=(4000, 1))
+    v[:40] *= 1e-9  # below the 1e-8 series threshold
+    v[40:80] *= 1e-12
+    v[80:120] = v[80:120] / np.linalg.norm(v[80:120], axis=1, keepdims=True) * 1e-8
+    v[120] = 0.0
+    v[121] = [0.0, -0.0, 1e-300]
+    expected = np.array([exp_so3_scalar(x) for x in v])
+    got = exp_so3(v)
+    assert got.shape == (4000, 3, 3)
+    assert np.array_equal(got, expected)
+    # any leading shape, and one vector gives one matrix
+    assert np.array_equal(exp_so3(v.reshape(40, 100, 3)), expected.reshape(40, 100, 3, 3))
+    for x, e in zip(v[::97], expected[::97]):
+        one = exp_so3(x)
+        assert one.shape == (3, 3) and np.array_equal(one, e)
+    assert np.array_equal(exp_so3(np.zeros(3)), np.eye(3))

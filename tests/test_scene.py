@@ -466,6 +466,93 @@ class TestFileFormats:
             load_obj(path)
 
 
+def load_obj_per_line(path):
+    """OBJ reader converting one line at a time: the oracle for load_obj."""
+    vertices, faces = [], []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if parts[0] == "v":
+                if len(parts) < 4:
+                    raise MotionFormatError(f"{path}:{lineno}: vertex needs 3 coordinates")
+                try:
+                    vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                except ValueError as exc:
+                    raise MotionFormatError(f"{path}:{lineno}: bad vertex coordinate: {exc}") from exc
+            elif parts[0] == "f":
+                try:
+                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                except ValueError as exc:
+                    raise MotionFormatError(f"{path}:{lineno}: bad face index: {exc}") from exc
+                if len(idx) < 3:
+                    raise MotionFormatError(f"{path}:{lineno}: face needs at least 3 vertices")
+                for k in range(1, len(idx) - 1):
+                    faces.append([idx[0], idx[k], idx[k + 1]])
+    return TriangleMesh(np.array(vertices).reshape(-1, 3), np.array(faces, dtype=int).reshape(-1, 3))
+
+
+class TestObjLoaderMatchesPerLineOracle:
+    @pytest.mark.parametrize("block", [2, 7, 8192])
+    def test_mixed_file(self, rng, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(scene, "_OBJ_BLOCK", block)
+        lines = ["# scanned patch", "o patch", ""]
+        verts = (rng.normal(size=(60, 3)) * 10.0 ** rng.integers(-8, 4, size=(60, 1))).tolist()
+        for k, v in enumerate(verts):
+            extra = " 1.0" if k % 7 == 0 else ""  # optional w coordinate
+            lines.append(f"v {v[0]!r} {v[1]:.6e}\t{v[2]!r}{extra}")
+            if k % 11 == 0:
+                lines += ["vn 0 1 0", "vt 0.5 0.5", "   "]
+        for k in range(80):
+            n = 3 + k % 4  # triangles, quads, pentagons, hexagons
+            idx = rng.choice(60, size=n, replace=False) + 1
+            forms = ["{}", "{}/{}", "{}//{}", "{}/{}/{}"]
+            toks = [forms[(k + j) % 4].format(*([i] * forms[(k + j) % 4].count("{}"))) for j, i in enumerate(idx)]
+            lines.append("f " + " ".join(toks))
+            if k % 13 == 0:
+                lines.append("usemtl stone")
+        path = tmp_path / "mixed.obj"
+        path.write_text("\n".join(lines) + "\n")
+        got, expected = load_obj(path), load_obj_per_line(path)
+        assert np.array_equal(got.vertices, expected.vertices)
+        assert np.array_equal(got.triangles, expected.triangles)
+        assert len(got.triangles) > 80
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.obj"
+        path.write_text("# nothing\n")
+        mesh = load_obj(path)
+        assert mesh.vertices.shape == (0, 3) and mesh.triangles.shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "v 0 0 0\nv 1 0\nv 0 0 1\n",
+            "v 0 0 0\nv 1 0 0\nv 0 0 1\nf 1 2\n",
+            "f 1 x 3\nv 0 0 0\nv 1 y 0\n",  # the earlier of two bad lines
+            "v 0 0 0\nv 1 y 0\nf 1 x 3\n",
+            "v 0 0 0\nf 1 x 3\nv 1 0\n",
+            "v 0 0 0\nv 1 0\nf 1 x 3\n",
+            "v 0 0 0\nv 0 1 0\nv 1 1 1\nf 1 2 3 4.0\n",
+            "v 0 0 0\nv 0 1 0\nv 1 1 1\nf a/1 2 3\n",
+            "v 0 0 0\nv 0 1 0\nv 1 1 1\nf 1 2 3\nf 3 2 1\nf 1 2 3\nv 1 x 1\nf 1 2 y\n",
+            "v 0 0 0\nv 0 1 0\nv 1 1 1\nv 2 2 2\nf 1 2 3\nf 3 2 1\nv 1 x 1\nv 1 1 1\nf 1 2\n",
+            "v 0 0 0\nv 0 1 0\nv 1 1 1\nv 2 2 2\nv 3 3 3\nf 1 2 3\nf 1 2 3 4 5\nf 1 2 3 x 5\nf 1 2 3\n",
+        ],
+    )
+    @pytest.mark.parametrize("block", [1, 2, 8192])
+    def test_malformed_file_reports_the_oracles_line(self, tmp_path, monkeypatch, body, block):
+        monkeypatch.setattr(scene, "_OBJ_BLOCK", block)
+        path = tmp_path / "bad.obj"
+        path.write_text(body)
+        with pytest.raises(MotionFormatError) as expected:
+            load_obj_per_line(path)
+        with pytest.raises(MotionFormatError) as got:
+            load_obj(path)
+        assert str(got.value) == str(expected.value)
+
+
 def test_mesh_validation():
     with pytest.raises(InvalidInputError):
         TriangleMesh(np.array([[0.0, np.nan, 0.0]]), np.array([[0, 0, 0]]))
