@@ -109,19 +109,15 @@ class MotionSequence:
 
 def _continuous_exp_coords(v: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Pick, per row of v (k, 3), the 2*pi-equivalent representation closest
-    to the same row of previous; a new array."""
-    best = v.copy()
-    best_d = vector_norms(v - previous)
+    to the same row of previous; a new array. Along the unit vector u of v,
+    the representations are v (1 + 2 pi k / |v|) for integer k, and the
+    nearest to previous has k = round((u . previous - |v|) / (2 pi))."""
     norm = vector_norms(v)
     unit = norm > 1e-12
     safe = np.where(unit, norm, 1.0)
-    for k in (-1, 1):
-        alt = v * (1.0 + k * 2.0 * np.pi / safe)
-        d = vector_norms(alt - previous)
-        closer = unit & (d < best_d)
-        best = np.where(closer, alt, best)
-        best_d = np.where(closer, d, best_d)
-    return best
+    along = (v * previous).sum(axis=-1, keepdims=True) / safe
+    k = np.where(unit, np.round((along - norm) / (2.0 * np.pi)), 0.0)
+    return np.where(k != 0.0, v * (1.0 + k * 2.0 * np.pi / safe), v)
 
 
 def save_motion(seq: MotionSequence, path: str | Path) -> None:

@@ -19,9 +19,9 @@ E_reg = reg_weight * (|lambda|^2 + |tau[6:]|^2), a quadratic in x after the
 substitution.
 
 `refine_sequence` hands each frame's active inequality set to the next
-frame, where it seeds the QP's active-set crossover (contact phases persist
-for tens of frames); when that seed does not close within a few rounds the
-solver falls back to the cold interior-point path.
+frame, where it seeds the working set of the QP's dual active-set method
+(contact phases persist for tens of frames, so the seed is usually the
+answer); the solver prunes a stale seed and continues from what is left.
 
 Contact activation requires both the per-frame contact label and foot height
 below surface + 1 cm; labels alone can be stale when the kinematic input
@@ -129,7 +129,6 @@ class QPSettings:
     friction_mu: float = 0.8
     cone_facets: int = 4
     solver_tol: float = 1e-8
-    max_iter: int = 200
     reg_weight: float = 1e-3
     # least-squares weights of the two tracking terms; large relative to
     # reg_weight so regularization does not bend the tracked accelerations
@@ -145,8 +144,8 @@ class QPSettings:
             raise InvalidInputError("friction_mu must be positive")
         if self.cone_facets < 3:
             raise InvalidInputError("cone_facets must be at least 3")
-        if self.solver_tol <= 0.0 or self.max_iter <= 0:
-            raise InvalidInputError("solver_tol and max_iter must be positive")
+        if self.solver_tol <= 0.0:
+            raise InvalidInputError("solver_tol must be positive")
         if self.reg_weight <= 0.0:
             raise InvalidInputError("reg_weight must be positive (keeps the QP strictly convex)")
 
@@ -473,7 +472,6 @@ def solve_frame(
             g_mat,
             h_ineq,
             tol=settings.solver_tol * tol_scale,
-            max_iter=settings.max_iter,
             warm_start=seed,
         )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -83,32 +83,35 @@ class RunConfig:
             raise ConfigError("mesh_path is required when settings.use_height_map is true")
 
 
+# the config document's nested blocks: document key -> (RunConfig field, type)
+_CONFIG_BLOCKS = {
+    "settings": ("settings", QPSettings),
+    "gains": ("gains", PDGains),
+    "filter": ("filter_params", FilterParams),
+    "scenario": ("scenario", SyntheticScenario),
+}
+
+
+def _check_keys(where: str, block, known: set) -> None:
+    """Raise ConfigError unless block is a mapping whose keys are all in known."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object, got {type(block).__name__}")
+    unknown = sorted(str(key) for key in set(block) - known)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
 def config_from_dict(doc: dict) -> RunConfig:
-    settings = QPSettings(**doc.get("settings", {}))
-    gains = PDGains(**doc.get("gains", {}))
-    filter_params = FilterParams(**doc.get("filter", {}))
-    scenario = SyntheticScenario(**doc["scenario"]) if "scenario" in doc else None
-    known = {
-        k: doc[k]
-        for k in (
-            "motion_path",
-            "mesh_path",
-            "gt_motion_path",
-            "camera_trajectory_path",
-            "contacts_path",
-            "model_path",
-            "output_dir",
-            "frame_rate",
-            "grid_resolution",
-            "apply_filter",
-            "run_physics",
-            "strict",
-        )
-        if k in doc
-    }
-    return RunConfig(
-        settings=settings, gains=gains, filter_params=filter_params, scenario=scenario, **known
-    )
+    """Build a RunConfig from a config document; a key that names no field,
+    at the top level or inside a block, raises ConfigError naming it."""
+    plain = {f.name for f in fields(RunConfig)} - {name for name, _ in _CONFIG_BLOCKS.values()}
+    _check_keys("config", doc, plain | set(_CONFIG_BLOCKS))
+    kwargs = {k: v for k, v in doc.items() if k in plain}
+    for key, (name, cls) in _CONFIG_BLOCKS.items():
+        if key in doc:
+            _check_keys(key, doc[key], {f.name for f in fields(cls)})
+            kwargs[name] = cls(**doc[key])
+    return RunConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> RunConfig:

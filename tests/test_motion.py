@@ -202,6 +202,21 @@ class TestGeneralizedConversion:
             assert np.array_equal(seq.generalized_position(t, previous=q[t - 1]), q[t])
         assert np.array_equal(seq.generalized_position(0), q[0])
 
+    def test_unwrapping_follows_a_five_pi_turn(self, rng):
+        # one branch either way reaches 3 pi; the nearest branch has no limit
+        n = 90
+        turn = np.linspace(0.0, 5.0 * np.pi, n)
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        stored = np.array([log_so3(exp_so3(axis * th)) for th in turn])
+        joints = np.zeros((n, 23, 3))
+        joints[:, 3] = stored
+        seq = MotionSequence(60.0, np.zeros((n, 3)), exp_so3(stored), joints)
+        q = seq.generalized_positions()
+        for coords in (q[:, 3:6], q[:, 15:18]):
+            assert np.abs(np.diff(coords, axis=0)).max() < 0.2
+            assert np.abs(coords - turn[:, None] * axis).max() < 1e-9
+
     def test_with_joint_positions_is_fk_of_each_stored_frame(self, model, rng):
         seq = branch_flipping_sequence(rng, n=40)
         filled = seq.with_joint_positions(model)

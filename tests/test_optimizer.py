@@ -266,22 +266,24 @@ class TestSolveFrame:
         assert sol.degraded
         assert len(calls) >= 2
 
-    def test_singular_schur_falls_through_the_chain(self, model, flat_map, monkeypatch, rng):
+    def test_qp_failure_at_full_falls_through_the_chain(self, model, flat_map, monkeypatch, rng):
         import physmotion.qp as qp_module
 
         calls = []
+        original = qp_module.lu_factor
 
-        def singular(*args, **kwargs):
+        def fails_first(*args, **kwargs):
             calls.append(1)
-            raise np.linalg.LinAlgError("Singular matrix")
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(qp_module.np.linalg, "solve", singular)
-        monkeypatch.setattr(qp_module, "_crossover", lambda *args, **kwargs: None)
+        monkeypatch.setattr(qp_module, "lu_factor", fails_first)
         state, ref = standing_setup(model)
         state.qd = rng.normal(size=NV) * 0.5
         sol = solve_frame(model, state, ref, flat_map, QPSettings(friction_mu=0.05))
-        assert calls
-        assert sol.level == "no-cone" and sol.degraded
+        assert len(calls) >= 2
+        assert sol.level == "no-slide" and sol.degraded
 
     def test_warm_start_needs_same_contacts_and_level(self, model, flat_map, monkeypatch, rng):
         import physmotion.optimizer as opt

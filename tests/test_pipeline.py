@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from physmotion.cli import main
+from physmotion.cli import EXIT_CONFIG, main
 from physmotion.errors import ConfigError
 from physmotion.frames import FilterParams
 from physmotion.motion import load_motion, save_motion
@@ -46,6 +46,38 @@ class TestRunConfig:
         assert not config.settings.use_root_supervision
         assert config.gains.angle_kp == 1200.0
         assert config.filter_params.min_cutoff == 1.5
+
+    @pytest.mark.parametrize(
+        "doc, where, key",
+        [
+            ({"motionpath": "x.jsonl"}, "config", "motionpath"),
+            ({"settings": {"bogus": 1}}, "settings", "bogus"),
+            ({"settings": {"max_iter": 200}}, "settings", "max_iter"),
+            ({"gains": {"angle_kp": 1.0, "kp": 1.0}}, "gains", "kp"),
+            ({"filter": {"cutoff": 1.0}}, "filter", "cutoff"),
+            ({"scenario": {"scene": "flat", "sed": 3}}, "scenario", "sed"),
+        ],
+    )
+    def test_unknown_key_is_named(self, doc, where, key):
+        from physmotion.pipeline import config_from_dict
+
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(doc)
+        assert f"in {where}: {key}" in str(err.value)
+
+    def test_block_must_be_an_object(self):
+        from physmotion.pipeline import config_from_dict
+
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"settings": [1, 2]})
+        assert "settings must be an object" in str(err.value)
+
+    def test_cli_reports_unknown_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"motion_path": "x.jsonl", "settings": {"max_iter": 200}}))
+        result = CliRunner().invoke(main, ["pipeline", "--config", str(path)])
+        assert result.exit_code == EXIT_CONFIG
+        assert "unknown key(s) in settings: max_iter" in result.output
 
     def test_scenario_block_round_trip(self, tmp_path, model):
         from physmotion.pipeline import config_from_dict

@@ -97,13 +97,27 @@ class TestSolveQP:
         assert abs(sol.x[1]) < 1e-9
         assert sol.ineq_multipliers[0] > 0
 
-    def test_inconsistent_equalities_raise(self, rng):
+    @pytest.mark.parametrize("cost", [0.0, 1e10, 1e12])
+    def test_inconsistent_equalities_raise(self, cost):
         p = np.eye(3)
-        q = np.zeros(3)
+        q = np.full(3, cost)
         a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         b = np.array([0.0, 1.0])
         with pytest.raises(QPInfeasibleError):
             solve_qp(p, q, a, b)
+
+    @pytest.mark.parametrize("cost", [1e10, 1e12])
+    def test_large_linear_cost_keeps_consistent_equalities(self, cost):
+        # |q| / |b| = cost: the consistency certificate judges A x = b on |b|
+        # alone, so a large linear cost does not fail a consistent system
+        p = np.eye(3)
+        q = np.full(3, cost)
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        b = np.array([1.0, -2.0])
+        sol = solve_qp(p, q, a, b)
+        assert np.abs(a @ sol.x - b).max() <= 1e-12
+        assert np.abs(sol.x - np.array([0.5, 0.5, -2.0])).max() <= 1e-12
+        assert sol.kkt_residual <= 1e-8
 
     def test_deterministic(self, rng):
         p, q, a, b, g, h = random_convex_qp(rng, n=8, me=3, mi=6)
@@ -144,7 +158,7 @@ class TestWarmStart:
     def test_optimal_seed_returns_cold_solution(self, rng):
         for prob, cold in qps_with_active_inequalities(rng):
             warm = solve_qp(*prob, warm_start=cold.active_set)
-            assert warm.iterations == 1  # one crossover round, no interior point
+            assert warm.iterations == 1  # the seed is optimal: no dual step
             assert np.abs(warm.x - cold.x).max() <= 1e-8 * (1.0 + np.abs(cold.x).max())
             assert warm.kkt_residual <= 1e-8
 
@@ -166,42 +180,69 @@ class TestWarmStart:
                 assert sol.kkt_residual <= 1e-8
 
 
-class TestInteriorPointBreakdown:
-    """A singular Schur system or an overflowing Newton step ends the
-    interior point; solve_qp then polishes or raises SolverError, and no
-    LinAlgError or floating-point warning escapes."""
+def apex_qp(rng, mu=0.6):
+    """A QP whose optimum puts one contact force at the apex of its friction
+    pyramid: the 4 facet rows and the normal row all hold with equality at
+    lambda = 0, with positive multipliers, though only 3 of the 5 rows are
+    independent. x = (v (3,), lambda (3,)), the normal along y."""
+    n = 6
+    m = rng.normal(size=(n, n))
+    p = m @ m.T + np.eye(n)
+    normal, t1, t2 = np.eye(3)[1], np.eye(3)[0], np.eye(3)[2]
+    g = np.zeros((5, n))
+    for f, d in enumerate((t1, t2, -t1, -t2)):
+        g[f, 3:] = d - mu * normal
+    g[4, 3:] = -normal
+    h = np.zeros(5)
+    a = np.zeros((1, n))
+    a[0, :3] = rng.normal(size=3)
+    a[0, 3] = 0.5  # the equality couples the force to the other variables
+    x_opt = np.concatenate([rng.normal(size=3), np.zeros(3)])
+    b = a @ x_opt
+    nu = rng.normal(size=1)
+    mult = rng.uniform(0.5, 2.0, size=5)
+    q = -(p @ x_opt + a.T @ nu + g.T @ mult)
+    return (p, q, a, b, g, h), x_opt
 
-    @pytest.fixture()
-    def prob(self, rng):
-        return qps_with_active_inequalities(rng, count=1)[0][0]
 
-    def test_singular_schur_raises_solver_error(self, prob, monkeypatch):
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
+def raise_singular(a):
+    raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(qp_module.np.linalg, "solve", singular)
-        monkeypatch.setattr(qp_module, "_crossover", lambda *args, **kwargs: None)
-        with pytest.raises(SolverError):
-            solve_qp(*prob)
 
-    def test_singular_schur_still_polishes(self, prob, monkeypatch):
-        expected = brute_force_qp(*prob)
+def singular_factor(a):
+    """An LU factor with zero pivots: solving with it divides by zero."""
+    return np.zeros_like(a), np.arange(len(a), dtype=np.int32)
 
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(qp_module.np.linalg, "solve", singular)
-        # the breakdown returns the starting iterate, whose active-set
-        # estimate the crossover still completes
-        sol = solve_qp(*prob)
-        assert np.abs(sol.x - expected).max() < 1e-6
+class TestDualActiveSet:
+    def test_pyramid_apex_matches_enumeration_oracle(self, rng):
+        for _ in range(10):
+            prob, x_opt = apex_qp(rng)
+            expected = brute_force_qp(*prob)
+            assert np.abs(expected - x_opt).max() < 1e-9
+            for seed in (None, tuple(range(5)), (0, 2), (4,)):
+                sol = solve_qp(*prob, warm_start=seed)
+                assert np.abs(sol.x - expected).max() < 1e-9
+                assert sol.kkt_residual <= 1e-8
+                # dependent rows never enter the working set together
+                assert len(sol.active_set) <= 3
 
-    def test_overflowing_step_stops_without_warning(self, prob, monkeypatch):
-        def huge(a, b):
-            return np.full(np.shape(b), 1e200)
+    def test_infeasible_inequalities_raise(self):
+        # x <= 0 and x >= 1: the second row depends on the first, and no
+        # working row can leave to make room for it
+        g = np.array([[1.0], [-1.0]])
+        h = np.array([0.0, -1.0])
+        with pytest.raises(QPInfeasibleError):
+            solve_qp(np.eye(1), np.zeros(1), None, None, g, h)
+        # the same pair on one coordinate of a constrained problem
+        g2 = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        with pytest.raises(QPInfeasibleError):
+            solve_qp(np.eye(3), np.ones(3), np.array([[0.0, 1.0, 1.0]]), np.array([2.0]), g2, h)
 
-        monkeypatch.setattr(qp_module.np.linalg, "solve", huge)
-        monkeypatch.setattr(qp_module, "_crossover", lambda *args, **kwargs: None)
+    @pytest.mark.parametrize("factor", [raise_singular, singular_factor])
+    def test_factorisation_failure_is_a_solver_error(self, rng, monkeypatch, factor):
+        prob = qps_with_active_inequalities(rng, count=1)[0][0]
+        monkeypatch.setattr(qp_module, "lu_factor", factor)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError):
