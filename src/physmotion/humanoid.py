@@ -16,6 +16,16 @@ from the model file.
 M (CRBA), h (RNEA backward pass) and the contact-point terms from them; the
 other dynamics functions are views of the same sweep.
 
+No forward pass steps body by body. Forward kinematics composes the tree
+one depth level at a time (`HumanoidModel.levels`), for one q or a stack.
+The forward sweep evaluates each group of per-body terms for all 24 bodies
+at once (the stacked left Jacobians and their derivatives, the cross
+products) and sums them along the root-to-leaf paths
+(`HumanoidModel.paths`) in the order of the recursion, so every value has
+the bits of the body-by-body loop. `FrameDynamics.points` gives any number
+of body-fixed points' positions, Jacobians, velocities and bias
+accelerations in one call.
+
 Sign conventions: gravity enters the nonlinear-effects vector so that
 unsupported free fall solves qdd_y = -9.81 with zero torques and contact
 forces under tau + Jc^T lambda = M qdd + h.
@@ -32,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError
-from .rotations import cross3, exp_so3, left_jacobian, left_jacobian_dot, skew, skew_rows
+from .rotations import cross_rows, exp_so3, left_jacobian, left_jacobian_dot, matvec_rows, skew_rows
 
 NUM_BODIES = 24
 NV = 75  # 3 translation + 3 root orientation + 23 * 3 joints
@@ -76,16 +86,50 @@ class HumanoidModel:
         self.bodies: Tuple[Body, ...] = tuple(bodies)
         self.gravity = np.asarray(gravity, dtype=float).reshape(3)
         self.parents = np.array([b.parent for b in bodies])
+        # each body's parent row with the root pointing at itself, for
+        # gathering every body's parent term at once (the root's is unused)
+        self.parent_rows = np.maximum(self.parents, 0)
+        depth = np.zeros(NUM_BODIES, dtype=int)
+        for i in range(1, NUM_BODIES):
+            depth[i] = depth[self.parents[i]] + 1
+        # the tree below the root by depth: (bodies, their parents) per level,
+        # bodies ascending; a walk over them meets every parent before its
+        # children, and siblings share a level
+        self.levels: Tuple[Tuple[np.ndarray, np.ndarray], ...] = tuple(
+            (np.flatnonzero(depth == k), self.parents[depth == k]) for k in range(1, depth.max() + 1)
+        )
+        # the root-to-leaf paths, one row per leaf, padded at the end with
+        # NUM_BODIES; path_slot holds, for every body, a (row, position) of it
+        paths = []
+        for leaf in sorted(set(range(NUM_BODIES)) - set(self.parents.tolist())):
+            path = [leaf]
+            while path[-1] != 0:
+                path.append(int(self.parents[path[-1]]))
+            paths.append(path[::-1])
+        self.paths = np.full((len(paths), depth.max() + 1), NUM_BODIES)
+        slot_row = np.empty(NUM_BODIES, dtype=int)
+        for r, path in enumerate(paths):
+            self.paths[r, : len(path)] = path
+            slot_row[path] = r
+        self.path_slot = (slot_row, depth)
         self.total_mass = float(sum(b.mass for b in bodies))
         self.masses = np.array([b.mass for b in bodies])
         self.inertias = np.stack([b.inertia for b in bodies])
-        # generalized columns of each body's joint and of every ancestor's
-        self.support_cols: List[np.ndarray] = []
+        self.offsets = np.stack([b.offset for b in bodies])
+        # support_mask[i]: the generalized columns of body i's joint and of
+        # every ancestor's
+        self.support_mask = np.zeros((NUM_BODIES, NV), dtype=bool)
         for i, b in enumerate(bodies):
-            own = np.arange(NV)[self.joint_cols(i)]
             if b.parent != -1:
-                own = np.concatenate([self.support_cols[b.parent], own])
-            self.support_cols.append(own)
+                self.support_mask[i] = self.support_mask[b.parent]
+            self.support_mask[i, self.joint_cols(i)] = True
+        # where the CRBA reads M[a, b] from, with a and b generalized columns:
+        # the block of b's body when a's body is a strict ancestor of it, the
+        # transposed block of a's body when b's body is an ancestor of a's or
+        # the same body, and zero off the ancestor lines
+        body_of = np.repeat(np.arange(NUM_BODIES), [6] + [3] * (NUM_BODIES - 1))
+        ancestor = self.support_mask[body_of].T
+        self.mass_blocks = (ancestor & (body_of[:, None] != body_of), ancestor.T)
         # end effector registry in a stable order
         self.end_effectors: List[Tuple[str, int, np.ndarray]] = []
         for i, b in enumerate(bodies):
@@ -142,30 +186,30 @@ class FKResult:
     positions: np.ndarray  # (..., 24, 3) world joint origins
 
 
-def _joint_angles(q: np.ndarray, body: int) -> np.ndarray:
-    return q[3 + 3 * body : 6 + 3 * body]
-
-
 def forward_kinematics(model: HumanoidModel, q: np.ndarray) -> FKResult:
     """World transform of every body: parent transform * offset * joint rotation.
 
     q is one generalized position (75,) or a stack (..., 75), e.g. the (T, 75)
     positions of a sequence; the result carries the same leading axes. The
-    joint rotations of all bodies and frames come from one exp_so3 call and
-    every frame is composed down the tree at once.
+    joint rotations of all bodies and frames come from one exp_so3 call, and
+    every frame is composed down the tree one level at a time.
     """
     q = np.asarray(q, dtype=float)
     lead = q.shape[:-1]
     q = q.reshape(-1, NV)
-    joint_rot = exp_so3(q[:, 3:].reshape(-1, NUM_BODIES, 3))
-    rot = np.empty((len(q), NUM_BODIES, 3, 3))
-    pos = np.empty((len(q), NUM_BODIES, 3))
-    rot[:, 0] = joint_rot[:, 0]
-    pos[:, 0] = q[:, 0:3]
-    for i in range(1, NUM_BODIES):
-        p = model.parents[i]
-        pos[:, i] = pos[:, p] + rot[:, p] @ model.bodies[i].offset
-        rot[:, i] = rot[:, p] @ joint_rot[:, i]
+    # body-major (24, frames, ...) while walking, so that a level's gathers
+    # and scatters move whole blocks of frames
+    joint_rot = exp_so3(q[:, 3:].reshape(-1, NUM_BODIES, 3).transpose(1, 0, 2))
+    rot = np.empty((NUM_BODIES, len(q), 3, 3))
+    pos = np.empty((NUM_BODIES, len(q), 3))
+    rot[0] = joint_rot[0]
+    pos[0] = q[:, 0:3]
+    for bodies, parents in model.levels:
+        parent_rot = rot[parents]
+        pos[bodies] = pos[parents] + matvec_rows(parent_rot, model.offsets[bodies][:, None])
+        rot[bodies] = parent_rot @ joint_rot[bodies]
+    rot = np.ascontiguousarray(rot.transpose(1, 0, 2, 3))
+    pos = np.ascontiguousarray(pos.transpose(1, 0, 2))
     return FKResult(rot.reshape(lead + rot.shape[1:]), pos.reshape(lead + pos.shape[1:]))
 
 
@@ -181,17 +225,15 @@ def _joint_axes(model: HumanoidModel, q: np.ndarray, fk: FKResult) -> np.ndarray
     """(24, 3, 3) world joint axes: axes[i] @ (joint i rates) is the angular
     velocity of body i relative to its parent; axes[0] maps root-orientation
     rates to the base's angular velocity."""
-    axes = np.empty((NUM_BODIES, 3, 3))
-    axes[0] = left_jacobian(q[3:6])
-    for i in range(1, NUM_BODIES):
-        axes[i] = fk.rotations[model.parents[i]] @ left_jacobian(_joint_angles(q, i))
+    axes = left_jacobian(q[3:].reshape(NUM_BODIES, 3))
+    axes[1:] = fk.rotations[model.parents[1:]] @ axes[1:]
     return axes
 
 
 def _motion_subspace(fk: FKResult, axes: np.ndarray) -> np.ndarray:
     """(6, 75) world motion subspace, Plucker rows (omega; velocity of the
     body-fixed point at the world origin): body i's spatial velocity is
-    S[:, support_cols[i]] @ qd[support_cols[i]]."""
+    S[:, support_mask[i]] @ qd[support_mask[i]]."""
     s = np.zeros((6, NV))
     s[3:, 0:3] = np.eye(3)  # root translation
     s[:3, 3:] = axes.transpose(1, 0, 2).reshape(3, 3 * NUM_BODIES)
@@ -199,17 +241,39 @@ def _motion_subspace(fk: FKResult, axes: np.ndarray) -> np.ndarray:
     return s
 
 
-def _point_jacobian(
-    model: HumanoidModel, fk: FKResult, subspace: np.ndarray, body_id: int, local_point: np.ndarray
+def _point_arms(fk: FKResult, bodies: np.ndarray, local_points: np.ndarray) -> np.ndarray:
+    """(k, 3) world offsets of body-fixed points from their bodies' joint origins."""
+    if np.any((bodies < 0) | (bodies >= NUM_BODIES)):
+        raise InvalidInputError(f"body ids {bodies.tolist()} out of range")
+    return matvec_rows(fk.rotations[bodies], local_points)
+
+
+def _point_jacobians(
+    model: HumanoidModel, subspace: np.ndarray, bodies: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
-    if not 0 <= body_id < NUM_BODIES:
-        raise InvalidInputError(f"body_id {body_id} out of range")
-    p = fk.positions[body_id] + fk.rotations[body_id] @ np.asarray(local_point, dtype=float)
-    cols = model.support_cols[body_id]
-    jac = np.zeros((3, NV))
-    # velocity of the point p: v(origin) + omega x p
-    jac[:, cols] = subspace[3:, cols] - skew(p) @ subspace[:3, cols]
-    return jac
+    """(k, 3, 75) Jacobians of the world points `positions` fixed to `bodies`:
+    the velocity of the point p is v(origin) + omega x p over the columns of
+    the body's support, and zero elsewhere."""
+    jac = subspace[3:] - skew_rows(positions) @ subspace[:3]
+    return np.where(model.support_mask[bodies][:, None, :], jac, 0.0)
+
+
+def _path_sums(model: HumanoidModel, root_value: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """(24, 3): x_0 = root_value and x_i = x_p + terms[i, 0] + ... + terms[i, k-1]
+    for every other body i with parent p, from terms (24, k, 3).
+
+    Each body's value is a running sum along a root-to-leaf path through it,
+    and np.cumsum adds in sequence, so every x_i rounds exactly as the
+    body-by-body recursion would.
+    """
+    paths = model.paths[:, 1:]
+    k = terms.shape[1]
+    padded = np.concatenate([terms, np.zeros((1, k, 3))])  # row NUM_BODIES pads the paths
+    seq = np.empty((len(paths), 1 + k * paths.shape[1], 3))
+    seq[:, 0] = root_value
+    seq[:, 1:] = padded[paths].reshape(len(paths), -1, 3)
+    rows, depth = model.path_slot
+    return np.cumsum(seq, axis=1)[rows, k * depth]
 
 
 def _forward_sweep(
@@ -222,30 +286,38 @@ def _forward_sweep(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The forward recursion, root to leaves: every body's world angular
     velocity, joint-origin velocity, angular acceleration and joint-origin
-    acceleration (each 24 x 3). Gravity is not in the accelerations."""
+    acceleration (each 24 x 3). Gravity is not in the accelerations.
+
+    With d_i = x_i - x_p the joint-origin offset from the parent p,
+
+        omega_i     = omega_p + w_i,   w_i = axes_i thd_i
+        v_i         = v_p + omega_p x d_i
+        omegadot_i  = omegadot_p + omega_p x w_i + axes_i thdd_i + R_p Jdot_i thd_i
+        a_i         = a_p + omegadot_p x d_i + omega_p x (omega_p x d_i)
+
+    Each group of terms is computed for the whole tree at once, as soon as
+    the parent values it needs are known, and summed down the tree in the
+    order written (_path_sums).
+    """
     rot, pos = fk.rotations, fk.positions
-    omega = np.empty((NUM_BODIES, 3))
-    vel = np.empty((NUM_BODIES, 3))
-    omega_dot = np.empty((NUM_BODIES, 3))
-    acc = np.empty((NUM_BODIES, 3))
-    omega[0] = axes[0] @ qd[3:6]
-    vel[0] = qd[0:3]
-    omega_dot[0] = axes[0] @ qdd[3:6] + left_jacobian_dot(q[3:6], qd[3:6]) @ qd[3:6]
-    acc[0] = qdd[0:3]
-    for i in range(1, NUM_BODIES):
-        p = model.parents[i]
-        th, thd = _joint_angles(q, i), _joint_angles(qd, i)
-        d = pos[i] - pos[p]
-        w_rel = axes[i] @ thd
-        omega[i] = omega[p] + w_rel
-        vel[i] = vel[p] + cross3(omega[p], d)
-        omega_dot[i] = (
-            omega_dot[p]
-            + cross3(omega[p], w_rel)
-            + axes[i] @ _joint_angles(qdd, i)
-            + rot[p] @ (left_jacobian_dot(th, thd) @ thd)
-        )
-        acc[i] = acc[p] + cross3(omega_dot[p], d) + cross3(omega[p], cross3(omega[p], d))
+    up = model.parent_rows
+    th, thd, thdd = (x[3:].reshape(NUM_BODIES, 3) for x in (q, qd, qdd))
+    w_rel = matvec_rows(axes, thd)
+    drive = matvec_rows(axes, thdd)
+    # velocity-product term of each joint; the root's stays in world axes
+    jdot = matvec_rows(left_jacobian_dot(th, thd), thd)
+    jdot[1:] = matvec_rows(rot[up[1:]], jdot[1:])
+    omega = _path_sums(model, w_rel[0], w_rel[:, None])
+
+    d = pos - pos[up]
+    omega_up = omega[up]
+    vel = _path_sums(model, qd[0:3], cross_rows(omega_up, d)[:, None])
+    coriolis = cross_rows(omega_up, w_rel)
+    omega_dot = _path_sums(model, drive[0] + jdot[0], np.stack([coriolis, drive, jdot], axis=1))
+
+    tangential = cross_rows(omega_dot[up], d)
+    centripetal = cross_rows(omega_up, cross_rows(omega_up, d))
+    acc = _path_sums(model, qdd[0:3], np.stack([tangential, centripetal], axis=1))
     return omega, vel, omega_dot, acc
 
 
@@ -266,15 +338,19 @@ def _backward_pass(
     motion. Gravity is folded in by passing acc - gravity."""
     pos = fk.positions
     force = model.masses[:, None] * acc
-    moment = np.einsum("bij,bj->bi", inertia_w, omega_dot) + np.cross(
+    moment = np.einsum("bij,bj->bi", inertia_w, omega_dot) + cross_rows(
         omega, np.einsum("bij,bj->bi", inertia_w, omega)
     )
     # children come after their parents, so each body's subtree is complete
-    # when it is folded into its parent
+    # when it is folded into its parent; the moment of a body's subtree force
+    # about its parent's origin needs only that final force, so the moments
+    # are taken in one pass between the two folds
+    parents = model.parents.tolist()
     for i in range(NUM_BODIES - 1, 0, -1):
-        p = model.parents[i]
-        force[p] += force[i]
-        moment[p] += moment[i] + cross3(pos[i] - pos[p], force[i])
+        force[parents[i]] += force[i]
+    arm_moment = cross_rows(pos - pos[model.parent_rows], force)
+    for i in range(NUM_BODIES - 1, 0, -1):
+        moment[parents[i]] += moment[i] + arm_moment[i]
     tau = np.empty(NV)
     tau[0:3] = force[0]
     tau[3:] = np.einsum("bji,bj->bi", axes, moment).ravel()
@@ -286,7 +362,12 @@ def _crba(
 ) -> np.ndarray:
     """Joint-space inertia matrix by the composite-rigid-body algorithm: the
     block of joint i and an ancestor j is S_j^T I_c(i) S_i, with I_c(i) the
-    spatial inertia of the subtree at i about the world origin."""
+    spatial inertia of the subtree at i about the world origin.
+
+    Every joint's I_c(i) S_i comes from one stacked product and S^T of all
+    of them from one more; `HumanoidModel.mass_blocks` then keeps each entry
+    of M from the block the per-joint assembly would have written it from.
+    """
     mass = model.masses[:, None, None]
     cc = skew_rows(fk.positions)
     composite = np.empty((NUM_BODIES, 6, 6))
@@ -297,14 +378,24 @@ def _crba(
     for i in range(NUM_BODIES - 1, 0, -1):
         composite[model.parents[i]] += composite[i]
 
-    m = np.zeros((NV, NV))
-    for i in range(NUM_BODIES):
-        cols_i = model.joint_cols(i)
-        support = model.support_cols[i]
-        block = subspace[:, support].T @ (composite[i] @ subspace[:, cols_i])
-        m[support, cols_i] = block
-        m[cols_i, support] = block.T
-    return m
+    # (6, 75): I_c(i) S_i in the columns of joint i
+    force = np.empty((6, NV))
+    force[:, :6] = composite[0] @ subspace[:, :6]
+    joints = subspace[:, 6:].reshape(6, NUM_BODIES - 1, 3).transpose(1, 0, 2)
+    force[:, 6:] = (composite[1:] @ joints).transpose(1, 0, 2).reshape(6, NV - 6)
+    blocks = subspace.T @ force
+    from_column, from_row = model.mass_blocks
+    return np.where(from_column, blocks, np.where(from_row, blocks.T, 0.0))
+
+
+@dataclass
+class PointKinematics:
+    """World terms of k body-fixed points in one state."""
+
+    position: np.ndarray  # (k, 3)
+    jacobian: np.ndarray  # (k, 3, 75): point velocity = jacobian @ qd
+    velocity: np.ndarray  # (k, 3)
+    bias: np.ndarray  # (k, 3) Jdot @ qd: the acceleration at qdd = 0, no gravity
 
 
 @dataclass
@@ -312,8 +403,9 @@ class FrameDynamics:
     """Rigid-body quantities of one state (q, qd), from one forward sweep.
 
     `m` and `h` are the terms of M(q) qdd + h(q, qd) = tau + Jc^T lambda.
-    The point methods give a body-fixed point's world position, Jacobian,
-    velocity and velocity-product acceleration Jdot qd (no gravity).
+    `points` gives body-fixed points' world positions, Jacobians, velocities
+    and velocity-product accelerations Jdot qd (no gravity) in one call; the
+    single-point methods are views of it.
     """
 
     model: HumanoidModel
@@ -326,28 +418,36 @@ class FrameDynamics:
     m: np.ndarray  # (75, 75) joint-space inertia matrix
     h: np.ndarray  # (75,) Coriolis, centrifugal and gravity generalized forces
 
-    def _arm(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
-        return self.fk.rotations[body_id] @ np.asarray(local_point, dtype=float)
+    def points(self, bodies: Sequence[int], local_points: np.ndarray) -> PointKinematics:
+        """The points local_points[j] (k, 3) fixed to bodies[j] (k,)."""
+        bodies = np.asarray(bodies, dtype=int).reshape(-1)
+        arm = _point_arms(self.fk, bodies, np.asarray(local_points, dtype=float).reshape(-1, 3))
+        position = self.fk.positions[bodies] + arm
+        w = self.omega[bodies]
+        return PointKinematics(
+            position=position,
+            jacobian=_point_jacobians(self.model, self.subspace, bodies, position),
+            velocity=self.vel[bodies] + cross_rows(w, arm),
+            bias=(
+                self.acc_bias[bodies]
+                + cross_rows(self.omega_dot_bias[bodies], arm)
+                + cross_rows(w, cross_rows(w, arm))
+            ),
+        )
 
     def point_position(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
-        return self.fk.positions[body_id] + self._arm(body_id, local_point)
+        return self.points([body_id], local_point).position[0]
 
     def point_jacobian(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
         """3x75 Jacobian of a body-fixed point; see point_jacobian."""
-        return _point_jacobian(self.model, self.fk, self.subspace, body_id, local_point)
+        return self.points([body_id], local_point).jacobian[0]
 
     def point_velocity(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
-        return self.vel[body_id] + cross3(self.omega[body_id], self._arm(body_id, local_point))
+        return self.points([body_id], local_point).velocity[0]
 
     def point_bias_acceleration(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
         """Jdot @ qd for the point: its acceleration with qdd = 0 and no gravity."""
-        arm = self._arm(body_id, local_point)
-        w = self.omega[body_id]
-        return (
-            self.acc_bias[body_id]
-            + cross3(self.omega_dot_bias[body_id], arm)
-            + cross3(w, cross3(w, arm))
-        )
+        return self.points([body_id], local_point).bias[0]
 
 
 def frame_dynamics(model: HumanoidModel, q: np.ndarray, qd: np.ndarray) -> FrameDynamics:
@@ -355,7 +455,7 @@ def frame_dynamics(model: HumanoidModel, q: np.ndarray, qd: np.ndarray) -> Frame
 
     M comes from the CRBA over the sweep's joint axes, h from one RNEA
     backward pass over its accelerations with gravity folded in; the
-    contact-point quantities are methods of the result.
+    contact-point quantities come from the result's `points`.
     """
     q = np.asarray(q, dtype=float)
     qd = np.asarray(qd, dtype=float)
@@ -384,7 +484,9 @@ def point_jacobian(
     if fk is None:
         fk = forward_kinematics(model, q)
     subspace = _motion_subspace(fk, _joint_axes(model, q, fk))
-    return _point_jacobian(model, fk, subspace, body_id, local_point)
+    bodies = np.array([body_id])
+    arm = _point_arms(fk, bodies, np.asarray(local_point, dtype=float).reshape(1, 3))
+    return _point_jacobians(model, subspace, bodies, fk.positions[bodies] + arm)[0]
 
 
 def mass_matrix(model: HumanoidModel, q: np.ndarray) -> np.ndarray:

@@ -35,7 +35,12 @@ Every level after the first flags the frame degraded. A SolverError
 only the error of the last level escapes `solve_frame`.
 
 The rigid-body terms of a frame (M, h and the contact-point Jacobians,
-velocities and bias accelerations) come from one `frame_dynamics` sweep.
+velocities and bias accelerations) come from one `frame_dynamics` sweep,
+the four feet's point terms from one `FrameDynamics.points` call. The
+constraint blocks (equation-of-motion rows, no-sliding rows, the root pin
+and the friction cones, with the tangent bases of every contact in one
+call) are built once per frame; each fallback level only selects the blocks
+it keeps.
 """
 
 from __future__ import annotations
@@ -50,9 +55,9 @@ from .errors import InvalidInputError, SolverError
 from .humanoid import (
     DEFAULT_DT,
     NV,
-    FrameDynamics,
     GeneralizedState,
     HumanoidModel,
+    PointKinematics,
     end_effector_positions,
     forward_kinematics,
     frame_dynamics,
@@ -60,6 +65,7 @@ from .humanoid import (
 )
 from .motion import MotionSequence, resample_motion, sequence_from_generalized
 from .qp import QPSolution, solve_qp
+from .rotations import cross_rows, matvec_rows, vector_norms
 from .scene import CONTACT_NAMES, HeightMap, query_height, surface_normal
 
 # Baumgarte stabilization of the contact equality, critically damped at 60 fps
@@ -202,16 +208,11 @@ def pd_desired_accel_angles(
 
 
 def pd_desired_accel_points(
-    dyn: FrameDynamics, targets: Dict[str, np.ndarray], gains: PDGains
-) -> Dict[str, np.ndarray]:
-    """Cartesian PD per tracked end effector: kp (r_ref - p) - kd (J qd)."""
-    out = {}
-    for name, target in targets.items():
-        body, off = dyn.model.end_effector(name)
-        pos = dyn.point_position(body, off)
-        vel = dyn.point_velocity(body, off)
-        out[name] = gains.position_kp * (np.asarray(target) - pos) - gains.position_kd * vel
-    return out
+    position: np.ndarray, velocity: np.ndarray, target: np.ndarray, gains: PDGains
+) -> np.ndarray:
+    """Cartesian PD on tracked points, kp (r_ref - p) - kd (J qd), for
+    (k, 3) positions, velocities J qd and reference positions."""
+    return gains.position_kp * (target - position) - gains.position_kd * velocity
 
 
 def root_supervision_accel(
@@ -236,23 +237,86 @@ def _ground(
     return np.full(len(points), float(flat_height)), np.tile([0.0, 1.0, 0.0], (len(points), 1))
 
 
-def _tangent_basis(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    ref = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    t1 = np.cross(n, ref)
-    t1 /= np.linalg.norm(t1)
-    return t1, np.cross(n, t1)
+_Z_AXIS = np.array([0.0, 0.0, 1.0])
+_X_AXIS = np.array([1.0, 0.0, 0.0])
 
 
-@dataclass
-class _ContactPoint:
-    name: str
-    body: int
-    position: np.ndarray
-    jacobian: np.ndarray
-    bias: np.ndarray
-    velocity: np.ndarray
-    surface_height: float
-    normal: np.ndarray
+def _tangent_bases(n: np.ndarray) -> np.ndarray:
+    """(k, 2, 3): unit tangents t1 and t2 = n x t1 of each unit vector of n (k, 3)."""
+    t1 = cross_rows(n, np.where(np.abs(n[:, 2:]) < 0.9, _Z_AXIS, _X_AXIS))
+    t1 /= vector_norms(t1)
+    return np.stack([t1, cross_rows(n, t1)], axis=1)
+
+
+def _cone_rows(normals: np.ndarray, tangents: np.ndarray, n: int, settings: QPSettings) -> np.ndarray:
+    """The linearized friction cones of k contacts as G x <= 0 rows over
+    x = (qdd, lambda): per contact, cone_facets facet rows d_f . lambda_c <=
+    mu n . lambda_c, then the unilateral row -n . lambda_c <= 0."""
+    facets = settings.cone_facets
+    ang = 2.0 * np.pi * np.arange(facets) / facets
+    d = np.cos(ang)[:, None] * tangents[:, :1] + np.sin(ang)[:, None] * tangents[:, 1:]
+    blocks = np.concatenate(
+        [d - settings.friction_mu * normals[:, None], -normals[:, None]], axis=1
+    ).reshape(-1, 3)
+    g_mat = np.zeros((len(blocks), n))
+    rows = np.arange(len(blocks))[:, None]
+    g_mat[rows, NV + 3 * (rows // (facets + 1)) + np.arange(3)] = blocks
+    return g_mat
+
+
+def _contact_blocks(
+    feet: PointKinematics,
+    bodies: np.ndarray,
+    active: np.ndarray,
+    surface: np.ndarray,
+    normals: np.ndarray,
+    n: int,
+    settings: QPSettings,
+    dt: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The no-sliding rows (A, b) and the friction-cone rows G of the active
+    contacts, over x = (qdd, lambda) of width n."""
+    idx = np.flatnonzero(active)
+    pos, jac, vel, bias = feet.position[idx], feet.jacobian[idx], feet.velocity[idx], feet.bias[idx]
+    normal, body = normals[idx], bodies[idx].tolist()
+    # normal axis: critically damped spring toward the surface; bound the
+    # commanded velocity so deep penetration recovers at a finite rate
+    # instead of slamming the legs straight
+    err = pos[:, 1] - (surface[idx] + CONTACT_REST_OFFSET)
+    v_n = (vel[:, None, :] @ normal[:, :, None])[:, 0, 0]
+    v_t = vel - v_n[:, None] * normal
+    a_n = -CONTACT_KV * v_n - CONTACT_KP * err
+    cap = CONTACT_MAX_CORRECTION_VELOCITY
+    v_next = v_n + a_n * dt
+    a_n = np.where(np.abs(v_next) > cap, (np.copysign(cap, v_next) - v_n) / dt, a_n)
+    # tangential axis: one-step deadbeat to zero velocity; a plain -kv*v_t
+    # damper at kv*dt = 2 flips the velocity sign each frame under the
+    # explicit integrator and goes unstable
+    a_corr = -(1.0 / dt) * v_t + a_n[:, None] * normal
+
+    # Two active points on one foot body are rigidly linked: their relative
+    # acceleration along the connecting axis is fixed by rigidity, so the
+    # second point only contributes the two rows perpendicular to that axis
+    # (full 3 rows would be inconsistent), and none when it coincides with
+    # the first.
+    first = [body.index(b) for b in body]
+    second = [c for c, anchor in enumerate(first) if anchor != c]
+    axis = pos[second] - pos[[first[c] for c in second]]
+    norm = vector_norms(axis)
+    apart = ~(norm[:, 0] < 1e-9)
+    linked = np.array(second, dtype=int)[apart]
+    # one tangent-basis call: the contact normals for the cone, then the axes
+    tangents = _tangent_bases(np.concatenate([normal, axis[apart] / norm[apart]]))
+    basis = np.tile(np.eye(3), (len(body), 1, 1))
+    basis[linked, :2] = tangents[len(body) :]
+    basis[linked, 2] = 0.0
+    keep = np.ones((len(body), 3), dtype=bool)
+    keep[second] = False
+    keep[linked, :2] = True
+    slide = np.zeros((int(keep.sum()), n))
+    slide[:, :NV] = (basis @ jac)[keep]
+    slide_rhs = matvec_rows(basis, a_corr - bias)[keep]
+    return slide, slide_rhs, _cone_rows(normal, tangents[: len(body)], n, settings)
 
 
 def solve_frame(
@@ -293,66 +357,45 @@ def solve_frame(
     if latched is None:
         latched = np.zeros(4, dtype=bool)
 
-    # Foot-point kinematics. While the character is in a contact phase (any
-    # label set) all four end effectors are position-tracked, so swing feet
-    # land where the reference puts them; in free flight no point is tracked
-    # and the base follows pure ballistics.
-    points: Dict[str, _ContactPoint] = {}
-    hold = {}
-    targets: Dict[str, np.ndarray] = {}
+    # Foot-point kinematics, all four feet in one call. While the character
+    # is in a contact phase (any label set) all four end effectors are
+    # position-tracked, so swing feet land where the reference puts them; in
+    # free flight no point is tracked and the base follows pure ballistics.
+    active = np.zeros(4, dtype=bool)
+    tracked = np.zeros(4, dtype=bool)
     if ref.contacts.any():
         effectors = [model.end_effector(name) for name in CONTACT_NAMES]
-        targets = {
-            name: np.asarray(ref.ee_targets[name], dtype=float).copy()
-            for name in CONTACT_NAMES
-            if name in ref.ee_targets
-        }
+        bodies = np.array([body for body, _ in effectors])
+        feet = dyn.points(bodies, np.array([off for _, off in effectors]))
+        tracked = np.array([name in ref.ee_targets for name in CONTACT_NAMES])
+        targets = np.array(
+            [ref.ee_targets[name] for name in CONTACT_NAMES if name in ref.ee_targets], dtype=float
+        ).reshape(-1, 3)
         # a contact label asserts ground contact: project the height target
         # onto the scene surface so a floating or penetrating reference still
         # lands the foot where the ground actually is
-        grounded = [name for name in targets if ref.contacts[CONTACT_NAMES.index(name)]]
+        grounded = ref.contacts[tracked]
         # one scene query: the four foot points, then the grounded targets
-        feet = [dyn.point_position(body, off) for body, off in effectors]
-        probes = np.array(feet + [targets[name] for name in grounded])
-        heights, normals = _ground(hm, settings, flat_ground_height, probes)
-        for name, height in zip(grounded, heights[len(effectors) :]):
-            targets[name][1] = height + CONTACT_REST_OFFSET
-        for k, (name, (body, off)) in enumerate(zip(CONTACT_NAMES, effectors)):
-            points[name] = _ContactPoint(
-                name=name,
-                body=body,
-                position=probes[k],
-                jacobian=dyn.point_jacobian(body, off),
-                bias=dyn.point_bias_acceleration(body, off),
-                velocity=dyn.point_velocity(body, off),
-                surface_height=float(heights[k]),
-                normal=normals[k],
-            )
-            hold[name] = bool(latched[k]) and bool(ref.contacts[k])
-
-    active = []
-    for k, name in enumerate(CONTACT_NAMES):
-        if not ref.contacts[k] or name not in points:
-            continue
-        p = points[name]
-        if hold[name] or p.position[1] < p.surface_height + CONTACT_ACTIVATION_MARGIN:
-            active.append(p)
+        heights, normals = _ground(
+            hm, settings, flat_ground_height, np.concatenate([feet.position, targets[grounded]])
+        )
+        targets[grounded, 1] = heights[4:] + CONTACT_REST_OFFSET
+        surface, normals = heights[:4], normals[:4]
+        hold = latched & ref.contacts
+        active = ref.contacts & (hold | (feet.position[:, 1] < surface + CONTACT_ACTIVATION_MARGIN))
 
     m_mat, h_vec = dyn.m, dyn.h
 
     qdd_des = pd_desired_accel_angles(q, qd, ref.q_ref, gains)
-    a_des = pd_desired_accel_points(dyn, targets, gains)
 
     # Decision variables x = (qdd, lambda). The actuated torques are
     # substituted out, tau[6:] = B x + h[6:] with B = [M[6:], -Jc[:, 6:]^T],
     # so the actuated equation-of-motion rows hold by construction and the
     # torque regulariser becomes reg (B^T B, B^T h[6:]) on (P, q).
-    nc = len(active)
+    nc = int(active.sum())
     n = NV + 3 * nc
     lam0 = NV
-    jc_t = np.zeros((NV, 3 * nc))
-    for c, point in enumerate(active):
-        jc_t[:, 3 * c : 3 * c + 3] = point.jacobian.T
+    jc_t = feet.jacobian[active].transpose(2, 0, 1).reshape(NV, 3 * nc) if nc else np.zeros((NV, 0))
     b_mat = np.hstack([m_mat[6:], -jc_t[6:]])
 
     p_mat = np.zeros((n, n))
@@ -373,12 +416,11 @@ def solve_frame(
         target[6:] = -gains.angle_kd * qd[6:]
     p_mat[idx, idx] += w[idx]
     q_vec[idx] -= w[idx] * target[idx]
-    if settings.use_position_pd:
+    if settings.use_position_pd and tracked.any():
         w = 2.0 * settings.point_weight
-        for name, point in points.items():
-            if name not in a_des:
-                continue
-            jac, rhs = point.jacobian, a_des[name] - point.bias
+        a_des = pd_desired_accel_points(feet.position[tracked], feet.velocity[tracked], targets, gains)
+        # one point at a time, in CONTACT_NAMES order, as the sums round
+        for jac, rhs in zip(feet.jacobian[tracked], a_des - feet.bias[tracked]):
             p_mat[:NV, :NV] += w * jac.T @ jac
             q_vec[:NV] -= w * jac.T @ rhs
     reg = 2.0 * settings.reg_weight
@@ -390,87 +432,35 @@ def solve_frame(
     p_mat += b_mat.T @ (reg * b_mat)
     q_vec += reg * (b_mat.T @ h_vec[6:])
 
-    # floating-base rows of the equation of motion: M[:6] qdd - Jc[:, :6]^T lambda = -h[:6]
+    # The constraint blocks, built once for every fallback level. Floating-
+    # base rows of the equation of motion: M[:6] qdd - Jc[:, :6]^T lambda = -h[:6].
     eom = np.hstack([m_mat[:6], -jc_t[:6]])
+    slide, slide_rhs, cone = (
+        _contact_blocks(feet, bodies, active, surface, normals, n, settings, dt)
+        if nc
+        else (np.zeros((0, n)), np.zeros(0), None)
+    )
+    root_rows: List[np.ndarray] = []
+    root_rhs: List[np.ndarray] = []
+    if settings.use_root_supervision and ref.root_future is not None:
+        row = np.zeros((3, n))
+        row[:3, :3] = np.eye(3)
+        root_rows.append(row)
+        root_rhs.append(root_supervision_accel(ref.root_future[1], ref.root_future[0], qd[0:3], dt))
 
     def build_and_solve(
         use_slide: bool, use_cone: bool, tol_scale: float, seed: Optional[Tuple[int, ...]]
     ) -> QPSolution:
-        eq_rows: List[np.ndarray] = [eom]
-        eq_rhs: List[np.ndarray] = [-h_vec[:6]]
-
-        if use_slide:
-            # Two active points on one foot body are rigidly linked: their
-            # relative acceleration along the connecting axis is fixed by
-            # rigidity, so the second point only contributes the two rows
-            # perpendicular to that axis (full 3 rows would be inconsistent).
-            first_on_body: Dict[int, _ContactPoint] = {}
-            for point in active:
-                err = point.position[1] - (point.surface_height + CONTACT_REST_OFFSET)
-                v_n = float(point.velocity @ point.normal)
-                v_t = point.velocity - v_n * point.normal
-                # normal axis: critically damped spring toward the surface;
-                # bound the commanded velocity so deep penetration recovers at
-                # a finite rate instead of slamming the legs straight
-                a_n = -CONTACT_KV * v_n - CONTACT_KP * err
-                cap = CONTACT_MAX_CORRECTION_VELOCITY
-                v_next = v_n + a_n * dt
-                if abs(v_next) > cap:
-                    a_n = (math.copysign(cap, v_next) - v_n) / dt
-                # tangential axis: one-step deadbeat to zero velocity; a plain
-                # -kv*v_t damper at kv*dt = 2 flips the velocity sign each
-                # frame under the explicit integrator and goes unstable
-                a_corr = -(1.0 / dt) * v_t + a_n * point.normal
-                basis = np.eye(3)
-                anchor = first_on_body.setdefault(point.body, point)
-                if anchor is not point:
-                    axis = point.position - anchor.position
-                    norm = np.linalg.norm(axis)
-                    if norm < 1e-9:
-                        continue  # coincident with the anchor: fully redundant
-                    axis /= norm
-                    t1, t2 = _tangent_basis(axis)
-                    basis = np.vstack([t1, t2])
-                row = np.zeros((basis.shape[0], n))
-                row[:, :NV] = basis @ point.jacobian
-                eq_rows.append(row)
-                eq_rhs.append(basis @ (a_corr - point.bias))
-
-        if settings.use_root_supervision and ref.root_future is not None:
-            row = np.zeros((3, n))
-            row[:3, :3] = np.eye(3)
-            eq_rows.append(row)
-            eq_rhs.append(
-                root_supervision_accel(ref.root_future[1], ref.root_future[0], qd[0:3], dt)
-            )
-
-        a_mat = np.vstack(eq_rows)
-        b_vec = np.concatenate(eq_rhs)
-
-        g_rows: List[np.ndarray] = []
-        if use_cone and nc:
-            for c, point in enumerate(active):
-                t1, t2 = _tangent_basis(point.normal)
-                cols = slice(lam0 + 3 * c, lam0 + 3 * c + 3)
-                for f in range(settings.cone_facets):
-                    ang = 2.0 * np.pi * f / settings.cone_facets
-                    d = np.cos(ang) * t1 + np.sin(ang) * t2
-                    row = np.zeros(n)
-                    row[cols] = d - settings.friction_mu * point.normal
-                    g_rows.append(row)
-                row = np.zeros(n)
-                row[cols] = -point.normal
-                g_rows.append(row)
-        g_mat = np.vstack(g_rows) if g_rows else None
-        h_ineq = np.zeros(len(g_rows)) if g_rows else None
-
+        a_mat = np.vstack([eom] + ([slide] if use_slide else []) + root_rows)
+        b_vec = np.concatenate([-h_vec[:6]] + ([slide_rhs] if use_slide else []) + root_rhs)
+        g_mat = cone if use_cone else None
         return solve_qp(
             p_mat,
             q_vec,
             a_mat,
             b_vec,
             g_mat,
-            h_ineq,
+            np.zeros(len(g_mat)) if g_mat is not None else None,
             tol=settings.solver_tol * tol_scale,
             warm_start=seed,
         )
@@ -481,7 +471,7 @@ def solve_frame(
     # The previous frame's active set seeds the solve at the level it was
     # solved at, provided the same contacts are active (the inequality rows
     # are then laid out alike).
-    names = tuple(p.name for p in active)
+    names = tuple(name for name, on in zip(CONTACT_NAMES, active) if on)
     warm = previous if previous is not None and previous.contact_names == names else None
     for k, (level, use_slide, use_cone, tol_scale) in enumerate(FALLBACK_LEVELS):
         seed = warm.active_set if warm is not None and warm.level == level else None

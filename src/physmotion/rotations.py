@@ -7,6 +7,9 @@ Conventions:
     - Quaternions are (w, x, y, z), unit norm.
     - left_jacobian(v) maps exponential-coordinate rates to world-frame angular
       velocity of exp_so3(v): d/dt exp(v) = skew(left_jacobian(v) @ vdot) @ exp(v).
+    - exp_so3, left_jacobian and left_jacobian_dot take one vector (3,) or a
+      stack (..., 3); a stack gives the same bits as one call per vector, so
+      the dynamics evaluate all 24 joints at once.
 """
 
 from __future__ import annotations
@@ -14,28 +17,41 @@ from __future__ import annotations
 import numpy as np
 
 _SMALL_ANGLE = 1e-8
+# left_jacobian_dot's series branch: its closed form loses the leading terms
+# of A'(t)/t and B'(t)/t to cancellation well above _SMALL_ANGLE
+_SMALL_ANGLE_DOT = 1e-4
 
 
-def skew(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix such that skew(a) @ b == cross(a, b)."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+def _scalar_powers(t: np.ndarray, *exponents: int) -> list:
+    """t**n for each exponent, each an array shaped like t.
+
+    Taken one element at a time as a numpy scalar's t**n is (libm pow),
+    whatever t's shape. numpy's array power is another function: it squares
+    exactly, and its vectorised pow differs from libm in the last place for
+    other exponents. A gait refinement near divergence turns such an ulp
+    into another abort frame, so the rotations keep the scalar bits; past
+    the float range a numpy scalar gives inf (and a RuntimeWarning) where a
+    Python float would raise OverflowError.
+    """
+    flat = t.ravel()
+    return [np.array([x**n for x in flat]).reshape(t.shape) for n in exponents]
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors without numpy's axis bookkeeping."""
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (..., 3) arrays, component k being
+    a[k+1] b[k+2] - a[k+2] b[k+1]: np.cross's formula and bits, without its
+    axis bookkeeping."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def matvec_rows(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats @ vecs matrix by matrix, (..., m, 3) and (..., 3) to (..., m):
+    each row the same bits as one (m, 3) @ (3,) product."""
+    return (mats @ vecs[..., None])[..., 0]
 
 
 def exp_so3(v: np.ndarray) -> np.ndarray:
@@ -46,11 +62,7 @@ def exp_so3(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     angle = vector_norms(v)[..., None]
-    # t^2 by libm pow, one Python float at a time, as a numpy scalar's t**2
-    # is: numpy squares arrays exactly, and pow rounds the other way for about
-    # 0.1% of angles; a gait refinement near divergence turns such an ulp
-    # into another abort frame, so the rotations keep pow's bits
-    square = np.array([t**2 for t in angle.ravel().tolist()]).reshape(angle.shape)
+    (square,) = _scalar_powers(angle, 2)
     small = angle < _SMALL_ANGLE
     safe = np.where(small, 1.0, angle)
     # sin(t)/t and (1-cos(t))/t^2, to O(t^4) near zero
@@ -148,17 +160,18 @@ def exp_to_quat(v: np.ndarray) -> np.ndarray:
 def left_jacobian(v: np.ndarray) -> np.ndarray:
     """Left Jacobian of SO(3): J_l(v) = I + A*skew(v) + B*skew(v)^2.
 
-    A = (1-cos t)/t^2, B = (t-sin t)/t^3 with t = |v|.
+    A = (1-cos t)/t^2, B = (t-sin t)/t^3 with t = |v|, by their series below
+    1e-8 rad. Takes one vector (3,) or a stack (..., 3) and returns (3, 3) or
+    (..., 3, 3); a stack gives the same bits as one call per vector.
     """
     v = np.asarray(v, dtype=float)
-    t = np.linalg.norm(v)
-    k = skew(v)
-    if t < _SMALL_ANGLE:
-        a = 0.5 - t**2 / 24.0
-        b = 1.0 / 6.0 - t**2 / 120.0
-    else:
-        a = (1.0 - np.cos(t)) / t**2
-        b = (t - np.sin(t)) / t**3
+    t = vector_norms(v)[..., None]
+    t2, t3 = _scalar_powers(t, 2, 3)
+    small = t < _SMALL_ANGLE
+    safe = np.where(small, 1.0, t)
+    a = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(safe)) / np.where(small, 1.0, t2))
+    b = np.where(small, 1.0 / 6.0 - t2 / 120.0, (safe - np.sin(safe)) / np.where(small, 1.0, t3))
+    k = skew_rows(v)
     return np.eye(3) + a * k + b * (k @ k)
 
 
@@ -167,24 +180,30 @@ def left_jacobian_dot(v: np.ndarray, vdot: np.ndarray) -> np.ndarray:
 
     Used by the dynamics recursions: the angular acceleration contributed by a
     3-DoF exponential-coordinate joint is J_l(v) vddot + Jdot_l(v, vdot) vdot.
+    Takes one pair of vectors or two (..., 3) stacks, like left_jacobian.
     """
     v = np.asarray(v, dtype=float)
     vdot = np.asarray(vdot, dtype=float)
-    t = np.linalg.norm(v)
-    k = skew(v)
-    kd = skew(vdot)
-    if t < 1e-4:
-        # dA/dt = A'(t) * tdot with tdot = (v.vdot)/t; fold 1/t into the series
-        a_bar = -1.0 / 12.0 + t**2 / 180.0
-        b_bar = -1.0 / 60.0 + t**2 / 1260.0
-        a = 0.5 - t**2 / 24.0
-        b = 1.0 / 6.0 - t**2 / 120.0
-    else:
-        a_bar = (t * np.sin(t) - 2.0 * (1.0 - np.cos(t))) / t**4
-        b_bar = (t * (1.0 - np.cos(t)) - 3.0 * (t - np.sin(t))) / t**5
-        a = (1.0 - np.cos(t)) / t**2
-        b = (t - np.sin(t)) / t**3
-    vvd = float(v @ vdot)
+    t = vector_norms(v)[..., None]
+    t2, t3, t4, t5 = _scalar_powers(t, 2, 3, 4, 5)
+    # dA/dt = A'(t) * tdot with tdot = (v.vdot)/t; below 1e-4 rad the 1/t is
+    # folded into the series
+    small = t < _SMALL_ANGLE_DOT
+    safe = np.where(small, 1.0, t)
+    sin, one_minus_cos = np.sin(safe), 1.0 - np.cos(safe)
+    a_bar = np.where(
+        small, -1.0 / 12.0 + t2 / 180.0, (safe * sin - 2.0 * one_minus_cos) / np.where(small, 1.0, t4)
+    )
+    b_bar = np.where(
+        small,
+        -1.0 / 60.0 + t2 / 1260.0,
+        (safe * one_minus_cos - 3.0 * (safe - sin)) / np.where(small, 1.0, t5),
+    )
+    a = np.where(small, 0.5 - t2 / 24.0, one_minus_cos / np.where(small, 1.0, t2))
+    b = np.where(small, 1.0 / 6.0 - t2 / 120.0, (safe - sin) / np.where(small, 1.0, t3))
+    k = skew_rows(v)
+    kd = skew_rows(vdot)
+    vvd = v[..., None, :] @ vdot[..., :, None]
     return vvd * (a_bar * k + b_bar * (k @ k)) + a * kd + b * (kd @ k + k @ kd)
 
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import fk_scalar
+from oracles import (
+    backward_pass_scalar,
+    crba_scalar,
+    fk_scalar,
+    forward_sweep_scalar,
+    joint_axes_scalar,
+    point_terms_scalar,
+)
 
 from physmotion.errors import InvalidInputError, InvalidStateError
 from physmotion.humanoid import (
@@ -21,6 +28,7 @@ from physmotion.humanoid import (
     point_jacobian,
     save_model,
 )
+import physmotion.humanoid as humanoid
 from physmotion.rotations import exp_so3
 
 
@@ -272,6 +280,95 @@ class TestFrameDynamics:
         dyn = frame_dynamics(model, q, qd)
         assert np.array_equal(nonlinear_effects(model, q, qd), dyn.h)
         assert np.array_equal(mass_matrix(model, q), dyn.m)
+
+
+def seeded_states(rng, count=40):
+    """Random states at several angle scales, each with one joint at zero,
+    one below 1e-8 rad and one below 1e-4 rad (the series branches of the
+    left Jacobian and of its derivative)."""
+    for k in range(count):
+        q, qd, qdd = random_state(rng, angle_scale=(0.6, 2.5, 1e-9, 1e-5)[k % 4])
+        for scale in (0.0, 1e-9, 5e-5):
+            j = rng.integers(24)
+            q[3 + 3 * j : 6 + 3 * j] = rng.normal(size=3) * scale
+        yield q, qd, qdd
+
+
+def dynamics_oracle(model, q, qd, qdd):
+    """frame_dynamics' fields from the per-body recursions, and M qdd + h."""
+    fk = fk_scalar(model, q)
+    axes = joint_axes_scalar(model, q, fk)
+    inertia_w = fk.rotations @ model.inertias @ fk.rotations.transpose(0, 2, 1)
+    omega, vel, omega_dot, acc = forward_sweep_scalar(model, q, qd, np.zeros(NV), fk, axes)
+    h = backward_pass_scalar(model, fk, axes, inertia_w, omega, omega_dot, acc - model.gravity)
+    m = crba_scalar(model, fk, humanoid._motion_subspace(fk, axes), inertia_w)
+    om, _, od, ac = forward_sweep_scalar(model, q, qd, qdd, fk, axes)
+    tau = backward_pass_scalar(model, fk, axes, inertia_w, om, od, ac - model.gravity)
+    return dict(m=m, h=h, omega=omega, vel=vel, omega_dot_bias=omega_dot, acc_bias=acc), tau
+
+
+class TestBatchedKernels:
+    """The stacked Jacobians, the tree-level sweep and the batched point terms
+    against the per-body and per-point formulas they replaced, bit for bit."""
+
+    def test_frame_dynamics_equals_the_per_body_recursion(self, model, rng):
+        for q, qd, qdd in seeded_states(rng):
+            dyn = frame_dynamics(model, q, qd)
+            expected, tau = dynamics_oracle(model, q, qd, qdd)
+            for name, value in expected.items():
+                assert np.array_equal(getattr(dyn, name), value), name
+            # M's zeros keep their signs too
+            assert np.array_equal(np.signbit(dyn.m), np.signbit(expected["m"]))
+            assert np.array_equal(inverse_dynamics(model, q, qd, qdd), tau)
+
+    def test_joint_axes_and_sweep_with_acceleration(self, model, rng):
+        for q, qd, qdd in seeded_states(rng, 12):
+            fk = forward_kinematics(model, q)
+            axes = humanoid._joint_axes(model, q, fk)
+            assert np.array_equal(axes, joint_axes_scalar(model, q, fk))
+            got = humanoid._forward_sweep(model, q, qd, qdd, fk, axes)
+            for a, b in zip(got, forward_sweep_scalar(model, q, qd, qdd, fk, axes)):
+                assert np.array_equal(a, b)
+
+    def test_batched_foot_points_equal_one_point_at_a_time(self, model, rng):
+        effectors = [model.end_effector(name) for name in ("l_toe", "r_toe", "l_heel", "r_heel")]
+        bodies = [body for body, _ in effectors]
+        offsets = np.array([off for _, off in effectors])
+        for q, qd, _ in seeded_states(rng, 12):
+            dyn = frame_dynamics(model, q, qd)
+            # the feet, then arbitrary points on arbitrary bodies
+            for ids, local in ((bodies, offsets), (rng.integers(0, 24, 6), rng.normal(size=(6, 3)) * 0.1)):
+                pts = dyn.points(ids, local)
+                assert pts.jacobian.shape == (len(ids), 3, NV)
+                for k, (body, lp) in enumerate(zip(ids, local)):
+                    pos, jac, vel, bias = point_terms_scalar(model, dyn, body, lp)
+                    assert np.array_equal(pts.position[k], pos)
+                    assert np.array_equal(pts.jacobian[k], jac)
+                    assert np.array_equal(pts.velocity[k], vel)
+                    assert np.array_equal(pts.bias[k], bias)
+                    # the single-point methods and the public Jacobian are views of it
+                    assert np.array_equal(dyn.point_position(body, lp), pos)
+                    assert np.array_equal(dyn.point_jacobian(body, lp), jac)
+                    assert np.array_equal(dyn.point_velocity(body, lp), vel)
+                    assert np.array_equal(dyn.point_bias_acceleration(body, lp), bias)
+                    assert np.array_equal(point_jacobian(model, q, body, lp, dyn.fk), jac)
+
+    def test_tree_levels_and_paths_cover_the_tree(self, model):
+        assert len(model.levels) == 8
+        walked = np.concatenate([bodies for bodies, _ in model.levels])
+        assert sorted(walked.tolist()) == list(range(1, 24))
+        seen = {0}
+        for bodies, parents in model.levels:
+            assert np.array_equal(parents, model.parents[bodies])
+            assert set(parents.tolist()) <= seen
+            seen |= set(bodies.tolist())
+        rows, depth = model.path_slot
+        for body in range(24):
+            path = model.paths[rows[body]]
+            assert path[depth[body]] == body
+            assert path[0] == 0
+            for j in range(1, depth[body] + 1):
+                assert model.parents[path[j]] == path[j - 1]
 
 
 class TestIntegrate:

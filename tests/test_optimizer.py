@@ -2,11 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import frame_qp_scalar
 
-from physmotion.errors import InvalidInputError, QPInfeasibleError
+from physmotion.errors import InvalidInputError, QPInfeasibleError, SolverError
 from physmotion.humanoid import (
     NV,
+    Body,
     GeneralizedState,
+    HumanoidModel,
     end_effector_positions,
     forward_kinematics,
     frame_dynamics,
@@ -17,6 +20,7 @@ from physmotion.humanoid import (
 from physmotion.metrics import penetration_stats
 from physmotion.motion import MotionSequence, sequence_from_generalized
 from physmotion.optimizer import (
+    FALLBACK_LEVELS,
     PDGains,
     QPSettings,
     ReferenceFrameInput,
@@ -82,21 +86,30 @@ class TestPDAngles:
         assert np.abs(out[0:3]).max() == 0.0
 
 
+def feet_of(model, q, qd, names):
+    """The batched point terms of the named end effectors."""
+    effectors = [model.end_effector(name) for name in names]
+    dyn = frame_dynamics(model, q, qd)
+    return dyn.points([body for body, _ in effectors], np.array([off for _, off in effectors]))
+
+
 class TestPDPoints:
     def test_at_target_at_rest(self, model):
         q = np.zeros(NV)
         ee = end_effector_positions(model, forward_kinematics(model, q))
-        out = pd_desired_accel_points(frame_dynamics(model, q, np.zeros(NV)), ee, PDGains())
-        for v in out.values():
-            assert np.abs(v).max() < 1e-12
+        feet = feet_of(model, q, np.zeros(NV), list(ee))
+        out = pd_desired_accel_points(feet.position, feet.velocity, np.array(list(ee.values())), PDGains())
+        assert out.shape == (len(ee), 3)
+        assert np.abs(out).max() < 1e-12
 
     def test_proportional_magnitude(self, model):
         q = np.zeros(NV)
         ee = end_effector_positions(model, forward_kinematics(model, q))
-        targets = {"l_toe": ee["l_toe"] + np.array([0.01, 0.0, 0.0])}
+        target = ee["l_toe"] + np.array([0.01, 0.0, 0.0])
         gains = PDGains(position_kp=400.0, position_kd=0.0)
-        out = pd_desired_accel_points(frame_dynamics(model, q, np.zeros(NV)), targets, gains)
-        assert np.isclose(np.linalg.norm(out["l_toe"]), 4.0)
+        feet = feet_of(model, q, np.zeros(NV), ["l_toe"])
+        out = pd_desired_accel_points(feet.position, feet.velocity, target[None], gains)
+        assert np.isclose(np.linalg.norm(out[0]), 4.0)
 
     def test_direct_recomputation_oracle(self, model, rng):
         q = np.concatenate([rng.normal(size=3), rng.normal(size=72) * 0.4])
@@ -105,13 +118,14 @@ class TestPDPoints:
         ee = end_effector_positions(model, fk)
         targets = {name: p + rng.normal(size=3) * 0.05 for name, p in ee.items()}
         gains = PDGains(position_kp=123.0, position_kd=4.5)
-        out = pd_desired_accel_points(frame_dynamics(model, q, qd), targets, gains)
-        for name in targets:
+        feet = feet_of(model, q, qd, list(targets))
+        out = pd_desired_accel_points(feet.position, feet.velocity, np.array(list(targets.values())), gains)
+        for k, name in enumerate(targets):
             body, off = model.end_effector(name)
             pos = fk.positions[body] + fk.rotations[body] @ off
             vel = point_jacobian(model, q, body, off, fk) @ qd
             expected = 123.0 * (targets[name] - pos) - 4.5 * vel
-            assert np.abs(out[name] - expected).max() < 1e-10
+            assert np.abs(out[k] - expected).max() < 1e-10
 
 
 class TestRootSupervision:
@@ -308,6 +322,98 @@ class TestSolveFrame:
             warm = solve_frame(model, state, ref, flat_map, settings, previous=previous)
             assert seeds == [expected]
             assert np.abs(warm.qdd - cold.qdd).max() <= 1e-8 * (1.0 + np.abs(cold.qdd).max())
+
+
+def qp_of_every_level(model, state, ref, hm, settings, latched, monkeypatch):
+    """The (P, q, A, b, G, h) solve_frame hands the QP at each FALLBACK_LEVELS
+    level: every level is forced by a solver that always fails."""
+    import physmotion.optimizer as opt
+
+    captured = []
+
+    def failing(*args, **kwargs):
+        captured.append(args)
+        raise SolverError("forced")
+
+    monkeypatch.setattr(opt, "solve_qp", failing)
+    with pytest.raises(SolverError):
+        solve_frame(model, state, ref, hm, settings, latched=latched)
+    monkeypatch.undo()
+    assert len(captured) == len(FALLBACK_LEVELS)
+    return captured
+
+
+def walk_frame(model, scene, t, contacts=None):
+    bundle = generate_scenario(SyntheticScenario(scene, "walk", 0.02, 0.0, 1.5, 4), model)
+    seq = bundle.ground_truth
+    q = seq.generalized_position(t)
+    qd = (seq.generalized_position(t + 1, previous=q) - q) * seq.frame_rate
+    future = np.array([seq.generalized_position(t + k)[0:3] for k in (1, 2)])
+    labels = bundle.contacts.data[t] if contacts is None else contacts
+    ee = end_effector_positions(model, forward_kinematics(model, q))
+    ref = ReferenceFrameInput(q.copy(), ee, labels, future)
+    return GeneralizedState(q, qd, np.zeros(NV)), ref, build_height_map(bundle.mesh, (64, 64))
+
+
+class TestContactAssembly:
+    """The constraint blocks built once per frame against the per-contact,
+    per-level construction they replaced, bit for bit at every level."""
+
+    def assert_levels_match(self, model, state, ref, hm, settings, latched=None, monkeypatch=None):
+        latched = np.zeros(4, dtype=bool) if latched is None else latched
+        dyn = frame_dynamics(model, state.q, state.qd)
+        for (level, *_), got in zip(
+            FALLBACK_LEVELS, qp_of_every_level(model, state, ref, hm, settings, latched, monkeypatch)
+        ):
+            expected = frame_qp_scalar(model, dyn, state, ref, hm, settings, level, 1.0 / 60.0, latched)
+            for name, a, b in zip("PqAbGh", got, expected):
+                if b is None:
+                    assert a is None, (level, name)
+                else:
+                    assert a.shape == b.shape and np.array_equal(a, b), (level, name)
+
+    def test_double_support_with_linked_toe_and_heel(self, model, flat_map, rng, monkeypatch):
+        state, ref = standing_setup(model)
+        for _ in range(3):
+            state.qd = rng.normal(size=NV) * 0.5
+            self.assert_levels_match(model, state, ref, flat_map, QPSettings(), monkeypatch=monkeypatch)
+
+    def test_walk_frames_on_ramp_and_step(self, model, monkeypatch):
+        for scene, t in (("ramp", 20), ("ramp", 47), ("step", 33)):
+            state, ref, hm = walk_frame(model, scene, t)
+            assert ref.contacts.any()
+            self.assert_levels_match(model, state, ref, hm, QPSettings(), monkeypatch=monkeypatch)
+
+    def test_latched_partial_targets_and_settings(self, model, flat_map, rng, monkeypatch):
+        state, ref = standing_setup(model)
+        state.q[1] += 0.05  # above the activation margin: only latched feet hold
+        state.qd = rng.normal(size=NV) * 0.3
+        partial = dict(ref.ee_targets)
+        del partial["r_toe"]
+        ref = ReferenceFrameInput(ref.q_ref, partial, np.array([True, True, True, False]), ref.root_future)
+        latched = np.array([True, False, True, True])
+        for settings in (
+            QPSettings(),
+            QPSettings(use_angle_pd=False, cone_facets=5, friction_mu=0.3),
+            QPSettings(use_position_pd=False, use_root_supervision=False),
+            QPSettings(use_height_map=False),
+        ):
+            self.assert_levels_match(model, state, ref, flat_map, settings, latched, monkeypatch)
+
+    def test_no_contacts_and_coincident_points(self, model, flat_map, rng, monkeypatch):
+        state, ref = standing_setup(model)
+        state.qd = rng.normal(size=NV) * 0.3
+        flight = ReferenceFrameInput(ref.q_ref, ref.ee_targets, np.zeros(4, dtype=bool), ref.root_future)
+        self.assert_levels_match(model, state, flight, flat_map, QPSettings(), monkeypatch=monkeypatch)
+        # a heel on its toe: the second point adds no no-sliding rows
+        bodies = [Body(b.name, b.parent, b.offset.copy(), b.mass, b.inertia.copy(), dict(b.end_effectors))
+                  for b in model.bodies]
+        foot = bodies[model.body_index("l_foot")]
+        foot.end_effectors["l_heel"] = foot.end_effectors["l_toe"].copy()
+        twin = HumanoidModel(bodies, model.gravity)
+        ee = end_effector_positions(twin, forward_kinematics(twin, state.q))
+        ref = ReferenceFrameInput(ref.q_ref, ee, np.ones(4, dtype=bool), ref.root_future)
+        self.assert_levels_match(twin, state, ref, flat_map, QPSettings(), monkeypatch=monkeypatch)
 
 
 class TestRefineSequence:

@@ -1,8 +1,17 @@
+import warnings
+
 import numpy as np
-from oracles import exp_so3_scalar
+import pytest
+from oracles import (
+    cross3,
+    exp_so3_scalar,
+    left_jacobian_dot_scalar,
+    left_jacobian_scalar,
+    skew,
+)
 
 from physmotion.rotations import (
-    cross3,
+    cross_rows,
     exp_so3,
     exp_to_quat,
     left_jacobian,
@@ -11,7 +20,6 @@ from physmotion.rotations import (
     matrix_to_quat,
     quat_to_matrix,
     random_rotation,
-    skew,
 )
 
 
@@ -45,10 +53,13 @@ def test_exp_quat_consistency(rng):
         assert np.allclose(quat_to_matrix(exp_to_quat(v)), exp_so3(v), atol=1e-12)
 
 
-def test_cross3_matches_numpy(rng):
-    a, b = rng.normal(size=3), rng.normal(size=3)
-    assert np.allclose(cross3(a, b), np.cross(a, b))
-    assert np.allclose(skew(a) @ b, np.cross(a, b))
+def test_cross_rows_is_np_cross_bit_for_bit(rng):
+    a, b = rng.normal(size=(50, 3)), rng.normal(size=(50, 3)) * 1e3
+    assert np.array_equal(cross_rows(a, b), np.cross(a, b))
+    assert np.array_equal(cross_rows(a.reshape(5, 10, 3), b[0]), np.cross(a, b[0]).reshape(5, 10, 3))
+    for x, y in zip(a[:5], b[:5]):
+        assert np.array_equal(cross_rows(x, y), cross3(x, y))
+        assert np.allclose(skew(x) @ y, cross_rows(x, y))
 
 
 def test_left_jacobian_finite_difference(rng):
@@ -99,3 +110,64 @@ def test_exp_so3_stack_equals_the_scalar_formula_bit_for_bit(rng):
         one = exp_so3(x)
         assert one.shape == (3, 3) and np.array_equal(one, e)
     assert np.array_equal(exp_so3(np.zeros(3)), np.eye(3))
+
+
+def jacobian_test_vectors(rng, n=3000):
+    """Random vectors on both sides of both series thresholds, and zero."""
+    v = rng.normal(size=(n, 3)) * rng.uniform(0.0, 7.0, size=(n, 1))
+    v[:40] *= 1e-9  # below 1e-8: left_jacobian's series
+    v[40:80] *= 1e-5  # below 1e-4: left_jacobian_dot's series
+    v[80:120] = v[80:120] / np.linalg.norm(v[80:120], axis=1, keepdims=True) * 1e-8
+    v[120:160] = v[120:160] / np.linalg.norm(v[120:160], axis=1, keepdims=True) * 1e-4
+    v[160] = 0.0
+    v[161] = [0.0, -0.0, 1e-300]
+    return v, rng.normal(size=(n, 3)) * rng.uniform(0.0, 5.0, size=(n, 1))
+
+
+def test_left_jacobians_of_a_stack_equal_the_scalar_formulas_bit_for_bit(rng):
+    v, vd = jacobian_test_vectors(rng)
+    jl = left_jacobian(v)
+    jd = left_jacobian_dot(v, vd)
+    assert jl.shape == jd.shape == (len(v), 3, 3)
+    assert np.array_equal(jl, np.array([left_jacobian_scalar(x) for x in v]))
+    assert np.array_equal(jd, np.array([left_jacobian_dot_scalar(x, y) for x, y in zip(v, vd)]))
+    # one vector gives one matrix with the bits of its row in the stack, in
+    # both series branches and at v = 0
+    for k in list(range(0, 200, 7)) + [160, 161, 999]:
+        one, one_dot = left_jacobian(v[k]), left_jacobian_dot(v[k], vd[k])
+        assert one.shape == one_dot.shape == (3, 3)
+        assert np.array_equal(one, jl[k]) and np.array_equal(one_dot, jd[k])
+    # any leading shape
+    assert np.array_equal(left_jacobian(v.reshape(30, 100, 3)), jl.reshape(30, 100, 3, 3))
+    assert np.array_equal(
+        left_jacobian_dot(v.reshape(30, 100, 3), vd.reshape(30, 100, 3)), jd.reshape(30, 100, 3, 3)
+    )
+    assert np.array_equal(left_jacobian(np.zeros(3)), np.eye(3))
+
+
+def test_left_jacobian_dot_past_the_float_range_gives_inf_not_overflow_error(rng):
+    # a diverging refinement reaches such angles: t**5 overflows, which a
+    # numpy scalar turns into inf (the op then aborts as a SolverError) and a
+    # Python float into OverflowError, which is not a PhysmotionError
+    v = rng.normal(size=(6, 3))
+    v *= 1e70 / np.linalg.norm(v, axis=1, keepdims=True)
+    v[3] = [1e-5, 0.0, 0.0]  # a small joint in the same stack
+    vd = rng.normal(size=(6, 3))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        stacked = left_jacobian_dot(v, vd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = [left_jacobian_dot(x, y) for x, y in zip(v, vd)]
+        scalar = [left_jacobian_dot_scalar(x, y) for x, y in zip(v, vd)]
+        # |v| = 1e170: t**2 overflows too, and every entry is nan
+        huge = v * 1e100
+        jl, jl_dot = left_jacobian(huge), left_jacobian_dot(huge, vd)
+        jl_rows = [left_jacobian(x) for x in huge]
+        jl_dot_rows = [left_jacobian_dot_scalar(x, y) for x, y in zip(huge, vd)]
+    for got, one, expected in zip(stacked, rows, scalar):
+        assert np.array_equal(got, one, equal_nan=True)
+        assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(jl, np.array(jl_rows), equal_nan=True)
+    assert np.array_equal(jl_dot, np.array(jl_dot_rows), equal_nan=True)
+    assert np.isnan(jl[0]).all() and np.isfinite(jl[3]).all()
+    assert np.isfinite(stacked[3]).all()
