@@ -219,7 +219,7 @@ def align_slam_scale(pred: Trajectory, gt_first_two: Sequence[RigidTransform]) -
     return Trajectory(pred.frames.copy(), rotations, translations)
 
 
-def _smoothing_alpha(cutoff: float, rate: float) -> float:
+def _smoothing_alpha(cutoff: float | np.ndarray, rate: float) -> float | np.ndarray:
     return 1.0 / (1.0 + rate / (2.0 * np.pi * cutoff))
 
 
@@ -250,7 +250,7 @@ def one_euro_filter(signal: np.ndarray, params: FilterParams) -> np.ndarray:
         dx = (x[t] - x[t - 1]) * rate
         dx_hat = dx_hat + alpha_d * (dx - dx_hat)
         cutoff = params.min_cutoff + params.beta * np.abs(dx_hat)
-        alpha = 1.0 / (1.0 + rate / (2.0 * np.pi * cutoff))
+        alpha = _smoothing_alpha(cutoff, rate)
         # incremental form: bit-exact on constant signals
         x_hat = x_hat + alpha * (x[t] - x_hat)
         out[t] = x_hat

@@ -29,10 +29,10 @@ floats above the scene.
 
 A frame whose QP fails goes down the FALLBACK_LEVELS chain: full, then
 no-slide (no-sliding rows dropped), then no-cone (friction cone dropped as
-well), then loose (the same QP at a 1e4 times looser solver tolerance).
-Every level after the first flags the frame degraded. A SolverError
-(QPInfeasibleError included) at any level moves the frame to the next one;
-only the error of the last level escapes `solve_frame`.
+well), every level at the settings' solver tolerance. Every level after the
+first flags the frame degraded. A SolverError (QPInfeasibleError included)
+at any level moves the frame to the next one; the no-cone level's error
+escapes `solve_frame`.
 
 The rigid-body terms of a frame (M, h and the contact-point Jacobians,
 velocities and bias accelerations) come from one `frame_dynamics` sweep,
@@ -84,13 +84,12 @@ CONTACT_MAX_CORRECTION_VELOCITY = 0.3
 # unactuated base corrupts every joint position, so when contact constraints
 # conflict with the reference the compromise should land in the limbs
 ROOT_ORIENT_WEIGHT_SCALE = 10.0
-# degradation chain: (level, no-sliding rows, friction cone, tolerance scale);
-# every level after the first flags the frame degraded
+# degradation chain: (level, no-sliding rows, friction cone); every level
+# after the first flags the frame degraded
 FALLBACK_LEVELS = (
-    ("full", True, True, 1.0),
-    ("no-slide", False, True, 1.0),
-    ("no-cone", False, False, 1.0),
-    ("loose", False, False, 1e4),
+    ("full", True, True),
+    ("no-slide", False, True),
+    ("no-cone", False, False),
 )
 
 
@@ -343,9 +342,10 @@ def solve_frame(
 
     When the QP raises SolverError (infeasible or not converged), the frame
     is solved again one FALLBACK_LEVELS level down: without the no-sliding
-    rows, then also without the friction cone, then at a looser tolerance;
-    the level reached is recorded and any level after the first flags the
-    frame degraded. Only the last level's SolverError escapes.
+    rows, then also without the friction cone, each level at
+    settings.solver_tol; the level reached is recorded and any level after
+    the first flags the frame degraded. The no-cone level's SolverError
+    escapes.
 
     `previous` is the preceding frame's solution; its active set warm-starts
     the QP when the same contacts are active and the same level is tried.
@@ -448,9 +448,7 @@ def solve_frame(
         root_rows.append(row)
         root_rhs.append(root_supervision_accel(ref.root_future[1], ref.root_future[0], qd[0:3], dt))
 
-    def build_and_solve(
-        use_slide: bool, use_cone: bool, tol_scale: float, seed: Optional[Tuple[int, ...]]
-    ) -> QPSolution:
+    def build_and_solve(use_slide: bool, use_cone: bool, seed: Optional[Tuple[int, ...]]) -> QPSolution:
         a_mat = np.vstack([eom] + ([slide] if use_slide else []) + root_rows)
         b_vec = np.concatenate([-h_vec[:6]] + ([slide_rhs] if use_slide else []) + root_rhs)
         g_mat = cone if use_cone else None
@@ -461,22 +459,21 @@ def solve_frame(
             b_vec,
             g_mat,
             np.zeros(len(g_mat)) if g_mat is not None else None,
-            tol=settings.solver_tol * tol_scale,
+            tol=settings.solver_tol,
             warm_start=seed,
         )
 
     # An (approximately) infeasible constraint set, e.g. a leg locked at full
     # extension fighting the no-sliding target, downgrades through the chain:
-    # drop no-sliding, then the friction cone, finally accept a loose solve.
-    # The previous frame's active set seeds the solve at the level it was
-    # solved at, provided the same contacts are active (the inequality rows
-    # are then laid out alike).
+    # drop no-sliding, then the friction cone. The previous frame's active
+    # set seeds the solve at the level it was solved at, provided the same
+    # contacts are active (the inequality rows are then laid out alike).
     names = tuple(name for name, on in zip(CONTACT_NAMES, active) if on)
     warm = previous if previous is not None and previous.contact_names == names else None
-    for k, (level, use_slide, use_cone, tol_scale) in enumerate(FALLBACK_LEVELS):
+    for k, (level, use_slide, use_cone) in enumerate(FALLBACK_LEVELS):
         seed = warm.active_set if warm is not None and warm.level == level else None
         try:
-            sol = build_and_solve(use_slide, use_cone, tol_scale, seed)
+            sol = build_and_solve(use_slide, use_cone, seed)
             break
         except SolverError:
             if k == len(FALLBACK_LEVELS) - 1:

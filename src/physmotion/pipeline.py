@@ -15,7 +15,14 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .errors import ConfigError, InvalidInputError
-from .frames import FilterParams, Trajectory, camera_to_world, load_trajectory, one_euro_filter
+from .frames import (
+    CameraFramePose,
+    FilterParams,
+    Trajectory,
+    camera_to_world,
+    load_trajectory,
+    one_euro_filter,
+)
 from .humanoid import HumanoidModel, default_model, load_model
 from .metrics import MetricReport, evaluate
 from .motion import MotionSequence, load_motion, save_motion
@@ -57,7 +64,6 @@ class RunConfig:
     contacts_path: Optional[str] = None
     model_path: Optional[str] = None
     output_dir: str = "out"
-    frame_rate: float = 60.0
     grid_resolution: int = 1024
     apply_filter: bool = True
     run_physics: bool = True
@@ -66,10 +72,6 @@ class RunConfig:
     gains: PDGains = field(default_factory=PDGains)
     filter_params: FilterParams = field(default_factory=FilterParams)
     scenario: Optional[SyntheticScenario] = None
-
-    def __post_init__(self):
-        if self.frame_rate <= 0:
-            raise ConfigError("frame_rate must be positive")
 
     def validate_paths(self) -> None:
         if self.motion_path is None:
@@ -90,6 +92,9 @@ _CONFIG_BLOCKS = {
     "filter": ("filter_params", FilterParams),
     "scenario": ("scenario", SyntheticScenario),
 }
+# block fields the run sets from its inputs, so a document may not: the
+# filter runs at the motion file's frame rate
+_SET_BY_RUN = {"filter": {"sample_rate"}}
 
 
 def _check_keys(where: str, block, known: set) -> None:
@@ -103,13 +108,14 @@ def _check_keys(where: str, block, known: set) -> None:
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Build a RunConfig from a config document; a key that names no field,
-    at the top level or inside a block, raises ConfigError naming it."""
+    at the top level or inside a block, or a field the run sets itself,
+    raises ConfigError naming it."""
     plain = {f.name for f in fields(RunConfig)} - {name for name, _ in _CONFIG_BLOCKS.values()}
     _check_keys("config", doc, plain | set(_CONFIG_BLOCKS))
     kwargs = {k: v for k, v in doc.items() if k in plain}
     for key, (name, cls) in _CONFIG_BLOCKS.items():
         if key in doc:
-            _check_keys(key, doc[key], {f.name for f in fields(cls)})
+            _check_keys(key, doc[key], {f.name for f in fields(cls)} - _SET_BY_RUN.get(key, set()))
             kwargs[name] = cls(**doc[key])
     return RunConfig(**kwargs)
 
@@ -157,8 +163,6 @@ def convert_camera_frame(seq: MotionSequence, camera: Trajectory) -> MotionSeque
             f"camera trajectory has {len(camera)} frames, motion has {len(seq)}"
         )
     out = seq.copy()
-    from .frames import CameraFramePose
-
     for t in range(len(seq)):
         pose = camera_to_world(
             CameraFramePose(seq.root_rot[t], seq.root_trans[t]),
@@ -247,12 +251,7 @@ def run_pipeline(
             config.filter_params.min_cutoff,
             config.filter_params.beta,
         )
-        params = FilterParams(
-            min_cutoff=config.filter_params.min_cutoff,
-            beta=config.filter_params.beta,
-            sample_rate=seq.frame_rate,
-        )
-        seq = filter_motion(seq, params)
+        seq = filter_motion(seq, replace(config.filter_params, sample_rate=seq.frame_rate))
 
     hmap: Optional[HeightMap] = None
     if config.mesh_path:

@@ -124,10 +124,6 @@ def scene_mesh(scene: str, z_min: float, z_max: float) -> TriangleMesh:
     raise InvalidInputError(scene)
 
 
-def _phasor(theta: float) -> np.ndarray:
-    return np.array([math.sin(theta), math.cos(theta)])
-
-
 def leg_ik(hip_world: np.ndarray, toe_world: np.ndarray, foot_pitch: float) -> Tuple[float, float, float]:
     """Closed-form sagittal-plane leg IK.
 
@@ -251,7 +247,7 @@ class _GaitPlan:
         return np.array([x, y, z]), pitch, False
 
 
-def _root_height(plan: _GaitPlan, t: float, squat_phase: float) -> float:
+def _root_height(plan: _GaitPlan, t: float) -> float:
     scenario = plan.scenario
     left, _, _ = plan.toe_target(0, t)
     right, _, _ = plan.toe_target(1, t)
@@ -286,7 +282,7 @@ def generate_scenario(
     root_y_raw = np.empty(n)
     for k in range(n):
         t = k / fps
-        root_y_raw[k] = _root_height(plan, t, t)
+        root_y_raw[k] = _root_height(plan, t)
     # short moving average keeps root velocity continuous across step edges
     win = max(1, int(0.2 * fps))
     kernel = np.ones(win) / win

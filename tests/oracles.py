@@ -235,7 +235,7 @@ def frame_qp_scalar(model, dyn, state, ref, hm, settings, level, dt, latched):
     per contact point and per level as solve_frame built them."""
     gains = PDGains()
     q, qd = state.q, state.qd
-    _, use_slide, use_cone, _ = next(entry for entry in FALLBACK_LEVELS if entry[0] == level)
+    _, use_slide, use_cone = next(entry for entry in FALLBACK_LEVELS if entry[0] == level)
     points, hold, targets = {}, {}, {}
     if ref.contacts.any():
         effectors = [model.end_effector(name) for name in CONTACT_NAMES]

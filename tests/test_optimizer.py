@@ -299,6 +299,23 @@ class TestSolveFrame:
         assert len(calls) >= 2
         assert sol.level == "no-slide" and sol.degraded
 
+    def test_chain_solves_every_level_at_the_solver_tolerance(self, model, flat_map, monkeypatch):
+        import physmotion.optimizer as opt
+
+        tols = []
+
+        def failing(*args, tol, **kwargs):
+            tols.append(tol)
+            raise SolverError("forced")
+
+        monkeypatch.setattr(opt, "solve_qp", failing)
+        state, ref = standing_setup(model)
+        settings = QPSettings(solver_tol=3e-9)
+        with pytest.raises(SolverError, match="forced"):
+            solve_frame(model, state, ref, flat_map, settings)
+        assert len(FALLBACK_LEVELS) == 3
+        assert tols == [settings.solver_tol] * len(FALLBACK_LEVELS)
+
     def test_warm_start_needs_same_contacts_and_level(self, model, flat_map, monkeypatch, rng):
         import physmotion.optimizer as opt
 

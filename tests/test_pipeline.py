@@ -55,6 +55,8 @@ class TestRunConfig:
             ({"settings": {"max_iter": 200}}, "settings", "max_iter"),
             ({"gains": {"angle_kp": 1.0, "kp": 1.0}}, "gains", "kp"),
             ({"filter": {"cutoff": 1.0}}, "filter", "cutoff"),
+            ({"filter": {"beta": 0.5, "sample_rate": 30.0}}, "filter", "sample_rate"),
+            ({"frame_rate": 30}, "config", "frame_rate"),
             ({"scenario": {"scene": "flat", "sed": 3}}, "scenario", "sed"),
         ],
     )
@@ -127,10 +129,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as err:
             config.validate_paths()
         assert "nope.jsonl" in str(err.value)
-
-    def test_bad_frame_rate(self):
-        with pytest.raises(ConfigError):
-            RunConfig(motion_path="x", frame_rate=0.0)
 
 
 class TestRunPipeline:
@@ -368,7 +366,7 @@ def test_forces_bytes_equal_the_per_element_writer(tmp_path, rng):
         tau = rng.normal(size=75) * 10.0 ** rng.integers(-5, 5)
         tau[:6] = [0.0, -0.0, 0.0, 0.0, 5e-324, 0.0]
         forces = rng.normal(size=(k % 5, 3)) * 300.0
-        level = ("full", "no-slide", "loose")[k % 3]
+        level = ("full", "no-slide", "no-cone")[k % 3]
         solutions.append(
             FrameSolution(np.zeros(75), names[: k % 5], forces, tau, level=level)
         )
