@@ -37,10 +37,6 @@ from .humanoid import (
     default_model,
     forward_kinematics,
     integrate,
-    inverse_dynamics,
-    mass_matrix,
-    nonlinear_effects,
-    point_jacobian,
 )
 from .metrics import MetricReport, evaluate
 from .motion import MotionSequence, load_motion, save_motion
@@ -60,7 +56,6 @@ from .scene import (
     TriangleMesh,
     build_height_map,
     label_contacts,
-    penetration_check,
     query_height,
 )
 from .synth import ScenarioBundle, SyntheticScenario, generate_scenario

@@ -2,7 +2,8 @@
 
 Subcommands: calibrate, heightmap, refine, evaluate, synth, pipeline.
 Exit codes: 0 success, 1 degraded frames under --strict, 2 configuration
-error, 3 solver failure. Log level comes from PHYSMOTION_LOG (default INFO).
+or input error, 3 solver failure. Log level comes from PHYSMOTION_LOG
+(default INFO).
 """
 
 from __future__ import annotations
@@ -12,25 +13,26 @@ import logging
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import click
 import numpy as np
 
-from .errors import ConfigError, PhysmotionError, SolverError
+from .errors import PhysmotionError, SolverError
 from .frames import RigidTransform, hand_eye_calibrate
 from .humanoid import default_model
 from .metrics import evaluate
-from .motion import load_motion, save_motion
-from .pipeline import RunConfig, config_from_dict, run_pipeline
+from .motion import load_motion
+from .pipeline import ABLATION_PRESETS, RunConfig, load_config, run_pipeline
 from .rotations import matrix_to_quat, quat_to_matrix
-from .scene import build_height_map, load_obj, save_contacts_csv, save_height_map, save_obj
-from .synth import SyntheticScenario, generate_scenario
+from .scene import build_height_map, load_obj, save_height_map
+from .synth import SyntheticScenario, generate_scenario, write_scenario
 
 EXIT_OK = 0
 EXIT_DEGRADED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+_ablation_option = click.option("--ablation", type=click.Choice(sorted(ABLATION_PRESETS)))
 
 
 def _setup_logging() -> None:
@@ -57,7 +59,22 @@ def _dump_transform(t: RigidTransform, path: str) -> None:
         fh.write("\n")
 
 
-@click.group()
+class _ExitCodes(click.Group):
+    """Maps the package's errors from every subcommand to an exit code: a
+    solver failure to 3, any other error (configuration or input) to 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except SolverError as exc:
+            click.echo(f"solver failure: {exc}", err=True)
+            sys.exit(EXIT_SOLVER)
+        except PhysmotionError as exc:
+            click.echo(f"{type(exc).__name__}: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+
+
+@click.group(cls=_ExitCodes)
 def main() -> None:
     """Scene-aware physics-based refinement of human motion estimates."""
     _setup_logging()
@@ -96,7 +113,7 @@ def heightmap(mesh: str, out: str, resolution: int) -> None:
 @click.option("--friction-mu", type=float, default=None, help="override the friction coefficient")
 @click.option("--reg-weight", type=float, default=None, help="override the force/torque regularizer weight")
 @click.option("--solver-tol", type=float, default=None, help="override the QP tolerance")
-@click.option("--ablation", type=click.Choice(["only-etheta", "only-er", "flat-no-root"]))
+@_ablation_option
 @click.option("--strict", is_flag=True, help="exit 1 if any frame was solved degraded")
 def refine(motion: str, mesh: str, contacts: str, camera: str, out_dir: str, no_filter: bool,
            friction_mu: float, reg_weight: float, solver_tol: float, ablation: str, strict: bool) -> None:
@@ -164,18 +181,13 @@ def synth(scene: str, motion: str, noise_sigma: float, drift_rate: float, durati
         seed=seed,
     )
     bundle = generate_scenario(scenario)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_motion(bundle.noisy, out / "noisy_motion.jsonl")
-    save_motion(bundle.ground_truth, out / "gt_motion.jsonl")
-    save_obj(bundle.mesh, out / "scene.obj")
-    save_contacts_csv(bundle.contacts, out / "contacts.csv")
-    click.echo(f"wrote scenario to {out} ({len(bundle.noisy)} frames)")
+    write_scenario(bundle, out_dir)
+    click.echo(f"wrote scenario to {out_dir} ({len(bundle.noisy)} frames)")
 
 
 @main.command(name="pipeline")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--ablation", type=click.Choice(["only-etheta", "only-er", "flat-no-root"]))
+@_ablation_option
 @click.option("--seed", default=None, type=int, help="seed override for configs with a scenario block")
 @click.option("--strict", is_flag=True)
 @click.option("--out", "out_dir", default=None, type=click.Path(), help="output directory override")
@@ -186,19 +198,7 @@ def pipeline_cmd(config_path: str, ablation: str, seed: int, strict: bool, out_d
     scenario is generated first (deterministic in the seed) and its files are
     placed under the output directory.
     """
-    try:
-        with open(config_path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-
-    try:
-        config = config_from_dict(doc)
-    except (PhysmotionError, TypeError, ValueError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-
+    config = load_config(config_path)
     if seed is not None and config.scenario is not None:
         config.scenario = replace(config.scenario, seed=seed)
     if out_dir:
@@ -208,15 +208,7 @@ def pipeline_cmd(config_path: str, ablation: str, seed: int, strict: bool, out_d
 
 
 def _run(config: RunConfig, ablation: str | None) -> None:
-    try:
-        result = run_pipeline(config, ablation=ablation)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except SolverError as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
-
+    result = run_pipeline(config, ablation=ablation)
     for name, path in result.outputs.items():
         click.echo(f"{name}: {path}")
     if result.report is not None:

@@ -181,18 +181,6 @@ def camera_to_world(
     )
 
 
-def world_to_camera(
-    pose: WorldFramePose, cam_rot: np.ndarray, cam_trans: np.ndarray
-) -> CameraFramePose:
-    """Exact inverse of camera_to_world."""
-    r = _check_rotation(cam_rot)
-    t = np.asarray(cam_trans, dtype=float).reshape(3)
-    return CameraFramePose(
-        r @ pose.global_orientation,
-        r @ pose.root_translation + t,
-    )
-
-
 def align_slam_scale(pred: Trajectory, gt_first_two: Sequence[RigidTransform]) -> Trajectory:
     """Fix SLAM gauge freedom using the first two ground-truth camera frames.
 
@@ -292,6 +280,8 @@ def load_trajectory(path: str | Path) -> Trajectory:
                 raise MotionFormatError(f"{path}:{lineno}: quat_wxyz must be length 4, trans_xyz length 3")
             if not np.isfinite(quat).all() or not np.isfinite(trans).all():
                 raise MotionFormatError(f"{path}:{lineno}: non-finite value")
+            if not 0.0 < np.linalg.norm(quat) < np.inf:
+                raise MotionFormatError(f"{path}:{lineno}: quat_wxyz has zero or non-finite norm")
             rotations.append(quat_to_matrix(quat))
             translations.append(trans)
     if not frames:

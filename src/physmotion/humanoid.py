@@ -12,9 +12,9 @@ Jacobian of SO(3) converts between the two inside the recursions. Each body's
 center of mass sits at its joint origin and carries the body-frame inertia
 from the model file.
 
-`frame_dynamics` runs forward kinematics and one forward sweep, and derives
-M (CRBA), h (RNEA backward pass) and the contact-point terms from them; the
-other dynamics functions are views of the same sweep.
+`frame_dynamics` is the one route to the rigid-body terms: it runs forward
+kinematics and one forward sweep at qdd = 0, and derives M (CRBA), h (RNEA
+backward pass) and the contact-point terms from them.
 
 No forward pass steps body by body. Forward kinematics composes the tree
 one depth level at a time (`HumanoidModel.levels`), for one q or a stack.
@@ -241,23 +241,6 @@ def _motion_subspace(fk: FKResult, axes: np.ndarray) -> np.ndarray:
     return s
 
 
-def _point_arms(fk: FKResult, bodies: np.ndarray, local_points: np.ndarray) -> np.ndarray:
-    """(k, 3) world offsets of body-fixed points from their bodies' joint origins."""
-    if np.any((bodies < 0) | (bodies >= NUM_BODIES)):
-        raise InvalidInputError(f"body ids {bodies.tolist()} out of range")
-    return matvec_rows(fk.rotations[bodies], local_points)
-
-
-def _point_jacobians(
-    model: HumanoidModel, subspace: np.ndarray, bodies: np.ndarray, positions: np.ndarray
-) -> np.ndarray:
-    """(k, 3, 75) Jacobians of the world points `positions` fixed to `bodies`:
-    the velocity of the point p is v(origin) + omega x p over the columns of
-    the body's support, and zero elsewhere."""
-    jac = subspace[3:] - skew_rows(positions) @ subspace[:3]
-    return np.where(model.support_mask[bodies][:, None, :], jac, 0.0)
-
-
 def _path_sums(model: HumanoidModel, root_value: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """(24, 3): x_0 = root_value and x_i = x_p + terms[i, 0] + ... + terms[i, k-1]
     for every other body i with parent p, from terms (24, k, 3).
@@ -280,19 +263,19 @@ def _forward_sweep(
     model: HumanoidModel,
     q: np.ndarray,
     qd: np.ndarray,
-    qdd: np.ndarray,
     fk: FKResult,
     axes: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The forward recursion, root to leaves: every body's world angular
-    velocity, joint-origin velocity, angular acceleration and joint-origin
-    acceleration (each 24 x 3). Gravity is not in the accelerations.
+    """The forward recursion at qdd = 0, root to leaves: every body's world
+    angular velocity, joint-origin velocity, angular acceleration and
+    joint-origin acceleration (each 24 x 3). Gravity is not in the
+    accelerations.
 
     With d_i = x_i - x_p the joint-origin offset from the parent p,
 
         omega_i     = omega_p + w_i,   w_i = axes_i thd_i
         v_i         = v_p + omega_p x d_i
-        omegadot_i  = omegadot_p + omega_p x w_i + axes_i thdd_i + R_p Jdot_i thd_i
+        omegadot_i  = omegadot_p + omega_p x w_i + R_p Jdot_i thd_i
         a_i         = a_p + omegadot_p x d_i + omega_p x (omega_p x d_i)
 
     Each group of terms is computed for the whole tree at once, as soon as
@@ -301,9 +284,8 @@ def _forward_sweep(
     """
     rot, pos = fk.rotations, fk.positions
     up = model.parent_rows
-    th, thd, thdd = (x[3:].reshape(NUM_BODIES, 3) for x in (q, qd, qdd))
+    th, thd = (x[3:].reshape(NUM_BODIES, 3) for x in (q, qd))
     w_rel = matvec_rows(axes, thd)
-    drive = matvec_rows(axes, thdd)
     # velocity-product term of each joint; the root's stays in world axes
     jdot = matvec_rows(left_jacobian_dot(th, thd), thd)
     jdot[1:] = matvec_rows(rot[up[1:]], jdot[1:])
@@ -313,11 +295,11 @@ def _forward_sweep(
     omega_up = omega[up]
     vel = _path_sums(model, qd[0:3], cross_rows(omega_up, d)[:, None])
     coriolis = cross_rows(omega_up, w_rel)
-    omega_dot = _path_sums(model, drive[0] + jdot[0], np.stack([coriolis, drive, jdot], axis=1))
+    omega_dot = _path_sums(model, jdot[0], np.stack([coriolis, jdot], axis=1))
 
     tangential = cross_rows(omega_dot[up], d)
     centripetal = cross_rows(omega_up, cross_rows(omega_up, d))
-    acc = _path_sums(model, qdd[0:3], np.stack([tangential, centripetal], axis=1))
+    acc = _path_sums(model, np.zeros(3), np.stack([tangential, centripetal], axis=1))
     return omega, vel, omega_dot, acc
 
 
@@ -404,8 +386,7 @@ class FrameDynamics:
 
     `m` and `h` are the terms of M(q) qdd + h(q, qd) = tau + Jc^T lambda.
     `points` gives body-fixed points' world positions, Jacobians, velocities
-    and velocity-product accelerations Jdot qd (no gravity) in one call; the
-    single-point methods are views of it.
+    and velocity-product accelerations Jdot qd (no gravity) in one call.
     """
 
     model: HumanoidModel
@@ -419,14 +400,21 @@ class FrameDynamics:
     h: np.ndarray  # (75,) Coriolis, centrifugal and gravity generalized forces
 
     def points(self, bodies: Sequence[int], local_points: np.ndarray) -> PointKinematics:
-        """The points local_points[j] (k, 3) fixed to bodies[j] (k,)."""
+        """The points local_points[j] (k, 3) fixed to bodies[j] (k,).
+
+        A point p's velocity is v(origin) + omega x p over the columns of its
+        body's support, so its Jacobian is zero in every other column.
+        """
         bodies = np.asarray(bodies, dtype=int).reshape(-1)
-        arm = _point_arms(self.fk, bodies, np.asarray(local_points, dtype=float).reshape(-1, 3))
+        if np.any((bodies < 0) | (bodies >= NUM_BODIES)):
+            raise InvalidInputError(f"body ids {bodies.tolist()} out of range")
+        arm = matvec_rows(self.fk.rotations[bodies], np.asarray(local_points, dtype=float).reshape(-1, 3))
         position = self.fk.positions[bodies] + arm
+        jac = self.subspace[3:] - skew_rows(position) @ self.subspace[:3]
         w = self.omega[bodies]
         return PointKinematics(
             position=position,
-            jacobian=_point_jacobians(self.model, self.subspace, bodies, position),
+            jacobian=np.where(self.model.support_mask[bodies][:, None, :], jac, 0.0),
             velocity=self.vel[bodies] + cross_rows(w, arm),
             bias=(
                 self.acc_bias[bodies]
@@ -434,20 +422,6 @@ class FrameDynamics:
                 + cross_rows(w, cross_rows(w, arm))
             ),
         )
-
-    def point_position(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
-        return self.points([body_id], local_point).position[0]
-
-    def point_jacobian(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
-        """3x75 Jacobian of a body-fixed point; see point_jacobian."""
-        return self.points([body_id], local_point).jacobian[0]
-
-    def point_velocity(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
-        return self.points([body_id], local_point).velocity[0]
-
-    def point_bias_acceleration(self, body_id: int, local_point: np.ndarray) -> np.ndarray:
-        """Jdot @ qd for the point: its acceleration with qdd = 0 and no gravity."""
-        return self.points([body_id], local_point).bias[0]
 
 
 def frame_dynamics(model: HumanoidModel, q: np.ndarray, qd: np.ndarray) -> FrameDynamics:
@@ -462,59 +436,11 @@ def frame_dynamics(model: HumanoidModel, q: np.ndarray, qd: np.ndarray) -> Frame
     fk = forward_kinematics(model, q)
     axes = _joint_axes(model, q, fk)
     subspace = _motion_subspace(fk, axes)
-    omega, vel, omega_dot, acc = _forward_sweep(model, q, qd, np.zeros(NV), fk, axes)
+    omega, vel, omega_dot, acc = _forward_sweep(model, q, qd, fk, axes)
     inertia_w = _world_inertias(model, fk)
     m = _crba(model, fk, subspace, inertia_w)
     h = _backward_pass(model, fk, axes, inertia_w, omega, omega_dot, acc - model.gravity)
     return FrameDynamics(model, fk, subspace, omega, vel, omega_dot, acc, m, h)
-
-
-def point_jacobian(
-    model: HumanoidModel,
-    q: np.ndarray,
-    body_id: int,
-    local_point: np.ndarray,
-    fk: Optional[FKResult] = None,
-) -> np.ndarray:
-    """3x75 Jacobian of a body-fixed point: world point velocity = J @ qd.
-
-    Columns of joints off the root-to-body path are zero.
-    """
-    q = np.asarray(q, dtype=float)
-    if fk is None:
-        fk = forward_kinematics(model, q)
-    subspace = _motion_subspace(fk, _joint_axes(model, q, fk))
-    bodies = np.array([body_id])
-    arm = _point_arms(fk, bodies, np.asarray(local_point, dtype=float).reshape(1, 3))
-    return _point_jacobians(model, subspace, bodies, fk.positions[bodies] + arm)[0]
-
-
-def mass_matrix(model: HumanoidModel, q: np.ndarray) -> np.ndarray:
-    """Joint-space inertia matrix M(q), symmetric positive definite."""
-    return frame_dynamics(model, q, np.zeros(NV)).m
-
-
-def nonlinear_effects(model: HumanoidModel, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-    """Coriolis, centrifugal and gravity generalized forces h(q, qd)."""
-    return frame_dynamics(model, q, qd).h
-
-
-def inverse_dynamics(
-    model: HumanoidModel, q: np.ndarray, qd: np.ndarray, qdd: np.ndarray
-) -> np.ndarray:
-    """Generalized forces for the given motion, recursive Newton-Euler.
-
-    Returns M(q) qdd + h(q, qd), with qdd pushed through the forward sweep;
-    gravity is folded in through a fictitious base acceleration of -gravity.
-    """
-    q = np.asarray(q, dtype=float)
-    qd = np.asarray(qd, dtype=float)
-    qdd = np.asarray(qdd, dtype=float)
-    fk = forward_kinematics(model, q)
-    axes = _joint_axes(model, q, fk)
-    omega, _, omega_dot, acc = _forward_sweep(model, q, qd, qdd, fk, axes)
-    inertia_w = _world_inertias(model, fk)
-    return _backward_pass(model, fk, axes, inertia_w, omega, omega_dot, acc - model.gravity)
 
 
 def integrate(state: GeneralizedState, dt: float) -> GeneralizedState:
@@ -537,11 +463,6 @@ def integrate(state: GeneralizedState, dt: float) -> GeneralizedState:
         state.qd + state.qdd * dt,
         state.qdd.copy(),
     )
-
-
-def kinetic_energy(model: HumanoidModel, q: np.ndarray, qd: np.ndarray) -> float:
-    m = mass_matrix(model, q)
-    return 0.5 * float(qd @ m @ qd)
 
 
 # --- model file I/O -------------------------------------------------------

@@ -160,7 +160,7 @@ def load_motion(path: str | Path) -> MotionSequence:
         if fps <= 0.0:
             raise MotionFormatError(f"{path}:1: fps must be positive")
 
-        trans, rots, angles = [], [], []
+        trans, quats, angles, linenos = [], [], [], []
         positions, contacts = [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -187,8 +187,9 @@ def load_motion(path: str | Path) -> MotionSequence:
             except (KeyError, ValueError) as exc:
                 raise MotionFormatError(f"{where}: missing or malformed field: {exc}") from exc
             trans.append(t)
-            rots.append(quat_to_matrix(quat))
+            quats.append(quat)
             angles.append(ang)
+            linenos.append(lineno)
             if "joint_positions" in rec:
                 positions.append(
                     _require_finite(
@@ -201,6 +202,10 @@ def load_motion(path: str | Path) -> MotionSequence:
 
     if not trans:
         raise MotionFormatError(f"{path}: no frames")
+    norms = np.linalg.norm(quats, axis=1)
+    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+    if len(bad):
+        raise MotionFormatError(f"{path}:{linenos[bad[0]]}: root_quat_wxyz has zero or non-finite norm")
     n = len(trans)
     if positions and len(positions) != n:
         raise MotionFormatError(f"{path}: joint_positions present on only some frames")
@@ -212,7 +217,7 @@ def load_motion(path: str | Path) -> MotionSequence:
     return MotionSequence(
         frame_rate=fps,
         root_trans=np.array(trans),
-        root_rot=np.array(rots),
+        root_rot=np.array([quat_to_matrix(q) for q in quats]),
         joint_angles=np.array(angles),
         joint_positions=np.array(positions) if positions else None,
         contacts=ContactLabels(np.array(contacts, dtype=bool)) if contacts else None,

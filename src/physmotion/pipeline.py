@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from .errors import ConfigError, InvalidInputError
 from .frames import (
     CameraFramePose,
@@ -28,16 +30,8 @@ from .metrics import MetricReport, evaluate
 from .motion import MotionSequence, load_motion, save_motion
 from .optimizer import FrameSolution, PDGains, QPSettings, refine_sequence
 from .rotations import exp_so3
-from .scene import (
-    HeightMap,
-    build_height_map,
-    load_contacts_csv,
-    load_obj,
-    save_contacts_csv,
-    save_height_map,
-    save_obj,
-)
-from .synth import SyntheticScenario, generate_scenario
+from .scene import HeightMap, build_height_map, load_contacts_csv, load_obj, save_height_map
+from .synth import SyntheticScenario, generate_scenario, write_scenario
 
 log = logging.getLogger("physmotion")
 
@@ -116,13 +110,21 @@ def config_from_dict(doc: dict) -> RunConfig:
     for key, (name, cls) in _CONFIG_BLOCKS.items():
         if key in doc:
             _check_keys(key, doc[key], {f.name for f in fields(cls)} - _SET_BY_RUN.get(key, set()))
-            kwargs[name] = cls(**doc[key])
+            try:
+                kwargs[name] = cls(**doc[key])
+            except (InvalidInputError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
     return RunConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> RunConfig:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """config_from_dict of a JSON file; an unreadable or malformed file
+    raises ConfigError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(doc)
 
 
@@ -136,31 +138,30 @@ def apply_ablation(settings: QPSettings, name: Optional[str]) -> QPSettings:
 
 def _scenario_inputs(config: RunConfig, model: Optional[HumanoidModel]) -> RunConfig:
     """Generate the scenario's input files; returns the config with its unset paths filled."""
-    inputs = Path(config.output_dir) / "inputs"
-    inputs.mkdir(parents=True, exist_ok=True)
     try:
         bundle = generate_scenario(config.scenario, model)
     except InvalidInputError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
-    files = {
-        "motion_path": inputs / "noisy_motion.jsonl",
-        "gt_motion_path": inputs / "gt_motion.jsonl",
-        "mesh_path": inputs / "scene.obj",
-        "contacts_path": inputs / "contacts.csv",
-    }
-    save_motion(bundle.noisy, files["motion_path"])
-    save_motion(bundle.ground_truth, files["gt_motion_path"])
-    save_obj(bundle.mesh, files["mesh_path"])
-    save_contacts_csv(bundle.contacts, files["contacts_path"])
+    files = write_scenario(bundle, Path(config.output_dir) / "inputs")
     unset = {name: str(path) for name, path in files.items() if getattr(config, name) is None}
     return replace(config, **unset)
 
 
 def convert_camera_frame(seq: MotionSequence, camera: Trajectory) -> MotionSequence:
-    """Re-express per-frame root poses from camera frame to world frame."""
+    """Re-express per-frame root poses from camera frame to world frame.
+
+    Row t of the camera trajectory is the camera pose of motion frame t, so
+    its first len(seq) rows must carry the frame indices 0 .. len(seq) - 1.
+    """
     if len(camera) < len(seq):
         raise ConfigError(
             f"camera trajectory has {len(camera)} frames, motion has {len(seq)}"
+        )
+    mismatched = np.flatnonzero(camera.frames[: len(seq)] != np.arange(len(seq)))
+    if len(mismatched):
+        row = int(mismatched[0])
+        raise ConfigError(
+            f"camera trajectory row {row} has frame {camera.frames[row]}, expected {row}"
         )
     out = seq.copy()
     for t in range(len(seq)):

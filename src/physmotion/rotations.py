@@ -147,16 +147,6 @@ def quat_to_exp(q: np.ndarray) -> np.ndarray:
     return xyz * (angle / n)
 
 
-def exp_to_quat(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v)
-    if angle < _SMALL_ANGLE:
-        half = 0.5 * v
-        return np.concatenate([[1.0 - 0.5 * (angle / 2.0) ** 2], half])
-    axis = v / angle
-    return np.concatenate([[np.cos(angle / 2.0)], axis * np.sin(angle / 2.0)])
-
-
 def left_jacobian(v: np.ndarray) -> np.ndarray:
     """Left Jacobian of SO(3): J_l(v) = I + A*skew(v) + B*skew(v)^2.
 

@@ -357,12 +357,6 @@ def surface_normal(hm: HeightMap, x: float | np.ndarray, z: float | np.ndarray) 
     return n / vector_norms(n)
 
 
-def penetration_check(foot_pos: np.ndarray, hm: HeightMap) -> bool:
-    """True iff the point is strictly below the interpolated surface."""
-    p = np.asarray(foot_pos, dtype=float)
-    return bool(p[1] < query_height(hm, p[0], p[2]))
-
-
 @dataclass
 class ContactLabels:
     """Per-frame booleans for (l_toe, r_toe, l_heel, r_heel)."""

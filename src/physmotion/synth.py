@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from pathlib import Path
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .humanoid import NV, HumanoidModel, default_model
-from .motion import MotionSequence, sequence_from_generalized
+from .motion import MotionSequence, save_motion, sequence_from_generalized
 from .rotations import exp_so3
-from .scene import ContactLabels, TriangleMesh, make_box_mesh, merge_meshes
+from .scene import ContactLabels, TriangleMesh, make_box_mesh, merge_meshes, save_contacts_csv, save_obj
 
 SCENE_KINDS = ("flat", "ramp", "step")
 MOTION_KINDS = ("stand", "walk", "squat", "step-climb")
@@ -328,3 +329,23 @@ def generate_scenario(
     )
     mesh = scene_mesh(scenario.scene, min(0.0, plan.root_z(0.0)), plan.root_z((n - 1) / fps))
     return ScenarioBundle(noisy=noisy, ground_truth=gt, mesh=mesh, contacts=contacts)
+
+
+def write_scenario(bundle: ScenarioBundle, directory: str | Path) -> Dict[str, Path]:
+    """Write a bundle's four input files under directory (created if missing).
+
+    Returns their paths keyed by the RunConfig field each one fills.
+    """
+    out = Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {
+        "motion_path": out / "noisy_motion.jsonl",
+        "gt_motion_path": out / "gt_motion.jsonl",
+        "mesh_path": out / "scene.obj",
+        "contacts_path": out / "contacts.csv",
+    }
+    save_motion(bundle.noisy, paths["motion_path"])
+    save_motion(bundle.ground_truth, paths["gt_motion_path"])
+    save_obj(bundle.mesh, paths["mesh_path"])
+    save_contacts_csv(bundle.contacts, paths["contacts_path"])
+    return paths

@@ -1,14 +1,17 @@
 """Per-vector, per-body and per-contact reference code for the batched
-library kernels.
+library kernels, and independent routes to what the library computes.
 
-These are the scalar formulations the library used before it worked on
-whole stacks; the batched code must reproduce them bit for bit.
+The scalar formulations are the ones the library used before it worked on
+whole stacks; the batched code must reproduce them bit for bit. The other
+routes (inverse dynamics at any acceleration, the quaternion form of the
+exponential map, the world-to-camera inverse) check identities to rounding.
 """
 
 import math
 
 import numpy as np
 
+from physmotion.frames import CameraFramePose
 from physmotion.humanoid import NUM_BODIES, NV, FKResult
 from physmotion.optimizer import (
     CONTACT_ACTIVATION_MARGIN,
@@ -169,6 +172,17 @@ def backward_pass_scalar(model, fk, axes, inertia_w, omega, omega_dot, acc):
     return tau
 
 
+def inverse_dynamics_scalar(model, q, qd, qdd):
+    """M(q) qdd + h(q, qd) by the per-body recursive Newton-Euler algorithm,
+    qdd pushed through the forward recursion and gravity folded in as a
+    base acceleration of -gravity."""
+    fk = fk_scalar(model, q)
+    axes = joint_axes_scalar(model, q, fk)
+    inertia_w = fk.rotations @ model.inertias @ fk.rotations.transpose(0, 2, 1)
+    omega, _, omega_dot, acc = forward_sweep_scalar(model, q, qd, qdd, fk, axes)
+    return backward_pass_scalar(model, fk, axes, inertia_w, omega, omega_dot, acc - model.gravity)
+
+
 def crba_scalar(model, fk, subspace, inertia_w):
     """The joint-space inertia matrix assembled one joint's blocks at a time."""
     mass = model.masses[:, None, None]
@@ -202,6 +216,24 @@ def point_terms_scalar(model, dyn, body, local_point):
     vel = dyn.vel[body] + cross3(w, arm)
     bias = dyn.acc_bias[body] + cross3(dyn.omega_dot_bias[body], arm) + cross3(w, cross3(w, arm))
     return p, jac, vel, bias
+
+
+def exp_to_quat(v):
+    """Unit quaternion (w, x, y, z) of the rotation vector v, series below 1e-8 rad."""
+    v = np.asarray(v, dtype=float)
+    angle = np.linalg.norm(v)
+    if angle < 1e-8:
+        return np.concatenate([[1.0 - 0.5 * (angle / 2.0) ** 2], 0.5 * v])
+    axis = v / angle
+    return np.concatenate([[np.cos(angle / 2.0)], axis * np.sin(angle / 2.0)])
+
+
+def world_to_camera(pose, cam_rot, cam_trans):
+    """The camera-frame pose of a world-frame pose: the inverse of
+    frames.camera_to_world for the camera pose (cam_rot, cam_trans)."""
+    r = np.asarray(cam_rot, dtype=float)
+    t = np.asarray(cam_trans, dtype=float).reshape(3)
+    return CameraFramePose(r @ pose.global_orientation, r @ pose.root_translation + t)
 
 
 def tangent_basis_scalar(n):

@@ -10,6 +10,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+from oracles import inverse_dynamics_scalar, world_to_camera
 
 from physmotion.frames import (
     CameraFramePose,
@@ -18,7 +19,6 @@ from physmotion.frames import (
     hand_eye_calibrate,
     camera_to_world,
     one_euro_filter,
-    world_to_camera,
 )
 from physmotion.humanoid import (
     NV,
@@ -26,10 +26,7 @@ from physmotion.humanoid import (
     default_model,
     end_effector_positions,
     forward_kinematics,
-    inverse_dynamics,
-    mass_matrix,
-    nonlinear_effects,
-    point_jacobian,
+    frame_dynamics,
 )
 from physmotion.metrics import (
     foot_sliding,
@@ -77,15 +74,15 @@ def test_criterion_1_dynamics_identities():
         q = np.concatenate([rng.normal(size=3), rng.normal(size=72) * 0.6])
         qd = rng.normal(size=NV)
         qdd = rng.normal(size=NV)
-        m = mass_matrix(MODEL, q)
-        h = nonlinear_effects(MODEL, q, qd)
-        lhs = inverse_dynamics(MODEL, q, qd, qdd)
+        dyn = frame_dynamics(MODEL, q, qd)
+        m, h = dyn.m, dyn.h
+        lhs = inverse_dynamics_scalar(MODEL, q, qd, qdd)
         worst_id = max(worst_id, np.abs(lhs - (m @ qdd + h)).max() / (1.0 + np.abs(h).max()))
         worst_sym = max(worst_sym, np.abs(m - m.T).max())
         np.linalg.cholesky(m)
         body = int(rng.integers(0, 24))
         lp = rng.normal(size=3) * 0.1
-        jac = point_jacobian(MODEL, q, body, lp)
+        jac = dyn.points([body], lp).jacobian[0]
         eps = 1e-6
         fk0 = forward_kinematics(MODEL, q)
         fk1 = forward_kinematics(MODEL, q + eps * qd)
@@ -153,14 +150,14 @@ def test_criterion_2_constraint_satisfaction():
                 [bundle.contacts.data[t][k] and CONTACT_NAMES[k] in sol.contact_names for k in range(4)]
             )
             degraded_total += sol.degraded
-            m = mass_matrix(MODEL, state.q)
-            h = nonlinear_effects(MODEL, state.q, state.qd)
+            dyn = frame_dynamics(MODEL, state.q, state.qd)
+            m, h = dyn.m, dyn.h
             jt_lambda = np.zeros(NV)
             for cname, force in zip(sol.contact_names, sol.contact_forces):
                 body, off = MODEL.end_effector(cname)
                 fk_c = forward_kinematics(MODEL, state.q)
                 pos = fk_c.positions[body] + fk_c.rotations[body] @ off
-                jt_lambda += point_jacobian(MODEL, state.q, body, off, fk_c).T @ force
+                jt_lambda += dyn.points([body], off).jacobian[0].T @ force
                 # rebuild the contact frame from the surface independently
                 d = hm.cell_size
                 dhdx = (query_height(hm, pos[0] + d, pos[2]) - query_height(hm, pos[0] - d, pos[2])) / (2 * d)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from oracles import world_to_camera
 
-from physmotion.errors import DegenerateBaselineError, InvalidInputError, InvalidTransformError
+from physmotion.errors import (
+    DegenerateBaselineError,
+    InvalidInputError,
+    InvalidTransformError,
+    MotionFormatError,
+)
 from physmotion.frames import (
     CameraFramePose,
     FilterParams,
@@ -13,7 +19,6 @@ from physmotion.frames import (
     load_trajectory,
     one_euro_filter,
     save_trajectory,
-    world_to_camera,
 )
 from physmotion.rotations import random_rotation
 
@@ -266,3 +271,14 @@ def test_trajectory_file_round_trip(rng, tmp_path):
 
     rec = json.loads(path.read_text().splitlines()[0])
     assert set(rec) == {"frame", "quat_wxyz", "trans_xyz"}
+
+
+def test_zero_quaternion_rejected_with_line(rng, tmp_path):
+    path = tmp_path / "traj.jsonl"
+    save_trajectory(make_trajectory(rng, n=3), path)
+    lines = path.read_text().splitlines()
+    lines[1] = '{"frame": 1, "quat_wxyz": [0, 0, 0, 0], "trans_xyz": [0, 0, 0]}'
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MotionFormatError) as err:
+        load_trajectory(path)
+    assert f"{path}:2: quat_wxyz" in str(err.value)

@@ -6,6 +6,7 @@ from oracles import (
     crba_scalar,
     fk_scalar,
     forward_sweep_scalar,
+    inverse_dynamics_scalar,
     joint_axes_scalar,
     point_terms_scalar,
 )
@@ -20,12 +21,7 @@ from physmotion.humanoid import (
     forward_kinematics,
     frame_dynamics,
     integrate,
-    inverse_dynamics,
-    kinetic_energy,
     load_model,
-    mass_matrix,
-    nonlinear_effects,
-    point_jacobian,
     save_model,
 )
 import physmotion.humanoid as humanoid
@@ -116,6 +112,12 @@ class TestForwardKinematics:
                 assert np.abs(stacked[name][t] - p).max() <= 1e-12
 
 
+def point_jacobian(model, q, body, local_point):
+    """3x75 Jacobian of one body-fixed point from frame_dynamics (it does not
+    depend on qd)."""
+    return frame_dynamics(model, q, np.zeros(NV)).points([body], local_point).jacobian[0]
+
+
 class TestPointJacobian:
     def test_root_translation_block_identity(self, model, rng):
         q, _, _ = random_state(rng)
@@ -135,38 +137,32 @@ class TestPointJacobian:
         eps = 1e-6
         fk0 = forward_kinematics(model, q)
         fk1 = forward_kinematics(model, q + eps * qd)
-        for body in range(24):
-            lp = rng.normal(size=3) * 0.1
-            jac = point_jacobian(model, q, body, lp, fk0)
+        local = rng.normal(size=(24, 3)) * 0.1
+        jacobians = frame_dynamics(model, q, qd).points(range(24), local).jacobian
+        for body, lp in enumerate(local):
             p0 = fk0.positions[body] + fk0.rotations[body] @ lp
             p1 = fk1.positions[body] + fk1.rotations[body] @ lp
             v_fd = (p1 - p0) / eps
-            v = jac @ qd
+            v = jacobians[body] @ qd
             denom = max(1.0, np.abs(v).max())
             assert np.abs(v_fd - v).max() / denom < 1e-5
 
-    def test_velocity_helper_matches_jacobian(self, model, rng):
+    def test_velocity_matches_jacobian(self, model, rng):
         for _ in range(5):
             q, qd, _ = random_state(rng)
-            dyn = frame_dynamics(model, q, qd)
-            for body in range(24):
-                lp = rng.normal(size=3) * 0.1
-                v1 = point_jacobian(model, q, body, lp) @ qd
-                v2 = dyn.point_velocity(body, lp)
-                assert np.abs(v1 - v2).max() < 1e-12
+            pts = frame_dynamics(model, q, qd).points(range(24), rng.normal(size=(24, 3)) * 0.1)
+            assert np.abs(pts.jacobian @ qd - pts.velocity).max() < 1e-12
 
     def test_bias_acceleration_finite_difference(self, model, rng):
         eps = 1e-6
         for _ in range(5):
             q, qd, _ = random_state(rng)
-            dyn = frame_dynamics(model, q, qd)
-            for body in range(24):
-                lp = rng.normal(size=3) * 0.1
-                j0 = point_jacobian(model, q, body, lp)
-                j1 = point_jacobian(model, q + eps * qd, body, lp)
-                fd = (j1 @ qd - j0 @ qd) / eps
-                bias = dyn.point_bias_acceleration(body, lp)
-                assert np.abs(fd - bias).max() / max(1.0, np.abs(bias).max()) < 1e-4
+            local = rng.normal(size=(24, 3)) * 0.1
+            pts = frame_dynamics(model, q, qd).points(range(24), local)
+            j1 = frame_dynamics(model, q + eps * qd, qd).points(range(24), local).jacobian
+            fd = (j1 @ qd - pts.jacobian @ qd) / eps
+            for bias, fd_body in zip(pts.bias, fd):
+                assert np.abs(fd_body - bias).max() / max(1.0, np.abs(bias).max()) < 1e-4
 
     def test_invalid_body_rejected(self, model):
         with pytest.raises(InvalidInputError):
@@ -176,13 +172,13 @@ class TestPointJacobian:
 class TestMassMatrix:
     def test_translational_block_total_mass(self, model, rng):
         q, _, _ = random_state(rng)
-        m = mass_matrix(model, q)
+        m = frame_dynamics(model, q, np.zeros(NV)).m
         assert np.abs(m[0:3, 0:3] - model.total_mass * np.eye(3)).max() < 1e-9
 
     def test_symmetric_and_positive_definite(self, model, rng):
         for _ in range(10):
             q, _, _ = random_state(rng)
-            m = mass_matrix(model, q)
+            m = frame_dynamics(model, q, np.zeros(NV)).m
             assert np.abs(m - m.T).max() < 1e-10
             np.linalg.cholesky(m)
 
@@ -203,14 +199,12 @@ class TestMassMatrix:
 
 class TestInverseDynamics:
     def test_static_gravity_translational_rows(self, model):
-        h = nonlinear_effects(model, np.zeros(NV), np.zeros(NV))
+        h = frame_dynamics(model, np.zeros(NV), np.zeros(NV)).h
         assert np.abs(h[0:3] - np.array([0.0, model.total_mass * 9.81, 0.0])).max() < 1e-9
 
     def test_free_fall_solves_minus_g(self, model):
-        q = np.zeros(NV)
-        m = mass_matrix(model, q)
-        h = nonlinear_effects(model, q, np.zeros(NV))
-        qdd = np.linalg.solve(m, -h)
+        dyn = frame_dynamics(model, np.zeros(NV), np.zeros(NV))
+        qdd = np.linalg.solve(dyn.m, -dyn.h)
         assert abs(qdd[1] + 9.81) < 1e-9
         mask = np.ones(NV, dtype=bool)
         mask[1] = False
@@ -222,20 +216,21 @@ class TestInverseDynamics:
             gravity=np.zeros(3),
         )
         q, _, _ = random_state(rng)
-        h = nonlinear_effects(zero_g, q, np.zeros(NV))
+        h = frame_dynamics(zero_g, q, np.zeros(NV)).h
         assert np.abs(h).max() < 1e-10
 
     def test_id_equals_m_qdd_plus_h(self, model, rng):
+        # the per-body RNEA with qdd in its forward recursion against M and h
         for _ in range(20):
             q, qd, qdd = random_state(rng)
-            lhs = inverse_dynamics(model, q, qd, qdd) - inverse_dynamics(model, q, qd, np.zeros(NV))
-            rhs = mass_matrix(model, q) @ qdd
-            h_scale = 1.0 + np.abs(nonlinear_effects(model, q, qd)).max()
-            assert np.abs(lhs - rhs).max() / h_scale < 1e-8
+            dyn = frame_dynamics(model, q, qd)
+            tau = inverse_dynamics_scalar(model, q, qd, qdd)
+            h_scale = 1.0 + np.abs(dyn.h).max()
+            assert np.abs(tau - (dyn.m @ qdd + dyn.h)).max() / h_scale < 1e-8
 
 
 class TestFrameDynamics:
-    """frame_dynamics against finite-difference oracles and the public views."""
+    """frame_dynamics against finite-difference and inverse-dynamics oracles."""
 
     def test_mass_matrix_is_kinetic_energy_of_finite_difference_motion(self, model, rng):
         # body velocities from central differences of forward kinematics
@@ -257,7 +252,7 @@ class TestFrameDynamics:
         for _ in range(10):
             q, qd, _ = random_state(rng)
             h = frame_dynamics(model, q, qd).h
-            oracle = inverse_dynamics(model, q, qd, np.zeros(NV))
+            oracle = inverse_dynamics_scalar(model, q, qd, np.zeros(NV))
             assert np.abs(h - oracle).max() / (1.0 + np.abs(oracle).max()) < 1e-12
 
     def test_jacobian_matches_finite_difference_fk(self, model, rng):
@@ -267,19 +262,14 @@ class TestFrameDynamics:
             dyn = frame_dynamics(model, q, qd)
             fk_p = forward_kinematics(model, q + eps * qd)
             fk_m = forward_kinematics(model, q - eps * qd)
-            for body in range(24):
-                lp = rng.normal(size=3) * 0.1
+            local = rng.normal(size=(24, 3)) * 0.1
+            jacobians = dyn.points(range(24), local).jacobian
+            for body, lp in enumerate(local):
                 p_p = fk_p.positions[body] + fk_p.rotations[body] @ lp
                 p_m = fk_m.positions[body] + fk_m.rotations[body] @ lp
                 v_fd = (p_p - p_m) / (2 * eps)
-                v = dyn.point_jacobian(body, lp) @ qd
+                v = jacobians[body] @ qd
                 assert np.abs(v_fd - v).max() / max(1.0, np.abs(v).max()) < 1e-7
-
-    def test_public_views_are_the_sweep(self, model, rng):
-        q, qd, _ = random_state(rng)
-        dyn = frame_dynamics(model, q, qd)
-        assert np.array_equal(nonlinear_effects(model, q, qd), dyn.h)
-        assert np.array_equal(mass_matrix(model, q), dyn.m)
 
 
 def seeded_states(rng, count=40):
@@ -294,17 +284,15 @@ def seeded_states(rng, count=40):
         yield q, qd, qdd
 
 
-def dynamics_oracle(model, q, qd, qdd):
-    """frame_dynamics' fields from the per-body recursions, and M qdd + h."""
+def dynamics_oracle(model, q, qd):
+    """frame_dynamics' fields from the per-body recursions."""
     fk = fk_scalar(model, q)
     axes = joint_axes_scalar(model, q, fk)
     inertia_w = fk.rotations @ model.inertias @ fk.rotations.transpose(0, 2, 1)
     omega, vel, omega_dot, acc = forward_sweep_scalar(model, q, qd, np.zeros(NV), fk, axes)
     h = backward_pass_scalar(model, fk, axes, inertia_w, omega, omega_dot, acc - model.gravity)
     m = crba_scalar(model, fk, humanoid._motion_subspace(fk, axes), inertia_w)
-    om, _, od, ac = forward_sweep_scalar(model, q, qd, qdd, fk, axes)
-    tau = backward_pass_scalar(model, fk, axes, inertia_w, om, od, ac - model.gravity)
-    return dict(m=m, h=h, omega=omega, vel=vel, omega_dot_bias=omega_dot, acc_bias=acc), tau
+    return dict(m=m, h=h, omega=omega, vel=vel, omega_dot_bias=omega_dot, acc_bias=acc)
 
 
 class TestBatchedKernels:
@@ -312,23 +300,22 @@ class TestBatchedKernels:
     against the per-body and per-point formulas they replaced, bit for bit."""
 
     def test_frame_dynamics_equals_the_per_body_recursion(self, model, rng):
-        for q, qd, qdd in seeded_states(rng):
+        for q, qd, _ in seeded_states(rng):
             dyn = frame_dynamics(model, q, qd)
-            expected, tau = dynamics_oracle(model, q, qd, qdd)
-            for name, value in expected.items():
+            for name, value in dynamics_oracle(model, q, qd).items():
                 assert np.array_equal(getattr(dyn, name), value), name
-            # M's zeros keep their signs too
-            assert np.array_equal(np.signbit(dyn.m), np.signbit(expected["m"]))
-            assert np.array_equal(inverse_dynamics(model, q, qd, qdd), tau)
+                # zeros keep their signs too
+                assert np.array_equal(np.signbit(getattr(dyn, name)), np.signbit(value)), name
 
-    def test_joint_axes_and_sweep_with_acceleration(self, model, rng):
-        for q, qd, qdd in seeded_states(rng, 12):
+    def test_joint_axes_and_sweep(self, model, rng):
+        for q, qd, _ in seeded_states(rng, 12):
             fk = forward_kinematics(model, q)
             axes = humanoid._joint_axes(model, q, fk)
             assert np.array_equal(axes, joint_axes_scalar(model, q, fk))
-            got = humanoid._forward_sweep(model, q, qd, qdd, fk, axes)
-            for a, b in zip(got, forward_sweep_scalar(model, q, qd, qdd, fk, axes)):
+            got = humanoid._forward_sweep(model, q, qd, fk, axes)
+            for a, b in zip(got, forward_sweep_scalar(model, q, qd, np.zeros(NV), fk, axes)):
                 assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_batched_foot_points_equal_one_point_at_a_time(self, model, rng):
         effectors = [model.end_effector(name) for name in ("l_toe", "r_toe", "l_heel", "r_heel")]
@@ -346,12 +333,6 @@ class TestBatchedKernels:
                     assert np.array_equal(pts.jacobian[k], jac)
                     assert np.array_equal(pts.velocity[k], vel)
                     assert np.array_equal(pts.bias[k], bias)
-                    # the single-point methods and the public Jacobian are views of it
-                    assert np.array_equal(dyn.point_position(body, lp), pos)
-                    assert np.array_equal(dyn.point_jacobian(body, lp), jac)
-                    assert np.array_equal(dyn.point_velocity(body, lp), vel)
-                    assert np.array_equal(dyn.point_bias_acceleration(body, lp), bias)
-                    assert np.array_equal(point_jacobian(model, q, body, lp, dyn.fk), jac)
 
     def test_tree_levels_and_paths_cover_the_tree(self, model):
         assert len(model.levels) == 8
@@ -410,14 +391,17 @@ def test_free_integration_conserves_energy(model, rng):
     q = np.concatenate([np.zeros(3), rng.normal(size=72) * 0.3])
     qd = rng.normal(size=NV) * 0.5
     state = GeneralizedState(q, qd, np.zeros(NV))
-    e0 = kinetic_energy(zero_g, state.q, state.qd)
+
+    def kinetic_energy(state):
+        return 0.5 * state.qd @ frame_dynamics(zero_g, state.q, state.qd).m @ state.qd
+
+    e0 = kinetic_energy(state)
     dt = 1.0 / 600.0
     for _ in range(10):
-        m = mass_matrix(zero_g, state.q)
-        h = nonlinear_effects(zero_g, state.q, state.qd)
-        state.qdd = np.linalg.solve(m, -h)
+        dyn = frame_dynamics(zero_g, state.q, state.qd)
+        state.qdd = np.linalg.solve(dyn.m, -dyn.h)
         state = integrate(state, dt)
-    e1 = kinetic_energy(zero_g, state.q, state.qd)
+    e1 = kinetic_energy(state)
     assert abs(e1 - e0) / e0 < 0.01
 
 

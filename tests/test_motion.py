@@ -138,6 +138,19 @@ class TestMotionFile:
         assert "root_trans_xyz" in str(err.value)
         assert ":3" in str(err.value)  # line number of the bad record
 
+    def test_zero_quaternion_rejected_with_field_path(self, rng, tmp_path):
+        seq = make_sequence(rng, n=3, with_positions=False, with_contacts=False)
+        path = tmp_path / "motion.jsonl"
+        save_motion(seq, path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["root_quat_wxyz"] = [0.0, 0.0, 0.0, 0.0]
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MotionFormatError) as err:
+            load_motion(path)
+        assert f"{path}:3: root_quat_wxyz" in str(err.value)
+
     def test_schema_version_mismatch(self, tmp_path):
         path = tmp_path / "motion.jsonl"
         path.write_text('{"schema": "physmotion.motion/999", "fps": 60, "frames": 0}\n')

@@ -13,9 +13,6 @@ from physmotion.humanoid import (
     end_effector_positions,
     forward_kinematics,
     frame_dynamics,
-    mass_matrix,
-    nonlinear_effects,
-    point_jacobian,
 )
 from physmotion.metrics import penetration_stats
 from physmotion.motion import MotionSequence, sequence_from_generalized
@@ -123,7 +120,7 @@ class TestPDPoints:
         for k, name in enumerate(targets):
             body, off = model.end_effector(name)
             pos = fk.positions[body] + fk.rotations[body] @ off
-            vel = point_jacobian(model, q, body, off, fk) @ qd
+            vel = feet.jacobian[k] @ qd
             expected = 123.0 * (targets[name] - pos) - 4.5 * vel
             assert np.abs(out[k] - expected).max() < 1e-10
 
@@ -185,13 +182,13 @@ class TestSolveFrame:
             qd = rng.normal(size=NV) * 0.7
             st = GeneralizedState(q, qd, np.zeros(NV))
             sol = solve_frame(model, st, ref, flat_map, QPSettings())
-            m = mass_matrix(model, q)
-            h = nonlinear_effects(model, q, qd)
+            dyn = frame_dynamics(model, q, qd)
+            h = dyn.h
             jt_lambda = np.zeros(NV)
             for name, force in zip(sol.contact_names, sol.contact_forces):
                 body, off = model.end_effector(name)
-                jt_lambda += point_jacobian(model, q, body, off).T @ force
-            residual = sol.tau + jt_lambda - m @ sol.qdd - h
+                jt_lambda += dyn.points([body], off).jacobian[0].T @ force
+            residual = sol.tau + jt_lambda - dyn.m @ sol.qdd - h
             assert np.abs(residual).max() <= 1e-6 * (1.0 + np.abs(h).max())
             # cone feasibility
             mu = QPSettings().friction_mu

@@ -7,11 +7,11 @@ import pytest
 from click.testing import CliRunner
 
 from physmotion.cli import EXIT_CONFIG, main
-from physmotion.errors import ConfigError
+from physmotion.errors import ConfigError, EmptySceneError, MotionFormatError
 from physmotion.frames import FilterParams
 from physmotion.motion import load_motion, save_motion
 from physmotion.optimizer import FrameSolution
-from physmotion.pipeline import RunConfig, filter_motion, run_pipeline, save_forces
+from physmotion.pipeline import ABLATION_PRESETS, RunConfig, filter_motion, run_pipeline, save_forces
 from physmotion.scene import save_contacts_csv, save_obj
 from physmotion.synth import SyntheticScenario, generate_scenario
 
@@ -66,6 +66,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as err:
             config_from_dict(doc)
         assert f"in {where}: {key}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,  # no file
+            "{not json",
+            json.dumps({"settings": {"friction_mu": "high"}}),
+            json.dumps({"scenario": {"duration": [1.0]}}),
+            json.dumps({"gains": {"angle_kp": -1.0}}),
+        ],
+    )
+    def test_load_config_malformed_is_a_config_error(self, tmp_path, text):
+        from physmotion.pipeline import load_config
+
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
 
     def test_block_must_be_an_object(self):
         from physmotion.pipeline import config_from_dict
@@ -226,7 +245,9 @@ class TestRunPipeline:
 
 class TestCameraConversion:
     def test_camera_frame_round_trip_through_pipeline_stage(self, tmp_path, model, rng):
-        from physmotion.frames import CameraFramePose, Trajectory, save_trajectory, world_to_camera
+        from oracles import world_to_camera
+
+        from physmotion.frames import CameraFramePose, Trajectory
         from physmotion.pipeline import convert_camera_frame
         from physmotion.rotations import random_rotation
 
@@ -251,6 +272,24 @@ class TestCameraConversion:
         recovered = convert_camera_frame(cam_seq, cam)
         assert np.abs(recovered.root_rot - world.root_rot).max() < 1e-10
         assert np.abs(recovered.root_trans - world.root_trans).max() < 1e-10
+
+    @pytest.mark.parametrize("frames, row", [([10, 11, 12], 0), ([2, 0, 1], 0), ([0, 2, 1], 1)])
+    def test_camera_rows_must_be_the_motion_frames(self, tmp_path, model, frames, row):
+        from physmotion.frames import Trajectory
+        from physmotion.pipeline import convert_camera_frame
+
+        seq = write_scenario(tmp_path, model, duration=0.1).ground_truth
+        n = len(seq)
+
+        def camera(frame_ids):
+            return Trajectory(frame_ids, np.tile(np.eye(3), (len(frame_ids), 1, 1)), np.zeros((len(frame_ids), 3)))
+
+        with pytest.raises(ConfigError) as err:
+            convert_camera_frame(seq, camera(frames + list(range(3, n))))
+        assert f"row {row} has frame {frames[row]}, expected {row}" in str(err.value)
+        # a longer trajectory is fine as long as its first rows are the frames
+        recovered = convert_camera_frame(seq, camera(list(range(n + 2))))
+        assert np.array_equal(recovered.root_trans, seq.root_trans)
 
     def test_short_camera_trajectory_rejected(self, tmp_path, model, rng):
         from physmotion.frames import Trajectory
@@ -301,6 +340,31 @@ class TestCLI:
             Path("cfg.json").write_text(json.dumps({"motion_path": "missing.jsonl"}))
             r = runner.invoke(main, ["pipeline", "--config", "cfg.json"])
             assert r.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "command, error",
+        [
+            (["refine", "--motion", "bad.jsonl", "--out", "out"], MotionFormatError),
+            (["pipeline", "--config", "bad_motion.json"], MotionFormatError),
+            (["evaluate", "--pred", "bad.jsonl", "--gt", "bad.jsonl"], MotionFormatError),
+            (["heightmap", "bad.obj", "-o", "scene.hmap"], EmptySceneError),
+        ],
+    )
+    def test_malformed_input_exit_code(self, tmp_path, command, error):
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            Path("bad.jsonl").write_text("this is not JSON\n")
+            Path("bad.obj").write_text("# no vertices or faces\n")
+            Path("bad_motion.json").write_text(json.dumps({"motion_path": "bad.jsonl", "settings": {"use_height_map": False}}))
+            r = runner.invoke(main, command)
+            assert r.exit_code == EXIT_CONFIG, r.output
+            assert isinstance(r.exception, SystemExit)  # no traceback
+            assert f"{error.__name__}: " in r.output
+
+    def test_ablation_choices_are_the_presets(self):
+        for name in ("refine", "pipeline"):
+            (option,) = [p for p in main.commands[name].params if p.name == "ablation"]
+            assert list(option.type.choices) == sorted(ABLATION_PRESETS)
 
     def test_heightmap_command(self, tmp_path, model):
         runner = CliRunner()

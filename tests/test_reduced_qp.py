@@ -20,9 +20,6 @@ from physmotion.humanoid import (
     end_effector_positions,
     forward_kinematics,
     frame_dynamics,
-    mass_matrix,
-    nonlinear_effects,
-    point_jacobian,
 )
 from physmotion.optimizer import (
     CONTACT_REST_OFFSET,
@@ -46,7 +43,8 @@ def full_qp(model, state, ref, hm, settings, gains, names, reduced):
     nc = len(names)
     n = NV + 3 * nc + NA
     dyn = frame_dynamics(model, q, qd)
-    fk = dyn.fk
+    effectors = [model.end_effector(name) for name in CONTACT_NAMES]
+    feet = dyn.points([body for body, _ in effectors], np.array([off for _, off in effectors]))
     p_mat = np.zeros((n, n))
     q_vec = np.zeros(n)
 
@@ -58,26 +56,24 @@ def full_qp(model, state, ref, hm, settings, gains, names, reduced):
         q_vec[i] -= w[i] * target[i]
     jacobians = {}
     for k, name in enumerate(CONTACT_NAMES):
-        body, off = model.end_effector(name)
-        jac = point_jacobian(model, q, body, off, fk)
+        jac = feet.jacobian[k]
         jacobians[name] = jac
-        pos = fk.positions[body] + fk.rotations[body] @ off
         goal = np.array(ref.ee_targets[name], dtype=float)
         if ref.contacts[k]:
             goal[1] = query_height(hm, goal[0], goal[2]) + CONTACT_REST_OFFSET
-        accel = gains.position_kp * (goal - pos) - gains.position_kd * dyn.point_velocity(body, off)
-        rhs = accel - dyn.point_bias_acceleration(body, off)
+        accel = gains.position_kp * (goal - feet.position[k]) - gains.position_kd * feet.velocity[k]
+        rhs = accel - feet.bias[k]
         p_mat[:NV, :NV] += 2.0 * settings.point_weight * jac.T @ jac
         q_vec[:NV] -= 2.0 * settings.point_weight * jac.T @ rhs
     p_mat[NV:, NV:] += 2.0 * settings.reg_weight * np.eye(3 * nc + NA)
 
     # M qdd - Jc^T lambda - [0; I] tau = -h
     eom = np.zeros((NV, n))
-    eom[:, :NV] = mass_matrix(model, q)
+    eom[:, :NV] = dyn.m
     for c, name in enumerate(names):
         eom[:, NV + 3 * c : NV + 3 * c + 3] = -jacobians[name].T
     eom[6:, NV + 3 * nc :] = -np.eye(NA)
-    h = nonlinear_effects(model, q, qd)
+    h = dyn.h
 
     def pad(rows):
         return np.hstack([rows, np.zeros((rows.shape[0], NA))])
@@ -121,13 +117,13 @@ def assert_matches(model, state, sol, full):
     assert rel(sol.contact_forces.ravel(), full.x[NV : NV + 3 * nc]) <= 1e-10
     assert rel(sol.tau, tau) <= 1e-10
     # the recovered torques satisfy M qdd + h = tau + Jc^T lambda
-    fk = forward_kinematics(model, state.q)
+    dyn = frame_dynamics(model, state.q, state.qd)
     jt_lambda = np.zeros(NV)
     for name, force in zip(sol.contact_names, sol.contact_forces):
         body, off = model.end_effector(name)
-        jt_lambda += point_jacobian(model, state.q, body, off, fk).T @ force
-    h = nonlinear_effects(model, state.q, state.qd)
-    lhs = mass_matrix(model, state.q) @ sol.qdd + h
+        jt_lambda += dyn.points([body], off).jacobian[0].T @ force
+    h = dyn.h
+    lhs = dyn.m @ sol.qdd + h
     assert np.abs(lhs - sol.tau - jt_lambda).max() <= 1e-9 * (1.0 + np.abs(h).max())
 
 

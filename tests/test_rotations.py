@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     cross3,
     exp_so3_scalar,
+    exp_to_quat,
     left_jacobian_dot_scalar,
     left_jacobian_scalar,
     skew,
@@ -13,7 +14,6 @@ from oracles import (
 from physmotion.rotations import (
     cross_rows,
     exp_so3,
-    exp_to_quat,
     left_jacobian,
     left_jacobian_dot,
     log_so3,

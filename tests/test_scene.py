@@ -3,6 +3,8 @@ import pytest
 
 from physmotion import scene
 from physmotion.errors import EmptySceneError, InvalidInputError, MotionFormatError
+from physmotion.metrics import penetration_stats
+from physmotion.motion import MotionSequence
 from physmotion.scene import (
     ContactLabels,
     HeightMap,
@@ -14,7 +16,6 @@ from physmotion.scene import (
     load_obj,
     make_box_mesh,
     merge_meshes,
-    penetration_check,
     query_height,
     save_contacts_csv,
     save_height_map,
@@ -291,29 +292,39 @@ class TestQueryHeight:
         assert surface_normal(hm, 0.7, 1.1).shape == (3,)
 
 
+def penetrating_pct(points, hm):
+    """penetration_stats' percent of penetrating frames for one frame per
+    point, every joint of frame t at points[t]."""
+    joints = np.repeat(np.asarray(points, dtype=float).reshape(-1, 1, 3), 24, axis=1)
+    n = len(joints)
+    seq = MotionSequence(60.0, joints[:, 0], np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 23, 3)), joints)
+    return penetration_stats(seq, hm)[0]
+
+
 class TestPenetrationCheck:
+    """The strict below-the-surface predicate of penetration_stats."""
+
     def test_below_flat(self):
         hm = build_height_map(make_box_mesh(-1, 1, -1, 1, 0.0), (8, 8))
-        assert penetration_check(np.array([0.0, -0.01, 0.0]), hm)
+        assert penetrating_pct([[0.0, -0.01, 0.0]], hm) == 100.0
 
     def test_boundary_is_strict(self):
         hm = build_height_map(make_box_mesh(-1, 1, -1, 1, 0.0), (8, 8))
-        assert not penetration_check(np.array([0.0, 0.0, 0.0]), hm)
+        assert penetrating_pct([[0.0, 0.0, 0.0]], hm) == 0.0
 
     def test_platform_region(self):
         lower = make_box_mesh(0, 1, 0, 1, 0.0)
         upper = make_box_mesh(0.5, 1, 0, 1, 0.2)
         hm = build_height_map(merge_meshes([lower, upper]), (16, 16))
-        assert penetration_check(np.array([0.8, 0.15, 0.5]), hm)
-        assert not penetration_check(np.array([0.2, 0.15, 0.5]), hm)
+        assert penetrating_pct([[0.8, 0.15, 0.5]], hm) == 100.0
+        assert penetrating_pct([[0.2, 0.15, 0.5]], hm) == 0.0
 
     def test_never_penetrates_above_max_height(self, rng):
         heights = rng.normal(size=(5, 5))
         hm = HeightMap(origin=(0.0, 0.0), cell_size=1.0, heights=heights, default_height=heights.min())
         top = heights.max()
-        for _ in range(50):
-            p = np.array([rng.uniform(-1, 6), top, rng.uniform(-1, 6)])
-            assert not penetration_check(p, hm)
+        points = [[rng.uniform(-1, 6), top, rng.uniform(-1, 6)] for _ in range(50)]
+        assert penetrating_pct(points, hm) == 0.0
 
 
 class TestSurfaceNormal:
