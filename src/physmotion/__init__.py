@@ -21,11 +21,9 @@ from .errors import (
     UndefinedMetricError,
 )
 from .frames import (
-    CameraFramePose,
     FilterParams,
     RigidTransform,
     Trajectory,
-    WorldFramePose,
     align_slam_scale,
     camera_to_world,
     hand_eye_calibrate,

@@ -15,10 +15,9 @@ import sys
 from dataclasses import replace
 
 import click
-import numpy as np
 
-from .errors import PhysmotionError, SolverError
-from .frames import RigidTransform, hand_eye_calibrate
+from .errors import MotionFormatError, PhysmotionError, SolverError
+from .frames import RigidTransform, check_field, check_quaternions, hand_eye_calibrate, parse_field
 from .humanoid import default_model
 from .metrics import evaluate
 from .motion import load_motion
@@ -41,12 +40,18 @@ def _setup_logging() -> None:
 
 
 def _load_transform(path: str) -> RigidTransform:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return RigidTransform(
-        quat_to_matrix(np.asarray(doc["rotation_quat_wxyz"], dtype=float)),
-        np.asarray(doc["translation_xyz"], dtype=float),
-    )
+    """A transform file; a malformed one raises MotionFormatError naming the file and field."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise MotionFormatError(f"{path}: invalid JSON: {exc}") from exc
+    for key in ("rotation_quat_wxyz", "translation_xyz"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise MotionFormatError(f"{path}: missing field {key}")
+    quat = check_quaternions([parse_field(doc["rotation_quat_wxyz"], (4,))], [path], "rotation_quat_wxyz")[0]
+    trans = check_field([parse_field(doc["translation_xyz"], (3,))], [path], "translation_xyz")[0]
+    return RigidTransform(quat_to_matrix(quat), trans)
 
 
 def _dump_transform(t: RigidTransform, path: str) -> None:

@@ -1,7 +1,8 @@
 """Rigid transforms, camera-frame conversion, trajectory alignment, filtering.
 
 All rotations are stored as 3x3 matrices internally; file formats use unit
-quaternions (w, x, y, z). Y-axis is up throughout the package.
+quaternions (w, x, y, z). Y-axis is up throughout the package. The camera
+conversion and the file readers and writers take whole stacks of frames.
 """
 
 from __future__ import annotations
@@ -9,29 +10,73 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateBaselineError, InvalidInputError, InvalidTransformError, MotionFormatError
-from .rotations import matrix_to_quat, quat_to_matrix
-
-_ORTHO_TOL = 1e-9
+from .rotations import matrix_to_quat, matvec_rows, quat_to_matrix, vector_norms
 
 
-def _check_rotation(rot: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+def _check_rotations(rot: np.ndarray, name: str = "rotation", tol: float = 1e-7) -> np.ndarray:
+    """rot as a float array, checked to be one rotation matrix (3, 3) or a
+    stack (..., 3, 3) of them; the first bad matrix of a stack is named by
+    its row."""
     rot = np.asarray(rot, dtype=float)
-    if rot.shape != (3, 3):
-        raise InvalidTransformError(f"rotation must be 3x3, got {rot.shape}")
-    if not np.isfinite(rot).all():
-        raise InvalidTransformError("rotation contains non-finite entries")
-    err = np.max(np.abs(rot.T @ rot - np.eye(3)))
-    det = np.linalg.det(rot)
-    if err > tol or abs(det - 1.0) > tol:
+    if rot.shape[-2:] != (3, 3):
+        raise InvalidTransformError(f"{name} must be 3x3, got {rot.shape}")
+    finite = np.isfinite(rot).all(axis=(-2, -1))
+    checked = np.where(finite[..., None, None], rot, np.eye(3))
+    err = np.abs(np.swapaxes(checked, -1, -2) @ checked - np.eye(3)).max(axis=(-2, -1))
+    det = np.linalg.det(checked)
+    bad = ~finite | (err > tol) | (np.abs(det - 1.0) > tol)
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        where = f"{name} row {','.join(str(i) for i in first)}" if first else name
+        if not finite[first]:
+            raise InvalidTransformError(f"{where} contains non-finite entries")
         raise InvalidTransformError(
-            f"rotation not orthonormal: |R^T R - I| = {err:.3e}, det = {det:.6f}"
+            f"{where} not orthonormal: |R^T R - I| = {err[first]:.3e}, det = {det[first]:.6f}"
         )
     return rot
+
+
+def parse_field(value, shape: tuple) -> np.ndarray:
+    """One record's numeric field as parsed from JSON, as a float array of
+    the given shape; all nan when it is not numbers of that shape, which
+    check_field then reports."""
+    try:
+        floats = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        return np.full(shape, np.nan)
+    return floats if floats.shape == shape else np.full(shape, np.nan)
+
+
+def check_field(rows: list, places: List[str], field: str) -> np.ndarray:
+    """The parse_field arrays of a file's N >= 1 records as one array.
+
+    places[i] names record i (file:line). The first record whose field is
+    not finite numbers of the shape raises MotionFormatError naming its
+    place and the field. The motion, trajectory and transform readers check
+    each field once per file.
+    """
+    array = np.array(rows)
+    finite = np.isfinite(array).reshape(len(rows), -1).all(axis=1)
+    if not finite.all():
+        dims = " x ".join(str(d) for d in array.shape[1:])
+        raise MotionFormatError(f"{places[np.argmin(finite)]}: {field} must be {dims} finite numbers")
+    return array
+
+
+def check_quaternions(rows: list, places: List[str], field: str) -> np.ndarray:
+    """check_field of (w, x, y, z) quaternions, each of non-zero, finite norm."""
+    quats = check_field(rows, places, field)
+    with np.errstate(over="ignore"):  # finite entries past 1e154 have no finite norm
+        norms = vector_norms(quats)[:, 0]
+    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+    if len(bad):
+        raise MotionFormatError(f"{places[bad[0]]}: {field} has a zero or non-finite norm")
+    return quats
 
 
 @dataclass(frozen=True)
@@ -42,7 +87,9 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", _check_rotation(self.rotation))
+        if np.shape(self.rotation) != (3, 3):
+            raise InvalidTransformError(f"rotation must be 3x3, got {np.shape(self.rotation)}")
+        object.__setattr__(self, "rotation", _check_rotations(self.rotation))
         t = np.asarray(self.translation, dtype=float).reshape(3)
         if not np.isfinite(t).all():
             raise InvalidTransformError("translation contains non-finite entries")
@@ -62,52 +109,10 @@ class RigidTransform:
         rt = self.rotation.T
         return RigidTransform(rt, -rt @ self.translation)
 
-    def apply(self, point: np.ndarray) -> np.ndarray:
-        return self.rotation @ np.asarray(point, dtype=float) + self.translation
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "RigidTransform":
-        m = np.asarray(m, dtype=float)
-        return RigidTransform(m[:3, :3], m[:3, 3])
-
     def almost_equal(self, other: "RigidTransform", tol: float = 1e-9) -> bool:
         return (
             np.max(np.abs(self.rotation - other.rotation)) <= tol
             and np.max(np.abs(self.translation - other.translation)) <= tol
-        )
-
-
-@dataclass(frozen=True)
-class CameraFramePose:
-    """Root orientation and translation expressed in the camera frame."""
-
-    global_orientation: np.ndarray
-    root_translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "global_orientation", _check_rotation(self.global_orientation))
-        object.__setattr__(
-            self, "root_translation", np.asarray(self.root_translation, dtype=float).reshape(3)
-        )
-
-
-@dataclass(frozen=True)
-class WorldFramePose:
-    """Root orientation and translation expressed in the world frame."""
-
-    global_orientation: np.ndarray
-    root_translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "global_orientation", _check_rotation(self.global_orientation))
-        object.__setattr__(
-            self, "root_translation", np.asarray(self.root_translation, dtype=float).reshape(3)
         )
 
 
@@ -164,21 +169,27 @@ def hand_eye_calibrate(
 
 
 def camera_to_world(
-    pose: CameraFramePose, cam_rot: np.ndarray, cam_trans: np.ndarray
-) -> WorldFramePose:
-    """Re-express a camera-frame root pose in the world frame.
+    root_rot: np.ndarray, root_trans: np.ndarray, cam_rot: np.ndarray, cam_trans: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Re-express camera-frame root poses in the world frame.
 
     world_orientation = R^-1 @ cam_orientation
     world_translation = R^-1 @ (cam_translation_of_root - T)
-    where (R, T) is the estimated camera pose.
+    where (R, T) is the estimated camera pose. Takes one pose or stacks
+    (..., 3, 3) and (..., 3) of them, each row with the bits of a one-pose
+    call, and names the first row that is not a rotation.
     """
-    r = _check_rotation(cam_rot)
-    t = np.asarray(cam_trans, dtype=float).reshape(3)
-    r_inv = r.T
-    return WorldFramePose(
-        r_inv @ pose.global_orientation,
-        r_inv @ (pose.root_translation - t),
-    )
+    root_rot = _check_rotations(root_rot, "root rotation")
+    r = _check_rotations(cam_rot, "camera rotation")
+    root_trans = np.asarray(root_trans, dtype=float)
+    t = np.asarray(cam_trans, dtype=float)
+    if root_rot.shape != r.shape or not root_trans.shape == t.shape == r.shape[:-1]:
+        raise InvalidInputError(
+            f"pose shapes differ: root {root_rot.shape} and {root_trans.shape},"
+            f" camera {r.shape} and {t.shape}"
+        )
+    r_inv = np.swapaxes(r, -1, -2)
+    return r_inv @ root_rot, matvec_rows(r_inv, root_trans - t)
 
 
 def align_slam_scale(pred: Trajectory, gt_first_two: Sequence[RigidTransform]) -> Trajectory:
@@ -247,20 +258,14 @@ def one_euro_filter(signal: np.ndarray, params: FilterParams) -> np.ndarray:
 
 def save_trajectory(traj: Trajectory, path: str | Path) -> None:
     """Write one JSON record per line: {frame, quat_wxyz, trans_xyz}."""
+    records = zip(traj.frames.tolist(), matrix_to_quat(traj.rotations).tolist(), traj.translations.tolist())
     with open(path, "w") as fh:
-        for i in range(len(traj)):
-            rec = {
-                "frame": int(traj.frames[i]),
-                "quat_wxyz": [float(v) for v in matrix_to_quat(traj.rotations[i])],
-                "trans_xyz": [float(v) for v in traj.translations[i]],
-            }
-            fh.write(json.dumps(rec) + "\n")
+        for frame, quat, trans in records:
+            fh.write(json.dumps({"frame": frame, "quat_wxyz": quat, "trans_xyz": trans}) + "\n")
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    frames = []
-    rotations = []
-    translations = []
+    frames, quats, translations, places = [], [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -272,18 +277,12 @@ def load_trajectory(path: str | Path) -> Trajectory:
                 raise MotionFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
                 frames.append(int(rec["frame"]))
-                quat = np.asarray(rec["quat_wxyz"], dtype=float)
-                trans = np.asarray(rec["trans_xyz"], dtype=float)
+                quats.append(parse_field(rec["quat_wxyz"], (4,)))
+                translations.append(parse_field(rec["trans_xyz"], (3,)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise MotionFormatError(f"{path}:{lineno}: missing or malformed field: {exc}") from exc
-            if quat.shape != (4,) or trans.shape != (3,):
-                raise MotionFormatError(f"{path}:{lineno}: quat_wxyz must be length 4, trans_xyz length 3")
-            if not np.isfinite(quat).all() or not np.isfinite(trans).all():
-                raise MotionFormatError(f"{path}:{lineno}: non-finite value")
-            if not 0.0 < np.linalg.norm(quat) < np.inf:
-                raise MotionFormatError(f"{path}:{lineno}: quat_wxyz has zero or non-finite norm")
-            rotations.append(quat_to_matrix(quat))
-            translations.append(trans)
+            places.append(f"{path}:{lineno}")
     if not frames:
         raise MotionFormatError(f"{path}: empty trajectory file")
-    return Trajectory(np.array(frames), np.array(rotations), np.array(translations))
+    rotations = quat_to_matrix(check_quaternions(quats, places, "quat_wxyz"))
+    return Trajectory(np.array(frames), rotations, check_field(translations, places, "trans_xyz"))

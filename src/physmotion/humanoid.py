@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError
 from .rotations import cross_rows, exp_so3, left_jacobian, left_jacobian_dot, matvec_rows, skew_rows
+from .scene import CONTACT_NAMES
 
 NUM_BODIES = 24
 NV = 75  # 3 translation + 3 root orientation + 23 * 3 joints
@@ -469,34 +470,55 @@ def integrate(state: GeneralizedState, dt: float) -> GeneralizedState:
 
 
 def load_model(path: str | Path) -> HumanoidModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return model_from_dict(doc)
+    """model_from_dict of a JSON file; a malformed file raises
+    InvalidInputError naming the file and the field."""
+    try:
+        with open(path) as fh:
+            return model_from_dict(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path}: invalid JSON: {exc}") from exc
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def model_from_dict(doc: dict) -> HumanoidModel:
+    """A model from its document. A missing or malformed field raises
+    InvalidInputError naming its body, and so does a model without an end
+    effector for each contact point (scene.CONTACT_NAMES)."""
     bodies = []
-    for rec in doc["bodies"]:
-        if "inertia" in rec:
-            inertia = np.asarray(rec["inertia"], dtype=float)
-        else:
-            inertia = np.diag(np.asarray(rec["inertia_diag"], dtype=float))
-        ee = {
-            e["name"]: np.asarray(e["offset_xyz"], dtype=float)
-            for e in rec.get("end_effectors", [])
-        }
-        bodies.append(
-            Body(
-                name=rec["name"],
-                parent=int(rec["parent"]),
-                offset=np.asarray(rec["offset_xyz"], dtype=float),
-                mass=float(rec["mass"]),
-                inertia=inertia,
-                end_effectors=ee,
+    where = "model"
+    try:
+        for i, rec in enumerate(doc["bodies"]):
+            where = f"bodies[{i}]"
+            if "inertia" in rec:
+                inertia = np.asarray(rec["inertia"], dtype=float)
+            else:
+                inertia = np.diag(np.asarray(rec["inertia_diag"], dtype=float).reshape(3))
+            ee = {
+                e["name"]: np.asarray(e["offset_xyz"], dtype=float).reshape(3)
+                for e in rec.get("end_effectors", [])
+            }
+            bodies.append(
+                Body(
+                    name=rec["name"],
+                    parent=int(rec["parent"]),
+                    offset=np.asarray(rec["offset_xyz"], dtype=float).reshape(3),
+                    mass=float(rec["mass"]),
+                    inertia=inertia,
+                    end_effectors=ee,
+                )
             )
-        )
-    gravity = np.asarray(doc.get("gravity", DEFAULT_GRAVITY), dtype=float)
-    return HumanoidModel(bodies, gravity)
+        where = "model"
+        gravity = np.asarray(doc.get("gravity", DEFAULT_GRAVITY), dtype=float).reshape(3)
+    except KeyError as exc:
+        raise InvalidInputError(f"{where}: missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{where}: malformed field: {exc}") from exc
+    model = HumanoidModel(bodies, gravity)
+    missing = sorted(set(CONTACT_NAMES) - {name for name, _, _ in model.end_effectors})
+    if missing:
+        raise InvalidInputError(f"model has no end effector for contact point(s) {', '.join(missing)}")
+    return model
 
 
 def save_model(model: HumanoidModel, path: str | Path) -> None:

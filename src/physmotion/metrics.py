@@ -95,6 +95,16 @@ def mpjpe(pred: MotionSequence, gt: MotionSequence) -> float:
     return float(np.linalg.norm(p_rel - g_rel, axis=2).mean() * 1000.0)
 
 
+def _nearest_rotation(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The rotation nearest to m in the Frobenius norm, (3, 3) or stacked
+    (..., 3, 3), by SVD with the reflection fixed, and m's singular values
+    with the smallest one signed as that fix."""
+    u, svals, vt = np.linalg.svd(m)
+    sign = np.ones_like(svals)
+    sign[..., 2] = np.where(np.linalg.det(u) * np.linalg.det(vt) < 0, -1.0, 1.0)
+    return (u * sign[..., None, :]) @ vt, svals * sign
+
+
 def similarity_align(source: np.ndarray, target: np.ndarray, with_scale: bool = True):
     """Least-squares similarity (or rigid) alignment of two point sets.
 
@@ -110,18 +120,14 @@ def similarity_align(source: np.ndarray, target: np.ndarray, with_scale: bool = 
     mu_t = tgt.mean(axis=-2)
     src_c = src - mu_s[..., None, :]
     tgt_c = tgt - mu_t[..., None, :]
-    cov = np.swapaxes(tgt_c, -1, -2) @ src_c / n
-    u, svals, vt = np.linalg.svd(cov)
-    sign = np.ones_like(svals)
-    sign[..., 2] = np.where(np.linalg.det(u) * np.linalg.det(vt) < 0, -1.0, 1.0)
-    rot = (u * sign[..., None, :]) @ vt
+    rot, signed_svals = _nearest_rotation(np.swapaxes(tgt_c, -1, -2) @ src_c / n)
     if with_scale:
         var = (src_c**2).sum(axis=(-2, -1)) / n
         if np.any(var == 0.0):
             raise UndefinedMetricError("degenerate frame: all points coincide")
-        scale = (svals * sign).sum(axis=-1) / var
+        scale = signed_svals.sum(axis=-1) / var
     else:
-        scale = np.ones(svals.shape[:-1])
+        scale = np.ones(signed_svals.shape[:-1])
     trans = mu_t - ((scale[..., None, None] * rot) @ mu_s[..., None])[..., 0]
     return (float(scale) if scale.ndim == 0 else scale), rot, trans
 
@@ -147,12 +153,7 @@ def _first_two_frame_transform(pred: MotionSequence, gt: MotionSequence):
     """Rigid transform fitting pred's first two root poses to gt's."""
     if len(pred.root_trans) < 2:
         raise UndefinedMetricError("w_mpjpe needs at least 2 frames")
-    wahba = gt.root_rot[0] @ pred.root_rot[0].T + gt.root_rot[1] @ pred.root_rot[1].T
-    u, _, vt = np.linalg.svd(wahba)
-    sign = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        sign[2, 2] = -1.0
-    rot = u @ sign @ vt
+    rot, _ = _nearest_rotation(gt.root_rot[0] @ pred.root_rot[0].T + gt.root_rot[1] @ pred.root_rot[1].T)
     trans = (gt.root_trans[:2] - pred.root_trans[:2] @ rot.T).mean(axis=0)
     return rot, trans
 

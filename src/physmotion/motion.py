@@ -7,7 +7,8 @@ A motion file is one header line followed by one record per frame:
      "joint_angles": [[...] x 23], "joint_positions": [[...] x 24]?,
      "contacts": [bool x 4]?}
 
-Rotations are matrices in memory and quaternions (w, x, y, z) on disk.
+Rotations are matrices in memory and quaternions (w, x, y, z) on disk,
+converted with one stacked call per sequence.
 """
 
 from __future__ import annotations
@@ -20,12 +21,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, MotionFormatError
+from .frames import check_field, check_quaternions, parse_field
 from .humanoid import NV, HumanoidModel, forward_kinematics
 from .rotations import exp_so3, log_so3, matrix_to_quat, quat_to_matrix, vector_norms
 from .scene import ContactLabels
 
 SCHEMA = "physmotion.motion/1"
 NUM_JOINTS = 23  # articulated joints beside the root
+# the numeric fields of a frame record and their shapes; all but joint_positions are required
+_FIELDS = {"root_trans_xyz": (3,), "root_quat_wxyz": (4,), "joint_angles": (NUM_JOINTS, 3), "joint_positions": (24, 3)}
 
 
 @dataclass
@@ -77,7 +81,7 @@ class MotionSequence:
         trans = self.root_trans[frames]
         q = np.empty((len(trans), NV))
         q[:, 0:3] = trans
-        q[:, 3:6] = [log_so3(r) for r in self.root_rot[frames]]
+        q[:, 3:6] = log_so3(self.root_rot[frames])
         q[:, 6:] = self.joint_angles[frames].reshape(len(trans), -1)
         return q
 
@@ -121,6 +125,7 @@ def _continuous_exp_coords(v: np.ndarray, previous: np.ndarray) -> np.ndarray:
 
 
 def save_motion(seq: MotionSequence, path: str | Path) -> None:
+    quats = matrix_to_quat(seq.root_rot)
     with open(path, "w") as fh:
         header = {"schema": SCHEMA, "fps": float(seq.frame_rate), "frames": len(seq)}
         fh.write(json.dumps(header) + "\n")
@@ -128,7 +133,7 @@ def save_motion(seq: MotionSequence, path: str | Path) -> None:
             rec = {
                 "frame": t,
                 "root_trans_xyz": seq.root_trans[t].tolist(),
-                "root_quat_wxyz": matrix_to_quat(seq.root_rot[t]).tolist(),
+                "root_quat_wxyz": quats[t].tolist(),
                 "joint_angles": seq.joint_angles[t].tolist(),
             }
             if seq.joint_positions is not None:
@@ -136,13 +141,6 @@ def save_motion(seq: MotionSequence, path: str | Path) -> None:
             if seq.contacts is not None:
                 rec["contacts"] = seq.contacts.data[t].tolist()
             fh.write(json.dumps(rec) + "\n")
-
-
-def _require_finite(arr: np.ndarray, where: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        raise MotionFormatError(f"{where}[{','.join(str(i) for i in bad)}] is not finite")
-    return arr
 
 
 def load_motion(path: str | Path) -> MotionSequence:
@@ -160,8 +158,8 @@ def load_motion(path: str | Path) -> MotionSequence:
         if fps <= 0.0:
             raise MotionFormatError(f"{path}:1: fps must be positive")
 
-        trans, quats, angles, linenos = [], [], [], []
-        positions, contacts = [], []
+        columns = {key: [] for key in _FIELDS}
+        places, contacts = [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -170,56 +168,31 @@ def load_motion(path: str | Path) -> MotionSequence:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MotionFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            where = f"{path}:{lineno}"
-            try:
-                t = _require_finite(
-                    np.asarray(rec["root_trans_xyz"], dtype=float).reshape(3),
-                    f"{where}: root_trans_xyz",
-                )
-                quat = _require_finite(
-                    np.asarray(rec["root_quat_wxyz"], dtype=float).reshape(4),
-                    f"{where}: root_quat_wxyz",
-                )
-                ang = _require_finite(
-                    np.asarray(rec["joint_angles"], dtype=float).reshape(NUM_JOINTS, 3),
-                    f"{where}: joint_angles",
-                )
-            except (KeyError, ValueError) as exc:
-                raise MotionFormatError(f"{where}: missing or malformed field: {exc}") from exc
-            trans.append(t)
-            quats.append(quat)
-            angles.append(ang)
-            linenos.append(lineno)
-            if "joint_positions" in rec:
-                positions.append(
-                    _require_finite(
-                        np.asarray(rec["joint_positions"], dtype=float).reshape(24, 3),
-                        f"{where}: joint_positions",
-                    )
-                )
+            places.append(f"{path}:{lineno}")
+            for key, shape in _FIELDS.items():
+                if key in rec:
+                    columns[key].append(parse_field(rec[key], shape))
+                elif key != "joint_positions":
+                    raise MotionFormatError(f"{places[-1]}: missing field {key}")
             if "contacts" in rec:
                 contacts.append([bool(v) for v in rec["contacts"]])
 
-    if not trans:
+    n = len(places)
+    if not n:
         raise MotionFormatError(f"{path}: no frames")
-    norms = np.linalg.norm(quats, axis=1)
-    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
-    if len(bad):
-        raise MotionFormatError(f"{path}:{linenos[bad[0]]}: root_quat_wxyz has zero or non-finite norm")
-    n = len(trans)
-    if positions and len(positions) != n:
-        raise MotionFormatError(f"{path}: joint_positions present on only some frames")
-    if contacts and len(contacts) != n:
-        raise MotionFormatError(f"{path}: contacts present on only some frames")
+    positions = columns["joint_positions"]
+    for key, rows in (("joint_positions", positions), ("contacts", contacts)):
+        if rows and len(rows) != n:
+            raise MotionFormatError(f"{path}: {key} present on only some frames")
     expected = int(header.get("frames", n))
     if expected != n:
         raise MotionFormatError(f"{path}: header declares {expected} frames, found {n}")
     return MotionSequence(
         frame_rate=fps,
-        root_trans=np.array(trans),
-        root_rot=np.array([quat_to_matrix(q) for q in quats]),
-        joint_angles=np.array(angles),
-        joint_positions=np.array(positions) if positions else None,
+        root_trans=check_field(columns["root_trans_xyz"], places, "root_trans_xyz"),
+        root_rot=quat_to_matrix(check_quaternions(columns["root_quat_wxyz"], places, "root_quat_wxyz")),
+        joint_angles=check_field(columns["joint_angles"], places, "joint_angles"),
+        joint_positions=check_field(positions, places, "joint_positions") if positions else None,
         contacts=ContactLabels(np.array(contacts, dtype=bool)) if contacts else None,
     )
 
@@ -245,7 +218,7 @@ def resample_motion(seq: MotionSequence, target_fps: float) -> MotionSequence:
             out[:, c] = np.interp(dst_t, src_t, flat[:, c])
         return out.reshape((m,) + arr.shape[1:])
 
-    quats = np.array([matrix_to_quat(r) for r in seq.root_rot])
+    quats = matrix_to_quat(seq.root_rot)
     # keep quaternion hemisphere consistent before lerping
     for i in range(1, n):
         if quats[i] @ quats[i - 1] < 0:
@@ -260,7 +233,7 @@ def resample_motion(seq: MotionSequence, target_fps: float) -> MotionSequence:
     return MotionSequence(
         frame_rate=target_fps,
         root_trans=interp(seq.root_trans),
-        root_rot=np.array([quat_to_matrix(qv) for qv in q_new]),
+        root_rot=quat_to_matrix(q_new),
         joint_angles=interp(seq.joint_angles),
         joint_positions=None if seq.joint_positions is None else interp(seq.joint_positions),
         contacts=contacts,

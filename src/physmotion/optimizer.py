@@ -188,9 +188,6 @@ class FrameSolution:
     def degraded(self) -> bool:
         return self.level != FALLBACK_LEVELS[0][0]
 
-    def force_for(self, name: str) -> np.ndarray:
-        return self.contact_forces[self.contact_names.index(name)]
-
 
 def pd_desired_accel_angles(
     q: np.ndarray, qd: np.ndarray, q_ref: np.ndarray, gains: PDGains

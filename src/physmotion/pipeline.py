@@ -17,14 +17,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .frames import (
-    CameraFramePose,
-    FilterParams,
-    Trajectory,
-    camera_to_world,
-    load_trajectory,
-    one_euro_filter,
-)
+from .frames import FilterParams, Trajectory, camera_to_world, load_trajectory, one_euro_filter
 from .humanoid import HumanoidModel, default_model, load_model
 from .metrics import MetricReport, evaluate
 from .motion import MotionSequence, load_motion, save_motion
@@ -103,10 +96,19 @@ def _check_keys(where: str, block, known: set) -> None:
 def config_from_dict(doc: dict) -> RunConfig:
     """Build a RunConfig from a config document; a key that names no field,
     at the top level or inside a block, or a field the run sets itself,
-    raises ConfigError naming it."""
+    raises ConfigError naming it, and so does a top-level value of the wrong
+    type."""
     plain = {f.name for f in fields(RunConfig)} - {name for name, _ in _CONFIG_BLOCKS.values()}
     _check_keys("config", doc, plain | set(_CONFIG_BLOCKS))
     kwargs = {k: v for k, v in doc.items() if k in plain}
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for key, value in kwargs.items():
+        # a top-level value has its default's type (str or null for a path),
+        # and a bool is not an int
+        allowed = (str, type(None)) if defaults[key] is None else type(defaults[key])
+        if not isinstance(value, allowed) or isinstance(value, bool) != (allowed is bool):
+            expected = "str or null" if defaults[key] is None else allowed.__name__
+            raise ConfigError(f"wrong type in config: {key} must be {expected}, got {value!r}")
     for key, (name, cls) in _CONFIG_BLOCKS.items():
         if key in doc:
             _check_keys(key, doc[key], {f.name for f in fields(cls)} - _SET_BY_RUN.get(key, set()))
@@ -164,14 +166,9 @@ def convert_camera_frame(seq: MotionSequence, camera: Trajectory) -> MotionSeque
             f"camera trajectory row {row} has frame {camera.frames[row]}, expected {row}"
         )
     out = seq.copy()
-    for t in range(len(seq)):
-        pose = camera_to_world(
-            CameraFramePose(seq.root_rot[t], seq.root_trans[t]),
-            camera.rotations[t],
-            camera.translations[t],
-        )
-        out.root_rot[t] = pose.global_orientation
-        out.root_trans[t] = pose.root_translation
+    out.root_rot, out.root_trans = camera_to_world(
+        seq.root_rot, seq.root_trans, camera.rotations[: len(seq)], camera.translations[: len(seq)]
+    )
     out.joint_positions = None
     return out
 

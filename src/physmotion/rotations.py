@@ -7,9 +7,12 @@ Conventions:
     - Quaternions are (w, x, y, z), unit norm.
     - left_jacobian(v) maps exponential-coordinate rates to world-frame angular
       velocity of exp_so3(v): d/dt exp(v) = skew(left_jacobian(v) @ vdot) @ exp(v).
-    - exp_so3, left_jacobian and left_jacobian_dot take one vector (3,) or a
-      stack (..., 3); a stack gives the same bits as one call per vector, so
-      the dynamics evaluate all 24 joints at once.
+    - Every conversion takes one input or a stack of them: exp_so3,
+      left_jacobian and left_jacobian_dot take (3,) or (..., 3), log_so3 and
+      matrix_to_quat (3, 3) or (..., 3, 3), quat_to_matrix and quat_to_exp
+      (4,) or (..., 4). A stack gives the same bits as one call per row, so
+      the dynamics evaluate all 24 joints at once and a sequence's root
+      rotations convert in one call.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def exp_so3(v: np.ndarray) -> np.ndarray:
 
 
 def vector_norms(v: np.ndarray) -> np.ndarray:
-    """(..., 1) lengths of the vectors of a (..., 3) array, each the same bits
+    """(..., 1) lengths of the vectors of a (..., k) array, each the same bits
     as np.linalg.norm of that one vector (np.linalg.norm(axis=-1) can differ
     from it in the last place)."""
     return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
@@ -106,45 +109,51 @@ def log_so3(rot: np.ndarray) -> np.ndarray:
 def matrix_to_quat(rot: np.ndarray) -> np.ndarray:
     """Unit quaternion (w, x, y, z) with w >= 0 (Shepperd's method)."""
     m = np.asarray(rot, dtype=float)
-    t = np.trace(m)
-    if t > 0.0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(m)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(max(m[i, i] - m[j, j] - m[k, k] + 1.0, 0.0)) * 2.0
-        q = np.empty(4)
-        q[0] = (m[k, j] - m[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (m[j, i] + m[i, j]) / s
-        q[1 + k] = (m[k, i] + m[i, k]) / s
-    if q[0] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
+    shape, m = m.shape[:-2], m.reshape(-1, 3, 3)
+    trace = np.trace(m, axis1=1, axis2=2)
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    # square[:, b] = 4 q_b^2 and products[:, b, c] = 4 q_b q_c (b != c) for
+    # components b, c of (w, x, y, z). The pivot is w for a positive trace,
+    # else the axis of the largest diagonal entry; s = 4 |q_pivot|, and the
+    # other components are the pivot's row of products over s.
+    pivot = np.where(trace > 0.0, 0, 1 + np.argmax(diag, axis=1))
+    square = np.concatenate([trace[:, None] + 1.0, diag - diag[:, _NEXT] - diag[:, _PREV] + 1.0], axis=1)
+    products = np.empty((len(m), 4, 4))
+    products[:, 0, 1:] = products[:, 1:, 0] = m[:, _PREV, _NEXT] - m[:, _NEXT, _PREV]
+    products[:, 1:, 1:] = m + np.swapaxes(m, 1, 2)
+    rows = np.arange(len(m))
+    s = square[rows, pivot]
+    s = np.sqrt(np.where(0.0 > s, 0.0, s)) * 2.0  # max(s, 0.0), nan kept
+    q = products[rows, pivot] / s[:, None]
+    q[rows, pivot] = 0.25 * s
+    q = np.where(q[:, :1] < 0.0, -q, q)
+    q /= vector_norms(q)
+    return q.reshape(shape + (4,))
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Rotation matrix of a quaternion (w, x, y, z), normalised first."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = np.moveaxis(q / vector_norms(q), -1, 0)
+    rows = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def quat_to_exp(q: np.ndarray) -> np.ndarray:
-    w, xyz = q[0], np.asarray(q[1:], dtype=float)
-    n = np.linalg.norm(xyz)
-    if n < _SMALL_ANGLE:
-        # theta/sin(theta/2) ~ 2/w for small angles
-        return xyz * (2.0 / w if w != 0.0 else 2.0)
-    angle = 2.0 * np.arctan2(n, w)
-    return xyz * (angle / n)
+    """Exponential coordinates of a quaternion (w, x, y, z)."""
+    q = np.asarray(q, dtype=float)
+    w, xyz = q[..., :1], q[..., 1:]
+    n = vector_norms(xyz)
+    small = n < _SMALL_ANGLE
+    nonzero_w = w != 0.0
+    # theta/sin(theta/2) ~ 2/w for small angles
+    small_factor = np.where(nonzero_w, 2.0 / np.where(nonzero_w, w, 1.0), 2.0)
+    factor = np.where(small, small_factor, 2.0 * np.arctan2(n, w) / np.where(small, 1.0, n))
+    return xyz * factor
 
 
 def left_jacobian(v: np.ndarray) -> np.ndarray:

@@ -369,9 +369,6 @@ class ContactLabels:
     def __len__(self) -> int:
         return len(self.data)
 
-    def frame(self, t: int) -> np.ndarray:
-        return self.data[t]
-
 
 def label_contacts(
     joint_positions: np.ndarray, mesh: TriangleMesh, threshold: float = 0.05

@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from physmotion.frames import CameraFramePose
 from physmotion.humanoid import NUM_BODIES, NV, FKResult
 from physmotion.optimizer import (
     CONTACT_ACTIVATION_MARGIN,
@@ -228,12 +227,63 @@ def exp_to_quat(v):
     return np.concatenate([[np.cos(angle / 2.0)], axis * np.sin(angle / 2.0)])
 
 
-def world_to_camera(pose, cam_rot, cam_trans):
-    """The camera-frame pose of a world-frame pose: the inverse of
-    frames.camera_to_world for the camera pose (cam_rot, cam_trans)."""
+def matrix_to_quat_scalar(rot):
+    """Unit quaternion (w, x, y, z) with w >= 0 of one matrix (Shepperd's method)."""
+    m = np.asarray(rot, dtype=float)
+    t = np.trace(m)
+    if t > 0.0:
+        s = np.sqrt(t + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
+        )
+    else:
+        i = int(np.argmax(np.diag(m)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = np.sqrt(max(m[i, i] - m[j, j] - m[k, k] + 1.0, 0.0)) * 2.0
+        q = np.empty(4)
+        q[0] = (m[k, j] - m[j, k]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (m[j, i] + m[i, j]) / s
+        q[1 + k] = (m[k, i] + m[i, k]) / s
+    if q[0] < 0.0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
+def quat_to_matrix_scalar(q):
+    """Rotation matrix of one quaternion (w, x, y, z), normalised first."""
+    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def quat_to_exp_scalar(q):
+    """Exponential coordinates of one quaternion (w, x, y, z), series below 1e-8."""
+    w, xyz = q[0], np.asarray(q[1:], dtype=float)
+    n = np.linalg.norm(xyz)
+    if n < 1e-8:
+        return xyz * (2.0 / w if w != 0.0 else 2.0)
+    angle = 2.0 * np.arctan2(n, w)
+    return xyz * (angle / n)
+
+
+def log_so3_scalar(rot):
+    """Exponential coordinates of one rotation matrix, through its quaternion."""
+    return quat_to_exp_scalar(matrix_to_quat_scalar(rot))
+
+
+def world_to_camera(root_rot, root_trans, cam_rot, cam_trans):
+    """The camera-frame root poses (rotations, translations) of world-frame
+    ones, one pose or stacks: the inverse of frames.camera_to_world for the
+    camera poses (cam_rot, cam_trans)."""
     r = np.asarray(cam_rot, dtype=float)
-    t = np.asarray(cam_trans, dtype=float).reshape(3)
-    return CameraFramePose(r @ pose.global_orientation, r @ pose.root_translation + t)
+    t = np.asarray(cam_trans, dtype=float)
+    return r @ root_rot, (r @ np.asarray(root_trans, dtype=float)[..., None])[..., 0] + t
 
 
 def tangent_basis_scalar(n):

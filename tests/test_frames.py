@@ -9,7 +9,6 @@ from physmotion.errors import (
     MotionFormatError,
 )
 from physmotion.frames import (
-    CameraFramePose,
     FilterParams,
     RigidTransform,
     Trajectory,
@@ -83,46 +82,79 @@ class TestHandEye:
             assert np.abs(as_matrix(recomposed) - as_matrix(t_ef)).max() < 1e-10
 
 
+def random_poses(rng, n):
+    return np.array([random_rotation(rng) for _ in range(n)]), rng.normal(size=(n, 3))
+
+
 class TestCameraToWorld:
     def test_identity_camera(self, rng):
-        pose = CameraFramePose(random_rotation(rng), rng.normal(size=3))
-        out = camera_to_world(pose, np.eye(3), np.zeros(3))
-        assert np.allclose(out.global_orientation, pose.global_orientation)
-        assert np.allclose(out.root_translation, pose.root_translation)
+        rot, trans = random_rotation(rng), rng.normal(size=3)
+        out_rot, out_trans = camera_to_world(rot, trans, np.eye(3), np.zeros(3))
+        assert np.allclose(out_rot, rot)
+        assert np.allclose(out_trans, trans)
 
     def test_translation_cancellation(self, rng):
         t_s = rng.normal(size=3)
-        pose = CameraFramePose(np.eye(3), t_s)
-        out = camera_to_world(pose, random_rotation(rng), t_s)
-        assert np.abs(out.root_translation).max() < 1e-12
+        _, out_trans = camera_to_world(np.eye(3), t_s, random_rotation(rng), t_s)
+        assert np.abs(out_trans).max() < 1e-12
 
     def test_quarter_turn_case(self):
         # 90 degrees about y, camera at (1,0,0), root at (1,0,0) in camera frame
         c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
         r_s = np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
-        pose = CameraFramePose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        out = camera_to_world(pose, r_s, np.array([1.0, 0.0, 0.0]))
-        assert np.abs(out.root_translation).max() < 1e-12
-        assert np.allclose(out.global_orientation, r_s.T, atol=1e-12)
+        rot, trans = np.eye(3), np.array([1.0, 0.0, 0.0])
+        out_rot, out_trans = camera_to_world(rot, trans, r_s, np.array([1.0, 0.0, 0.0]))
+        assert np.abs(out_trans).max() < 1e-12
+        assert np.allclose(out_rot, r_s.T, atol=1e-12)
         # independent homogeneous oracle: world = inv([R_S, T_S]) applied to camera pose
         cam = np.eye(4)
-        cam[:3, :3] = pose.global_orientation
-        cam[:3, 3] = pose.root_translation
+        cam[:3, :3] = rot
+        cam[:3, 3] = trans
         world = np.eye(4)
         world[:3, :3] = r_s
         world[:3, 3] = np.array([1.0, 0.0, 0.0])
         expected = np.linalg.inv(world) @ cam
-        assert np.allclose(out.global_orientation, expected[:3, :3], atol=1e-12)
-        assert np.allclose(out.root_translation, expected[:3, 3], atol=1e-12)
+        assert np.allclose(out_rot, expected[:3, :3], atol=1e-12)
+        assert np.allclose(out_trans, expected[:3, 3], atol=1e-12)
 
     def test_round_trip(self, rng):
-        for _ in range(200):
-            pose = CameraFramePose(random_rotation(rng), rng.normal(size=3))
-            r_s, t_s = random_rotation(rng), rng.normal(size=3)
-            world = camera_to_world(pose, r_s, t_s)
-            back = world_to_camera(world, r_s, t_s)
-            assert np.abs(back.global_orientation - pose.global_orientation).max() < 1e-10
-            assert np.abs(back.root_translation - pose.root_translation).max() < 1e-10
+        rot, trans = random_poses(rng, 200)
+        r_s, t_s = random_poses(rng, 200)
+        back_rot, back_trans = world_to_camera(*camera_to_world(rot, trans, r_s, t_s), r_s, t_s)
+        assert np.abs(back_rot - rot).max() < 1e-10
+        assert np.abs(back_trans - trans).max() < 1e-10
+
+    def test_stack_equals_one_pose_per_call_bit_for_bit(self, rng):
+        rot, trans = random_poses(rng, 500)
+        r_s, t_s = random_poses(rng, 500)
+        t_s *= 100.0
+        world_rot, world_trans = camera_to_world(rot, trans, r_s, t_s)
+        assert world_rot.shape == (500, 3, 3) and world_trans.shape == (500, 3)
+        for k in range(500):
+            one_rot, one_trans = camera_to_world(rot[k], trans[k], r_s[k], t_s[k])
+            assert one_rot.shape == (3, 3) and one_trans.shape == (3,)
+            assert np.array_equal(world_rot[k], one_rot) and np.array_equal(world_trans[k], one_trans)
+            # the per-frame products the conversion stands for
+            assert np.array_equal(one_rot, r_s[k].T @ rot[k])
+            assert np.array_equal(one_trans, r_s[k].T @ (trans[k] - t_s[k]))
+
+    @pytest.mark.parametrize("stack", ["root rotation", "camera rotation"])
+    def test_first_bad_rotation_of_a_stack_is_named_by_row(self, rng, stack):
+        rot, trans = random_poses(rng, 6)
+        r_s, t_s = random_poses(rng, 6)
+        bad = rot if stack == "root rotation" else r_s
+        bad[4] *= 1.1
+        bad[5, 0, 0] = np.nan
+        with pytest.raises(InvalidTransformError, match=f"^{stack} row 4 not orthonormal"):
+            camera_to_world(rot, trans, r_s, t_s)
+        bad[2] = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(InvalidTransformError, match=f"^{stack} row 2 not orthonormal"):
+            camera_to_world(rot, trans, r_s, t_s)
+        bad[1, 2, 1] = np.inf
+        with pytest.raises(InvalidTransformError, match=f"^{stack} row 1 contains non-finite entries"):
+            camera_to_world(rot, trans, r_s, t_s)
+        with pytest.raises(InvalidInputError, match="pose shapes differ"):
+            camera_to_world(*random_poses(rng, 2), *random_poses(rng, 3))
 
 
 def make_trajectory(rng, n=10):

@@ -58,6 +58,11 @@ class TestRunConfig:
             ({"filter": {"beta": 0.5, "sample_rate": 30.0}}, "filter", "sample_rate"),
             ({"frame_rate": 30}, "config", "frame_rate"),
             ({"scenario": {"scene": "flat", "sed": 3}}, "scenario", "sed"),
+            # a known top-level key with a value of the wrong type
+            ({"grid_resolution": "64"}, "config", "grid_resolution"),
+            ({"run_physics": "no"}, "config", "run_physics"),
+            ({"grid_resolution": True}, "config", "grid_resolution"),
+            ({"mesh_path": 3}, "config", "mesh_path"),
         ],
     )
     def test_unknown_key_is_named(self, doc, where, key):
@@ -247,7 +252,7 @@ class TestCameraConversion:
     def test_camera_frame_round_trip_through_pipeline_stage(self, tmp_path, model, rng):
         from oracles import world_to_camera
 
-        from physmotion.frames import CameraFramePose, Trajectory
+        from physmotion.frames import Trajectory
         from physmotion.pipeline import convert_camera_frame
         from physmotion.rotations import random_rotation
 
@@ -261,14 +266,9 @@ class TestCameraConversion:
         )
         # express each world-frame root pose in the camera frame
         cam_seq = world.copy()
-        for t in range(n):
-            pose = world_to_camera(
-                CameraFramePose(world.root_rot[t], world.root_trans[t]),
-                cam.rotations[t],
-                cam.translations[t],
-            )
-            cam_seq.root_rot[t] = pose.global_orientation
-            cam_seq.root_trans[t] = pose.root_translation
+        cam_seq.root_rot, cam_seq.root_trans = world_to_camera(
+            world.root_rot, world.root_trans, cam.rotations, cam.translations
+        )
         recovered = convert_camera_frame(cam_seq, cam)
         assert np.abs(recovered.root_rot - world.root_rot).max() < 1e-10
         assert np.abs(recovered.root_trans - world.root_trans).max() < 1e-10
@@ -393,6 +393,64 @@ class TestCLI:
             assert r.exit_code == 0, r.output
             doc = json.loads(Path("he.json").read_text())
             assert set(doc) == {"rotation_quat_wxyz", "translation_xyz"}
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("{not json", "invalid JSON"),
+            (json.dumps([1.0, 0.0, 0.0, 0.0]), "rotation_quat_wxyz"),
+            (json.dumps({"translation_xyz": [0.0, 0.0, 0.0]}), "rotation_quat_wxyz"),
+            (json.dumps({"rotation_quat_wxyz": [1.0, 0.0, 0.0, 0.0]}), "translation_xyz"),
+            (json.dumps({"rotation_quat_wxyz": [1.0, 0.0, 0.0], "translation_xyz": [0, 0, 0]}), "rotation_quat_wxyz"),
+            (json.dumps({"rotation_quat_wxyz": [0, 0, 0, 0], "translation_xyz": [0, 0, 0]}), "rotation_quat_wxyz"),
+            (json.dumps({"rotation_quat_wxyz": [float("nan"), 0, 0, 1], "translation_xyz": [0, 0, 0]}), "rotation_quat_wxyz"),
+            (json.dumps({"rotation_quat_wxyz": [1, 0, 0, 0], "translation_xyz": [0, 0]}), "translation_xyz"),
+            (json.dumps({"rotation_quat_wxyz": [1, 0, 0, 0], "translation_xyz": [0, "x", 0]}), "translation_xyz"),
+        ],
+    )
+    def test_calibrate_rejects_a_bad_transform_file(self, tmp_path, text, field):
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            good = {"rotation_quat_wxyz": [1.0, 0.0, 0.0, 0.0], "translation_xyz": [0.0, 0.0, 0.0]}
+            Path("eh.json").write_text(json.dumps(good))
+            Path("ef.json").write_text(json.dumps(good))
+            Path("mf.json").write_text(text)
+            r = runner.invoke(main, ["calibrate", "--t-eh", "eh.json", "--t-ef", "ef.json", "--t-mf", "mf.json"])
+            assert r.exit_code == EXIT_CONFIG, r.output
+            assert isinstance(r.exception, SystemExit)  # no traceback
+            assert "MotionFormatError: mf.json: " in r.output and field in r.output
+            assert not Path("hand_eye.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: "{not json", "invalid JSON"),
+            (lambda doc: doc.pop("bodies"), "model: missing field 'bodies'"),
+            (lambda doc: doc["bodies"][3].pop("mass"), "bodies[3]: missing field 'mass'"),
+            (lambda doc: doc["bodies"][5].update(offset_xyz=[0.0, 1.0]), "bodies[5]: malformed field"),
+            (lambda doc: doc["bodies"][2].update(parent="left"), "bodies[2]: malformed field"),
+            (lambda doc: doc["bodies"].append(7), "bodies[24]: malformed field"),
+            (
+                lambda doc: [b["end_effectors"].pop() for b in doc["bodies"] if b["name"] == "r_foot"],
+                "model has no end effector for contact point(s) r_heel",
+            ),
+        ],
+    )
+    def test_bad_model_file_exits_2_at_load(self, tmp_path, edit, message):
+        from importlib import resources
+
+        doc = json.loads(resources.files("physmotion").joinpath("data/default_model.json").read_text())
+        text = edit(doc)
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            Path("model.json").write_text(text if isinstance(text, str) else json.dumps(doc))
+            Path("motion.jsonl").write_text("not read: the model fails first\n")
+            Path("cfg.json").write_text(json.dumps({"motion_path": "motion.jsonl", "model_path": "model.json",
+                                                    "settings": {"use_height_map": False}}))
+            r = runner.invoke(main, ["pipeline", "--config", "cfg.json"])
+            assert r.exit_code == EXIT_CONFIG, r.output
+            assert isinstance(r.exception, SystemExit)  # no traceback
+            assert f"InvalidInputError: model.json: {message}" in r.output
 
     def test_evaluate_command(self, tmp_path, model):
         runner = CliRunner()

@@ -8,6 +8,10 @@ from oracles import (
     exp_to_quat,
     left_jacobian_dot_scalar,
     left_jacobian_scalar,
+    log_so3_scalar,
+    matrix_to_quat_scalar,
+    quat_to_exp_scalar,
+    quat_to_matrix_scalar,
     skew,
 )
 
@@ -18,6 +22,7 @@ from physmotion.rotations import (
     left_jacobian_dot,
     log_so3,
     matrix_to_quat,
+    quat_to_exp,
     quat_to_matrix,
     random_rotation,
 )
@@ -110,6 +115,56 @@ def test_exp_so3_stack_equals_the_scalar_formula_bit_for_bit(rng):
         one = exp_so3(x)
         assert one.shape == (3, 3) and np.array_equal(one, e)
     assert np.array_equal(exp_so3(np.zeros(3)), np.eye(3))
+
+
+def conversion_test_inputs(rng, n=12000):
+    """Quaternions and matrices for the conversions: random ones, w = 0,
+    |xyz| below 1e-8 and zero, negative w, unnormalised; 180-degree turns,
+    the identity, a trace-0 permutation, near-identity and non-orthonormal
+    matrices."""
+    q = rng.normal(size=(n, 4)) * rng.uniform(0.1, 10.0, size=(n, 1))
+    q[:2000, 0] = 0.0
+    q[2000:4000, 1:] *= rng.uniform(0.0, 2e-8, size=(2000, 1)) / np.linalg.norm(q[2000:4000, 1:], axis=1, keepdims=True)
+    q[4000:4010, 1:] = 0.0
+    q[4010:4020, 0] = 0.0
+    q[4010:4020, 1:] *= 1e-10  # w = 0 and |xyz| below 1e-8
+    axes = rng.normal(size=(1000, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    mats = np.concatenate(
+        [
+            np.array([quat_to_matrix_scalar(x) for x in q]),
+            2.0 * axes[:, :, None] * axes[:, None, :] - np.eye(3),  # 180-degree turns
+            [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])],
+            [np.eye(3), [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+            exp_so3(rng.normal(size=(500, 3)) * 1e-9),
+            exp_so3(rng.normal(size=(500, 3))) + rng.normal(size=(500, 3, 3)) * 1e-3,
+        ]
+    )
+    return q, mats
+
+
+def test_quaternion_conversions_of_a_stack_equal_the_scalar_formulas_bit_for_bit(rng):
+    q, mats = conversion_test_inputs(rng)
+    # every Shepperd branch: positive trace, and each axis's largest diagonal
+    trace = np.trace(mats, axis1=1, axis2=2)
+    assert (trace > 0.0).sum() > 1000
+    assert np.bincount(np.argmax(np.diagonal(mats, axis1=1, axis2=2)[trace <= 0.0], axis=1)).min() > 1000
+    quats = matrix_to_quat(mats)
+    assert quats.shape == (len(mats), 4)
+    assert np.array_equal(quats, np.array([matrix_to_quat_scalar(m) for m in mats]))
+    assert np.array_equal(log_so3(mats), np.array([log_so3_scalar(m) for m in mats]))
+    assert np.array_equal(quat_to_matrix(q), np.array([quat_to_matrix_scalar(x) for x in q]))
+    stack = np.concatenate([q, -q[:2000], quats])
+    assert np.array_equal(quat_to_exp(stack), np.array([quat_to_exp_scalar(x) for x in stack]))
+    # one input gives today's shape and its row's bits, and any leading shape works
+    for k in list(range(0, len(mats), 397)) + [len(q), len(mats) - 1000]:
+        assert np.array_equal(matrix_to_quat(mats[k]), quats[k])
+        assert np.array_equal(log_so3(mats[k]), log_so3_scalar(mats[k]))
+        assert np.array_equal(quat_to_matrix(stack[k]), quat_to_matrix_scalar(stack[k]))
+        assert np.array_equal(quat_to_exp(stack[k]), quat_to_exp_scalar(stack[k]))
+    assert matrix_to_quat(np.eye(3)).shape == (4,) and quat_to_exp(np.array([1.0, 0, 0, 0])).shape == (3,)
+    assert np.array_equal(matrix_to_quat(mats[:12000].reshape(40, 300, 3, 3)), quats[:12000].reshape(40, 300, 4))
+    assert np.array_equal(quat_to_matrix(q.reshape(30, 400, 4)), quat_to_matrix(q).reshape(30, 400, 3, 3))
 
 
 def jacobian_test_vectors(rng, n=3000):
