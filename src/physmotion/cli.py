@@ -219,7 +219,13 @@ def _run(config: RunConfig, ablation: str | None) -> None:
     if result.report is not None:
         click.echo(result.report.table())
     if result.degraded_frames:
-        click.echo(f"degraded frames: {len(result.degraded_frames)}")
+        first = result.degraded_frames[0]
+        sol = result.solutions[first]
+        level, reason = sol.failures[0]
+        click.echo(
+            f"degraded frames: {len(result.degraded_frames)}; "
+            f"first frame {first} at {sol.level}, {level} failed: {reason}"
+        )
         if config.strict:
             sys.exit(EXIT_DEGRADED)
     sys.exit(EXIT_OK)

@@ -95,10 +95,6 @@ class RigidTransform:
             raise InvalidTransformError("translation contains non-finite entries")
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         return RigidTransform(
             self.rotation @ other.rotation,
@@ -108,12 +104,6 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
         return RigidTransform(rt, -rt @ self.translation)
-
-    def almost_equal(self, other: "RigidTransform", tol: float = 1e-9) -> bool:
-        return (
-            np.max(np.abs(self.rotation - other.rotation)) <= tol
-            and np.max(np.abs(self.translation - other.translation)) <= tol
-        )
 
 
 @dataclass(frozen=True)

@@ -75,17 +75,24 @@ class HumanoidModel:
                     f"body {i} ({b.name}): parent {b.parent} must precede it in the tree"
                 )
         for b in bodies:
-            if b.mass <= 0.0:
-                raise InvalidInputError(f"body {b.name}: mass must be positive")
+            if not 0.0 < b.mass < np.inf:  # NaN fails the comparison
+                raise InvalidInputError(f"body {b.name}: mass must be finite and positive")
             inertia = np.asarray(b.inertia, dtype=float)
-            if inertia.shape != (3, 3) or np.max(np.abs(inertia - inertia.T)) > 1e-12:
-                raise InvalidInputError(f"body {b.name}: inertia must be symmetric 3x3")
-            if np.linalg.eigvalsh(inertia).min() <= 0.0:
-                raise InvalidInputError(f"body {b.name}: inertia must be positive definite")
+            if inertia.shape != (3, 3) or not np.isfinite(inertia).all():
+                raise InvalidInputError(f"body {b.name}: inertia must be a finite 3x3 matrix")
+            if np.max(np.abs(inertia - inertia.T)) > 1e-12 or np.linalg.eigvalsh(inertia).min() <= 0.0:
+                raise InvalidInputError(f"body {b.name}: inertia must be symmetric positive definite")
             b.offset = np.asarray(b.offset, dtype=float).reshape(3)
+            if not np.isfinite(b.offset).all():
+                raise InvalidInputError(f"body {b.name}: offset must be finite")
+            for name, off in b.end_effectors.items():
+                if not np.isfinite(off).all():
+                    raise InvalidInputError(f"body {b.name}: end effector {name} offset must be finite")
             b.inertia = inertia
         self.bodies: Tuple[Body, ...] = tuple(bodies)
         self.gravity = np.asarray(gravity, dtype=float).reshape(3)
+        if not np.isfinite(self.gravity).all():
+            raise InvalidInputError("gravity must be finite")
         self.parents = np.array([b.parent for b in bodies])
         # each body's parent row with the root pointing at itself, for
         # gathering every body's parent term at once (the root's is unused)
@@ -137,12 +144,6 @@ class HumanoidModel:
             for name, off in b.end_effectors.items():
                 self.end_effectors.append((name, i, np.asarray(off, dtype=float).reshape(3)))
         self.end_effectors.sort(key=lambda e: e[0])
-
-    def body_index(self, name: str) -> int:
-        for i, b in enumerate(self.bodies):
-            if b.name == name:
-                return i
-        raise KeyError(name)
 
     def end_effector(self, name: str) -> Tuple[int, np.ndarray]:
         for ee_name, body, off in self.end_effectors:

@@ -27,27 +27,28 @@ Contact activation requires both the per-frame contact label and foot height
 below surface + 1 cm; labels alone can be stale when the kinematic input
 floats above the scene.
 
-A frame whose QP fails goes down the FALLBACK_LEVELS chain: full, then
-no-slide (no-sliding rows dropped), then no-cone (friction cone dropped as
-well), every level at the settings' solver tolerance. Every level after the
-first flags the frame degraded. A SolverError (QPInfeasibleError included)
-at any level moves the frame to the next one; the no-cone level's error
-escapes `solve_frame`.
+`frame_problem` builds a frame's QP once: contact activation, the cost and
+the constraint blocks (equation-of-motion rows, no-sliding rows, the root
+pin and the friction cones, with the tangent bases of every contact in one
+call). Its rigid-body terms (M, h and the contact-point Jacobians,
+velocities and bias accelerations) come from one `frame_dynamics` sweep, the
+four feet's point terms from one `FrameDynamics.points` call.
 
-The rigid-body terms of a frame (M, h and the contact-point Jacobians,
-velocities and bias accelerations) come from one `frame_dynamics` sweep,
-the four feet's point terms from one `FrameDynamics.points` call. The
-constraint blocks (equation-of-motion rows, no-sliding rows, the root pin
-and the friction cones, with the tangent bases of every contact in one
-call) are built once per frame; each fallback level only selects the blocks
-it keeps.
+`solve_frame` walks that problem down the FALLBACK_LEVELS chain: full, then
+no-slide (no-sliding rows dropped), then no-cone (friction cone dropped as
+well), every level at the settings' solver tolerance; each level only
+selects the blocks it keeps. A SolverError (QPInfeasibleError included) at
+a level is recorded in `FrameSolution.failures` as (level, error text) and
+moves the frame to the next level; every level after the first flags the
+frame degraded. When no-cone fails too, the SolverError names every level's
+reason in one line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from .humanoid import (
     integrate,
 )
 from .motion import MotionSequence, resample_motion, sequence_from_generalized
-from .qp import QPSolution, solve_qp
+from .qp import solve_qp
 from .rotations import cross_rows, matvec_rows, vector_norms
 from .scene import CONTACT_NAMES, HeightMap, query_height, surface_normal
 
@@ -160,12 +161,13 @@ class ReferenceFrameInput:
     """Per-frame targets handed to the QP."""
 
     q_ref: np.ndarray  # (75,) reference generalized position, world frame
-    ee_targets: Dict[str, np.ndarray]  # end-effector name -> reference world position
+    ee_targets: np.ndarray  # (4, 3) reference world positions, CONTACT_NAMES order
     contacts: np.ndarray  # (4,) bool, CONTACT_NAMES order
     root_future: Optional[np.ndarray] = None  # (2, 3) reference root translation at t+1, t+2
 
     def __post_init__(self):
         self.q_ref = np.asarray(self.q_ref, dtype=float).reshape(NV)
+        self.ee_targets = np.asarray(self.ee_targets, dtype=float).reshape(4, 3)
         self.contacts = np.asarray(self.contacts, dtype=bool).reshape(4)
         if self.root_future is not None:
             self.root_future = np.asarray(self.root_future, dtype=float).reshape(2, 3)
@@ -183,6 +185,7 @@ class FrameSolution:
     active_set: Tuple[int, ...] = ()  # active friction-cone rows of the QP
     kkt_residual: float = 0.0
     iterations: int = 0
+    failures: Tuple[Tuple[str, str], ...] = ()  # (level, error text) of each level that failed
 
     @property
     def degraded(self) -> bool:
@@ -261,14 +264,8 @@ def _cone_rows(normals: np.ndarray, tangents: np.ndarray, n: int, settings: QPSe
 
 
 def _contact_blocks(
-    feet: PointKinematics,
-    bodies: np.ndarray,
-    active: np.ndarray,
-    surface: np.ndarray,
-    normals: np.ndarray,
-    n: int,
-    settings: QPSettings,
-    dt: float,
+    feet: PointKinematics, bodies: np.ndarray, active: np.ndarray, surface: np.ndarray,
+    normals: np.ndarray, n: int, settings: QPSettings, dt: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The no-sliding rows (A, b) and the friction-cone rows G of the active
     contacts, over x = (qdd, lambda) of width n."""
@@ -315,19 +312,37 @@ def _contact_blocks(
     return slide, slide_rhs, _cone_rows(normal, tangents[: len(body)], n, settings)
 
 
-def solve_frame(
-    model: HumanoidModel,
-    state: GeneralizedState,
-    ref: ReferenceFrameInput,
-    hm: Optional[HeightMap],
-    settings: QPSettings,
-    gains: Optional[PDGains] = None,
-    dt: float = DEFAULT_DT,
-    flat_ground_height: float = 0.0,
-    latched: Optional[np.ndarray] = None,
-    previous: Optional[FrameSolution] = None,
-) -> FrameSolution:
-    """Solve one frame for (qdd, lambda) and recover tau by substitution.
+@dataclass
+class FrameProblem:
+    """One frame's QP over x = (qdd, lambda), its blocks built once for every
+    fallback level."""
+
+    contact_names: Tuple[str, ...]  # the active contacts, CONTACT_NAMES order
+    p_mat: np.ndarray  # (n, n) cost, 1/2 x^T P x + q^T x
+    q_vec: np.ndarray  # (n,)
+    b_mat: np.ndarray  # (69, n) torque recovery: tau[6:] = B x + h[6:]
+    h_act: np.ndarray  # (69,) h[6:]
+    # equality blocks, each (rows, right-hand side)
+    eom: Tuple[np.ndarray, np.ndarray]  # (6, n) floating-base rows of the equation of motion
+    slide: Tuple[np.ndarray, np.ndarray]  # (k, n) no-sliding rows, k >= 0
+    root: Tuple[np.ndarray, np.ndarray]  # (3, n) root pin, or (0, n) without it
+    cone: Optional[np.ndarray]  # friction-cone rows G x <= 0, None without contacts
+
+    def qp(self, use_slide: bool, use_cone: bool) -> Tuple[np.ndarray, ...]:
+        """The (P, q, A, b, G, h) of the level that keeps the given blocks."""
+        blocks = (self.eom, self.slide, self.root) if use_slide else (self.eom, self.root)
+        a_mat = np.vstack([rows for rows, _ in blocks])
+        b_vec = np.concatenate([rhs for _, rhs in blocks])
+        g_mat = self.cone if use_cone else None
+        h_vec = np.zeros(len(g_mat)) if g_mat is not None else None
+        return self.p_mat, self.q_vec, a_mat, b_vec, g_mat, h_vec
+
+
+def frame_problem(
+    model: HumanoidModel, state: GeneralizedState, ref: ReferenceFrameInput, hm: Optional[HeightMap],
+    settings: QPSettings, gains: PDGains, dt: float, flat_ground_height: float, latched: np.ndarray,
+) -> FrameProblem:
+    """The QP of one frame over x = (qdd, lambda).
 
     A labeled contact activates once the foot point is within 1 cm of the
     surface; `latched` marks contacts already established on earlier frames,
@@ -336,42 +351,25 @@ def solve_frame(
 
     With hm None (or use_height_map off) the ground is the horizontal plane
     at flat_ground_height.
-
-    When the QP raises SolverError (infeasible or not converged), the frame
-    is solved again one FALLBACK_LEVELS level down: without the no-sliding
-    rows, then also without the friction cone, each level at
-    settings.solver_tol; the level reached is recorded and any level after
-    the first flags the frame degraded. The no-cone level's SolverError
-    escapes.
-
-    `previous` is the preceding frame's solution; its active set warm-starts
-    the QP when the same contacts are active and the same level is tried.
-    Without it the solve is cold.
     """
-    gains = gains or PDGains()
     q, qd = state.q, state.qd
     dyn = frame_dynamics(model, q, qd)
-    if latched is None:
-        latched = np.zeros(4, dtype=bool)
 
     # Foot-point kinematics, all four feet in one call. While the character
     # is in a contact phase (any label set) all four end effectors are
     # position-tracked, so swing feet land where the reference puts them; in
     # free flight no point is tracked and the base follows pure ballistics.
     active = np.zeros(4, dtype=bool)
-    tracked = np.zeros(4, dtype=bool)
-    if ref.contacts.any():
+    tracking = ref.contacts.any()
+    if tracking:
         effectors = [model.end_effector(name) for name in CONTACT_NAMES]
         bodies = np.array([body for body, _ in effectors])
         feet = dyn.points(bodies, np.array([off for _, off in effectors]))
-        tracked = np.array([name in ref.ee_targets for name in CONTACT_NAMES])
-        targets = np.array(
-            [ref.ee_targets[name] for name in CONTACT_NAMES if name in ref.ee_targets], dtype=float
-        ).reshape(-1, 3)
+        targets = ref.ee_targets.copy()
         # a contact label asserts ground contact: project the height target
         # onto the scene surface so a floating or penetrating reference still
         # lands the foot where the ground actually is
-        grounded = ref.contacts[tracked]
+        grounded = ref.contacts
         # one scene query: the four foot points, then the grounded targets
         heights, normals = _ground(
             hm, settings, flat_ground_height, np.concatenate([feet.position, targets[grounded]])
@@ -413,11 +411,11 @@ def solve_frame(
         target[6:] = -gains.angle_kd * qd[6:]
     p_mat[idx, idx] += w[idx]
     q_vec[idx] -= w[idx] * target[idx]
-    if settings.use_position_pd and tracked.any():
+    if settings.use_position_pd and tracking:
         w = 2.0 * settings.point_weight
-        a_des = pd_desired_accel_points(feet.position[tracked], feet.velocity[tracked], targets, gains)
+        a_des = pd_desired_accel_points(feet.position, feet.velocity, targets, gains)
         # one point at a time, in CONTACT_NAMES order, as the sums round
-        for jac, rhs in zip(feet.jacobian[tracked], a_des - feet.bias[tracked]):
+        for jac, rhs in zip(feet.jacobian, a_des - feet.bias):
             p_mat[:NV, :NV] += w * jac.T @ jac
             q_vec[:NV] -= w * jac.T @ rhs
     reg = 2.0 * settings.reg_weight
@@ -429,66 +427,84 @@ def solve_frame(
     p_mat += b_mat.T @ (reg * b_mat)
     q_vec += reg * (b_mat.T @ h_vec[6:])
 
-    # The constraint blocks, built once for every fallback level. Floating-
-    # base rows of the equation of motion: M[:6] qdd - Jc[:, :6]^T lambda = -h[:6].
-    eom = np.hstack([m_mat[:6], -jc_t[:6]])
     slide, slide_rhs, cone = (
         _contact_blocks(feet, bodies, active, surface, normals, n, settings, dt)
         if nc
         else (np.zeros((0, n)), np.zeros(0), None)
     )
-    root_rows: List[np.ndarray] = []
-    root_rhs: List[np.ndarray] = []
+    root, root_rhs = np.zeros((0, n)), np.zeros(0)
     if settings.use_root_supervision and ref.root_future is not None:
-        row = np.zeros((3, n))
-        row[:3, :3] = np.eye(3)
-        root_rows.append(row)
-        root_rhs.append(root_supervision_accel(ref.root_future[1], ref.root_future[0], qd[0:3], dt))
+        root = np.zeros((3, n))
+        root[:3, :3] = np.eye(3)
+        root_rhs = root_supervision_accel(ref.root_future[1], ref.root_future[0], qd[0:3], dt)
+    names = tuple(name for name, on in zip(CONTACT_NAMES, active) if on)
+    # floating-base rows of the equation of motion: M[:6] qdd - Jc[:, :6]^T lambda = -h[:6]
+    eom = (np.hstack([m_mat[:6], -jc_t[:6]]), -h_vec[:6])
+    return FrameProblem(names, p_mat, q_vec, b_mat, h_vec[6:], eom, (slide, slide_rhs), (root, root_rhs), cone)
 
-    def build_and_solve(use_slide: bool, use_cone: bool, seed: Optional[Tuple[int, ...]]) -> QPSolution:
-        a_mat = np.vstack([eom] + ([slide] if use_slide else []) + root_rows)
-        b_vec = np.concatenate([-h_vec[:6]] + ([slide_rhs] if use_slide else []) + root_rhs)
-        g_mat = cone if use_cone else None
-        return solve_qp(
-            p_mat,
-            q_vec,
-            a_mat,
-            b_vec,
-            g_mat,
-            np.zeros(len(g_mat)) if g_mat is not None else None,
-            tol=settings.solver_tol,
-            warm_start=seed,
-        )
+
+def solve_frame(
+    model: HumanoidModel,
+    state: GeneralizedState,
+    ref: ReferenceFrameInput,
+    hm: Optional[HeightMap],
+    settings: QPSettings,
+    gains: Optional[PDGains] = None,
+    dt: float = DEFAULT_DT,
+    flat_ground_height: float = 0.0,
+    latched: Optional[np.ndarray] = None,
+    previous: Optional[FrameSolution] = None,
+) -> FrameSolution:
+    """Solve one frame's `frame_problem` for (qdd, lambda) and recover tau
+    by substitution.
+
+    When the QP raises SolverError (infeasible or not converged), the frame
+    is solved again one FALLBACK_LEVELS level down: without the no-sliding
+    rows, then also without the friction cone, each level at
+    settings.solver_tol. Each failed level's error text is recorded in
+    `failures`, the level reached in `level`, and any level after the first
+    flags the frame degraded. When every level fails, the SolverError names
+    each level and its reason: "full: ...; no-slide: ...; no-cone: ...".
+
+    `previous` is the preceding frame's solution; its active set warm-starts
+    the QP when the same contacts are active and the same level is tried.
+    Without it the solve is cold.
+    """
+    latched = np.zeros(4, dtype=bool) if latched is None else latched
+    problem = frame_problem(
+        model, state, ref, hm, settings, gains or PDGains(), dt, flat_ground_height, latched
+    )
 
     # An (approximately) infeasible constraint set, e.g. a leg locked at full
     # extension fighting the no-sliding target, downgrades through the chain:
     # drop no-sliding, then the friction cone. The previous frame's active
     # set seeds the solve at the level it was solved at, provided the same
     # contacts are active (the inequality rows are then laid out alike).
-    names = tuple(name for name, on in zip(CONTACT_NAMES, active) if on)
+    names = problem.contact_names
     warm = previous if previous is not None and previous.contact_names == names else None
-    for k, (level, use_slide, use_cone) in enumerate(FALLBACK_LEVELS):
+    failures: List[Tuple[str, str]] = []
+    for level, use_slide, use_cone in FALLBACK_LEVELS:
         seed = warm.active_set if warm is not None and warm.level == level else None
         try:
-            sol = build_and_solve(use_slide, use_cone, seed)
+            sol = solve_qp(*problem.qp(use_slide, use_cone), tol=settings.solver_tol, warm_start=seed)
             break
-        except SolverError:
-            if k == len(FALLBACK_LEVELS) - 1:
-                raise
+        except SolverError as exc:
+            failures.append((level, str(exc)))
+            if len(failures) == len(FALLBACK_LEVELS):
+                raise SolverError("; ".join(f"{lv}: {why}" for lv, why in failures)) from exc
 
-    qdd = sol.x[:NV]
-    forces = sol.x[lam0:].reshape(nc, 3)
     tau = np.zeros(NV)
-    tau[6:] = b_mat @ sol.x + h_vec[6:]
+    tau[6:] = problem.b_mat @ sol.x + problem.h_act
     return FrameSolution(
-        qdd=qdd,
+        qdd=sol.x[:NV],
         contact_names=names,
-        contact_forces=forces,
+        contact_forces=sol.x[NV:].reshape(len(names), 3),
         tau=tau,
         level=level,
         active_set=sol.active_set,
         kkt_residual=sol.kkt_residual,
         iterations=sol.iterations,
+        failures=tuple(failures),
     )
 
 
@@ -518,16 +534,13 @@ def refine_sequence(
     n = len(seq)
     q_refs = seq.generalized_positions()
     ee_refs = end_effector_positions(model, forward_kinematics(model, q_refs))
+    targets = np.stack([ee_refs[name] for name in CONTACT_NAMES], axis=1)  # (n, 4, 3)
 
     flat_height = 0.0
     if not settings.use_height_map or hm is None:
         flat_height = float(min(p[0, 1] for p in ee_refs.values()))
 
-    contacts = (
-        seq.contacts.data
-        if seq.contacts is not None
-        else np.zeros((n, 4), dtype=bool)
-    )
+    contacts = seq.contacts.data if seq.contacts is not None else np.zeros((n, 4), dtype=bool)
 
     state = GeneralizedState(q_refs[0].copy(), (q_refs[1] - q_refs[0]) / dt, np.zeros(NV))
     out_q = np.empty((n, NV))
@@ -536,31 +549,14 @@ def refine_sequence(
     for t in range(n):
         out_q[t] = state.q
         future = q_refs[t + 1 : t + 3, 0:3] if t + 2 < n else None
-        ref = ReferenceFrameInput(
-            q_ref=q_refs[t],
-            ee_targets={name: p[t] for name, p in ee_refs.items()},
-            contacts=contacts[t],
-            root_future=future,
-        )
+        ref = ReferenceFrameInput(q_refs[t], targets[t], contacts[t], future)
+        previous = solutions[-1] if solutions else None
         try:
-            sol = solve_frame(
-                model,
-                state,
-                ref,
-                hm,
-                settings,
-                gains=gains,
-                dt=dt,
-                flat_ground_height=flat_height,
-                latched=latched,
-                previous=solutions[-1] if solutions else None,
-            )
+            sol = solve_frame(model, state, ref, hm, settings, gains, dt, flat_height, latched, previous)
         except SolverError as exc:
             raise SolverError(f"frame {t}: {exc}") from exc
         solutions.append(sol)
-        latched = np.array(
-            [contacts[t][k] and (CONTACT_NAMES[k] in sol.contact_names) for k in range(4)]
-        )
+        latched = contacts[t] & np.array([name in sol.contact_names for name in CONTACT_NAMES])
         if t < n - 1:
             state.qdd = sol.qdd
             state = integrate(state, dt)

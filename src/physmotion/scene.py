@@ -70,12 +70,6 @@ class HeightMap:
     def resolution(self) -> Tuple[int, int]:
         return self.heights.shape
 
-    def cell_center(self, i: int, j: int) -> Tuple[float, float]:
-        return (
-            self.origin[0] + (i + 0.5) * self.cell_size,
-            self.origin[1] + (j + 0.5) * self.cell_size,
-        )
-
 
 # OBJ statements of one kind converted per numpy call; bounds the token
 # strings held at once for a dense mesh

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from physmotion.humanoid import NUM_BODIES, NV, FKResult
+from physmotion.humanoid import NUM_BODIES, NV, FKResult, end_effector_positions, forward_kinematics
 from physmotion.optimizer import (
     CONTACT_ACTIVATION_MARGIN,
     CONTACT_KP,
@@ -26,6 +26,12 @@ from physmotion.optimizer import (
     root_supervision_accel,
 )
 from physmotion.scene import CONTACT_NAMES
+
+
+def contact_targets(model, q):
+    """(4, 3) world positions of the contact end effectors at q, CONTACT_NAMES order."""
+    ee = end_effector_positions(model, forward_kinematics(model, q))
+    return np.array([ee[name] for name in CONTACT_NAMES])
 
 
 def skew(v):
@@ -321,11 +327,7 @@ def frame_qp_scalar(model, dyn, state, ref, hm, settings, level, dt, latched):
     points, hold, targets = {}, {}, {}
     if ref.contacts.any():
         effectors = [model.end_effector(name) for name in CONTACT_NAMES]
-        targets = {
-            name: np.asarray(ref.ee_targets[name], dtype=float).copy()
-            for name in CONTACT_NAMES
-            if name in ref.ee_targets
-        }
+        targets = {name: ref.ee_targets[k].copy() for k, name in enumerate(CONTACT_NAMES)}
         grounded = [name for name in targets if ref.contacts[CONTACT_NAMES.index(name)]]
         terms = [point_terms_scalar(model, dyn, body, off) for body, off in effectors]
         probes = np.array([t[0] for t in terms] + [targets[name] for name in grounded])

@@ -10,7 +10,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from oracles import inverse_dynamics_scalar, world_to_camera
+from oracles import contact_targets, inverse_dynamics_scalar, world_to_camera
 
 from physmotion.frames import (
     FilterParams,
@@ -23,7 +23,6 @@ from physmotion.humanoid import (
     NV,
     GeneralizedState,
     default_model,
-    end_effector_positions,
     forward_kinematics,
     frame_dynamics,
 )
@@ -140,10 +139,8 @@ def test_criterion_2_constraint_satisfaction():
         state = GeneralizedState(q_refs[0].copy(), (q_refs[1] - q_refs[0]) / dt, np.zeros(NV))
         latched = np.zeros(4, bool)
         for t in range(n):
-            fk = forward_kinematics(MODEL, q_refs[t])
-            targets = end_effector_positions(MODEL, fk)
             future = q_refs[t + 1 : t + 3, 0:3] if t + 2 < n else None
-            ref = ReferenceFrameInput(q_refs[t], targets, bundle.contacts.data[t], future)
+            ref = ReferenceFrameInput(q_refs[t], contact_targets(MODEL, q_refs[t]), bundle.contacts.data[t], future)
             sol = solve_frame(MODEL, state, ref, hm, settings, dt=dt, latched=latched)
             latched = np.array(
                 [bundle.contacts.data[t][k] and CONTACT_NAMES[k] in sol.contact_names for k in range(4)]
@@ -212,8 +209,7 @@ def test_criterion_3_static_balance_and_ballistics():
     q = np.zeros(NV)
     q[1] = 0.97 + 5e-4
     state = GeneralizedState(q.copy(), np.zeros(NV), np.zeros(NV))
-    targets = end_effector_positions(MODEL, forward_kinematics(MODEL, q))
-    ref = ReferenceFrameInput(q.copy(), targets, np.ones(4, bool), np.vstack([q[0:3]] * 2))
+    ref = ReferenceFrameInput(q.copy(), contact_targets(MODEL, q), np.ones(4, bool), np.vstack([q[0:3]] * 2))
     sol = solve_frame(MODEL, state, ref, hm, QPSettings())
     weight = MODEL.total_mass * 9.81
     total_vertical = sol.contact_forces[:, 1].sum()
@@ -221,7 +217,7 @@ def test_criterion_3_static_balance_and_ballistics():
 
     q2 = q.copy()
     q2[1] = 3.0
-    ref2 = ReferenceFrameInput(q2.copy(), {}, np.zeros(4, bool), None)
+    ref2 = ReferenceFrameInput(q2.copy(), np.zeros((4, 3)), np.zeros(4, bool), None)
     sol2 = solve_frame(MODEL, GeneralizedState(q2, np.zeros(NV), np.zeros(NV)), ref2, hm, QPSettings())
     flight_ok = abs(sol2.qdd[1] + 9.81) < 1e-6
     ok = stand_ok and flight_ok

@@ -128,7 +128,7 @@ class TestPointJacobian:
         q, _, _ = random_state(rng)
         # l_foot (10): the arm chain is off its path
         jac = point_jacobian(model, q, 10, np.zeros(3))
-        arm_body = model.body_index("r_elbow")
+        arm_body = [b.name for b in model.bodies].index("r_elbow")
         cols = model.joint_cols(arm_body)
         assert np.abs(jac[:, cols]).max() == 0.0
 
@@ -436,3 +436,31 @@ class TestModelIO:
         bodies[4].parent = 9  # not preceding in the tree order
         with pytest.raises(InvalidInputError):
             HumanoidModel(bodies)
+
+
+def _default_doc():
+    import json
+    from importlib import resources
+
+    return json.loads(resources.files("physmotion").joinpath("data/default_model.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["bodies"][3].update(mass=float("nan")), "body spine1: mass must be finite"),
+        (lambda doc: doc["bodies"][3].update(mass=float("inf")), "body spine1: mass must be finite"),
+        (lambda doc: doc["bodies"][5].update(offset_xyz=[float("nan"), 0.0, 0.0]), "body r_knee: offset must be finite"),
+        (lambda doc: doc["bodies"][2].update(inertia_diag=[float("inf"), 1.0, 1.0]), "body r_hip: inertia must be a finite"),
+        (lambda doc: doc["bodies"][10]["end_effectors"][0].update(offset_xyz=[0.0, float("nan"), 0.0]),
+         "body l_foot: end effector l_toe offset must be finite"),
+        (lambda doc: doc.update(gravity=[0.0, float("nan"), 0.0]), "gravity must be finite"),
+    ],
+)
+def test_model_from_dict_rejects_non_finite_fields(edit, message):
+    from physmotion.humanoid import model_from_dict
+
+    doc = _default_doc()
+    edit(doc)
+    with pytest.raises(InvalidInputError, match=message):
+        model_from_dict(doc)

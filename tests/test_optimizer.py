@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import frame_qp_scalar
+from oracles import contact_targets, frame_qp_scalar
 
 from physmotion.errors import InvalidInputError, QPInfeasibleError, SolverError
 from physmotion.humanoid import (
@@ -23,6 +23,7 @@ from physmotion.optimizer import (
     ReferenceFrameInput,
     pd_desired_accel_angles,
     pd_desired_accel_points,
+    frame_problem,
     refine_sequence,
     root_supervision_accel,
     solve_frame,
@@ -40,10 +41,9 @@ def standing_setup(model, rest_offset=5e-4):
     q = np.zeros(NV)
     q[1] = 0.97 + rest_offset
     state = GeneralizedState(q.copy(), np.zeros(NV), np.zeros(NV))
-    ee = end_effector_positions(model, forward_kinematics(model, q))
     ref = ReferenceFrameInput(
         q_ref=q.copy(),
-        ee_targets=ee,
+        ee_targets=contact_targets(model, q),
         contacts=np.ones(4, dtype=bool),
         root_future=np.vstack([q[0:3], q[0:3]]),
     )
@@ -162,7 +162,7 @@ class TestSolveFrame:
         q = np.zeros(NV)
         q[1] = 3.0
         state = GeneralizedState(q.copy(), np.zeros(NV), np.zeros(NV))
-        ref = ReferenceFrameInput(q_ref=q.copy(), ee_targets={}, contacts=np.zeros(4, bool), root_future=None)
+        ref = ReferenceFrameInput(q.copy(), np.zeros((4, 3)), contacts=np.zeros(4, bool), root_future=None)
         sol = solve_frame(model, state, ref, flat_map, QPSettings())
         assert abs(sol.qdd[1] + 9.81) < 1e-6
         assert np.abs(np.delete(sol.qdd, 1)).max() < 1e-6
@@ -215,15 +215,15 @@ class TestSolveFrame:
         assert not sol.degraded  # still solvable, root free
 
     def test_position_pd_flag_bitwise_equivalence(self, model, flat_map, rng):
-        # With the point term disabled the problem must equal the angle-only
-        # problem: compare against a solve whose target set is empty.
+        # With the point term disabled the problem must not see the targets:
+        # compare against a solve whose targets are moved away.
         state, ref = standing_setup(model)
         state.qd = rng.normal(size=NV) * 0.2
-        ref_no_targets = ReferenceFrameInput(
-            q_ref=ref.q_ref, ee_targets={}, contacts=ref.contacts, root_future=ref.root_future
-        )
+        moved = ReferenceFrameInput(ref.q_ref, ref.ee_targets + 0.3, ref.contacts, ref.root_future)
         a = solve_frame(model, state, ref, flat_map, QPSettings(use_position_pd=False))
-        b = solve_frame(model, state, ref_no_targets, flat_map, QPSettings(use_position_pd=True))
+        b = solve_frame(model, state, moved, flat_map, QPSettings(use_position_pd=False))
+        c = solve_frame(model, state, moved, flat_map, QPSettings())
+        assert not np.array_equal(a.qdd, c.qdd)
         assert np.array_equal(a.qdd, b.qdd)
         assert np.array_equal(a.contact_forces, b.contact_forces)
         assert np.array_equal(a.tau, b.tau)
@@ -274,8 +274,9 @@ class TestSolveFrame:
         monkeypatch.setattr(opt, "solve_qp", flaky)
         state, ref = standing_setup(model)
         sol = solve_frame(model, state, ref, flat_map, QPSettings())
-        assert sol.degraded
-        assert len(calls) >= 2
+        assert sol.degraded and sol.level == "no-slide"
+        assert sol.failures == (("full", "forced"),)
+        assert len(calls) == 2
 
     def test_qp_failure_at_full_falls_through_the_chain(self, model, flat_map, monkeypatch, rng):
         import physmotion.qp as qp_module
@@ -295,6 +296,8 @@ class TestSolveFrame:
         sol = solve_frame(model, state, ref, flat_map, QPSettings(friction_mu=0.05))
         assert len(calls) >= 2
         assert sol.level == "no-slide" and sol.degraded
+        assert [level for level, _ in sol.failures] == ["full"]
+        assert "Singular matrix" in sol.failures[0][1]
 
     def test_chain_solves_every_level_at_the_solver_tolerance(self, model, flat_map, monkeypatch):
         import physmotion.optimizer as opt
@@ -308,8 +311,9 @@ class TestSolveFrame:
         monkeypatch.setattr(opt, "solve_qp", failing)
         state, ref = standing_setup(model)
         settings = QPSettings(solver_tol=3e-9)
-        with pytest.raises(SolverError, match="forced"):
+        with pytest.raises(SolverError) as info:
             solve_frame(model, state, ref, flat_map, settings)
+        assert str(info.value) == "full: forced; no-slide: forced; no-cone: forced"
         assert len(FALLBACK_LEVELS) == 3
         assert tols == [settings.solver_tol] * len(FALLBACK_LEVELS)
 
@@ -338,25 +342,6 @@ class TestSolveFrame:
             assert np.abs(warm.qdd - cold.qdd).max() <= 1e-8 * (1.0 + np.abs(cold.qdd).max())
 
 
-def qp_of_every_level(model, state, ref, hm, settings, latched, monkeypatch):
-    """The (P, q, A, b, G, h) solve_frame hands the QP at each FALLBACK_LEVELS
-    level: every level is forced by a solver that always fails."""
-    import physmotion.optimizer as opt
-
-    captured = []
-
-    def failing(*args, **kwargs):
-        captured.append(args)
-        raise SolverError("forced")
-
-    monkeypatch.setattr(opt, "solve_qp", failing)
-    with pytest.raises(SolverError):
-        solve_frame(model, state, ref, hm, settings, latched=latched)
-    monkeypatch.undo()
-    assert len(captured) == len(FALLBACK_LEVELS)
-    return captured
-
-
 def walk_frame(model, scene, t, contacts=None):
     bundle = generate_scenario(SyntheticScenario(scene, "walk", 0.02, 0.0, 1.5, 4), model)
     seq = bundle.ground_truth
@@ -364,8 +349,7 @@ def walk_frame(model, scene, t, contacts=None):
     qd = (seq.generalized_position(t + 1, previous=q) - q) * seq.frame_rate
     future = np.array([seq.generalized_position(t + k)[0:3] for k in (1, 2)])
     labels = bundle.contacts.data[t] if contacts is None else contacts
-    ee = end_effector_positions(model, forward_kinematics(model, q))
-    ref = ReferenceFrameInput(q.copy(), ee, labels, future)
+    ref = ReferenceFrameInput(q.copy(), contact_targets(model, q), labels, future)
     return GeneralizedState(q, qd, np.zeros(NV)), ref, build_height_map(bundle.mesh, (64, 64))
 
 
@@ -373,12 +357,12 @@ class TestContactAssembly:
     """The constraint blocks built once per frame against the per-contact,
     per-level construction they replaced, bit for bit at every level."""
 
-    def assert_levels_match(self, model, state, ref, hm, settings, latched=None, monkeypatch=None):
+    def assert_levels_match(self, model, state, ref, hm, settings, latched=None):
         latched = np.zeros(4, dtype=bool) if latched is None else latched
         dyn = frame_dynamics(model, state.q, state.qd)
-        for (level, *_), got in zip(
-            FALLBACK_LEVELS, qp_of_every_level(model, state, ref, hm, settings, latched, monkeypatch)
-        ):
+        problem = frame_problem(model, state, ref, hm, settings, PDGains(), 1.0 / 60.0, 0.0, latched)
+        for level, use_slide, use_cone in FALLBACK_LEVELS:
+            got = problem.qp(use_slide, use_cone)
             expected = frame_qp_scalar(model, dyn, state, ref, hm, settings, level, 1.0 / 60.0, latched)
             for name, a, b in zip("PqAbGh", got, expected):
                 if b is None:
@@ -386,25 +370,23 @@ class TestContactAssembly:
                 else:
                     assert a.shape == b.shape and np.array_equal(a, b), (level, name)
 
-    def test_double_support_with_linked_toe_and_heel(self, model, flat_map, rng, monkeypatch):
+    def test_double_support_with_linked_toe_and_heel(self, model, flat_map, rng):
         state, ref = standing_setup(model)
         for _ in range(3):
             state.qd = rng.normal(size=NV) * 0.5
-            self.assert_levels_match(model, state, ref, flat_map, QPSettings(), monkeypatch=monkeypatch)
+            self.assert_levels_match(model, state, ref, flat_map, QPSettings())
 
-    def test_walk_frames_on_ramp_and_step(self, model, monkeypatch):
+    def test_walk_frames_on_ramp_and_step(self, model):
         for scene, t in (("ramp", 20), ("ramp", 47), ("step", 33)):
             state, ref, hm = walk_frame(model, scene, t)
             assert ref.contacts.any()
-            self.assert_levels_match(model, state, ref, hm, QPSettings(), monkeypatch=monkeypatch)
+            self.assert_levels_match(model, state, ref, hm, QPSettings())
 
-    def test_latched_partial_targets_and_settings(self, model, flat_map, rng, monkeypatch):
+    def test_latched_labels_and_settings(self, model, flat_map, rng):
         state, ref = standing_setup(model)
         state.q[1] += 0.05  # above the activation margin: only latched feet hold
         state.qd = rng.normal(size=NV) * 0.3
-        partial = dict(ref.ee_targets)
-        del partial["r_toe"]
-        ref = ReferenceFrameInput(ref.q_ref, partial, np.array([True, True, True, False]), ref.root_future)
+        ref = ReferenceFrameInput(ref.q_ref, ref.ee_targets, np.array([True, True, True, False]), ref.root_future)
         latched = np.array([True, False, True, True])
         for settings in (
             QPSettings(),
@@ -412,22 +394,21 @@ class TestContactAssembly:
             QPSettings(use_position_pd=False, use_root_supervision=False),
             QPSettings(use_height_map=False),
         ):
-            self.assert_levels_match(model, state, ref, flat_map, settings, latched, monkeypatch)
+            self.assert_levels_match(model, state, ref, flat_map, settings, latched)
 
-    def test_no_contacts_and_coincident_points(self, model, flat_map, rng, monkeypatch):
+    def test_no_contacts_and_coincident_points(self, model, flat_map, rng):
         state, ref = standing_setup(model)
         state.qd = rng.normal(size=NV) * 0.3
         flight = ReferenceFrameInput(ref.q_ref, ref.ee_targets, np.zeros(4, dtype=bool), ref.root_future)
-        self.assert_levels_match(model, state, flight, flat_map, QPSettings(), monkeypatch=monkeypatch)
+        self.assert_levels_match(model, state, flight, flat_map, QPSettings())
         # a heel on its toe: the second point adds no no-sliding rows
         bodies = [Body(b.name, b.parent, b.offset.copy(), b.mass, b.inertia.copy(), dict(b.end_effectors))
                   for b in model.bodies]
-        foot = bodies[model.body_index("l_foot")]
+        foot = next(b for b in bodies if b.name == "l_foot")
         foot.end_effectors["l_heel"] = foot.end_effectors["l_toe"].copy()
         twin = HumanoidModel(bodies, model.gravity)
-        ee = end_effector_positions(twin, forward_kinematics(twin, state.q))
-        ref = ReferenceFrameInput(ref.q_ref, ee, np.ones(4, dtype=bool), ref.root_future)
-        self.assert_levels_match(twin, state, ref, flat_map, QPSettings(), monkeypatch=monkeypatch)
+        ref = ReferenceFrameInput(ref.q_ref, contact_targets(twin, state.q), np.ones(4, dtype=bool), ref.root_future)
+        self.assert_levels_match(twin, state, ref, flat_map, QPSettings())
 
 
 class TestRefineSequence:
@@ -513,6 +494,47 @@ class TestRefineSequence:
         # every frame in between is one single-q call
         assert calls[0] == calls[-1] == (n, NV)
         assert calls[1:-1] == [(NV,)] * n
+
+    def test_one_qp_call_per_attempt(self, model, monkeypatch):
+        import physmotion.optimizer as opt
+
+        bundle = generate_scenario(SyntheticScenario(scene="flat", motion="walk", duration=0.5, seed=3), model)
+        hm = build_height_map(bundle.mesh, (64, 64))
+        calls = []
+        original = opt.solve_qp
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) % 4 == 0:
+                raise QPInfeasibleError("forced")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "solve_qp", flaky)
+        _, sols = refine_sequence(model, bundle.ground_truth, hm, QPSettings())
+        assert sum(s.degraded for s in sols) >= 5
+        assert len(calls) == sum(1 + len(s.failures) for s in sols)
+        levels = [level for level, _, _ in FALLBACK_LEVELS]
+        for s in sols:
+            assert [level for level, _ in s.failures] + [s.level] == levels[: len(s.failures) + 1]
+
+    def test_abort_names_the_frame_and_every_level(self, model, monkeypatch):
+        import physmotion.optimizer as opt
+
+        bundle = generate_scenario(SyntheticScenario(scene="flat", motion="walk", duration=0.5, seed=3), model)
+        hm = build_height_map(bundle.mesh, (64, 64))
+        calls = []
+        original = opt.solve_qp
+
+        def fails_from_frame_7(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 7:
+                raise SolverError("forced")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "solve_qp", fails_from_frame_7)
+        with pytest.raises(SolverError) as info:
+            refine_sequence(model, bundle.ground_truth, hm, QPSettings())
+        assert str(info.value) == "frame 7: full: forced; no-slide: forced; no-cone: forced"
 
     def test_solution_count_matches_frames(self, model):
         bundle = generate_scenario(SyntheticScenario(scene="flat", motion="stand", duration=0.2, seed=1), model)

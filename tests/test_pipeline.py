@@ -434,6 +434,7 @@ class TestCLI:
                 lambda doc: [b["end_effectors"].pop() for b in doc["bodies"] if b["name"] == "r_foot"],
                 "model has no end effector for contact point(s) r_heel",
             ),
+            (lambda doc: doc["bodies"][3].update(mass=float("nan")), "body spine1: mass must be finite and positive"),
         ],
     )
     def test_bad_model_file_exits_2_at_load(self, tmp_path, edit, message):
@@ -451,6 +452,31 @@ class TestCLI:
             assert r.exit_code == EXIT_CONFIG, r.output
             assert isinstance(r.exception, SystemExit)  # no traceback
             assert f"InvalidInputError: model.json: {message}" in r.output
+
+    @pytest.mark.parametrize("strict, code", [(False, 0), (True, 1)])
+    def test_degraded_line_names_the_first_frame_and_its_reason(self, tmp_path, monkeypatch, strict, code):
+        import physmotion.optimizer as opt
+        from physmotion.errors import QPInfeasibleError
+
+        calls = []
+        original = opt.solve_qp
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise QPInfeasibleError("forced")
+            return original(*args, **kwargs)
+
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            block = {"scene": "flat", "motion": "stand", "duration": 0.2, "seed": 3}
+            Path("cfg.json").write_text(json.dumps({"scenario": block, "output_dir": "out", "grid_resolution": 32}))
+            monkeypatch.setattr(opt, "solve_qp", fails_once)
+            r = runner.invoke(main, ["pipeline", "--config", "cfg.json"] + ["--strict"] * strict)
+            assert r.exit_code == code, r.output
+            assert "degraded frames: 1; first frame 3 at no-slide, full failed: forced\n" in r.output
+            records = [json.loads(line) for line in Path("out/forces.jsonl").read_text().splitlines()[1:]]
+            assert [rec["frame"] for rec in records if rec["degraded"]] == [3]
 
     def test_evaluate_command(self, tmp_path, model):
         runner = CliRunner()

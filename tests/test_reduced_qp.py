@@ -7,26 +7,21 @@ with the same QP solver, and requires the same accelerations, forces and
 torques. The objective and the equation of motion are assembled here from
 the dynamics layer; the no-sliding, no-drifting and friction-cone rows,
 which do not involve the torques, are taken from the reduced QP that
-`solve_frame` builds.
+`frame_problem` builds.
 """
 
 import numpy as np
 import pytest
+from oracles import contact_targets
 
-import physmotion.optimizer as opt
-from physmotion.humanoid import (
-    NV,
-    GeneralizedState,
-    end_effector_positions,
-    forward_kinematics,
-    frame_dynamics,
-)
+from physmotion.humanoid import DEFAULT_DT, NV, GeneralizedState, frame_dynamics
 from physmotion.optimizer import (
     CONTACT_REST_OFFSET,
     ROOT_ORIENT_WEIGHT_SCALE,
     PDGains,
     QPSettings,
     ReferenceFrameInput,
+    frame_problem,
     pd_desired_accel_angles,
     solve_frame,
 )
@@ -38,7 +33,8 @@ NA = NV - 6
 
 
 def full_qp(model, state, ref, hm, settings, gains, names, reduced):
-    """The (qdd, lambda, tau[6:]) QP of one frame; `reduced` is solve_frame's QP."""
+    """The (qdd, lambda, tau[6:]) QP of one frame; `reduced` is the (A, b, G, h)
+    of frame_problem's QP at the full level."""
     q, qd = state.q, state.qd
     nc = len(names)
     n = NV + 3 * nc + NA
@@ -58,7 +54,7 @@ def full_qp(model, state, ref, hm, settings, gains, names, reduced):
     for k, name in enumerate(CONTACT_NAMES):
         jac = feet.jacobian[k]
         jacobians[name] = jac
-        goal = np.array(ref.ee_targets[name], dtype=float)
+        goal = ref.ee_targets[k].copy()
         if ref.contacts[k]:
             goal[1] = query_height(hm, goal[0], goal[2]) + CONTACT_REST_OFFSET
         accel = gains.position_kp * (goal - feet.position[k]) - gains.position_kd * feet.velocity[k]
@@ -85,20 +81,13 @@ def full_qp(model, state, ref, hm, settings, gains, names, reduced):
     return solve_qp(p_mat, q_vec, a_mat, b_vec, g_mat, h_red, tol=settings.solver_tol)
 
 
-def solve_both(model, state, ref, hm, settings, monkeypatch):
-    captured = []
-
-    def capture(p_mat, q_vec, a_mat, b_vec, g_mat, h_vec, **kwargs):
-        sol = solve_qp(p_mat, q_vec, a_mat, b_vec, g_mat, h_vec, **kwargs)
-        captured.append((p_mat.shape[0], (a_mat, b_vec, g_mat, h_vec)))
-        return sol
-
-    monkeypatch.setattr(opt, "solve_qp", capture)
+def solve_both(model, state, ref, hm, settings):
     sol = solve_frame(model, state, ref, hm, settings)
-    assert not sol.degraded and len(captured) == 1
-    width, reduced = captured[0]
-    nc = len(sol.contact_names)
-    assert width == NV + 3 * nc  # no torque columns
+    assert not sol.degraded
+    problem = frame_problem(model, state, ref, hm, settings, PDGains(), DEFAULT_DT, 0.0, np.zeros(4, dtype=bool))
+    p_mat, _, *reduced = problem.qp(use_slide=True, use_cone=True)
+    assert problem.contact_names == sol.contact_names
+    assert p_mat.shape[0] == NV + 3 * len(sol.contact_names)  # no torque columns
     full = full_qp(model, state, ref, hm, settings, PDGains(), sol.contact_names, reduced)
     return sol, full
 
@@ -136,26 +125,25 @@ def standing(model, rng=None):
     q = np.zeros(NV)
     q[1] = 0.97 + CONTACT_REST_OFFSET
     qd = np.zeros(NV) if rng is None else rng.normal(size=NV) * 0.5
-    ee = end_effector_positions(model, forward_kinematics(model, q))
-    ref = ReferenceFrameInput(q.copy(), ee, np.ones(4, dtype=bool), np.vstack([q[0:3], q[0:3]]))
+    ref = ReferenceFrameInput(q.copy(), contact_targets(model, q), np.ones(4, dtype=bool), np.vstack([q[0:3], q[0:3]]))
     return GeneralizedState(q, qd, np.zeros(NV)), ref
 
 
-def test_standing_flat(model, flat_map, monkeypatch):
+def test_standing_flat(model, flat_map):
     state, ref = standing(model)
-    sol, full = solve_both(model, state, ref, flat_map, QPSettings(), monkeypatch)
+    sol, full = solve_both(model, state, ref, flat_map, QPSettings())
     assert len(sol.contact_names) == 4
     assert_matches(model, state, sol, full)
 
 
-def test_cone_facet_active(model, flat_map, monkeypatch, rng):
+def test_cone_facet_active(model, flat_map, rng):
     state, ref = standing(model, rng)
-    sol, full = solve_both(model, state, ref, flat_map, QPSettings(friction_mu=0.05), monkeypatch)
+    sol, full = solve_both(model, state, ref, flat_map, QPSettings(friction_mu=0.05))
     assert sol.active_set  # the friction cone binds
     assert_matches(model, state, sol, full)
 
 
-def test_single_support_on_ramp(model, monkeypatch):
+def test_single_support_on_ramp(model):
     bundle = generate_scenario(SyntheticScenario("ramp", "walk", 0.0, 0.0, 1.5, 4), model)
     hm = build_height_map(bundle.mesh, (128, 128))
     seq = bundle.ground_truth
@@ -169,8 +157,7 @@ def test_single_support_on_ramp(model, monkeypatch):
     qd = (seq.generalized_position(t + 1, previous=q) - q) * seq.frame_rate
     state = GeneralizedState(q, qd, np.zeros(NV))
     future = np.array([seq.generalized_position(t + k)[0:3] for k in (1, 2)])
-    ref = ReferenceFrameInput(q.copy(), end_effector_positions(model, forward_kinematics(model, q)),
-                              labels[t], future)
-    sol, full = solve_both(model, state, ref, hm, QPSettings(), monkeypatch)
+    ref = ReferenceFrameInput(q.copy(), contact_targets(model, q), labels[t], future)
+    sol, full = solve_both(model, state, ref, hm, QPSettings())
     assert len(sol.contact_names) == 2
     assert_matches(model, state, sol, full)

@@ -199,7 +199,7 @@ class TestQueryHeight:
         hm = HeightMap(origin=(0.0, 0.0), cell_size=1.0, heights=heights, default_height=-1.0)
         for i in range(4):
             for j in range(4):
-                x, z = hm.cell_center(i, j)
+                x, z = hm.origin[0] + (i + 0.5) * hm.cell_size, hm.origin[1] + (j + 0.5) * hm.cell_size
                 assert query_height(hm, x, z) == heights[i, j]
 
     def test_midpoint_linear_interpolation(self):
