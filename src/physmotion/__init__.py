@@ -9,7 +9,6 @@ metric suite.
 
 from .errors import (
     ConfigError,
-    DegenerateBaselineError,
     EmptySceneError,
     InvalidInputError,
     InvalidStateError,
@@ -24,7 +23,6 @@ from .frames import (
     FilterParams,
     RigidTransform,
     Trajectory,
-    align_slam_scale,
     camera_to_world,
     hand_eye_calibrate,
     one_euro_filter,
@@ -53,7 +51,6 @@ from .scene import (
     HeightMap,
     TriangleMesh,
     build_height_map,
-    label_contacts,
     query_height,
 )
 from .synth import ScenarioBundle, SyntheticScenario, generate_scenario

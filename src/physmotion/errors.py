@@ -13,10 +13,6 @@ class InvalidInputError(PhysmotionError):
     """Input violates a documented precondition (NaN, bad shape, ...)."""
 
 
-class DegenerateBaselineError(PhysmotionError):
-    """Trajectory alignment got two frames with coincident translations."""
-
-
 class EmptySceneError(PhysmotionError):
     """Scene mesh has no vertices or faces."""
 

@@ -1,4 +1,4 @@
-"""Rigid transforms, camera-frame conversion, trajectory alignment, filtering.
+"""Rigid transforms, camera-frame conversion, filtering and the trajectory reader.
 
 All rotations are stored as 3x3 matrices internally; file formats use unit
 quaternions (w, x, y, z). Y-axis is up throughout the package. The camera
@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DegenerateBaselineError, InvalidInputError, InvalidTransformError, MotionFormatError
-from .rotations import matrix_to_quat, matvec_rows, quat_to_matrix, vector_norms
+from .errors import InvalidInputError, InvalidTransformError, MotionFormatError
+from .rotations import matvec_rows, quat_to_matrix, vector_norms
 
 
 def _check_rotations(rot: np.ndarray, name: str = "rotation", tol: float = 1e-7) -> np.ndarray:
@@ -142,9 +142,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def transform(self, i: int) -> RigidTransform:
-        return RigidTransform(self.rotations[i], self.translations[i])
-
 
 def hand_eye_calibrate(
     t_eh: RigidTransform, t_ef: RigidTransform, t_mf: RigidTransform
@@ -180,32 +177,6 @@ def camera_to_world(
         )
     r_inv = np.swapaxes(r, -1, -2)
     return r_inv @ root_rot, matvec_rows(r_inv, root_trans - t)
-
-
-def align_slam_scale(pred: Trajectory, gt_first_two: Sequence[RigidTransform]) -> Trajectory:
-    """Fix SLAM gauge freedom using the first two ground-truth camera frames.
-
-    Applies the rigid transform that maps pred frame 0 onto gt frame 0, then a
-    uniform scale |gt_t1 - gt_t0| / |pred_t1 - pred_t0| about the aligned
-    frame-0 translation.
-    """
-    if len(pred) < 2:
-        raise InvalidInputError("prediction needs at least two frames")
-    gt0, gt1 = gt_first_two[0], gt_first_two[1]
-    pred_t0 = pred.translations[0]
-    pred_t1 = pred.translations[1]
-    pred_baseline = np.linalg.norm(pred_t1 - pred_t0)
-    if pred_baseline == 0.0:
-        raise DegenerateBaselineError("prediction frames 0 and 1 have identical translations")
-    gt_baseline = np.linalg.norm(gt1.translation - gt0.translation)
-    if gt_baseline == 0.0:
-        raise DegenerateBaselineError("ground-truth frames 0 and 1 have identical translations")
-
-    scale = gt_baseline / pred_baseline
-    r_off = gt0.rotation @ pred.rotations[0].T
-    rotations = np.einsum("ij,njk->nik", r_off, pred.rotations)
-    translations = scale * (pred.translations - pred_t0) @ r_off.T + gt0.translation
-    return Trajectory(pred.frames.copy(), rotations, translations)
 
 
 def _smoothing_alpha(cutoff: float | np.ndarray, rate: float) -> float | np.ndarray:
@@ -244,14 +215,6 @@ def one_euro_filter(signal: np.ndarray, params: FilterParams) -> np.ndarray:
         x_hat = x_hat + alpha * (x[t] - x_hat)
         out[t] = x_hat
     return out[:, 0] if squeeze else out
-
-
-def save_trajectory(traj: Trajectory, path: str | Path) -> None:
-    """Write one JSON record per line: {frame, quat_wxyz, trans_xyz}."""
-    records = zip(traj.frames.tolist(), matrix_to_quat(traj.rotations).tolist(), traj.translations.tolist())
-    with open(path, "w") as fh:
-        for frame, quat, trans in records:
-            fh.write(json.dumps({"frame": frame, "quat_wxyz": quat, "trans_xyz": trans}) + "\n")
 
 
 def load_trajectory(path: str | Path) -> Trajectory:

@@ -172,10 +172,6 @@ class GeneralizedState:
                 raise InvalidStateError(f"{name} must have length {NV}, got {v.shape}")
             setattr(self, name, v)
 
-    @staticmethod
-    def zero() -> "GeneralizedState":
-        return GeneralizedState(np.zeros(NV), np.zeros(NV), np.zeros(NV))
-
     def copy(self) -> "GeneralizedState":
         return GeneralizedState(self.q.copy(), self.qd.copy(), self.qdd.copy())
 
@@ -520,30 +516,6 @@ def model_from_dict(doc: dict) -> HumanoidModel:
     if missing:
         raise InvalidInputError(f"model has no end effector for contact point(s) {', '.join(missing)}")
     return model
-
-
-def save_model(model: HumanoidModel, path: str | Path) -> None:
-    doc = {
-        "name": "physmotion-humanoid",
-        "gravity": [float(v) for v in model.gravity],
-        "bodies": [
-            {
-                "name": b.name,
-                "parent": int(b.parent),
-                "offset_xyz": [float(v) for v in b.offset],
-                "mass": float(b.mass),
-                "inertia": [[float(v) for v in row] for row in b.inertia],
-                "end_effectors": [
-                    {"name": n, "offset_xyz": [float(v) for v in off]}
-                    for n, off in b.end_effectors.items()
-                ],
-            }
-            for b in model.bodies
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 _default_model_cache: Optional[HumanoidModel] = None

@@ -75,28 +75,20 @@ class MotionSequence:
             None if self.contacts is None else ContactLabels(self.contacts.data.copy()),
         )
 
-    def _stored_positions(self, frames: slice | list = slice(None)) -> np.ndarray:
-        """(k, 75) q of the given frames as stored: root translation, the log
-        of the root rotation and the joint angles, none of them unwrapped."""
-        trans = self.root_trans[frames]
-        q = np.empty((len(trans), NV))
-        q[:, 0:3] = trans
-        q[:, 3:6] = log_so3(self.root_rot[frames])
-        q[:, 6:] = self.joint_angles[frames].reshape(len(trans), -1)
-        return q
-
-    def generalized_position(self, t: int, previous: Optional[np.ndarray] = None) -> np.ndarray:
-        """q vector for frame t; exponential coordinates are kept continuous
-        with the previous frame's q when one is supplied."""
-        q = self._stored_positions([t])[0]
-        if previous is not None:
-            q[3:] = _continuous_exp_coords(q[3:].reshape(-1, 3), previous[3:].reshape(-1, 3)).ravel()
+    def _stored_positions(self) -> np.ndarray:
+        """(T, 75) q of every frame as stored: root translation, the log of
+        the root rotation and the joint angles, none of them unwrapped."""
+        q = np.empty((len(self), NV))
+        q[:, 0:3] = self.root_trans
+        q[:, 3:6] = log_so3(self.root_rot)
+        q[:, 6:] = self.joint_angles.reshape(len(self), -1)
         return q
 
     def generalized_positions(self) -> np.ndarray:
-        """(T, 75) q of every frame, each frame's exponential coordinates kept
-        continuous with the frame before: generalized_position(t, previous=q[t-1])
-        for every t > 0, the first frame as stored."""
+        """(T, 75) q of every frame: the first frame as stored, and in every
+        later frame each 3-vector of exponential coordinates (the root's and
+        each joint's) moved to the 2*pi-equivalent representation nearest the
+        same vector of the frame before, so no coordinate jumps a branch."""
         q = self._stored_positions()
         coords = q[:, 3:].reshape(len(q), -1, 3)  # a view of q
         for t in range(1, len(q)):
@@ -105,7 +97,7 @@ class MotionSequence:
 
     def with_joint_positions(self, model: HumanoidModel) -> "MotionSequence":
         """Fill joint_positions by one forward-kinematics pass over all frames,
-        each from its q as stored (generalized_position(t))."""
+        each from its q as stored, not unwrapped."""
         out = self.copy()
         out.joint_positions = forward_kinematics(model, self._stored_positions()).positions
         return out

@@ -41,7 +41,8 @@ selects the blocks it keeps. A SolverError (QPInfeasibleError included) at
 a level is recorded in `FrameSolution.failures` as (level, error text) and
 moves the frame to the next level; every level after the first flags the
 frame degraded. When no-cone fails too, the SolverError names every level's
-reason in one line.
+reason in one line. A frame with no active contact has no no-sliding rows
+and no cone, so its levels are one QP: it is solved at full only.
 """
 
 from __future__ import annotations
@@ -464,7 +465,9 @@ def solve_frame(
     settings.solver_tol. Each failed level's error text is recorded in
     `failures`, the level reached in `level`, and any level after the first
     flags the frame degraded. When every level fails, the SolverError names
-    each level and its reason: "full: ...; no-slide: ...; no-cone: ...".
+    each level and its reason: "full: ...; no-slide: ...; no-cone: ...". A
+    frame with no active contact has one QP at every level, so it is solved
+    at full only and fails as "full: ...".
 
     `previous` is the preceding frame's solution; its active set warm-starts
     the QP when the same contacts are active and the same level is tried.
@@ -480,17 +483,20 @@ def solve_frame(
     # drop no-sliding, then the friction cone. The previous frame's active
     # set seeds the solve at the level it was solved at, provided the same
     # contacts are active (the inequality rows are then laid out alike).
+    # Without an active contact there are no no-sliding rows and no cone, so
+    # every level is the same QP and only the first is solved.
     names = problem.contact_names
     warm = previous if previous is not None and previous.contact_names == names else None
+    levels = FALLBACK_LEVELS if problem.cone is not None else FALLBACK_LEVELS[:1]
     failures: List[Tuple[str, str]] = []
-    for level, use_slide, use_cone in FALLBACK_LEVELS:
+    for level, use_slide, use_cone in levels:
         seed = warm.active_set if warm is not None and warm.level == level else None
         try:
             sol = solve_qp(*problem.qp(use_slide, use_cone), tol=settings.solver_tol, warm_start=seed)
             break
         except SolverError as exc:
             failures.append((level, str(exc)))
-            if len(failures) == len(FALLBACK_LEVELS):
+            if len(failures) == len(levels):
                 raise SolverError("; ".join(f"{lv}: {why}" for lv, why in failures)) from exc
 
     tau = np.zeros(NV)

@@ -205,11 +205,3 @@ def left_jacobian_dot(v: np.ndarray, vdot: np.ndarray) -> np.ndarray:
     vvd = v[..., None, :] @ vdot[..., :, None]
     return vvd * (a_bar * k + b_bar * (k @ k)) + a * kd + b * (kd @ k + k @ kd)
 
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation via normalized quaternion."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
-    return quat_to_matrix(q)

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptySceneError, InvalidInputError, MotionFormatError
 from .rotations import vector_norms
@@ -65,10 +64,6 @@ class HeightMap:
             raise InvalidInputError("cell_size must be positive")
         if not np.isfinite(self.heights).all():
             raise InvalidInputError("height map contains non-finite heights")
-
-    @property
-    def resolution(self) -> Tuple[int, int]:
-        return self.heights.shape
 
 
 # OBJ statements of one kind converted per numpy call; bounds the token
@@ -364,27 +359,6 @@ class ContactLabels:
         return len(self.data)
 
 
-def label_contacts(
-    joint_positions: np.ndarray, mesh: TriangleMesh, threshold: float = 0.05
-) -> ContactLabels:
-    """Mark an end effector in contact when its distance to the nearest scene
-    vertex is below the threshold (5 cm by default).
-
-    joint_positions is (T, 4, 3) in the (l_toe, r_toe, l_heel, r_heel) order.
-    Vertex distance, not point-to-triangle distance; a coarse mesh therefore
-    under-reports contact between vertices.
-    """
-    if mesh.empty:
-        raise EmptySceneError("cannot label contacts against an empty mesh")
-    pts = np.asarray(joint_positions, dtype=float)
-    if pts.size == 0:
-        return ContactLabels(np.zeros((0, 4), dtype=bool))
-    pts = pts.reshape(-1, 4, 3)
-    tree = cKDTree(mesh.vertices)
-    dist, _ = tree.query(pts.reshape(-1, 3))
-    return ContactLabels(dist.reshape(-1, 4) < threshold)
-
-
 def save_contacts_csv(labels: ContactLabels, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -395,7 +369,8 @@ def save_contacts_csv(labels: ContactLabels, path: str | Path) -> None:
 
 def load_contacts_csv(path: str | Path) -> ContactLabels:
     """Per-frame labels written by save_contacts_csv: every row holds a frame
-    index and one 0/1 field per contact point."""
+    index and one 0/1 field per contact point, and row t labels motion frame
+    t, so its frame field must read t."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -413,15 +388,22 @@ def load_contacts_csv(path: str | Path) -> ContactLabels:
                     f"{path}:{reader.line_num}: expected an integer frame and four 0/1 labels, "
                     f"got {','.join(rec)!r}"
                 )
+            if values[0] != len(rows):
+                raise MotionFormatError(
+                    f"{path}:{reader.line_num}: frame {values[0]} in row {len(rows)}; row t must label frame t"
+                )
             rows.append([v == 1 for v in labels])
     return ContactLabels(np.array(rows, dtype=bool).reshape(-1, 4))
+
+
+_HEIGHT_MAP_MAGIC = "physmotion-heightmap 1"
 
 
 def save_height_map(hm: HeightMap, path: str | Path) -> None:
     """Text header (origin, cell size, resolution, default) + raw float64 grid."""
     nx, nz = hm.heights.shape
     header = (
-        "physmotion-heightmap 1\n"
+        f"{_HEIGHT_MAP_MAGIC}\n"
         f"origin {hm.origin[0]!r} {hm.origin[1]!r}\n"
         f"cell_size {hm.cell_size!r}\n"
         f"resolution {nx} {nz}\n"
@@ -434,18 +416,25 @@ def save_height_map(hm: HeightMap, path: str | Path) -> None:
 
 
 def load_height_map(path: str | Path) -> HeightMap:
+    """Read a save_height_map file. A first line other than the format's,
+    a missing or malformed header field, or a grid of any length but the
+    resolution's nx * nz float64 values raises MotionFormatError naming the
+    file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
         head, body = blob.split(b"data float64 row-major\n", 1)
-        fields = dict(
-            line.split(b" ", 1) for line in head.strip().split(b"\n")[1:]
-        )
+        magic, *lines = head.strip().split(b"\n")
+        if magic != _HEIGHT_MAP_MAGIC.encode("ascii"):
+            raise ValueError(f"first line {magic[:40]!r} is not {_HEIGHT_MAP_MAGIC!r}")
+        fields = dict(line.split(b" ", 1) for line in lines)
         ox, oz = (float(v) for v in fields[b"origin"].split())
         cell = float(fields[b"cell_size"])
         nx, nz = (int(v) for v in fields[b"resolution"].split())
         default = float(fields[b"default_height"])
-        heights = np.frombuffer(body, dtype="<f8", count=nx * nz).reshape(nx, nz)
+        if len(body) != 8 * nx * nz:
+            raise ValueError(f"grid holds {len(body)} bytes, not the {nx} x {nz} float64 values of its resolution")
+        heights = np.frombuffer(body, dtype="<f8").reshape(nx, nz)
     except (KeyError, ValueError) as exc:
         raise MotionFormatError(f"{path}: malformed height map file: {exc}") from exc
     return HeightMap(origin=(ox, oz), cell_size=cell, heights=heights.copy(), default_height=default)

@@ -5,8 +5,11 @@ The scalar formulations are the ones the library used before it worked on
 whole stacks; the batched code must reproduce them bit for bit. The other
 routes (inverse dynamics at any acceleration, the quaternion form of the
 exponential map, the world-to-camera inverse) check identities to rounding.
+The test data helpers that no run needs (random rotations, the trajectory
+writer, one frame's generalized position) live here too.
 """
 
+import json
 import math
 
 import numpy as np
@@ -25,7 +28,51 @@ from physmotion.optimizer import (
     pd_desired_accel_angles,
     root_supervision_accel,
 )
+from physmotion.rotations import log_so3, matrix_to_quat, quat_to_matrix
 from physmotion.scene import CONTACT_NAMES
+
+
+def random_rotation(rng):
+    """Uniform random rotation via normalized quaternion."""
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q)
+    if q[0] < 0.0:
+        q = -q
+    return quat_to_matrix(q)
+
+
+def save_trajectory(traj, path):
+    """Write one JSON record per line: {frame, quat_wxyz, trans_xyz}, the
+    format frames.load_trajectory reads."""
+    records = zip(traj.frames.tolist(), matrix_to_quat(traj.rotations).tolist(), traj.translations.tolist())
+    with open(path, "w") as fh:
+        for frame, quat, trans in records:
+            fh.write(json.dumps({"frame": frame, "quat_wxyz": quat, "trans_xyz": trans}) + "\n")
+
+
+def continuous_exp_coords_scalar(v, previous):
+    """One 3-vector: the 2*pi-equivalent representation closest to previous."""
+    best, best_d = v, float(np.linalg.norm(v - previous))
+    norm = float(np.linalg.norm(v))
+    if norm > 1e-12:
+        for k in (-1, 1):
+            alt = v * (1.0 + k * 2.0 * np.pi / norm)
+            d = float(np.linalg.norm(alt - previous))
+            if d < best_d:
+                best, best_d = alt, d
+    return best.copy()
+
+
+def generalized_position(seq, t, previous=None):
+    """q (75,) of frame t of a MotionSequence as stored; with previous, each
+    3-vector of exponential coordinates moved to its 2*pi-equivalent
+    representation nearest the same vector of previous."""
+    q = np.concatenate([seq.root_trans[t], log_so3(seq.root_rot[t]), seq.joint_angles[t].ravel()])
+    if previous is not None:
+        for j in range(24):
+            sl = slice(3 + 3 * j, 6 + 3 * j)
+            q[sl] = continuous_exp_coords_scalar(q[sl], previous[sl])
+    return q
 
 
 def contact_targets(model, q):

@@ -10,7 +10,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from oracles import contact_targets, inverse_dynamics_scalar, world_to_camera
+from oracles import contact_targets, generalized_position, inverse_dynamics_scalar, random_rotation, world_to_camera
 
 from physmotion.frames import (
     FilterParams,
@@ -44,7 +44,6 @@ from physmotion.optimizer import (
     solve_frame,
 )
 from physmotion.pipeline import RunConfig, filter_motion, run_pipeline
-from physmotion.rotations import random_rotation
 from physmotion.scene import build_height_map, make_box_mesh, query_height
 from physmotion.synth import SyntheticScenario, generate_scenario
 
@@ -60,7 +59,7 @@ def _announce(name: str, ok: bool, detail: str) -> None:
 
 def _filtered_reference(seq, contacts, min_cutoff=1.0, beta=0.7):
     filt = filter_motion(seq, FilterParams(min_cutoff=min_cutoff, beta=beta, sample_rate=60.0))
-    q = np.array([filt.generalized_position(t) for t in range(len(filt))])
+    q = np.array([generalized_position(filt, t) for t in range(len(filt))])
     return sequence_from_generalized(60.0, q, MODEL, contacts)
 
 
@@ -123,7 +122,7 @@ def test_criterion_2_constraint_satisfaction():
     for name, scenario, inject in SUITE_SCENARIOS:
         bundle = generate_scenario(scenario, MODEL)
         hm = build_height_map(bundle.mesh, (128, 128))
-        q = np.array([bundle.noisy.generalized_position(t) for t in range(len(bundle.noisy))])
+        q = np.array([generalized_position(bundle.noisy, t) for t in range(len(bundle.noisy))])
         q[:, 1] += inject
         raw = sequence_from_generalized(60.0, q, MODEL, bundle.contacts)
         if scenario.noise_sigma > 0.0 or scenario.drift_rate > 0.0:
@@ -132,10 +131,7 @@ def test_criterion_2_constraint_satisfaction():
         else:
             seq = raw
         n = len(seq)
-        q_refs = np.empty((n, NV))
-        q_refs[0] = seq.generalized_position(0)
-        for t in range(1, n):
-            q_refs[t] = seq.generalized_position(t, previous=q_refs[t - 1])
+        q_refs = seq.generalized_positions()
         state = GeneralizedState(q_refs[0].copy(), (q_refs[1] - q_refs[0]) / dt, np.zeros(NV))
         latched = np.zeros(4, bool)
         for t in range(n):
@@ -233,11 +229,11 @@ def test_criterion_4_penetration_improvement():
     scenario = SyntheticScenario("ramp", "stand", 0.06, 0.0, 2.0, 2)
     bundle = generate_scenario(scenario, MODEL)
     hm = build_height_map(bundle.mesh, (128, 128))
-    q = np.array([bundle.noisy.generalized_position(t) for t in range(len(bundle.noisy))])
+    q = np.array([generalized_position(bundle.noisy, t) for t in range(len(bundle.noisy))])
     q[:, 1] -= 0.05
     raw = sequence_from_generalized(60.0, q, MODEL, bundle.contacts)
     filt = filter_motion(raw, FilterParams(min_cutoff=0.004, beta=0.7, sample_rate=60.0))
-    qf = np.array([filt.generalized_position(t) for t in range(len(filt))])
+    qf = np.array([generalized_position(filt, t) for t in range(len(filt))])
     ref_seq = sequence_from_generalized(60.0, qf, MODEL, bundle.contacts)
     refined, _ = refine_sequence(MODEL, ref_seq, hm, QPSettings())
     pen_in = penetration_stats(raw, hm, bundle.contacts)[0]

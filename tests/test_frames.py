@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from oracles import world_to_camera
+from oracles import random_rotation, save_trajectory, world_to_camera
 
 from physmotion.errors import (
-    DegenerateBaselineError,
     InvalidInputError,
     InvalidTransformError,
     MotionFormatError,
@@ -12,14 +11,11 @@ from physmotion.frames import (
     FilterParams,
     RigidTransform,
     Trajectory,
-    align_slam_scale,
     camera_to_world,
     hand_eye_calibrate,
     load_trajectory,
     one_euro_filter,
-    save_trajectory,
 )
-from physmotion.rotations import random_rotation
 
 
 def random_transform(rng):
@@ -163,63 +159,6 @@ def make_trajectory(rng, n=10):
         np.array([random_rotation(rng) for _ in range(n)]),
         np.cumsum(rng.normal(size=(n, 3)), axis=0),
     )
-
-
-class TestAlignSlamScale:
-    def test_already_aligned(self, rng):
-        traj = make_trajectory(rng)
-        gt = [traj.transform(0), traj.transform(1)]
-        out = align_slam_scale(traj, gt)
-        assert np.abs(out.translations - traj.translations).max() < 1e-9
-        assert np.abs(out.rotations - traj.rotations).max() < 1e-9
-
-    def test_pure_scale(self, rng):
-        gt_traj = make_trajectory(rng)
-        pred = Trajectory(
-            gt_traj.frames.copy(),
-            gt_traj.rotations.copy(),
-            gt_traj.translations[0]
-            + 0.5 * (gt_traj.translations - gt_traj.translations[0]),
-        )
-        out = align_slam_scale(pred, [gt_traj.transform(0), gt_traj.transform(1)])
-        assert np.abs(out.translations - gt_traj.translations).max() < 1e-9
-
-    def test_similarity_oracle(self, rng):
-        # apply a known similarity to gt, align, recover gt's first two frames
-        for _ in range(20):
-            gt_traj = make_trajectory(rng)
-            s = rng.uniform(0.3, 3.0)
-            r = random_rotation(rng)
-            t = rng.normal(size=3)
-            pred = Trajectory(
-                gt_traj.frames.copy(),
-                np.einsum("ij,njk->nik", r, gt_traj.rotations),
-                s * gt_traj.translations @ r.T + t,
-            )
-            out = align_slam_scale(pred, [gt_traj.transform(0), gt_traj.transform(1)])
-            assert np.abs(out.translations[0] - gt_traj.translations[0]).max() < 1e-9
-            assert np.abs(out.rotations[0] - gt_traj.rotations[0]).max() < 1e-9
-            d_out = np.linalg.norm(out.translations[1] - out.translations[0])
-            d_gt = np.linalg.norm(gt_traj.translations[1] - gt_traj.translations[0])
-            assert abs(d_out - d_gt) < 1e-9
-            # shape preserved: all frames match gt since pred was an exact similarity of gt
-            assert np.abs(out.translations - gt_traj.translations).max() < 1e-8
-
-    def test_idempotent(self, rng):
-        traj = make_trajectory(rng)
-        gt_traj = make_trajectory(rng)
-        gt = [gt_traj.transform(0), gt_traj.transform(1)]
-        once = align_slam_scale(traj, gt)
-        twice = align_slam_scale(once, gt)
-        assert np.abs(once.translations - twice.translations).max() < 1e-9
-        assert np.abs(once.rotations - twice.rotations).max() < 1e-9
-
-    def test_degenerate_baseline(self, rng):
-        traj = make_trajectory(rng)
-        traj.translations[1] = traj.translations[0]
-        gt_traj = make_trajectory(rng)
-        with pytest.raises(DegenerateBaselineError):
-            align_slam_scale(traj, [gt_traj.transform(0), gt_traj.transform(1)])
 
 
 def one_euro_reference(signal, min_cutoff, beta, rate, d_cutoff=1.0):

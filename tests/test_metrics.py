@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import random_rotation
 
 from physmotion.errors import InvalidInputError, UndefinedMetricError
 from physmotion.metrics import (
@@ -17,7 +18,6 @@ from physmotion.metrics import (
     wa_mpjpe,
 )
 from physmotion.motion import MotionSequence
-from physmotion.rotations import random_rotation
 from physmotion.scene import ContactLabels, HeightMap, build_height_map, make_box_mesh, query_height
 
 

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import fk_scalar
+from oracles import fk_scalar, generalized_position, random_rotation
 
 from physmotion.errors import InvalidInputError, MotionFormatError
 from physmotion.humanoid import NV
@@ -14,7 +14,7 @@ from physmotion.motion import (
     save_motion,
     sequence_from_generalized,
 )
-from physmotion.rotations import exp_so3, log_so3, matrix_to_quat, random_rotation
+from physmotion.rotations import exp_so3, log_so3, matrix_to_quat
 from physmotion.scene import ContactLabels
 from physmotion.synth import SyntheticScenario, generate_scenario
 
@@ -49,29 +49,11 @@ def save_motion_per_element(seq, path):
             fh.write(json.dumps(rec) + "\n")
 
 
-def continuous_exp_coords_scalar(v, previous):
-    """One 3-vector: the 2*pi-equivalent representation closest to previous."""
-    best, best_d = v, float(np.linalg.norm(v - previous))
-    norm = float(np.linalg.norm(v))
-    if norm > 1e-12:
-        for k in (-1, 1):
-            alt = v * (1.0 + k * 2.0 * np.pi / norm)
-            d = float(np.linalg.norm(alt - previous))
-            if d < best_d:
-                best, best_d = alt, d
-    return best.copy()
-
-
 def generalized_positions_loop(seq):
     """q of every frame, unwrapped frame by frame and vector by vector."""
     q = np.empty((len(seq), NV))
     for t in range(len(seq)):
-        q[t, 0:3] = seq.root_trans[t]
-        q[t, 3:6] = log_so3(seq.root_rot[t])
-        q[t, 6:] = seq.joint_angles[t].ravel()
-        if t > 0:
-            for sl in [slice(3 + 3 * j, 6 + 3 * j) for j in range(24)]:
-                q[t, sl] = continuous_exp_coords_scalar(q[t, sl], q[t - 1, sl])
+        q[t] = generalized_position(seq, t, q[t - 1] if t else None)
     return q
 
 
@@ -181,7 +163,7 @@ class TestMotionFile:
 class TestGeneralizedConversion:
     def test_round_trip_through_q(self, model, rng):
         seq = make_sequence(rng, n=4, with_positions=False, with_contacts=False)
-        q = np.array([seq.generalized_position(t) for t in range(4)])
+        q = np.array([generalized_position(seq, t) for t in range(4)])
         rebuilt = sequence_from_generalized(60.0, q, model)
         assert np.abs(rebuilt.root_trans - seq.root_trans).max() < 1e-12
         assert np.abs(rebuilt.root_rot - seq.root_rot).max() < 1e-9
@@ -195,8 +177,7 @@ class TestGeneralizedConversion:
         angles[1, 4, 0] = -(np.pi - 0.05)  # equivalent to pi + 0.05 going forward
         angles[2, 4, 0] = -(np.pi - 0.10)
         seq = MotionSequence(60.0, np.zeros((n, 3)), np.tile(np.eye(3), (n, 1, 1)), angles)
-        q_prev = seq.generalized_position(0)
-        q1 = seq.generalized_position(1, previous=q_prev)
+        q1 = seq.generalized_positions()[1]
         # the continuous branch stays near +pi rather than jumping to -pi
         assert abs(q1[6 + 12] - (np.pi + 0.05)) < 1e-9
 
@@ -207,13 +188,10 @@ class TestGeneralizedConversion:
         assert np.array_equal(q, expected)
         # the stored turning vectors flip branch; unwrapped, they do not jump
         turning = [c for c in range(24) if c not in (5, 6, 7, 9)]
-        stored = np.array([seq.generalized_position(t) for t in range(len(seq))])
+        stored = np.array([generalized_position(seq, t) for t in range(len(seq))])
         step = np.abs(np.diff(stored[:, 3:].reshape(-1, 24, 3)[:, turning], axis=0)).max()
         assert step > np.pi
         assert np.abs(np.diff(q[:, 3:].reshape(-1, 24, 3)[:, turning], axis=0)).max() < 0.3
-        for t in range(1, len(seq)):
-            assert np.array_equal(seq.generalized_position(t, previous=q[t - 1]), q[t])
-        assert np.array_equal(seq.generalized_position(0), q[0])
 
     def test_unwrapping_follows_a_five_pi_turn(self, rng):
         # one branch either way reaches 3 pi; the nearest branch has no limit
@@ -234,7 +212,7 @@ class TestGeneralizedConversion:
         seq = branch_flipping_sequence(rng, n=40)
         filled = seq.with_joint_positions(model)
         for t in range(len(seq)):
-            expected = fk_scalar(model, seq.generalized_position(t)).positions
+            expected = fk_scalar(model, generalized_position(seq, t)).positions
             assert np.abs(filled.joint_positions[t] - expected).max() <= 1e-12
 
     def test_with_joint_positions_matches_fk(self, model, rng):
@@ -242,7 +220,7 @@ class TestGeneralizedConversion:
         filled = seq.with_joint_positions(model)
         from physmotion.humanoid import forward_kinematics
 
-        fk = forward_kinematics(model, seq.generalized_position(1))
+        fk = forward_kinematics(model, generalized_position(seq, 1))
         assert np.abs(filled.joint_positions[1] - fk.positions).max() < 1e-12
 
 

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import contact_targets, frame_qp_scalar
+from oracles import contact_targets, frame_qp_scalar, generalized_position
 
 from physmotion.errors import InvalidInputError, QPInfeasibleError, SolverError
 from physmotion.humanoid import (
@@ -15,7 +15,7 @@ from physmotion.humanoid import (
     frame_dynamics,
 )
 from physmotion.metrics import penetration_stats
-from physmotion.motion import MotionSequence, sequence_from_generalized
+from physmotion.motion import sequence_from_generalized
 from physmotion.optimizer import (
     FALLBACK_LEVELS,
     PDGains,
@@ -317,6 +317,26 @@ class TestSolveFrame:
         assert len(FALLBACK_LEVELS) == 3
         assert tols == [settings.solver_tol] * len(FALLBACK_LEVELS)
 
+    def test_free_flight_failure_solves_full_once(self, model, flat_map, monkeypatch):
+        import physmotion.optimizer as opt
+
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            raise SolverError("forced")
+
+        monkeypatch.setattr(opt, "solve_qp", failing)
+        q = np.zeros(NV)
+        q[1] = 3.0
+        state = GeneralizedState(q.copy(), np.zeros(NV), np.zeros(NV))
+        ref = ReferenceFrameInput(q.copy(), np.zeros((4, 3)), contacts=np.zeros(4, bool), root_future=None)
+        with pytest.raises(SolverError) as info:
+            solve_frame(model, state, ref, flat_map, QPSettings())
+        # without contacts every level is the same QP
+        assert str(info.value) == "full: forced"
+        assert len(calls) == 1
+
     def test_warm_start_needs_same_contacts_and_level(self, model, flat_map, monkeypatch, rng):
         import physmotion.optimizer as opt
 
@@ -345,9 +365,9 @@ class TestSolveFrame:
 def walk_frame(model, scene, t, contacts=None):
     bundle = generate_scenario(SyntheticScenario(scene, "walk", 0.02, 0.0, 1.5, 4), model)
     seq = bundle.ground_truth
-    q = seq.generalized_position(t)
-    qd = (seq.generalized_position(t + 1, previous=q) - q) * seq.frame_rate
-    future = np.array([seq.generalized_position(t + k)[0:3] for k in (1, 2)])
+    q = generalized_position(seq, t)
+    qd = (generalized_position(seq, t + 1, previous=q) - q) * seq.frame_rate
+    future = np.array([generalized_position(seq, t + k)[0:3] for k in (1, 2)])
     labels = bundle.contacts.data[t] if contacts is None else contacts
     ref = ReferenceFrameInput(q.copy(), contact_targets(model, q), labels, future)
     return GeneralizedState(q, qd, np.zeros(NV)), ref, build_height_map(bundle.mesh, (64, 64))
@@ -426,7 +446,7 @@ class TestRefineSequence:
             SyntheticScenario(scene="flat", motion="stand", noise_sigma=0.01, duration=1.0, seed=3), model
         )
         hm = build_height_map(bundle.mesh, (64, 64))
-        q = np.array([bundle.noisy.generalized_position(t) for t in range(len(bundle.noisy))])
+        q = np.array([generalized_position(bundle.noisy, t) for t in range(len(bundle.noisy))])
         q[:, 1] -= 0.05
         low = sequence_from_generalized(60.0, q, model, bundle.contacts)
         refined, _ = refine_sequence(model, low, hm, QPSettings())
@@ -483,13 +503,10 @@ class TestRefineSequence:
 
         calls = fk_calls
         calls.clear()  # the scenario generator's own calls
-        single = []
         monkeypatch.setattr(opt, "solve_frame", record)
-        monkeypatch.setattr(MotionSequence, "generalized_position", lambda *a, **k: single.append(a))
         refined, sols = refine_sequence(model, bundle.noisy, hm, QPSettings())
         n = len(bundle.noisy)
         assert len(frames) == len(sols) == n
-        assert single == []  # the references are unwrapped in one pass
         # references before the first frame, output joints after the last;
         # every frame in between is one single-q call
         assert calls[0] == calls[-1] == (n, NV)

@@ -12,7 +12,7 @@ which do not involve the torques, are taken from the reduced QP that
 
 import numpy as np
 import pytest
-from oracles import contact_targets
+from oracles import contact_targets, generalized_position
 
 from physmotion.humanoid import DEFAULT_DT, NV, GeneralizedState, frame_dynamics
 from physmotion.optimizer import (
@@ -153,10 +153,10 @@ def test_single_support_on_ramp(model):
         t for t in range(10, len(seq) - 2)
         if labels[t].sum() == 2 and labels[t][0] == labels[t][2] and labels[t][1] == labels[t][3]
     )
-    q = seq.generalized_position(t)
-    qd = (seq.generalized_position(t + 1, previous=q) - q) * seq.frame_rate
+    q = generalized_position(seq, t)
+    qd = (generalized_position(seq, t + 1, previous=q) - q) * seq.frame_rate
     state = GeneralizedState(q, qd, np.zeros(NV))
-    future = np.array([seq.generalized_position(t + k)[0:3] for k in (1, 2)])
+    future = np.array([generalized_position(seq, t + k)[0:3] for k in (1, 2)])
     ref = ReferenceFrameInput(q.copy(), contact_targets(model, q), labels[t], future)
     sol, full = solve_both(model, state, ref, hm, QPSettings())
     assert len(sol.contact_names) == 2

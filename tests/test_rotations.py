@@ -12,6 +12,7 @@ from oracles import (
     matrix_to_quat_scalar,
     quat_to_exp_scalar,
     quat_to_matrix_scalar,
+    random_rotation,
     skew,
 )
 
@@ -24,7 +25,6 @@ from physmotion.rotations import (
     matrix_to_quat,
     quat_to_exp,
     quat_to_matrix,
-    random_rotation,
 )
 
 

@@ -10,7 +10,6 @@ from physmotion.scene import (
     HeightMap,
     TriangleMesh,
     build_height_map,
-    label_contacts,
     load_contacts_csv,
     load_height_map,
     load_obj,
@@ -340,65 +339,6 @@ class TestSurfaceNormal:
         assert np.abs(n - expected).max() < 1e-6
 
 
-class TestLabelContacts:
-    def test_coincident_vertex_in_contact(self):
-        mesh = make_box_mesh(0, 1, 0, 1, 0.0)
-        pts = np.zeros((1, 4, 3))
-        pts[0, :, :] = mesh.vertices[0]
-        labels = label_contacts(pts, mesh)
-        assert labels.data.all()
-
-    def test_far_joint_not_in_contact(self):
-        mesh = make_box_mesh(0, 1, 0, 1, 0.0)
-        pts = np.zeros((1, 4, 3))
-        pts[0, :, 1] = 1.0
-        labels = label_contacts(pts, mesh)
-        assert not labels.data.any()
-
-    def test_threshold_edges_against_brute_force(self, rng):
-        verts = rng.normal(size=(40, 3))
-        tris = np.arange(39)[:, None] * 0 + np.array([[0, 1, 2]])
-        mesh = TriangleMesh(verts, np.array([[0, 1, 2]]))
-        base = verts[7]
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        # place points at 4.9 cm and 5.1 cm of the nearest vertex; verify the
-        # nearest distance with an exhaustive scan first
-        for dist, expected in [(0.049, True), (0.051, False)]:
-            p = base + direction * dist
-            brute = min(np.linalg.norm(verts - p, axis=1))
-            if abs(brute - dist) > 1e-9:
-                continue  # another vertex got closer; skip this draw
-            pts = np.tile(p, (1, 4, 1))
-            labels = label_contacts(pts, mesh, threshold=0.05)
-            assert labels.data.all() == expected
-
-    def test_threshold_zero_no_contacts(self, rng):
-        mesh = make_box_mesh(0, 1, 0, 1, 0.0)
-        pts = rng.normal(size=(3, 4, 3)) + np.array([0.5, 0.2, 0.5])
-        labels = label_contacts(pts, mesh, threshold=0.0)
-        assert not labels.data.any()
-
-    def test_matches_brute_force_scan(self, rng):
-        verts = rng.normal(size=(60, 3))
-        mesh = TriangleMesh(verts, np.array([[0, 1, 2]]))
-        pts = rng.normal(size=(5, 4, 3)) * 0.8
-        labels = label_contacts(pts, mesh, threshold=0.5)
-        for t in range(5):
-            for j in range(4):
-                brute = min(np.linalg.norm(verts - pts[t, j], axis=1))
-                assert labels.data[t, j] == (brute < 0.5)
-
-    def test_empty_motion(self):
-        mesh = make_box_mesh(0, 1, 0, 1, 0.0)
-        labels = label_contacts(np.zeros((0, 4, 3)), mesh)
-        assert len(labels) == 0
-
-    def test_empty_mesh_rejected(self):
-        with pytest.raises(EmptySceneError):
-            label_contacts(np.zeros((1, 4, 3)), TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), int)))
-
-
 class TestFileFormats:
     def test_obj_round_trip(self, rng, tmp_path):
         mesh = merge_meshes([make_box_mesh(0, 1, 0, 1, 0.0), make_box_mesh(0, 1, 0, 1, 0.3)])
@@ -430,6 +370,22 @@ class TestFileFormats:
         assert loaded.default_height == hm.default_height
         assert np.array_equal(loaded.heights, hm.heights)
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda blob: blob.replace(b"physmotion-heightmap 1", b"physmotion-heightmap 2"), "first line"),
+            (lambda blob: blob + b"\0" * 8, "grid holds"),
+            (lambda blob: blob[:-8], "grid holds"),
+        ],
+    )
+    def test_height_map_file_rejects_a_foreign_header_or_grid_length(self, tmp_path, damage, message):
+        hm = HeightMap(origin=(0.0, 0.0), cell_size=0.5, heights=np.zeros((3, 4)), default_height=0.0)
+        path = tmp_path / "map.hmap"
+        save_height_map(hm, path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(MotionFormatError, match=f"{path.name}: malformed height map file: {message}"):
+            load_height_map(path)
+
     def test_contacts_csv_round_trip(self, rng, tmp_path):
         labels = ContactLabels(rng.uniform(size=(12, 4)) > 0.5)
         path = tmp_path / "contacts.csv"
@@ -455,6 +411,9 @@ class TestFileFormats:
             ("0.5,1,0,0,1\n", 2),
             ("0,1,0,2,1\n", 2),
             ("0,1,0,0,1\n\n1,0,1,1,0\n", 3),
+            # row t labels motion frame t
+            ("5,1,0,0,1\n", 2),
+            ("0,1,0,0,1\n2,0,1,1,0\n", 3),
         ],
     )
     def test_contacts_csv_malformed_row_names_its_line(self, tmp_path, body, line):

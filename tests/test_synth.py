@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import generalized_position
 
 from physmotion.errors import InvalidInputError
 from physmotion.humanoid import end_effector_positions, forward_kinematics
@@ -30,7 +31,7 @@ def test_contact_markers_on_surface(model, scene, motion):
     gt = bundle.ground_truth
     worst = 0.0
     for t in range(len(gt)):
-        fk = forward_kinematics(model, gt.generalized_position(t))
+        fk = forward_kinematics(model, generalized_position(gt, t))
         ee = end_effector_positions(model, fk)
         for k, name in enumerate(CONTACT_NAMES):
             if bundle.contacts.data[t, k]:
@@ -79,7 +80,7 @@ def test_noisy_positions_consistent_with_fk(model):
         SyntheticScenario(scene="flat", motion="stand", noise_sigma=0.05, duration=0.5, seed=6), model
     )
     t = 3
-    fk = forward_kinematics(model, bundle.noisy.generalized_position(t))
+    fk = forward_kinematics(model, generalized_position(bundle.noisy, t))
     assert np.abs(bundle.noisy.joint_positions[t] - fk.positions).max() < 1e-12
 
 
