@@ -60,8 +60,12 @@ class HeightMap:
         nx, nz = self.heights.shape
         if nx < 2 or nz < 2:
             raise InvalidInputError("height map needs at least 2x2 cells")
-        if self.cell_size <= 0.0:
-            raise InvalidInputError("cell_size must be positive")
+        if not (np.isfinite(self.cell_size) and self.cell_size > 0.0):
+            raise InvalidInputError(f"cell_size must be positive and finite, not {self.cell_size!r}")
+        if not np.isfinite(self.origin).all():
+            raise InvalidInputError(f"height map origin must be finite, not {tuple(self.origin)!r}")
+        if not np.isfinite(self.default_height):
+            raise InvalidInputError(f"default_height must be finite, not {self.default_height!r}")
         if not np.isfinite(self.heights).all():
             raise InvalidInputError("height map contains non-finite heights")
 
@@ -417,9 +421,10 @@ def save_height_map(hm: HeightMap, path: str | Path) -> None:
 
 def load_height_map(path: str | Path) -> HeightMap:
     """Read a save_height_map file. A first line other than the format's,
-    a missing or malformed header field, or a grid of any length but the
-    resolution's nx * nz float64 values raises MotionFormatError naming the
-    file."""
+    a missing or malformed header field, a grid of any length but the
+    resolution's nx * nz float64 values, or a map HeightMap rejects (a
+    non-finite origin, cell size, default height or height, fewer than 2x2
+    cells) raises MotionFormatError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -435,9 +440,9 @@ def load_height_map(path: str | Path) -> HeightMap:
         if len(body) != 8 * nx * nz:
             raise ValueError(f"grid holds {len(body)} bytes, not the {nx} x {nz} float64 values of its resolution")
         heights = np.frombuffer(body, dtype="<f8").reshape(nx, nz)
-    except (KeyError, ValueError) as exc:
+        return HeightMap(origin=(ox, oz), cell_size=cell, heights=heights.copy(), default_height=default)
+    except (KeyError, ValueError, InvalidInputError) as exc:
         raise MotionFormatError(f"{path}: malformed height map file: {exc}") from exc
-    return HeightMap(origin=(ox, oz), cell_size=cell, heights=heights.copy(), default_height=default)
 
 
 def make_box_mesh(

@@ -376,6 +376,8 @@ class TestFileFormats:
             (lambda blob: blob.replace(b"physmotion-heightmap 1", b"physmotion-heightmap 2"), "first line"),
             (lambda blob: blob + b"\0" * 8, "grid holds"),
             (lambda blob: blob[:-8], "grid holds"),
+            (lambda blob: blob.replace(b"cell_size 0.5", b"cell_size nan"), "cell_size must be positive and finite"),
+            (lambda blob: blob.replace(b"default_height 0.0", b"default_height inf"), "default_height must be finite"),
         ],
     )
     def test_height_map_file_rejects_a_foreign_header_or_grid_length(self, tmp_path, damage, message):
@@ -521,6 +523,21 @@ class TestObjLoaderMatchesPerLineOracle:
         with pytest.raises(MotionFormatError) as got:
             load_obj(path)
         assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"cell_size": np.nan}, "cell_size must be positive and finite"),
+        ({"cell_size": np.inf}, "cell_size must be positive and finite"),
+        ({"origin": (0.0, np.nan)}, "origin must be finite"),
+        ({"default_height": -np.inf}, "default_height must be finite"),
+    ],
+)
+def test_height_map_rejects_non_finite_geometry(field, message):
+    args = dict(origin=(0.0, 0.0), cell_size=1.0, heights=np.zeros((3, 3)), default_height=0.0)
+    with pytest.raises(InvalidInputError, match=message):
+        HeightMap(**{**args, **field})
 
 
 def test_mesh_validation():
