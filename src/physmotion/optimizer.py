@@ -68,7 +68,7 @@ from .humanoid import (
 from .motion import MotionSequence, resample_motion, sequence_from_generalized
 from .qp import solve_qp
 from .rotations import cross_rows, matvec_rows, vector_norms
-from .scene import CONTACT_NAMES, HeightMap, query_height, surface_normal
+from .scene import CONTACT_NAMES, HeightMap, query_surface
 
 # Baumgarte stabilization of the contact equality, critically damped at 60 fps
 CONTACT_KP = 3600.0
@@ -233,7 +233,7 @@ def _ground(
     """Surface heights (k,) and upward normals (k, 3) below points (k, 3)."""
     x, z = points[:, 0], points[:, 2]
     if settings.use_height_map and hm is not None:
-        return query_height(hm, x, z), surface_normal(hm, x, z)
+        return query_surface(hm, x, z)
     return np.full(len(points), float(flat_height)), np.tile([0.0, 1.0, 0.0], (len(points), 1))
 
 
@@ -251,16 +251,16 @@ def _tangent_bases(n: np.ndarray) -> np.ndarray:
 def _cone_rows(normals: np.ndarray, tangents: np.ndarray, n: int, settings: QPSettings) -> np.ndarray:
     """The linearized friction cones of k contacts as G x <= 0 rows over
     x = (qdd, lambda): per contact, cone_facets facet rows d_f . lambda_c <=
-    mu n . lambda_c, then the unilateral row -n . lambda_c <= 0."""
+    mu n . lambda_c. The facet directions sum to zero, so the rows sum to
+    -cone_facets mu n . lambda_c <= 0: they imply the unilateral condition
+    n . lambda_c >= 0, which therefore has no row of its own."""
     facets = settings.cone_facets
     ang = 2.0 * np.pi * np.arange(facets) / facets
     d = np.cos(ang)[:, None] * tangents[:, :1] + np.sin(ang)[:, None] * tangents[:, 1:]
-    blocks = np.concatenate(
-        [d - settings.friction_mu * normals[:, None], -normals[:, None]], axis=1
-    ).reshape(-1, 3)
+    blocks = (d - settings.friction_mu * normals[:, None]).reshape(-1, 3)
     g_mat = np.zeros((len(blocks), n))
     rows = np.arange(len(blocks))[:, None]
-    g_mat[rows, NV + 3 * (rows // (facets + 1)) + np.arange(3)] = blocks
+    g_mat[rows, NV + 3 * (rows // facets) + np.arange(3)] = blocks
     return g_mat
 
 

@@ -10,41 +10,54 @@ for P positive semidefinite and strictly convex on the equality null space
 
 1. Diagonal variable scaling evens out the objective's dynamic range, and row
    equilibration evens out the constraint rows.
-2. The equality-constrained KKT matrix is factored once, and solved for the
-   equality-only minimiser x0. When x0 satisfies every inequality it is the
-   solution (the common case for settled contacts).
-3. Otherwise the same factorisation gives, per inequality row, how (x, nu)
-   respond to a unit multiplier on it. Every point the method visits is x0
-   plus a combination of those responses, so the iteration runs on the
-   inequality multipliers alone, through S = G Z G^T (Z the inverse Hessian
-   on the equality null space): each row's slack decrease per unit
-   multiplier on each row.
+2. The equality-constrained KKT matrix K is factored once: one LU, the only
+   factorisation a QP makes. Its solve for the equality-only minimiser x0 is
+   refined to machine precision. When x0 satisfies every inequality it is
+   the solution (the common case for settled contacts).
+3. Otherwise the same factorisation gives how (x, nu) respond to a unit
+   multiplier on each inequality row. G touches only a few columns of x
+   (the contact forces), so one solve for unit forces on those columns gives
+   every row's response, and S = G_J [K^-1]_JJ G_J^T: each row's slack
+   decrease per unit multiplier on each row. Every point the method visits
+   is x0 plus a combination of the responses, so the iteration runs on the
+   inequality multipliers alone.
 4. The dual method (Goldfarb & Idnani 1983, Math. Programming 27)
    adds the most violated row to the working set. Each iterate is optimal
    for the rows in its working set; a partial step drops a working row whose
-   multiplier reaches zero. A violated row that depends on the working set
-   is skipped when its violation is rounding; otherwise, when no working row
-   can leave, no feasible point exists and QPInfeasibleError is raised.
+   multiplier reaches zero. As in their method, S restricted to the working
+   set is held as a triangular factor R (R^T R = S_WW) that gains a column
+   when a row enters and is made triangular again by one small QR when a
+   row leaves, so no step solves with S_WW from scratch. A violated row that
+   depends on the working set is skipped when its violation is rounding;
+   otherwise, when no working row can leave, no feasible point exists and
+   QPInfeasibleError is raised. A slack within rounding of the terms it is
+   formed from counts as met.
 5. Warm start: a caller-supplied active set (typically the previous frame's)
    seeds the working set. Its rows that depend on earlier ones are left
    out, and it is pruned to dual feasibility by dropping its most negative
    multiplier until none is negative. Rows outside G make it ignored.
-6. One final solve of the KKT system with the working rows as equalities
-   restores machine precision; its KKT residual must be within tol.
+6. The final point solves the KKT system with the working rows as
+   equalities, by block elimination on the one factorisation: mu_W from R,
+   then x from x0 and the responses. Corrections against the true bordered
+   matrix, each one solve with the LU and one with R, restore machine
+   precision; the KKT residual must be within tol.
 
 An inconsistent equality system raises QPInfeasibleError (the caller drops
-constraint groups in response); a failed factorisation, a working set that
-does not settle within 3 (mi + 1) steps, or a final KKT residual above tol
-raises SolverError.
+constraint groups in response); a failed factorisation or solve (a zero or
+non-finite pivot, a non-finite solution, or LAPACK's own error or warning),
+a working set that does not settle within 3 (mi + 1) steps, or a final KKT
+residual above tol raises SolverError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor
+from scipy.linalg.lapack import dgeqrf, dgetrs, dpotrf, dpotrs, dtrtrs
 
 from .errors import QPInfeasibleError, SolverError
 
@@ -59,73 +72,99 @@ class QPSolution:
     kkt_residual: float
 
 
-def _kkt_factor(p_mat: np.ndarray, e_mat: np.ndarray) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """Factor [[P, E^T], [E, 0]] once; returns solve(rhs) for blocks rhs (n + m, k).
+# Relative KKT residual at which a refined solve has reached machine precision
+EXACT = 1e-13
 
-    solve returns (sol, constraint_error): per column, |E x - rhs[n:]|max
-    relative to 1 + |rhs[n:]|max, the certificate that the constraint rows
-    are consistent. The factorisation carries a small static quasi-definite
-    regularization (+delta on the Hessian block, -delta on the constraint
-    block) and each solve is refined against the true matrix, which keeps
-    nearly singular systems (straight-leg poses) solvable. Refinement
-    measures the stationarity rows against |rhs[:n]| and the constraint rows
-    against |rhs[n:]|, so a large linear cost does not loosen the constraints.
+
+def _kkt_factor(kkt: np.ndarray, n: int) -> Tuple[Callable, Callable]:
+    """Factor kkt = [[P, E^T], [E, 0]] (P of size n) once; returns (raw, solve).
+
+    The factorisation carries a small static quasi-definite regularization
+    (+delta on the Hessian block, -delta on the constraint block), which
+    keeps nearly singular systems (straight-leg poses) solvable. raw(rhs)
+    applies it to rhs (n + m,) or (n + m, k) with one LAPACK getrs call;
+    solve(rhs) refines that against the true matrix for one rhs (n + m,) and
+    returns (sol, constraint_error): |E x - rhs[n:]|max relative to
+    1 + |rhs[n:]|max, the certificate that the constraint rows are
+    consistent. Refinement measures the stationarity rows against |rhs[:n]|
+    and the constraint rows against |rhs[n:]|, so a large linear cost does
+    not loosen the constraints.
+
+    Each solve stops at the precision its result is read at:
+    - The equality-only minimiser is refined to EXACT (1e-13), because it is
+      returned as the solution when no inequality binds and the final point
+      is built on it. An error that stops halving has reached rounding and
+      stops there; one that stalls above 1e-9 belongs to a genuinely
+      singular system, and the least-squares solution replaces it where that
+      is cleaner.
+    - The response columns are raw solves, not refined: S is then the Schur
+      complement of the regularized matrix (about 1e-6 relative from the
+      true one on gait frames), and the dual method reads it only to pick
+      its working set. The final solve does not rely on it: each of its
+      corrections takes the residual against the true bordered matrix, and
+      they stop at EXACT.
     """
-    n, m = p_mat.shape[0], e_mat.shape[0]
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = p_mat
-    kkt[:n, n:] = e_mat.T
-    kkt[n:, :n] = e_mat
-    delta = 1e-9 * (1.0 + float(np.abs(p_mat).max()))
-    reg = np.concatenate([np.full(n, delta), np.full(m, -delta)])
+    diag = np.einsum("ii->i", kkt)  # a writable view
+    # P is positive semidefinite, so its largest entry is on its diagonal
+    delta = 1e-9 * (1.0 + float(np.abs(diag[:n]).max()))
+    unregularised = diag.copy()
+    diag[:n] += delta
+    diag[n:] -= delta
     try:
-        lu = lu_factor(kkt + np.diag(reg))
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        # kkt is assembled row-major, so its transpose is the column-major
+        # array LAPACK takes; getrs solves with trans=1
+        lu, piv = lu_factor(kkt.T)
+    except (np.linalg.LinAlgError, ValueError, LinAlgWarning) as exc:
+        # scipy reports getrf's exactly zero pivot (info > 0) as a
+        # LinAlgWarning, which arrives here when warnings are errors
         raise SolverError(f"KKT factorisation failed: {exc}") from exc
+    diag[:] = unregularised
+    pivots = np.diagonal(lu)
+    if not (np.isfinite(pivots).all() and pivots.all()):
+        raise SolverError("KKT factorisation is singular")
 
-    def solve(rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        top = 1.0 + np.abs(rhs[:n]).max(axis=0)
-        bottom = 1.0 + np.abs(rhs[n:]).max(axis=0, initial=0.0)
+    def raw(rhs: np.ndarray) -> np.ndarray:
+        sol, info = dgetrs(lu, piv, rhs, trans=1)
+        if info != 0 or not np.isfinite(sol).all():
+            raise SolverError("KKT solve is not finite")
+        return sol
 
-        def errors(sol: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def solve(rhs: np.ndarray) -> Tuple[np.ndarray, float]:
+        top = 1.0 + float(np.abs(rhs[:n]).max())
+        bottom = 1.0 + float(np.abs(rhs[n:]).max(initial=0.0))
+
+        def errors(sol: np.ndarray) -> Tuple[np.ndarray, float, float]:
             res = rhs - kkt @ sol
-            cons = np.abs(res[n:]).max(axis=0, initial=0.0) / bottom
-            return res, np.maximum(np.abs(res[:n]).max(axis=0) / top, cons), cons
+            cons = float(np.abs(res[n:]).max(initial=0.0)) / bottom
+            return res, max(float(np.abs(res[:n]).max()) / top, cons), cons
 
-        # lu_solve takes about 40 times longer on a C-ordered block of
-        # columns than on a Fortran-ordered one (21 columns, 2-core OpenBLAS)
-        sol = lu_solve(lu, np.asfortranarray(rhs))
-        if not np.isfinite(sol).all():
-            raise SolverError("KKT factorisation is singular")
+        sol = raw(rhs)
         res, err, cons = errors(sol)
         for _ in range(8):
-            if err.max() < 1e-13:
+            if err < EXACT:
                 break
-            new_sol = sol + lu_solve(lu, np.asfortranarray(res))
+            new_sol = sol + raw(res)
             new_res, new_err, new_cons = errors(new_sol)
-            better = new_err < err
-            # a column that no longer halves its error has reached rounding
-            progress = (new_err < 0.5 * err).any()
-            sol = np.where(better, new_sol, sol)
-            res = np.where(better, new_res, res)
-            err = np.where(better, new_err, err)
-            cons = np.where(better, new_cons, cons)
+            if not new_err < err:
+                break
+            # an error that no longer halves has reached rounding
+            progress = new_err < 0.5 * err
+            sol, res, err, cons = new_sol, new_res, new_err, new_cons
             if not progress:
                 break
-        if err.max() > 1e-9:
+        if err > 1e-9:
             # genuinely singular (redundant or inconsistent rows): take the
-            # least-squares solution of each column where it is cleaner
+            # least-squares solution where it is cleaner
             try:
                 alt, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"KKT least-squares solve failed: {exc}") from exc
             _, alt_err, alt_cons = errors(alt)
-            better = alt_err < err
-            sol = np.where(better, alt, sol)
-            cons = np.where(better, alt_cons, cons)
+            if alt_err < err:
+                sol, cons = alt, alt_cons
         return sol, cons
 
-    return solve
+    return raw, solve
 
 
 def kkt_residual(
@@ -163,81 +202,170 @@ def kkt_residual(
     return max(parts)
 
 
+class _WorkingSet:
+    """The dual method's working rows W of S, in the order they entered, and
+    Goldfarb and Idnani's factor of them: an upper-triangular R with
+    R^T R = S_WW. A row enters as one new column of R; a row that leaves
+    takes its column out, and one QR factorisation of the trailing block
+    makes R triangular again."""
+
+    def __init__(self, s_mat: np.ndarray, dep_tol: np.ndarray, seed: List[int]):
+        """Start from the rows of `seed` in order, leaving out each row whose
+        Schur complement against the rows before it is at most dep_tol."""
+        self.s_mat = s_mat
+        self.dep_tol = dep_tol
+        self.rows: List[int] = []
+        self._r = np.zeros(s_mat.shape, order="F")
+        if seed:
+            # one Cholesky factorisation when no seed row depends on earlier
+            # ones (its squared pivots are the Schur complements), else row by row
+            r, info = dpotrf(s_mat[seed][:, seed], clean=1)
+            if info == 0 and (r.diagonal() ** 2 > dep_tol[seed]).all():
+                self._r[: len(seed), : len(seed)] = r
+                self.rows = list(seed)
+                return
+        for p in seed:
+            _, z, col = self.response(p)
+            if z > dep_tol[p]:
+                self.add(p, col, z)
+
+    def _triangular(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+        w = len(self.rows)
+        sol, info = dtrtrs(self._r[:w, :w], rhs, trans=trans)
+        if info != 0:
+            raise SolverError(f"working-set factor is singular ({w} rows)")
+        return sol
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """S_WW^{-1} rhs."""
+        w = len(self.rows)
+        if not w:
+            return np.zeros(0)
+        sol, info = dpotrs(self._r[:w, :w], rhs)
+        if info != 0:
+            raise SolverError(f"working-set factor is singular ({w} rows)")
+        return sol
+
+    def response(self, p: int) -> Tuple[np.ndarray, float, np.ndarray]:
+        """c = S_WW^{-1} S_Wp, so that keeping the working rows tight moves
+        mu_W by -c per unit of mu_p; the Schur complement z, the decrease of
+        row p's slack per unit of mu_p; and R^{-T} S_Wp, the new column of R
+        should p enter."""
+        if not self.rows:
+            return np.zeros(0), float(self.s_mat[p, p]), np.zeros(0)
+        col = self._triangular(self.s_mat[self.rows, p], 1)
+        return self._triangular(col, 0), float(self.s_mat[p, p] - col @ col), col
+
+    def add(self, p: int, col: np.ndarray, z: float) -> None:
+        w = len(self.rows)
+        self._r[:w, w] = col
+        self._r[w, w] = math.sqrt(z)
+        self.rows.append(p)
+
+    def remove(self, k: int) -> None:
+        w = len(self.rows)
+        r = self._r
+        r[:w, k : w - 1] = r[:w, k + 1 : w]
+        r[:w, w - 1] = 0.0
+        if k < w - 1:
+            # the block is upper Hessenberg, so its Householder vectors
+            # occupy only the subdiagonal
+            qr, *_ = dgeqrf(r[k:w, k : w - 1])
+            sub = np.arange(w - 1 - k)
+            qr[sub + 1, sub] = 0.0
+            r[k:w, k : w - 1] = qr
+        del self.rows[k]
+
+    def multipliers(self, s0: np.ndarray) -> np.ndarray:
+        """mu with the working rows tight (S_WW mu_W = s0_W) and 0 elsewhere."""
+        mu = np.zeros(s0.shape[0])
+        mu[self.rows] = self.solve(s0[self.rows])
+        return mu
+
+
 def _dual_active_set(
     s_mat: np.ndarray, s0: np.ndarray, feas_tol: float, warm: Sequence[int]
-) -> Tuple[List[int], int]:
-    """Goldfarb-Idnani on the inequality multipliers mu; returns (working rows, steps).
+) -> Tuple[_WorkingSet, int]:
+    """Goldfarb-Idnani on the inequality multipliers mu; returns (working set, steps).
 
     The slacks are s(mu) = s0 - S mu, positive where a row is violated.
     Every iterate keeps the working rows tight (S_WW mu_W = s0_W) with
-    mu_W >= 0 and mu = 0 elsewhere.
+    mu_W >= 0 and mu = 0 elsewhere. A row is independent of the working set
+    when its Schur complement z exceeds 1e-10 S_pp (plus a floor of 1e-15
+    of S's largest diagonal entry).
     """
     mi = s0.shape[0]
-    dep_floor = 1e-15 * float(s_mat.diagonal().max())
-    working: List[int] = []
+    diag = s_mat.diagonal()
+    working = _WorkingSet(s_mat, 1e-10 * diag + 1e-15 * float(diag.max()), sorted(set(warm)))
     steps = 0
-
-    def response(p: int) -> Tuple[np.ndarray, float]:
-        """Change of mu_W per unit of mu_p keeping the working rows tight, and
-        the Schur complement z: the decrease of row p's slack per unit of mu_p."""
-        if not working:
-            return np.zeros(0), float(s_mat[p, p])
-        c = np.linalg.solve(s_mat[np.ix_(working, working)], s_mat[working, p])
-        return -c, float(s_mat[p, p] - s_mat[p, working] @ c)
-
-    def independent(p: int, z: float) -> bool:
-        return z > 1e-10 * s_mat[p, p] + dep_floor
-
-    def working_multipliers() -> np.ndarray:
-        mu = np.zeros(mi)
-        if working:
-            mu[working] = np.linalg.solve(s_mat[np.ix_(working, working)], s0[working])
-        return mu
-
-    for p in sorted(set(warm)):
-        if independent(p, response(p)[1]):
-            working.append(p)
-    mu = working_multipliers()
-    while working and mu[working].min() < 0.0:
-        del working[int(np.argmin(mu[working]))]
-        mu = working_multipliers()
+    mu = working.multipliers(s0)
+    while working.rows and mu[working.rows].min() < 0.0:
+        working.remove(int(np.argmin(mu[working.rows])))
+        mu = working.multipliers(s0)
         steps += 1
 
     max_steps = 3 * (mi + 1)
-    skipped: set = set()
+    blocked = np.zeros(mi, dtype=bool)  # working or skipped rows
+    blocked[working.rows] = True
+    skipped: List[int] = []
+
+    def size(p: int) -> float:
+        """The magnitude of the terms that row p's slack is formed from."""
+        return abs(s0[p]) + float(np.abs(s_mat[p]) @ mu)
+
     while True:
         slack = s0 - s_mat @ mu
-        rows = (i for i in range(mi) if i not in skipped and i not in working)
-        p = max(rows, key=slack.__getitem__, default=None)
-        if p is None or slack[p] <= feas_tol:
-            return working, steps
+        candidates = np.where(blocked, -np.inf, slack)
+        while True:  # the most violated row whose slack is not met
+            p = int(candidates.argmax())
+            if candidates[p] <= feas_tol:
+                return working, steps
+            # a slack within rounding of its terms is met: chasing it only
+            # swaps dependent rows in and out of the working set
+            if slack[p] > feas_tol + 1e-13 * size(p):
+                break
+            candidates[p] = -np.inf
+        slack_p = float(slack[p])
         while True:
-            dmu, z = response(p)
-            full = independent(p, z)
-            leave = dmu < -1e-12 * max(1.0, float(np.abs(dmu).max(initial=0.0)))
-            if not full and not leave.any():
-                if slack[p] <= 1e-9 * (abs(s0[p]) + float(np.abs(s_mat[p]) @ mu)):
-                    skipped.add(p)  # implied by the working set: rounding only
+            c, z, col = working.response(p)
+            w = len(working.rows)
+            full = z > working.dep_tol[p]
+            # step lengths: row p becomes tight, or a leaving row's multiplier
+            # reaches zero (which wins a tie)
+            t, k = (slack_p / z, w) if full else (np.inf, w)
+            if w:
+                mu_w = mu[working.rows]
+                leave = c > 1e-12 * max(1.0, float(np.abs(c).max()))
+                if leave.any():
+                    ratios = np.divide(mu_w, c, out=np.full(w, np.inf), where=leave)
+                    j = int(ratios.argmin())
+                    if ratios[j] <= t:
+                        t, k = float(ratios[j]), j
+            if k == w and not full:
+                if slack_p <= 1e-9 * size(p):
+                    skipped.append(p)  # implied by the working set: rounding only
+                    blocked[p] = True
                     break
-                raise QPInfeasibleError(f"inequality row {p} is violated and depends on rows {sorted(working)}")
+                raise QPInfeasibleError(
+                    f"inequality row {p} is violated and depends on rows {sorted(working.rows)}"
+                )
             steps += 1
             if steps > max_steps:
                 raise SolverError(f"dual active set did not settle in {max_steps} steps ({mi} inequalities)")
-            # step lengths: a leaving row's multiplier reaches zero, or row p is tight
-            ratios = np.full(len(working) + 1, np.inf)
-            ratios[:-1][leave] = mu[working][leave] / -dmu[leave]
-            ratios[-1] = slack[p] / z if full else np.inf
-            k = int(np.argmin(ratios))
-            t = float(ratios[k])
-            mu[working] += t * dmu
+            if w:
+                mu[working.rows] = mu_w - t * c
             mu[p] += t
-            skipped.clear()
-            if k == len(working):
-                working.append(p)
+            if skipped:
+                blocked[skipped] = False
+                skipped.clear()
+            if k == w:
+                working.add(p, col, z)
+                blocked[p] = True
                 break
-            mu[working[k]] = 0.0  # its multiplier reached zero: the row leaves
-            del working[k]
-            slack = s0 - s_mat @ mu
+            mu[working.rows[k]] = 0.0  # its multiplier reached zero: the row leaves
+            blocked[working.rows[k]] = False
+            working.remove(k)
+            slack_p -= t * z
 
 
 def solve_qp(
@@ -270,26 +398,26 @@ def solve_qp(
         g_in = np.asarray(g_mat, dtype=float).reshape(-1, n)
         h_in = np.asarray(h_vec, dtype=float).reshape(-1)
     me, mi = a_in.shape[0], g_in.shape[0]
-    for arr, label in ((p_in, "P"), (q_in, "q"), (a_in, "A"), (b_in, "b"), (g_in, "G"), (h_in, "h")):
-        if arr.size and not np.isfinite(arr).all():
-            raise SolverError(f"non-finite values in QP data ({label})")
+    rows_in, rhs_in = np.concatenate([a_in, g_in]), np.concatenate([b_in, h_in])
+    if not all(np.isfinite(arr).all() for arr in (p_in, q_in, rows_in, rhs_in)):
+        for arr, label in ((p_in, "P"), (q_in, "q"), (a_in, "A"), (b_in, "b"), (g_in, "G"), (h_in, "h")):
+            if not np.isfinite(arr).all():
+                raise SolverError(f"non-finite values in QP data ({label})")
 
     # diagonal variable scaling: x = d * x_scaled
     diag = np.abs(np.diag(p_in))
     d = 1.0 / np.sqrt(np.maximum(diag, 1e-6 * (diag.max() if diag.size else 1.0) + 1e-12))
-    p_s = p_in * d[None, :] * d[:, None]
     q_s = q_in * d
-    a_s = a_in * d[None, :]
-    g_s = g_in * d[None, :]
-    # row equilibration: keeps small constraint rows (e.g. the root
+    # row equilibration of [A; G]: keeps small constraint rows (e.g. the root
     # acceleration pin) from drowning numerically among large dynamics rows
-    row_a = np.maximum(np.abs(a_s).max(axis=1, initial=0.0), 1e-12)
-    row_g = np.maximum(np.abs(g_s).max(axis=1, initial=0.0), 1e-12)
-    a_s, b_s = a_s / row_a[:, None], b_in / row_a
-    g_s, h_s = g_s / row_g[:, None], h_in / row_g
+    rows_s = rows_in * d[None, :]
+    row_scale = np.maximum(np.abs(rows_s).max(axis=1, initial=0.0), 1e-12)
+    rows_s /= row_scale[:, None]
+    rhs_s = rhs_in / row_scale
+    a_s, g_s, b_s, h_s = rows_s[:me], rows_s[me:], rhs_s[:me], rhs_s[me:]
 
     def finish(xs: np.ndarray, nu_s: np.ndarray, mu_s: np.ndarray, iterations: int, active) -> QPSolution:
-        x, nu, mu = xs * d, nu_s / row_a, mu_s / row_g
+        x, nu, mu = xs * d, nu_s / row_scale[:me], mu_s / row_scale[me:]
         residual = kkt_residual(p_in, q_in, a_in, b_in, g_in, h_in, x, nu, mu)
         if residual > tol:
             raise SolverError(
@@ -297,33 +425,73 @@ def solve_qp(
             )
         return QPSolution(x, nu, mu, iterations, tuple(active), residual)
 
-    # one factorisation: the equality-only minimiser, then, unless it is
-    # feasible, per inequality row the response of (x, nu) to a unit
-    # multiplier on it
-    solve = _kkt_factor(p_s, a_s)
-    sol, consistency = solve(np.concatenate([-q_s, b_s])[:, None])
-    if consistency[0] > 1e-7:
+    # one factorisation of the KKT matrix, assembled with room to border it
+    # with the working rows at the end: the equality-only minimiser, then,
+    # unless it is feasible, the responses
+    nz = n + me
+    bordered = np.zeros((nz + mi, nz + mi))
+    kkt = bordered[:nz, :nz]
+    np.multiply(p_in * d[None, :], d[:, None], out=kkt[:n, :n])
+    kkt[:n, n:] = a_s.T
+    kkt[n:, :n] = a_s
+    raw, solve = _kkt_factor(kkt, n)
+    rhs0 = np.concatenate([-q_s, b_s])
+    z0, consistency = solve(rhs0)
+    if consistency > 1e-7:
         raise QPInfeasibleError("equality constraints are inconsistent")
-    x0, nu0 = sol[:n, 0], sol[n:, 0]
+    x0, nu0 = z0[:n], z0[n:]
     s0 = g_s @ x0 - h_s
     feas_tol = 1e-9 * (1.0 + float(np.abs(h_s).max(initial=0.0)))
     if mi == 0 or s0.max() <= feas_tol:
         return finish(x0, nu0, np.zeros(mi), 1, ())
 
-    responses, _ = solve(np.vstack([-g_s.T, np.zeros((me, mi))]))
-    s_mat = -g_s @ responses[:n]
+    # G touches only the columns `support` of x (the contact forces), so the
+    # responses to all mi rows are combinations of the responses Y to unit
+    # forces on those columns: a multiplier vector mu moves (x, nu) by
+    # Y G_J^T mu, and S = G_J [K^-1]_JJ G_J^T
+    support = np.flatnonzero(np.abs(g_s).max(axis=0))
+    unit = np.zeros((nz, support.shape[0]), order="F")
+    unit[support, np.arange(support.shape[0])] = -1.0
+    y_mat = raw(unit)
+    g_j = g_s[:, support]
+    s_mat = -g_j @ y_mat[support] @ g_j.T
     s_mat = 0.5 * (s_mat + s_mat.T)
     seed = np.asarray(warm_start if warm_start is not None else (), dtype=int)
     warm = seed.tolist() if seed.size and seed.min() >= 0 and seed.max() < mi else []
-    try:
-        working, steps = _dual_active_set(s_mat, s0, feas_tol, warm)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"dual active set: {exc}") from exc
+    working, steps = _dual_active_set(s_mat, s0, feas_tol, warm)
 
-    # final solve with the working rows as equalities, to machine precision
-    working.sort()
-    e_mat = np.vstack([a_s, g_s[working]])
-    final, _ = _kkt_factor(p_s, e_mat)(np.concatenate([-q_s, b_s, h_s[working]])[:, None])
+    # final solve with the working rows as equalities, by block elimination
+    # on the one factorisation: S_WW mu_W = s0_W and z = z0 + Y G_J^T mu;
+    # then corrections against the true bordered matrix to machine precision
+    rows = working.rows
+    g_w, y_w = g_s[rows], y_mat @ g_j[rows].T
+    w = len(rows)
+    bordered = bordered[: nz + w, : nz + w]
+    bordered[:n, nz:] = g_w.T
+    bordered[nz:, :n] = g_w
+    rhs_b = np.concatenate([rhs0, h_s[rows]])
+    top = 1.0 + float(np.abs(q_s).max())
+    bottom = 1.0 + float(np.abs(rhs_b[n:]).max(initial=0.0))
+
+    def residual(zb: np.ndarray) -> Tuple[np.ndarray, float]:
+        res = rhs_b - bordered @ zb
+        mag = np.abs(res)
+        return res, max(float(mag[:n].max()) / top, float(mag[n:].max(initial=0.0)) / bottom)
+
+    mu_w = working.solve(s0[rows])
+    zb = np.concatenate([z0 + y_w @ mu_w, mu_w])
+    res, err = residual(zb)
+    for _ in range(6):
+        if err < EXACT:
+            break
+        w0 = raw(res[:nz])
+        d_mu = working.solve(g_w @ w0[:n] - res[nz:])
+        new_zb = zb + np.concatenate([w0 + y_w @ d_mu, d_mu])
+        new_res, new_err = residual(new_zb)
+        if not new_err < err:
+            break
+        zb, res, err = new_zb, new_res, new_err
+    z, mu_w = zb[:nz], zb[nz:]
     mu_s = np.zeros(mi)
-    mu_s[working] = np.maximum(final[n + me :, 0], 0.0)
-    return finish(final[:n, 0], final[n : n + me, 0], mu_s, 1 + steps, working)
+    mu_s[rows] = np.maximum(mu_w, 0.0)
+    return finish(z[:n], z[n:], mu_s, 1 + steps, sorted(rows))

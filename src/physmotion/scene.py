@@ -335,19 +335,24 @@ def query_height(hm: HeightMap, x: float | np.ndarray, z: float | np.ndarray) ->
     return float(out) if out.ndim == 0 else out
 
 
-def surface_normal(hm: HeightMap, x: float | np.ndarray, z: float | np.ndarray) -> np.ndarray:
-    """Upward unit normal from central differences of the interpolated height.
+def query_surface(
+    hm: HeightMap, x: float | np.ndarray, z: float | np.ndarray
+) -> Tuple[float | np.ndarray, np.ndarray]:
+    """The height (query_height) and the upward unit normal at each point.
 
-    Scalar x, z give a (3,) array; arrays that broadcast together give
-    (..., 3). The four neighbour heights of every point come from one query.
+    The normal comes from central differences of the interpolated height one
+    cell to either side. The point and its four neighbours are one
+    query_height call, and each value equals its scalar query bit for bit.
+    Scalar x, z give a float and a (3,) array; arrays that broadcast together
+    give heights of the broadcast shape and normals of that shape plus (3,).
     """
     x, z = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
     d = hm.cell_size
-    h = query_height(hm, np.stack([x + d, x - d, x, x]), np.stack([z, z, z + d, z - d]))
-    dhdx = (h[0] - h[1]) / (2.0 * d)
-    dhdz = (h[2] - h[3]) / (2.0 * d)
+    h = query_height(hm, np.stack([x, x + d, x - d, x, x]), np.stack([z, z, z, z + d, z - d]))
+    dhdx = (h[1] - h[2]) / (2.0 * d)
+    dhdz = (h[3] - h[4]) / (2.0 * d)
     n = np.stack([-dhdx, np.ones_like(dhdx), -dhdz], axis=-1)
-    return n / vector_norms(n)
+    return (float(h[0]) if x.ndim == 0 else h[0]), n / vector_norms(n)
 
 
 @dataclass

@@ -359,9 +359,6 @@ def cone_rows_scalar(normals, n, lam0, settings):
             row = np.zeros(n)
             row[cols] = d - settings.friction_mu * normal
             g_rows.append(row)
-        row = np.zeros(n)
-        row[cols] = -normal
-        g_rows.append(row)
     return np.vstack(g_rows)
 
 

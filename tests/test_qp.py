@@ -247,3 +247,111 @@ class TestDualActiveSet:
             warnings.simplefilter("error")
             with pytest.raises(SolverError):
                 solve_qp(*prob)
+
+
+def pyramid_qp(rng, contacts=2, facets=4, apex=False):
+    """A multi-contact friction-pyramid QP over x = (v (3,), lambda_c (3,) per
+    contact). Each contact has `facets` facet rows d_f . lambda <= mu n . lambda
+    and the unilateral row -n . lambda <= 0, which the facets imply: its 5 rows
+    span 3 force components, so S is singular. One equality couples v and the
+    forces. With apex, the optimum puts contact 0's force at its apex, where
+    all 5 of its rows hold with positive multipliers."""
+    n = 3 + 3 * contacts
+    m = rng.normal(size=(n, n))
+    p = m @ m.T + np.eye(n)
+    g = np.zeros((contacts * (facets + 1), n))
+    for c in range(contacts):
+        normal = np.eye(3)[1] + rng.normal(0.0, 0.3, 3)
+        normal /= np.linalg.norm(normal)
+        t1 = np.cross(normal, rng.normal(size=3))
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(normal, t1)
+        mu = rng.uniform(0.3, 1.0)
+        cols = slice(3 + 3 * c, 6 + 3 * c)
+        for f in range(facets):
+            ang = 2.0 * np.pi * f / facets
+            g[c * (facets + 1) + f, cols] = np.cos(ang) * t1 + np.sin(ang) * t2 - mu * normal
+        g[c * (facets + 1) + facets, cols] = -normal
+    h = np.zeros(len(g))
+    a = rng.normal(size=(1, n))
+    if not apex:
+        x_in = np.concatenate([rng.normal(size=3), np.tile([0.0, 1.0, 0.0], contacts)])
+        return (p, rng.normal(size=n) * 5.0, a, a @ x_in, g, h)
+    x_opt = np.zeros(n)
+    x_opt[:3] = rng.normal(size=3)
+    for c in range(1, contacts):  # the other forces strictly inside their pyramids
+        normal = -g[c * (facets + 1) + facets, 3 + 3 * c : 6 + 3 * c]
+        x_opt[3 + 3 * c : 6 + 3 * c] = rng.uniform(0.5, 1.5) * normal
+    mult = np.zeros(len(g))
+    mult[: facets + 1] = rng.uniform(0.5, 2.0, size=facets + 1)
+    nu = rng.normal(size=1)
+    q = -(p @ x_opt + a.T @ nu + g.T @ mult)
+    return (p, q, a, a @ x_opt, g, h)
+
+
+class TestFactorisationOncePerQP:
+    def test_one_lu_factor_per_inequality_active_solve(self, rng, monkeypatch):
+        calls = []
+        original = qp_module.lu_factor
+
+        def counted(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(qp_module, "lu_factor", counted)
+        for prob, cold in qps_with_active_inequalities(rng):
+            mi = prob[4].shape[0]
+            stale = tuple(i for i in range(mi) if i not in cold.active_set)
+            for seed in (None, cold.active_set, stale):
+                del calls[:]
+                sol = solve_qp(*prob, warm_start=seed)
+                assert sol.active_set
+                assert len(calls) == 1
+        for apex in (False, True):
+            prob = pyramid_qp(rng, apex=apex)
+            del calls[:]
+            assert solve_qp(*prob).active_set
+            assert len(calls) == 1
+
+    def test_pyramid_problems_match_enumeration_oracle(self, rng):
+        # dependent rows in every problem (each unilateral row is implied by
+        # its facets), with S singular, and a quarter with a force at its apex
+        active = 0
+        for k in range(200):
+            prob = pyramid_qp(rng, contacts=2, apex=k % 4 == 0)
+            expected = brute_force_qp(*prob)
+            for seed in (None, tuple(range(0, 10, 2))):
+                sol = solve_qp(*prob, warm_start=seed)
+                assert np.abs(sol.x - expected).max() < 1e-6
+                assert sol.kkt_residual <= 1e-8
+            active += bool(sol.active_set)
+        assert active >= 100
+
+
+original_lu_factor = qp_module.lu_factor
+
+
+def zero_pivot_factor(a):
+    """The real lu_factor of an all-zero matrix: getrf reports info > 0,
+    which scipy turns into a LinAlgWarning."""
+    return original_lu_factor(np.zeros_like(a))
+
+
+def nan_factor(a):
+    return np.full_like(a, np.nan), np.arange(len(a), dtype=np.int32)
+
+
+def overflowing_factor(a):
+    """A finite factor with subnormal pivots: its solves overflow to inf."""
+    return np.eye(len(a)) * 1e-320, np.arange(len(a), dtype=np.int32)
+
+
+@pytest.mark.parametrize("factor", [zero_pivot_factor, nan_factor, overflowing_factor])
+@pytest.mark.parametrize("strict", [True, False])
+def test_lapack_failures_are_solver_errors(rng, monkeypatch, factor, strict):
+    prob = qps_with_active_inequalities(rng, count=1)[0][0]
+    monkeypatch.setattr(qp_module, "lu_factor", factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if strict else "ignore")
+        with pytest.raises(SolverError):
+            solve_qp(*prob)

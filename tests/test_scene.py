@@ -5,6 +5,7 @@ from physmotion import scene
 from physmotion.errors import EmptySceneError, InvalidInputError, MotionFormatError
 from physmotion.metrics import penetration_stats
 from physmotion.motion import MotionSequence
+from physmotion.rotations import vector_norms
 from physmotion.scene import (
     ContactLabels,
     HeightMap,
@@ -16,11 +17,12 @@ from physmotion.scene import (
     make_box_mesh,
     merge_meshes,
     query_height,
+    query_surface,
     save_contacts_csv,
     save_height_map,
     save_obj,
-    surface_normal,
 )
+from physmotion.synth import scene_mesh
 
 
 def plane_mesh(slope_x: float, extent: float = 1.0) -> TriangleMesh:
@@ -231,7 +233,7 @@ class TestQueryHeight:
         with pytest.raises(InvalidInputError, match=r"z coordinate .*index \(1, 0\)"):
             query_height(hm, np.ones((2, 2)), np.array([[1.0, 1.0], [np.nan, 1.0]]))
         with pytest.raises(InvalidInputError, match="x coordinate"):
-            surface_normal(hm, np.nan, 1.0)
+            query_surface(hm, np.nan, 1.0)
 
     def test_grid_edge_clamps_to_edge_cells(self):
         heights = np.arange(9, dtype=float).reshape(3, 3)
@@ -265,9 +267,10 @@ class TestQueryHeight:
         got = query_height(hm, x, z)
         assert got.shape == x.shape
         assert np.array_equal(got, [query_height(hm, xi, zi) for xi, zi in zip(x, z)])
-        normals = surface_normal(hm, x, z)
+        heights, normals = query_surface(hm, x, z)
+        assert np.array_equal(heights, got)
         assert normals.shape == x.shape + (3,)
-        assert np.array_equal(normals, [surface_normal(hm, xi, zi) for xi, zi in zip(x, z)])
+        assert np.array_equal(normals, [query_surface(hm, xi, zi)[1] for xi, zi in zip(x, z)])
         # central differences of the scalar queries, one point at a time
         for xi, zi, n in zip(x, z, normals):
             dhdx = (query_height(hm, xi + d, zi) - query_height(hm, xi - d, zi)) / (2.0 * d)
@@ -280,7 +283,9 @@ class TestQueryHeight:
         x, z = rng.uniform(-0.5, 3.5, size=(2, 5, 4, 3))
         assert query_height(hm, x, z).shape == (5, 4, 3)
         assert query_height(hm, x, 1.0).shape == (5, 4, 3)  # z broadcasts
-        assert surface_normal(hm, x, z).shape == (5, 4, 3, 3)
+        heights, normals = query_surface(hm, x, z)
+        assert heights.shape == (5, 4, 3)
+        assert normals.shape == (5, 4, 3, 3)
         assert query_height(hm, np.zeros(0), np.zeros(0)).shape == (0,)
 
     def test_scalar_query_returns_float(self, rng):
@@ -288,7 +293,28 @@ class TestQueryHeight:
         assert type(query_height(hm, 0.7, 1.1)) is float
         assert type(query_height(hm, np.float64(0.7), np.array(1.1))) is float
         assert type(query_height(hm, -9.0, 1.1)) is float  # off the grid
-        assert surface_normal(hm, 0.7, 1.1).shape == (3,)
+        height, normal = query_surface(hm, 0.7, 1.1)
+        assert type(height) is float
+        assert normal.shape == (3,)
+
+
+@pytest.mark.parametrize("terrain", ["ramp", "step"])
+def test_query_surface_equals_separate_height_and_normal_queries(terrain, rng):
+    """One query_surface call gives the bits of a query_height call for the
+    heights plus a second query_height call over the four neighbours for the
+    normals, which is how the ground was queried before."""
+    hm = build_height_map(scene_mesh(terrain, -1.0, 5.0), (96, 96))
+    x = rng.uniform(-1.2, 1.2, 64)
+    z = np.concatenate([rng.uniform(-1.5, 5.5, 48), np.full(16, 0.9) + rng.normal(0.0, 0.02, 16)])
+    heights, normals = query_surface(hm, x, z)
+    d = hm.cell_size
+    around = query_height(hm, np.stack([x + d, x - d, x, x]), np.stack([z, z, z + d, z - d]))
+    dhdx = (around[0] - around[1]) / (2.0 * d)
+    dhdz = (around[2] - around[3]) / (2.0 * d)
+    slope = np.stack([-dhdx, np.ones_like(dhdx), -dhdz], axis=-1)
+    assert np.array_equal(heights, query_height(hm, x, z))
+    assert np.array_equal(normals, slope / vector_norms(slope))
+    assert (normals[:, 1] < 1.0).any()  # the points see a slope or an edge
 
 
 def penetrating_pct(points, hm):
@@ -329,11 +355,11 @@ class TestPenetrationCheck:
 class TestSurfaceNormal:
     def test_flat_is_up(self):
         hm = build_height_map(make_box_mesh(-1, 1, -1, 1, 0.0), (8, 8))
-        assert np.allclose(surface_normal(hm, 0.0, 0.0), [0.0, 1.0, 0.0])
+        assert np.allclose(query_surface(hm, 0.0, 0.0)[1], [0.0, 1.0, 0.0])
 
     def test_inclined_plane_normal(self):
         hm = build_height_map(plane_mesh(0.1, extent=2.0), (64, 64))
-        n = surface_normal(hm, 1.0, 1.0)
+        n = query_surface(hm, 1.0, 1.0)[1]
         expected = np.array([-0.1, 1.0, 0.0])
         expected /= np.linalg.norm(expected)
         assert np.abs(n - expected).max() < 1e-6
