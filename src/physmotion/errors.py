@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check that
+raises one."""
+
+import math
 
 
 class PhysmotionError(Exception):
@@ -39,3 +42,14 @@ class ConfigError(PhysmotionError):
 
 class MotionFormatError(PhysmotionError):
     """Motion or trajectory file failed to parse or validate."""
+
+
+_BOUNDS = {"": lambda v: True, ">= 0": lambda v: v >= 0.0, "> 0": lambda v: v > 0.0}
+
+
+def check_number(name: str, value: float, bound: str = "") -> None:
+    """Raise InvalidInputError unless value is finite and within bound ("",
+    ">= 0" or "> 0"). A NaN fails every comparison, so a bound alone would
+    let it through."""
+    if not (math.isfinite(value) and _BOUNDS[bound](value)):
+        raise InvalidInputError(f"{name} must be finite{' and ' + bound if bound else ''}, not {value!r}")

@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidTransformError, MotionFormatError
+from .errors import InvalidInputError, InvalidTransformError, MotionFormatError, check_number
 from .rotations import matvec_rows, quat_to_matrix, vector_norms
 
 
@@ -115,12 +115,9 @@ class FilterParams:
     sample_rate: float = 60.0
 
     def __post_init__(self):
-        if self.min_cutoff <= 0.0:
-            raise InvalidInputError("min_cutoff must be > 0")
-        if self.sample_rate <= 0.0:
-            raise InvalidInputError("sample_rate must be > 0")
-        if self.beta < 0.0:
-            raise InvalidInputError("beta must be >= 0")
+        check_number("min_cutoff", self.min_cutoff, "> 0")
+        check_number("sample_rate", self.sample_rate, "> 0")
+        check_number("beta", self.beta, ">= 0")
 
 
 @dataclass

@@ -7,20 +7,22 @@ A motion file is one header line followed by one record per frame:
      "joint_angles": [[...] x 23], "joint_positions": [[...] x 24]?,
      "contacts": [bool x 4]?}
 
-Rotations are matrices in memory and quaternions (w, x, y, z) on disk,
-converted with one stacked call per sequence.
+Record t carries "frame": t, and its contacts, when present, are four JSON
+booleans. Rotations are matrices in memory and quaternions (w, x, y, z) on
+disk, converted with one stacked call per sequence.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, MotionFormatError
+from .errors import InvalidInputError, MotionFormatError, check_number
 from .frames import check_field, check_quaternions, parse_field
 from .humanoid import NV, HumanoidModel, forward_kinematics
 from .rotations import exp_so3, log_so3, matrix_to_quat, quat_to_matrix, vector_norms
@@ -42,8 +44,7 @@ class MotionSequence:
     contacts: Optional[ContactLabels] = None
 
     def __post_init__(self):
-        if self.frame_rate <= 0.0:
-            raise InvalidInputError("frame_rate must be positive")
+        check_number("frame_rate", self.frame_rate, "> 0")
         self.root_trans = np.asarray(self.root_trans, dtype=float).reshape(-1, 3)
         t = len(self.root_trans)
         self.root_rot = np.asarray(self.root_rot, dtype=float).reshape(t, 3, 3)
@@ -142,13 +143,12 @@ def load_motion(path: str | Path) -> MotionSequence:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise MotionFormatError(f"{path}:1: invalid header: {exc}") from exc
-        if header.get("schema") != SCHEMA:
-            raise MotionFormatError(
-                f"{path}:1: schema {header.get('schema')!r} not supported (expected {SCHEMA!r})"
-            )
-        fps = float(header.get("fps", 0.0))
-        if fps <= 0.0:
-            raise MotionFormatError(f"{path}:1: fps must be positive")
+        schema = header.get("schema") if isinstance(header, dict) else None
+        if schema != SCHEMA:
+            raise MotionFormatError(f"{path}:1: schema {schema!r} not supported (expected {SCHEMA!r})")
+        fps = header.get("fps")
+        if type(fps) not in (int, float) or not (math.isfinite(fps) and fps > 0.0):
+            raise MotionFormatError(f"{path}:1: fps must be finite and > 0, not {fps!r}")
 
         columns = {key: [] for key in _FIELDS}
         places, contacts = [], []
@@ -160,14 +160,25 @@ def load_motion(path: str | Path) -> MotionSequence:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MotionFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            places.append(f"{path}:{lineno}")
+            place = f"{path}:{lineno}"
+            if not isinstance(rec, dict):
+                raise MotionFormatError(f"{place}: expected a JSON object")
+            # row t is frame t, as in a contacts file
+            if type(rec.get("frame")) is not int or rec["frame"] != len(places):
+                raise MotionFormatError(
+                    f"{place}: frame {rec.get('frame')!r} in row {len(places)}; row t must read frame t"
+                )
+            places.append(place)
             for key, shape in _FIELDS.items():
                 if key in rec:
                     columns[key].append(parse_field(rec[key], shape))
                 elif key != "joint_positions":
-                    raise MotionFormatError(f"{places[-1]}: missing field {key}")
+                    raise MotionFormatError(f"{place}: missing field {key}")
             if "contacts" in rec:
-                contacts.append([bool(v) for v in rec["contacts"]])
+                flags = rec["contacts"]
+                if not (isinstance(flags, list) and len(flags) == 4 and all(isinstance(v, bool) for v in flags)):
+                    raise MotionFormatError(f"{place}: contacts must be four JSON booleans, got {flags!r}")
+                contacts.append(flags)
 
     n = len(places)
     if not n:
@@ -176,9 +187,9 @@ def load_motion(path: str | Path) -> MotionSequence:
     for key, rows in (("joint_positions", positions), ("contacts", contacts)):
         if rows and len(rows) != n:
             raise MotionFormatError(f"{path}: {key} present on only some frames")
-    expected = int(header.get("frames", n))
+    expected = header.get("frames", n)
     if expected != n:
-        raise MotionFormatError(f"{path}: header declares {expected} frames, found {n}")
+        raise MotionFormatError(f"{path}: header declares {expected!r} frames, found {n}")
     return MotionSequence(
         frame_rate=fps,
         root_trans=check_field(columns["root_trans_xyz"], places, "root_trans_xyz"),

@@ -53,7 +53,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, SolverError
+from .errors import InvalidInputError, SolverError, check_number
 from .humanoid import (
     DEFAULT_DT,
     NV,
@@ -118,8 +118,7 @@ class PDGains:
 
     def __post_init__(self):
         for name in ("angle_kp", "position_kp", "root_orient_kp"):
-            if getattr(self, name) < 0.0:
-                raise InvalidInputError(f"{name} must be >= 0")
+            check_number(name, getattr(self, name), ">= 0")
         if self.angle_kd is None:
             self.angle_kd = _critical_damping(self.angle_kp)
         if self.position_kd is None:
@@ -127,8 +126,7 @@ class PDGains:
         if self.root_orient_kd is None:
             self.root_orient_kd = _critical_damping(self.root_orient_kp)
         for name in ("angle_kd", "position_kd", "root_orient_kd"):
-            if getattr(self, name) < 0.0:
-                raise InvalidInputError(f"{name} must be >= 0")
+            check_number(name, getattr(self, name), ">= 0")
 
 
 @dataclass
@@ -147,14 +145,13 @@ class QPSettings:
     use_root_supervision: bool = True
 
     def __post_init__(self):
-        if self.friction_mu <= 0.0:
-            raise InvalidInputError("friction_mu must be positive")
-        if self.cone_facets < 3:
-            raise InvalidInputError("cone_facets must be at least 3")
-        if self.solver_tol <= 0.0:
-            raise InvalidInputError("solver_tol must be positive")
-        if self.reg_weight <= 0.0:
-            raise InvalidInputError("reg_weight must be positive (keeps the QP strictly convex)")
+        # reg_weight > 0 keeps the QP strictly convex; a negative tracking
+        # weight would make it indefinite
+        for name, bound in (("friction_mu", "> 0"), ("solver_tol", "> 0"), ("reg_weight", "> 0"),
+                            ("angle_weight", ">= 0"), ("point_weight", ">= 0")):
+            check_number(name, getattr(self, name), bound)
+        if not isinstance(self.cone_facets, (int, np.integer)) or self.cone_facets < 3:
+            raise InvalidInputError(f"cone_facets must be an integer >= 3, not {self.cone_facets!r}")
 
 
 @dataclass

@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, get_type_hints
 
 import numpy as np
 
@@ -93,25 +93,31 @@ def _check_keys(where: str, block, known: set) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _check_types(where: str, values: dict, cls) -> None:
+    """Raise ConfigError unless each value has the type its field of cls
+    declares: a bool is not a number, and an int serves for a float."""
+    hints = get_type_hints(cls)
+    for key, value in values.items():
+        declared = getattr(hints[key], "__args__", (hints[key],))  # Optional[X] is Union[X, None]
+        allowed = declared + (int,) if float in declared else declared
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in declared):
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in declared)
+            raise ConfigError(f"wrong type in {where}: {key} must be {expected}, got {value!r}")
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     """Build a RunConfig from a config document; a key that names no field,
     at the top level or inside a block, or a field the run sets itself,
-    raises ConfigError naming it, and so does a top-level value of the wrong
-    type."""
+    raises ConfigError naming it, and so does a value of the wrong type or
+    out of its field's range."""
     plain = {f.name for f in fields(RunConfig)} - {name for name, _ in _CONFIG_BLOCKS.values()}
     _check_keys("config", doc, plain | set(_CONFIG_BLOCKS))
     kwargs = {k: v for k, v in doc.items() if k in plain}
-    defaults = {f.name: f.default for f in fields(RunConfig)}
-    for key, value in kwargs.items():
-        # a top-level value has its default's type (str or null for a path),
-        # and a bool is not an int
-        allowed = (str, type(None)) if defaults[key] is None else type(defaults[key])
-        if not isinstance(value, allowed) or isinstance(value, bool) != (allowed is bool):
-            expected = "str or null" if defaults[key] is None else allowed.__name__
-            raise ConfigError(f"wrong type in config: {key} must be {expected}, got {value!r}")
+    _check_types("config", kwargs, RunConfig)
     for key, (name, cls) in _CONFIG_BLOCKS.items():
         if key in doc:
             _check_keys(key, doc[key], {f.name for f in fields(cls)} - _SET_BY_RUN.get(key, set()))
+            _check_types(key, doc[key], cls)
             try:
                 kwargs[name] = cls(**doc[key])
             except (InvalidInputError, TypeError, ValueError) as exc:

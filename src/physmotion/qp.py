@@ -12,8 +12,9 @@ for P positive semidefinite and strictly convex on the equality null space
    equilibration evens out the constraint rows.
 2. The equality-constrained KKT matrix K is factored once: one LU, the only
    factorisation a QP makes. Its solve for the equality-only minimiser x0 is
-   refined to machine precision. When x0 satisfies every inequality it is
-   the solution (the common case for settled contacts).
+   refined by `_refine`: corrections against the true matrix until the
+   relative residual is below EXACT or stops falling. When x0 satisfies
+   every inequality it is the solution (the common case for settled contacts).
 3. Otherwise the same factorisation gives how (x, nu) respond to a unit
    multiplier on each inequality row. G touches only a few columns of x
    (the contact forces), so one solve for unit forces on those columns gives
@@ -27,26 +28,27 @@ for P positive semidefinite and strictly convex on the equality null space
    multiplier reaches zero. As in their method, S restricted to the working
    set is held as a triangular factor R (R^T R = S_WW) that gains a column
    when a row enters and is made triangular again by one small QR when a
-   row leaves, so no step solves with S_WW from scratch. A violated row that
-   depends on the working set is skipped when its violation is rounding;
-   otherwise, when no working row can leave, no feasible point exists and
-   QPInfeasibleError is raised. A slack within rounding of the terms it is
-   formed from counts as met.
+   row leaves, so no step solves with S_WW from scratch. A slack within
+   rounding of the terms it is formed from counts as met. A violated row
+   that depends on the working set, when no working row can leave, admits
+   no feasible point, and QPInfeasibleError is raised.
 5. Warm start: a caller-supplied active set (typically the previous frame's)
    seeds the working set. Its rows that depend on earlier ones are left
    out, and it is pruned to dual feasibility by dropping its most negative
    multiplier until none is negative. Rows outside G make it ignored.
 6. The final point solves the KKT system with the working rows as
    equalities, by block elimination on the one factorisation: mu_W from R,
-   then x from x0 and the responses. Corrections against the true bordered
-   matrix, each one solve with the LU and one with R, restore machine
-   precision; the KKT residual must be within tol.
+   then x from x0 and the responses. It is refined like x0 in step 2, each
+   correction one solve with the LU and one with R; the KKT residual must be
+   within tol.
 
-An inconsistent equality system raises QPInfeasibleError (the caller drops
-constraint groups in response); a failed factorisation or solve (a zero or
-non-finite pivot, a non-finite solution, or LAPACK's own error or warning),
-a working set that does not settle within 3 (mi + 1) steps, or a final KKT
-residual above tol raises SolverError.
+An inconsistent equality system (x0's constraint rows still off by more than
+1e-7 relative after refinement) or a violated dependent row that no working
+row can make room for raises QPInfeasibleError (the caller drops constraint
+groups in response); a failed factorisation or solve (a zero or non-finite
+pivot, a non-finite solution, or LAPACK's own error or warning), a working
+set that does not settle within 3 (mi + 1) steps, or a final KKT residual
+above tol raises SolverError.
 """
 
 from __future__ import annotations
@@ -76,33 +78,19 @@ class QPSolution:
 EXACT = 1e-13
 
 
-def _kkt_factor(kkt: np.ndarray, n: int) -> Tuple[Callable, Callable]:
-    """Factor kkt = [[P, E^T], [E, 0]] (P of size n) once; returns (raw, solve).
+def _kkt_factor(kkt: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor kkt = [[P, E^T], [E, 0]] (P of size n) once; returns its solve.
 
     The factorisation carries a small static quasi-definite regularization
     (+delta on the Hessian block, -delta on the constraint block), which
-    keeps nearly singular systems (straight-leg poses) solvable. raw(rhs)
-    applies it to rhs (n + m,) or (n + m, k) with one LAPACK getrs call;
-    solve(rhs) refines that against the true matrix for one rhs (n + m,) and
-    returns (sol, constraint_error): |E x - rhs[n:]|max relative to
-    1 + |rhs[n:]|max, the certificate that the constraint rows are
-    consistent. Refinement measures the stationarity rows against |rhs[:n]|
-    and the constraint rows against |rhs[n:]|, so a large linear cost does
-    not loosen the constraints.
-
-    Each solve stops at the precision its result is read at:
-    - The equality-only minimiser is refined to EXACT (1e-13), because it is
-      returned as the solution when no inequality binds and the final point
-      is built on it. An error that stops halving has reached rounding and
-      stops there; one that stalls above 1e-9 belongs to a genuinely
-      singular system, and the least-squares solution replaces it where that
-      is cleaner.
-    - The response columns are raw solves, not refined: S is then the Schur
-      complement of the regularized matrix (about 1e-6 relative from the
-      true one on gait frames), and the dual method reads it only to pick
-      its working set. The final solve does not rely on it: each of its
-      corrections takes the residual against the true bordered matrix, and
-      they stop at EXACT.
+    keeps nearly singular systems (straight-leg poses) solvable. The solve
+    applies it to rhs (n + m,) or (n + m, k) with one LAPACK getrs call and
+    no refinement. Each caller reads it at its own precision:
+    - The equality-only minimiser and the final point are `_refine`d against
+      the true matrix to EXACT, because they are returned as solutions.
+    - The response columns are raw solves: S is then the Schur complement of
+      the regularized matrix (about 1e-6 relative from the true one on gait
+      frames), and the dual method reads it only to pick its working set.
     """
     diag = np.einsum("ii->i", kkt)  # a writable view
     # P is positive semidefinite, so its largest entry is on its diagonal
@@ -123,48 +111,47 @@ def _kkt_factor(kkt: np.ndarray, n: int) -> Tuple[Callable, Callable]:
     if not (np.isfinite(pivots).all() and pivots.all()):
         raise SolverError("KKT factorisation is singular")
 
-    def raw(rhs: np.ndarray) -> np.ndarray:
+    def solve(rhs: np.ndarray) -> np.ndarray:
         sol, info = dgetrs(lu, piv, rhs, trans=1)
         if info != 0 or not np.isfinite(sol).all():
             raise SolverError("KKT solve is not finite")
         return sol
 
-    def solve(rhs: np.ndarray) -> Tuple[np.ndarray, float]:
-        top = 1.0 + float(np.abs(rhs[:n]).max())
-        bottom = 1.0 + float(np.abs(rhs[n:]).max(initial=0.0))
+    return solve
 
-        def errors(sol: np.ndarray) -> Tuple[np.ndarray, float, float]:
-            res = rhs - kkt @ sol
-            cons = float(np.abs(res[n:]).max(initial=0.0)) / bottom
-            return res, max(float(np.abs(res[:n]).max()) / top, cons), cons
 
-        sol = raw(rhs)
-        res, err, cons = errors(sol)
-        for _ in range(8):
-            if err < EXACT:
-                break
-            new_sol = sol + raw(res)
-            new_res, new_err, new_cons = errors(new_sol)
-            if not new_err < err:
-                break
-            # an error that no longer halves has reached rounding
-            progress = new_err < 0.5 * err
-            sol, res, err, cons = new_sol, new_res, new_err, new_cons
-            if not progress:
-                break
-        if err > 1e-9:
-            # genuinely singular (redundant or inconsistent rows): take the
-            # least-squares solution where it is cleaner
-            try:
-                alt, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"KKT least-squares solve failed: {exc}") from exc
-            _, alt_err, alt_cons = errors(alt)
-            if alt_err < err:
-                sol, cons = alt, alt_cons
-        return sol, cons
+def _refine(
+    mat: np.ndarray, rhs: np.ndarray, n: int, sol: np.ndarray, correct: Callable[[np.ndarray], np.ndarray]
+) -> Tuple[np.ndarray, float]:
+    """Iterative refinement of sol, an approximate solution of mat sol = rhs
+    whose first n rows are stationarity and the rest constraints; returns
+    (sol, constraint error).
 
-    return raw, solve
+    Adds correct(residual), at most 8 times, while the relative residual is
+    at least EXACT and falls. Stationarity rows are measured against |rhs[:n]| and constraint
+    rows against |rhs[n:]|, so a large linear cost does not loosen the
+    constraints. The constraint error, |residual[n:]|max relative to
+    1 + |rhs[n:]|max, certifies that the constraint rows are consistent.
+    """
+    top = 1.0 + float(np.abs(rhs[:n]).max())
+    bottom = 1.0 + float(np.abs(rhs[n:]).max(initial=0.0))
+
+    def errors(z: np.ndarray) -> Tuple[np.ndarray, float, float]:
+        res = rhs - mat @ z
+        mag = np.abs(res)
+        cons = float(mag[n:].max(initial=0.0)) / bottom
+        return res, max(float(mag[:n].max()) / top, cons), cons
+
+    res, err, cons = errors(sol)
+    for _ in range(8):
+        if err < EXACT:
+            break
+        new_sol = sol + correct(res)
+        new_res, new_err, new_cons = errors(new_sol)
+        if not new_err < err:
+            break
+        sol, res, err, cons = new_sol, new_res, new_err, new_cons
+    return sol, cons
 
 
 def kkt_residual(
@@ -305,24 +292,17 @@ def _dual_active_set(
         steps += 1
 
     max_steps = 3 * (mi + 1)
-    blocked = np.zeros(mi, dtype=bool)  # working or skipped rows
-    blocked[working.rows] = True
-    skipped: List[int] = []
-
-    def size(p: int) -> float:
-        """The magnitude of the terms that row p's slack is formed from."""
-        return abs(s0[p]) + float(np.abs(s_mat[p]) @ mu)
-
     while True:
         slack = s0 - s_mat @ mu
-        candidates = np.where(blocked, -np.inf, slack)
+        candidates = slack.copy()
+        candidates[working.rows] = -np.inf
         while True:  # the most violated row whose slack is not met
             p = int(candidates.argmax())
             if candidates[p] <= feas_tol:
                 return working, steps
-            # a slack within rounding of its terms is met: chasing it only
-            # swaps dependent rows in and out of the working set
-            if slack[p] > feas_tol + 1e-13 * size(p):
+            # a slack within rounding of the terms it is formed from is met:
+            # chasing it only swaps dependent rows in and out of the working set
+            if slack[p] > feas_tol + 1e-13 * (abs(s0[p]) + float(np.abs(s_mat[p]) @ mu)):
                 break
             candidates[p] = -np.inf
         slack_p = float(slack[p])
@@ -342,10 +322,6 @@ def _dual_active_set(
                     if ratios[j] <= t:
                         t, k = float(ratios[j]), j
             if k == w and not full:
-                if slack_p <= 1e-9 * size(p):
-                    skipped.append(p)  # implied by the working set: rounding only
-                    blocked[p] = True
-                    break
                 raise QPInfeasibleError(
                     f"inequality row {p} is violated and depends on rows {sorted(working.rows)}"
                 )
@@ -355,15 +331,10 @@ def _dual_active_set(
             if w:
                 mu[working.rows] = mu_w - t * c
             mu[p] += t
-            if skipped:
-                blocked[skipped] = False
-                skipped.clear()
             if k == w:
                 working.add(p, col, z)
-                blocked[p] = True
                 break
             mu[working.rows[k]] = 0.0  # its multiplier reached zero: the row leaves
-            blocked[working.rows[k]] = False
             working.remove(k)
             slack_p -= t * z
 
@@ -434,9 +405,9 @@ def solve_qp(
     np.multiply(p_in * d[None, :], d[:, None], out=kkt[:n, :n])
     kkt[:n, n:] = a_s.T
     kkt[n:, :n] = a_s
-    raw, solve = _kkt_factor(kkt, n)
+    lu_solve = _kkt_factor(kkt, n)
     rhs0 = np.concatenate([-q_s, b_s])
-    z0, consistency = solve(rhs0)
+    z0, consistency = _refine(kkt, rhs0, n, lu_solve(rhs0), lu_solve)
     if consistency > 1e-7:
         raise QPInfeasibleError("equality constraints are inconsistent")
     x0, nu0 = z0[:n], z0[n:]
@@ -452,7 +423,7 @@ def solve_qp(
     support = np.flatnonzero(np.abs(g_s).max(axis=0))
     unit = np.zeros((nz, support.shape[0]), order="F")
     unit[support, np.arange(support.shape[0])] = -1.0
-    y_mat = raw(unit)
+    y_mat = lu_solve(unit)
     g_j = g_s[:, support]
     s_mat = -g_j @ y_mat[support] @ g_j.T
     s_mat = 0.5 * (s_mat + s_mat.T)
@@ -462,36 +433,22 @@ def solve_qp(
 
     # final solve with the working rows as equalities, by block elimination
     # on the one factorisation: S_WW mu_W = s0_W and z = z0 + Y G_J^T mu;
-    # then corrections against the true bordered matrix to machine precision
+    # each correction against the true bordered matrix eliminates the same way
     rows = working.rows
     g_w, y_w = g_s[rows], y_mat @ g_j[rows].T
     w = len(rows)
     bordered = bordered[: nz + w, : nz + w]
     bordered[:n, nz:] = g_w.T
     bordered[nz:, :n] = g_w
-    rhs_b = np.concatenate([rhs0, h_s[rows]])
-    top = 1.0 + float(np.abs(q_s).max())
-    bottom = 1.0 + float(np.abs(rhs_b[n:]).max(initial=0.0))
 
-    def residual(zb: np.ndarray) -> Tuple[np.ndarray, float]:
-        res = rhs_b - bordered @ zb
-        mag = np.abs(res)
-        return res, max(float(mag[:n].max()) / top, float(mag[n:].max(initial=0.0)) / bottom)
+    def correct(res: np.ndarray) -> np.ndarray:
+        w0 = lu_solve(res[:nz])
+        d_mu = working.solve(g_w @ w0[:n] - res[nz:])
+        return np.concatenate([w0 + y_w @ d_mu, d_mu])
 
     mu_w = working.solve(s0[rows])
-    zb = np.concatenate([z0 + y_w @ mu_w, mu_w])
-    res, err = residual(zb)
-    for _ in range(6):
-        if err < EXACT:
-            break
-        w0 = raw(res[:nz])
-        d_mu = working.solve(g_w @ w0[:n] - res[nz:])
-        new_zb = zb + np.concatenate([w0 + y_w @ d_mu, d_mu])
-        new_res, new_err = residual(new_zb)
-        if not new_err < err:
-            break
-        zb, res, err = new_zb, new_res, new_err
-    z, mu_w = zb[:nz], zb[nz:]
+    start = np.concatenate([z0 + y_w @ mu_w, mu_w])
+    zb, _ = _refine(bordered, np.concatenate([rhs0, h_s[rows]]), n, start, correct)
     mu_s = np.zeros(mi)
-    mu_s[rows] = np.maximum(mu_w, 0.0)
-    return finish(z[:n], z[n:], mu_s, 1 + steps, sorted(rows))
+    mu_s[rows] = np.maximum(zb[nz:], 0.0)
+    return finish(zb[:n], zb[n:nz], mu_s, 1 + steps, sorted(rows))

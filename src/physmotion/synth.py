@@ -18,7 +18,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number
 from .humanoid import NV, HumanoidModel, default_model
 from .motion import MotionSequence, save_motion, sequence_from_generalized
 from .rotations import exp_so3
@@ -71,10 +71,12 @@ class SyntheticScenario:
             raise InvalidInputError(f"scene must be one of {SCENE_KINDS}")
         if self.motion not in MOTION_KINDS:
             raise InvalidInputError(f"motion must be one of {MOTION_KINDS}")
-        if self.noise_sigma < 0.0:
-            raise InvalidInputError("noise_sigma must be >= 0")
-        if self.duration <= 0.0:
-            raise InvalidInputError("duration must be positive")
+        check_number("noise_sigma", self.noise_sigma, ">= 0")
+        check_number("drift_rate", self.drift_rate)
+        check_number("duration", self.duration, "> 0")
+        check_number("frame_rate", self.frame_rate, "> 0")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, not {self.seed!r}")
 
 
 @dataclass

@@ -135,10 +135,11 @@ class TestMotionFile:
 
     def test_schema_version_mismatch(self, tmp_path):
         path = tmp_path / "motion.jsonl"
-        path.write_text('{"schema": "physmotion.motion/999", "fps": 60, "frames": 0}\n')
-        with pytest.raises(MotionFormatError) as err:
-            load_motion(path)
-        assert "schema" in str(err.value)
+        for header in ('{"schema": "physmotion.motion/999", "fps": 60, "frames": 0}', "[1]"):
+            path.write_text(header + "\n")
+            with pytest.raises(MotionFormatError) as err:
+                load_motion(path)
+            assert "schema" in str(err.value)
 
     def test_header_count_mismatch(self, rng, tmp_path):
         seq = make_sequence(rng, n=3)
@@ -148,6 +149,45 @@ class TestMotionFile:
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop a frame
         with pytest.raises(MotionFormatError):
             load_motion(path)
+        lines[0] = lines[0].replace('"frames": 3', '"frames": "three"')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MotionFormatError, match="header declares 'three' frames, found 3"):
+            load_motion(path)
+
+    @pytest.mark.parametrize(
+        "row, edit, message",
+        [
+            (0, lambda rec: {**rec, "frame": 99}, "frame 99 in row 0; row t must read frame t"),
+            (1, lambda rec: {**rec, "frame": 0}, "frame 0 in row 1; row t must read frame t"),
+            (1, lambda rec: {**rec, "frame": "1"}, "frame '1' in row 1; row t must read frame t"),
+            (0, lambda rec: {k: v for k, v in rec.items() if k != "frame"}, "frame None in row 0"),
+            (1, lambda rec: {**rec, "contacts": ["false"] * 4}, "contacts must be four JSON booleans"),
+            (0, lambda rec: {**rec, "contacts": 5}, "contacts must be four JSON booleans, got 5"),
+            (1, lambda rec: {**rec, "contacts": [True, False]}, "contacts must be four JSON booleans, got [True, False]"),
+            (0, lambda rec: {**rec, "contacts": [1, 0, 1, 0]}, "contacts must be four JSON booleans"),
+            (1, lambda rec: [rec], "expected a JSON object"),
+        ],
+        ids=["frame-99-first", "frame-repeated", "frame-string", "frame-missing", "contacts-strings",
+             "contacts-number", "contacts-two", "contacts-integers", "record-list"],
+    )
+    def test_frame_and_contacts_fields_checked(self, rng, tmp_path, row, edit, message):
+        path = tmp_path / "motion.jsonl"
+        save_motion(make_sequence(rng, n=3, with_positions=False), path)
+        lines = path.read_text().splitlines()
+        lines[1 + row] = json.dumps(edit(json.loads(lines[1 + row])))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MotionFormatError) as err:
+            load_motion(path)
+        assert str(err.value).startswith(f"{path}:{2 + row}: ")
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("fps", ["NaN", "Infinity", "0", '"fast"', "true"])
+    def test_fps_must_be_a_finite_positive_number(self, tmp_path, fps):
+        path = tmp_path / "motion.jsonl"
+        path.write_text(f'{{"schema": "physmotion.motion/1", "fps": {fps}, "frames": 0}}\n')
+        with pytest.raises(MotionFormatError) as err:
+            load_motion(path)
+        assert f"{path}:1: fps must be finite and > 0" in str(err.value)
 
     def test_missing_field_diagnostics(self, tmp_path):
         path = tmp_path / "motion.jsonl"

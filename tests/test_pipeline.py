@@ -91,6 +91,57 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("settings", "solver_tol", float("nan")),
+            ("settings", "friction_mu", float("nan")),
+            ("settings", "reg_weight", float("nan")),
+            ("settings", "point_weight", float("nan")),
+            ("settings", "angle_weight", -1.0),
+            ("settings", "cone_facets", 4.5),
+            ("settings", "use_angle_pd", 0),
+            ("gains", "angle_kp", float("nan")),
+            ("gains", "position_kd", float("nan")),
+            ("gains", "root_orient_kd", "soft"),
+            ("filter", "min_cutoff", float("nan")),
+            ("filter", "beta", float("nan")),
+            ("scenario", "seed", 2.0),
+        ],
+    )
+    def test_block_value_out_of_range_or_of_wrong_type_exits_2(self, tmp_path, block, key, value):
+        # a NaN solver_tol would switch the KKT gate off (residual > NaN is
+        # False), and a negative weight would make the QP indefinite
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            Path("cfg.json").write_text(json.dumps({"motion_path": "x.jsonl", block: {key: value}}))
+            r = runner.invoke(main, ["pipeline", "--config", "cfg.json"])
+            assert r.exit_code == EXIT_CONFIG, r.output
+            assert isinstance(r.exception, SystemExit)  # no traceback
+            assert "ConfigError: " in r.output
+            assert f"{block}: {key} must be" in r.output
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("frame_rate", 0.0),
+            ("frame_rate", float("inf")),
+            ("seed", -1),
+            ("duration", float("nan")),
+            ("noise_sigma", float("nan")),
+            ("drift_rate", float("inf")),
+        ],
+    )
+    def test_invalid_scenario_value_exits_2(self, tmp_path, key, value):
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            block = {"scene": "flat", "motion": "stand", "duration": 0.3, key: value}
+            Path("cfg.json").write_text(json.dumps({"scenario": block, "output_dir": "out", "grid_resolution": 32}))
+            r = runner.invoke(main, ["pipeline", "--config", "cfg.json"])
+            assert r.exit_code == EXIT_CONFIG, r.output
+            assert isinstance(r.exception, SystemExit)  # no traceback
+            assert f"ConfigError: scenario: {key} must be" in r.output
+
     def test_block_must_be_an_object(self):
         from physmotion.pipeline import config_from_dict
 

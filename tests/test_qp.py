@@ -53,6 +53,20 @@ def random_convex_qp(rng, n=6, me=2, mi=4):
     return p, q, a, b, g, h
 
 
+# rows name -> (A, b, the minimiser of 0.5 |x|^2 + q.x subject to A x = b for
+# q = (c, c, c), a row G x <= h that it violates, the minimiser with that row)
+CONSISTENT_EQUALITIES = {
+    "independent-rows": (
+        np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([1.0, -2.0]), np.array([0.5, 0.5, -2.0]),
+        np.array([[1.0, 0.0, 0.0]]), np.array([0.25]), np.array([0.25, 0.75, -2.0]),
+    ),
+    "repeated-row": (
+        np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), np.array([1.0, 1.0, -2.0]),
+        np.array([1.0, -1.0, -1.0]), np.array([[0.0, 1.0, 0.0]]), np.array([-1.5]), np.array([1.0, -1.5, -0.5]),
+    ),
+}
+
+
 class TestSolveQP:
     def test_unconstrained_matches_linear_solve(self, rng):
         m = rng.normal(size=(5, 5))
@@ -106,17 +120,18 @@ class TestSolveQP:
         with pytest.raises(QPInfeasibleError):
             solve_qp(p, q, a, b)
 
-    @pytest.mark.parametrize("cost", [1e10, 1e12])
-    def test_large_linear_cost_keeps_consistent_equalities(self, cost):
+    @pytest.mark.parametrize("binding", [False, True], ids=["no-inequality", "binding-inequality"])
+    @pytest.mark.parametrize("rows", sorted(CONSISTENT_EQUALITIES))
+    @pytest.mark.parametrize("cost", [0.0, 1e10, 1e12])
+    def test_large_linear_cost_keeps_consistent_equalities(self, cost, rows, binding):
         # |q| / |b| = cost: the consistency certificate judges A x = b on |b|
-        # alone, so a large linear cost does not fail a consistent system
-        p = np.eye(3)
-        q = np.full(3, cost)
-        a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        b = np.array([1.0, -2.0])
-        sol = solve_qp(p, q, a, b)
+        # alone, so a large linear cost does not fail a consistent system;
+        # a repeated row makes the KKT matrix singular and solves the same
+        a, b, x_eq, g, h, x_bound = CONSISTENT_EQUALITIES[rows]
+        sol = solve_qp(np.eye(3), np.full(3, cost), a, b, *((g, h) if binding else (None, None)))
         assert np.abs(a @ sol.x - b).max() <= 1e-12
-        assert np.abs(sol.x - np.array([0.5, 0.5, -2.0])).max() <= 1e-12
+        assert np.abs(sol.x - (x_bound if binding else x_eq)).max() <= 1e-12
+        assert sol.active_set == ((0,) if binding else ())
         assert sol.kkt_residual <= 1e-8
 
     def test_deterministic(self, rng):
@@ -226,6 +241,15 @@ class TestDualActiveSet:
                 assert sol.kkt_residual <= 1e-8
                 # dependent rows never enter the working set together
                 assert len(sol.active_set) <= 3
+
+    @pytest.mark.parametrize("gap", [5e-9, 1.5e-8])
+    def test_a_small_infeasibility_between_dependent_rows_raises(self, gap):
+        # x <= 0 and x >= gap, with the cost pulling x up: the second row
+        # depends on the first, which cannot leave, however small the gap
+        g = np.array([[1.0], [-1.0]])
+        h = np.array([0.0, -gap])
+        with pytest.raises(QPInfeasibleError, match="row 1 is violated and depends on rows"):
+            solve_qp(np.eye(1), np.array([-10.0]), None, None, g, h)
 
     def test_infeasible_inequalities_raise(self):
         # x <= 0 and x >= 1: the second row depends on the first, and no
