@@ -37,6 +37,7 @@ from .humanoid import (
 from .metrics import MetricReport, evaluate
 from .motion import MotionSequence, load_motion, save_motion
 from .optimizer import (
+    FrameSetup,
     FrameSolution,
     PDGains,
     QPSettings,

@@ -12,9 +12,11 @@ Jacobian of SO(3) converts between the two inside the recursions. Each body's
 center of mass sits at its joint origin and carries the body-frame inertia
 from the model file.
 
-`frame_dynamics` is the one route to the rigid-body terms: it runs forward
-kinematics and one forward sweep at qdd = 0, and derives M (CRBA), h (RNEA
-backward pass) and the contact-point terms from them.
+`frame_dynamics` is the one route to the rigid-body terms: one SO(3) pass
+(`rotations.exp_and_jacobians`) gives the rotation, left Jacobian and its
+derivative of all 24 rotation vectors, then it runs forward kinematics on
+those rotations and one forward sweep at qdd = 0, and derives M (CRBA), h
+(RNEA backward pass) and the contact-point terms from them.
 
 No forward pass steps body by body. Forward kinematics composes the tree
 one depth level at a time (`HumanoidModel.levels`), for one q or a stack.
@@ -22,7 +24,8 @@ The forward sweep evaluates each group of per-body terms for all 24 bodies
 at once (the stacked left Jacobians and their derivatives, the cross
 products) and sums them along the root-to-leaf paths
 (`HumanoidModel.paths`) in the order of the recursion, so every value has
-the bits of the body-by-body loop. `FrameDynamics.points` gives any number
+the bits of the body-by-body loop; the velocity and angular-acceleration
+sums share one pass. `FrameDynamics.points` gives any number
 of body-fixed points' positions, Jacobians, velocities and bias
 accelerations in one call.
 
@@ -42,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError
-from .rotations import cross_rows, exp_so3, left_jacobian, left_jacobian_dot, matvec_rows, skew_rows
+from .rotations import cross_rows, exp_and_jacobians, exp_so3, matvec_rows, skew_rows
 from .scene import CONTACT_NAMES
 
 NUM_BODIES = 24
@@ -94,6 +97,7 @@ class HumanoidModel:
         if not np.isfinite(self.gravity).all():
             raise InvalidInputError("gravity must be finite")
         self.parents = np.array([b.parent for b in bodies])
+        self.parent_list: List[int] = self.parents.tolist()
         # each body's parent row with the root pointing at itself, for
         # gathering every body's parent term at once (the root's is unused)
         self.parent_rows = np.maximum(self.parents, 0)
@@ -124,6 +128,8 @@ class HumanoidModel:
         self.masses = np.array([b.mass for b in bodies])
         self.inertias = np.stack([b.inertia for b in bodies])
         self.offsets = np.stack([b.offset for b in bodies])
+        # each level's offsets from its parents, (bodies, 1, 3)
+        self.level_offsets = tuple(self.offsets[bodies][:, None] for bodies, _ in self.levels)
         # support_mask[i]: the generalized columns of body i's joint and of
         # every ancestor's
         self.support_mask = np.zeros((NUM_BODIES, NV), dtype=bool)
@@ -184,27 +190,34 @@ class FKResult:
     positions: np.ndarray  # (..., 24, 3) world joint origins
 
 
-def forward_kinematics(model: HumanoidModel, q: np.ndarray) -> FKResult:
+def forward_kinematics(
+    model: HumanoidModel, q: np.ndarray, joint_rot: Optional[np.ndarray] = None
+) -> FKResult:
     """World transform of every body: parent transform * offset * joint rotation.
 
     q is one generalized position (75,) or a stack (..., 75), e.g. the (T, 75)
     positions of a sequence; the result carries the same leading axes. The
-    joint rotations of all bodies and frames come from one exp_so3 call, and
-    every frame is composed down the tree one level at a time.
+    joint rotations of all bodies and frames come from one exp_so3 call, or
+    are joint_rot (..., 24, 3, 3) when the caller has them already (the
+    dynamics take them from the same pass as the left Jacobians). Every
+    frame is composed down the tree one level at a time.
     """
     q = np.asarray(q, dtype=float)
     lead = q.shape[:-1]
     q = q.reshape(-1, NV)
     # body-major (24, frames, ...) while walking, so that a level's gathers
     # and scatters move whole blocks of frames
-    joint_rot = exp_so3(q[:, 3:].reshape(-1, NUM_BODIES, 3).transpose(1, 0, 2))
+    if joint_rot is None:
+        joint_rot = exp_so3(q[:, 3:].reshape(-1, NUM_BODIES, 3).transpose(1, 0, 2))
+    else:
+        joint_rot = joint_rot.reshape(-1, NUM_BODIES, 3, 3).transpose(1, 0, 2, 3)
     rot = np.empty((NUM_BODIES, len(q), 3, 3))
     pos = np.empty((NUM_BODIES, len(q), 3))
     rot[0] = joint_rot[0]
     pos[0] = q[:, 0:3]
-    for bodies, parents in model.levels:
+    for (bodies, parents), offsets in zip(model.levels, model.level_offsets):
         parent_rot = rot[parents]
-        pos[bodies] = pos[parents] + matvec_rows(parent_rot, model.offsets[bodies][:, None])
+        pos[bodies] = pos[parents] + matvec_rows(parent_rot, offsets)
         rot[bodies] = parent_rot @ joint_rot[bodies]
     rot = np.ascontiguousarray(rot.transpose(1, 0, 2, 3))
     pos = np.ascontiguousarray(pos.transpose(1, 0, 2))
@@ -219,13 +232,13 @@ def end_effector_positions(model: HumanoidModel, fk: FKResult) -> Dict[str, np.n
     }
 
 
-def _joint_axes(model: HumanoidModel, q: np.ndarray, fk: FKResult) -> np.ndarray:
-    """(24, 3, 3) world joint axes: axes[i] @ (joint i rates) is the angular
-    velocity of body i relative to its parent; axes[0] maps root-orientation
-    rates to the base's angular velocity."""
-    axes = left_jacobian(q[3:].reshape(NUM_BODIES, 3))
-    axes[1:] = fk.rotations[model.parents[1:]] @ axes[1:]
-    return axes
+def _joint_axes(model: HumanoidModel, fk: FKResult, jl: np.ndarray) -> np.ndarray:
+    """(24, 3, 3) world joint axes from the joints' left Jacobians jl (24, 3, 3),
+    which it overwrites: axes[i] @ (joint i rates) is the angular velocity of
+    body i relative to its parent; axes[0] maps root-orientation rates to the
+    base's angular velocity."""
+    jl[1:] = fk.rotations[model.parents[1:]] @ jl[1:]
+    return jl
 
 
 def _motion_subspace(fk: FKResult, axes: np.ndarray) -> np.ndarray:
@@ -240,29 +253,31 @@ def _motion_subspace(fk: FKResult, axes: np.ndarray) -> np.ndarray:
 
 
 def _path_sums(model: HumanoidModel, root_value: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """(24, 3): x_0 = root_value and x_i = x_p + terms[i, 0] + ... + terms[i, k-1]
-    for every other body i with parent p, from terms (24, k, 3).
+    """(24, d): x_0 = root_value and x_i = x_p + terms[i, 0] + ... + terms[i, k-1]
+    for every other body i with parent p, from terms (24, k, d).
 
     Each body's value is a running sum along a root-to-leaf path through it,
     and np.cumsum adds in sequence, so every x_i rounds exactly as the
-    body-by-body recursion would.
+    body-by-body recursion would. Recursions that share their inputs run as
+    one, side by side in d; one with fewer terms pads them with -0.0, which
+    adds exactly nothing to any sum.
     """
     paths = model.paths[:, 1:]
-    k = terms.shape[1]
-    padded = np.concatenate([terms, np.zeros((1, k, 3))])  # row NUM_BODIES pads the paths
-    seq = np.empty((len(paths), 1 + k * paths.shape[1], 3))
+    k, d = terms.shape[1:]
+    padded = np.concatenate([terms, np.zeros((1, k, d))])  # row NUM_BODIES pads the paths
+    seq = np.empty((len(paths), 1 + k * paths.shape[1], d))
     seq[:, 0] = root_value
-    seq[:, 1:] = padded[paths].reshape(len(paths), -1, 3)
+    seq[:, 1:] = padded[paths].reshape(len(paths), -1, d)
     rows, depth = model.path_slot
     return np.cumsum(seq, axis=1)[rows, k * depth]
 
 
 def _forward_sweep(
     model: HumanoidModel,
-    q: np.ndarray,
     qd: np.ndarray,
     fk: FKResult,
     axes: np.ndarray,
+    jl_dot: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The forward recursion at qdd = 0, root to leaves: every body's world
     angular velocity, joint-origin velocity, angular acceleration and
@@ -276,28 +291,36 @@ def _forward_sweep(
         omegadot_i  = omegadot_p + omega_p x w_i + R_p Jdot_i thd_i
         a_i         = a_p + omegadot_p x d_i + omega_p x (omega_p x d_i)
 
-    Each group of terms is computed for the whole tree at once, as soon as
-    the parent values it needs are known, and summed down the tree in the
-    order written (_path_sums).
+    with Jdot_i = jl_dot[i], the derivative of joint i's left Jacobian. Each
+    group of terms is computed for the whole tree at once, as soon as the
+    parent values it needs are known, and summed down the tree in the order
+    written (_path_sums); v and omegadot need only omega, so they are summed
+    in one pass.
     """
     rot, pos = fk.rotations, fk.positions
     up = model.parent_rows
-    th, thd = (x[3:].reshape(NUM_BODIES, 3) for x in (q, qd))
+    thd = qd[3:].reshape(NUM_BODIES, 3)
     w_rel = matvec_rows(axes, thd)
     # velocity-product term of each joint; the root's stays in world axes
-    jdot = matvec_rows(left_jacobian_dot(th, thd), thd)
+    jdot = matvec_rows(jl_dot, thd)
     jdot[1:] = matvec_rows(rot[up[1:]], jdot[1:])
     omega = _path_sums(model, w_rel[0], w_rel[:, None])
 
     d = pos - pos[up]
     omega_up = omega[up]
-    vel = _path_sums(model, qd[0:3], cross_rows(omega_up, d)[:, None])
-    coriolis = cross_rows(omega_up, w_rel)
-    omega_dot = _path_sums(model, jdot[0], np.stack([coriolis, jdot], axis=1))
+    swing = cross_rows(omega_up, d)
+    terms = np.empty((NUM_BODIES, 2, 6))
+    terms[:, 0, :3] = swing
+    terms[:, 1, :3] = -0.0
+    terms[:, 0, 3:] = cross_rows(omega_up, w_rel)  # coriolis
+    terms[:, 1, 3:] = jdot
+    sums = _path_sums(model, np.concatenate([qd[0:3], jdot[0]]), terms)
+    vel, omega_dot = sums[:, :3].copy(), sums[:, 3:].copy()
 
-    tangential = cross_rows(omega_dot[up], d)
-    centripetal = cross_rows(omega_up, cross_rows(omega_up, d))
-    acc = _path_sums(model, np.zeros(3), np.stack([tangential, centripetal], axis=1))
+    terms = np.empty((NUM_BODIES, 2, 3))
+    terms[:, 0] = cross_rows(omega_dot[up], d)  # tangential
+    terms[:, 1] = cross_rows(omega_up, swing)  # centripetal
+    acc = _path_sums(model, np.zeros(3), terms)
     return omega, vel, omega_dot, acc
 
 
@@ -324,13 +347,21 @@ def _backward_pass(
     # children come after their parents, so each body's subtree is complete
     # when it is folded into its parent; the moment of a body's subtree force
     # about its parent's origin needs only that final force, so the moments
-    # are taken in one pass between the two folds
-    parents = model.parents.tolist()
+    # are taken in one pass between the two folds. The folds add 3-vectors
+    # as lists of Python floats: the same double arithmetic, in the same
+    # order, without a numpy call per body.
+    parents = model.parent_list
+    folded = force.tolist()
     for i in range(NUM_BODIES - 1, 0, -1):
-        force[parents[i]] += force[i]
-    arm_moment = cross_rows(pos - pos[model.parent_rows], force)
+        p = parents[i]
+        folded[p] = [a + b for a, b in zip(folded[p], folded[i])]
+    force = np.array(folded)
+    arm_moment = cross_rows(pos - pos[model.parent_rows], force).tolist()
+    folded = moment.tolist()
     for i in range(NUM_BODIES - 1, 0, -1):
-        moment[parents[i]] += moment[i] + arm_moment[i]
+        p = parents[i]
+        folded[p] = [a + (b + c) for a, b, c in zip(folded[p], folded[i], arm_moment[i])]
+    moment = np.array(folded)
     tau = np.empty(NV)
     tau[0:3] = force[0]
     tau[3:] = np.einsum("bji,bj->bi", axes, moment).ravel()
@@ -355,8 +386,9 @@ def _crba(
     composite[:, :3, 3:] = mass * cc
     composite[:, 3:, :3] = -mass * cc
     composite[:, 3:, 3:] = mass * np.eye(3)
+    parents = model.parent_list
     for i in range(NUM_BODIES - 1, 0, -1):
-        composite[model.parents[i]] += composite[i]
+        composite[parents[i]] += composite[i]
 
     # (6, 75): I_c(i) S_i in the columns of joint i
     force = np.empty((6, NV))
@@ -425,16 +457,19 @@ class FrameDynamics:
 def frame_dynamics(model: HumanoidModel, q: np.ndarray, qd: np.ndarray) -> FrameDynamics:
     """Forward kinematics once, then one forward sweep at qdd = 0.
 
-    M comes from the CRBA over the sweep's joint axes, h from one RNEA
-    backward pass over its accelerations with gravity folded in; the
-    contact-point quantities come from the result's `points`.
+    The joints' rotations, left Jacobians and Jacobian derivatives come from
+    one exp_and_jacobians pass over the 24 rotation vectors. M comes from
+    the CRBA over the sweep's joint axes, h from one RNEA backward pass over
+    its accelerations with gravity folded in; the contact-point quantities
+    come from the result's `points`.
     """
     q = np.asarray(q, dtype=float)
     qd = np.asarray(qd, dtype=float)
-    fk = forward_kinematics(model, q)
-    axes = _joint_axes(model, q, fk)
+    joint_rot, jl, jl_dot = exp_and_jacobians(q[3:].reshape(NUM_BODIES, 3), qd[3:].reshape(NUM_BODIES, 3))
+    fk = forward_kinematics(model, q, joint_rot)
+    axes = _joint_axes(model, fk, jl)
     subspace = _motion_subspace(fk, axes)
-    omega, vel, omega_dot, acc = _forward_sweep(model, q, qd, fk, axes)
+    omega, vel, omega_dot, acc = _forward_sweep(model, qd, fk, axes, jl_dot)
     inertia_w = _world_inertias(model, fk)
     m = _crba(model, fk, subspace, inertia_w)
     h = _backward_pass(model, fk, axes, inertia_w, omega, omega_dot, acc - model.gravity)

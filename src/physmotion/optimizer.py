@@ -27,12 +27,22 @@ Contact activation requires both the per-frame contact label and foot height
 below surface + 1 cm; labels alone can be stale when the kinematic input
 floats above the scene.
 
+A `FrameSetup` holds what every frame of a sequence shares, built once per
+sequence: the model, the ground, the settings and resolved gains, the
+contact points' bodies and offsets, the angle term's weights, the cone
+facet directions, the root-pin rows and, per pattern of active contacts,
+the contact blocks' index bookkeeping. `refine_sequence` also puts every
+labelled foot target of the sequence on the ground with one height query
+(`FrameSetup.ground_targets`), so a frame queries the ground under its
+four feet only.
+
 `frame_problem` builds a frame's QP once: contact activation, the cost and
 the constraint blocks (equation-of-motion rows, no-sliding rows, the root
 pin and the friction cones, with the tangent bases of every contact in one
 call). Its rigid-body terms (M, h and the contact-point Jacobians,
 velocities and bias accelerations) come from one `frame_dynamics` sweep, the
-four feet's point terms from one `FrameDynamics.points` call.
+four feet's point terms from one `FrameDynamics.points` call, and their four
+Gram products for the point-tracking cost from one stacked product.
 
 `solve_frame` walks that problem down the FALLBACK_LEVELS chain: full, then
 no-slide (no-sliding rows dropped), then no-cone (friction cone dropped as
@@ -49,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,7 +78,7 @@ from .humanoid import (
 from .motion import MotionSequence, resample_motion, sequence_from_generalized
 from .qp import solve_qp
 from .rotations import cross_rows, matvec_rows, vector_norms
-from .scene import CONTACT_NAMES, HeightMap, query_surface
+from .scene import CONTACT_NAMES, HeightMap, query_height, query_surface
 
 # Baumgarte stabilization of the contact equality, critically damped at 60 fps
 CONTACT_KP = 3600.0
@@ -159,7 +169,9 @@ class ReferenceFrameInput:
     """Per-frame targets handed to the QP."""
 
     q_ref: np.ndarray  # (75,) reference generalized position, world frame
-    ee_targets: np.ndarray  # (4, 3) reference world positions, CONTACT_NAMES order
+    # (4, 3) contact-point targets, CONTACT_NAMES order, tracked as given;
+    # refine_sequence puts each labelled one on the ground (FrameSetup.ground_targets)
+    ee_targets: np.ndarray
     contacts: np.ndarray  # (4,) bool, CONTACT_NAMES order
     root_future: Optional[np.ndarray] = None  # (2, 3) reference root translation at t+1, t+2
 
@@ -224,14 +236,95 @@ def root_supervision_accel(
     return (root_t2 - root_t1 - root_vel * dt) / (dt * dt)
 
 
-def _ground(
-    hm: Optional[HeightMap], settings: QPSettings, flat_height: float, points: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Surface heights (k,) and upward normals (k, 3) below points (k, 3)."""
-    x, z = points[:, 0], points[:, 2]
-    if settings.use_height_map and hm is not None:
-        return query_surface(hm, x, z)
-    return np.full(len(points), float(flat_height)), np.tile([0.0, 1.0, 0.0], (len(points), 1))
+class FrameSetup:
+    """What every frame of a sequence shares, built once: the model, the
+    ground, the settings and resolved gains, and the parts of the QP that no
+    state changes (the contact points' bodies and offsets, the angle term's
+    weights, the cone facet directions, the root-pin rows and, per pattern
+    of active contacts, the contact blocks' index bookkeeping).
+
+    With hm None (or use_height_map off) the ground is the horizontal plane
+    at flat_ground_height.
+    """
+
+    def __init__(
+        self, model: HumanoidModel, hm: Optional[HeightMap], settings: QPSettings,
+        gains: Optional[PDGains] = None, dt: float = DEFAULT_DT, flat_ground_height: float = 0.0,
+    ):
+        self.model, self.settings, self.dt = model, settings, dt
+        self.gains = gains if gains is not None else PDGains()
+        self.hm = hm if settings.use_height_map else None
+        self.flat_ground_height = float(flat_ground_height)
+        effectors = [model.end_effector(name) for name in CONTACT_NAMES]
+        self.bodies = np.array([body for body, _ in effectors])
+        self.offsets = np.array([off for _, off in effectors])
+        # the contact points' Jacobians are zero past this column (their
+        # bodies' supports end there), and so are their Gram products
+        self.foot_cols = int(np.flatnonzero(model.support_mask[self.bodies].any(axis=0)).max()) + 1
+        # the angle term's weights on qdd[3:]; with angle tracking ablated, a
+        # weak velocity-damping term (1% of the tracking weight) stays so the
+        # otherwise-unconstrained degrees of freedom remain numerically solvable
+        w = np.full(NV, 2.0 * settings.angle_weight)
+        w[3:6] *= ROOT_ORIENT_WEIGHT_SCALE
+        if not settings.use_angle_pd:
+            w *= 0.01
+        self.angle_weight = w[3:]
+        ang = 2.0 * np.pi * np.arange(settings.cone_facets) / settings.cone_facets
+        self.facet_cos, self.facet_sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
+        # the root pin qdd[0:3] = target, as rows over the widest x (four contacts)
+        self.root_pin = np.zeros((3, NV + 3 * len(CONTACT_NAMES)))
+        self.root_pin[:, :3] = np.eye(3)
+        self._patterns: Dict[bytes, _ContactPattern] = {}
+
+    def ground(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Surface heights (k,) and upward normals (k, 3) below points (k, 3)."""
+        if self.hm is not None:
+            return query_surface(self.hm, points[:, 0], points[:, 2])
+        return np.full(len(points), self.flat_ground_height), np.tile([0.0, 1.0, 0.0], (len(points), 1))
+
+    def ground_targets(self, targets: np.ndarray, contacts: np.ndarray) -> np.ndarray:
+        """The contact-point targets (..., 4, 3) with each labelled one's height
+        on the ground below it (plus CONTACT_REST_OFFSET), from one height query.
+
+        A contact label asserts ground contact, so a floating or penetrating
+        reference still lands the foot where the ground actually is.
+        """
+        out = np.array(targets, dtype=float)
+        grounded = out[contacts]
+        if self.hm is not None:
+            heights = query_height(self.hm, grounded[:, 0], grounded[:, 2])
+        else:
+            heights = np.full(len(grounded), self.flat_ground_height)
+        out[contacts, 1] = heights + CONTACT_REST_OFFSET
+        return out
+
+    def pattern(self, active: np.ndarray) -> "_ContactPattern":
+        key = active.tobytes()
+        found = self._patterns.get(key)
+        if found is None:
+            found = self._patterns[key] = _ContactPattern(self.bodies, active, self.settings.cone_facets)
+        return found
+
+
+class _ContactPattern:
+    """The index bookkeeping of one set of active contacts: which they are,
+    which of them shares its body with an earlier one (its anchor), and the
+    positions the contact blocks write."""
+
+    def __init__(self, bodies: np.ndarray, active: np.ndarray, facets: int):
+        self.idx = np.flatnonzero(active)
+        self.names = tuple(CONTACT_NAMES[i] for i in self.idx)
+        nc = len(self.idx)
+        body = bodies[self.idx].tolist()
+        first = [body.index(b) for b in body]
+        self.second = np.array([c for c, anchor in enumerate(first) if anchor != c], dtype=int)
+        self.anchors = np.array([first[c] for c in self.second], dtype=int)
+        self.basis = np.tile(np.eye(3), (nc, 1, 1))
+        self.keep = np.ones((nc, 3), dtype=bool)
+        self.keep[self.second] = False
+        self.forces = np.arange(NV, NV + 3 * nc)  # the diagonal of the contact forces
+        rows = np.arange(nc * facets)[:, None]
+        self.cone = (rows, NV + 3 * (rows // facets) + np.arange(3))
 
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -242,34 +335,33 @@ def _tangent_bases(n: np.ndarray) -> np.ndarray:
     """(k, 2, 3): unit tangents t1 and t2 = n x t1 of each unit vector of n (k, 3)."""
     t1 = cross_rows(n, np.where(np.abs(n[:, 2:]) < 0.9, _Z_AXIS, _X_AXIS))
     t1 /= vector_norms(t1)
-    return np.stack([t1, cross_rows(n, t1)], axis=1)
+    return np.concatenate([t1, cross_rows(n, t1)], axis=1).reshape(-1, 2, 3)
 
 
-def _cone_rows(normals: np.ndarray, tangents: np.ndarray, n: int, settings: QPSettings) -> np.ndarray:
+def _cone_rows(
+    normals: np.ndarray, tangents: np.ndarray, n: int, setup: FrameSetup, pattern: _ContactPattern
+) -> np.ndarray:
     """The linearized friction cones of k contacts as G x <= 0 rows over
     x = (qdd, lambda): per contact, cone_facets facet rows d_f . lambda_c <=
     mu n . lambda_c. The facet directions sum to zero, so the rows sum to
     -cone_facets mu n . lambda_c <= 0: they imply the unilateral condition
     n . lambda_c >= 0, which therefore has no row of its own."""
-    facets = settings.cone_facets
-    ang = 2.0 * np.pi * np.arange(facets) / facets
-    d = np.cos(ang)[:, None] * tangents[:, :1] + np.sin(ang)[:, None] * tangents[:, 1:]
-    blocks = (d - settings.friction_mu * normals[:, None]).reshape(-1, 3)
+    d = setup.facet_cos * tangents[:, :1] + setup.facet_sin * tangents[:, 1:]
+    blocks = (d - setup.settings.friction_mu * normals[:, None]).reshape(-1, 3)
     g_mat = np.zeros((len(blocks), n))
-    rows = np.arange(len(blocks))[:, None]
-    g_mat[rows, NV + 3 * (rows // facets) + np.arange(3)] = blocks
+    g_mat[pattern.cone] = blocks
     return g_mat
 
 
 def _contact_blocks(
-    feet: PointKinematics, bodies: np.ndarray, active: np.ndarray, surface: np.ndarray,
-    normals: np.ndarray, n: int, settings: QPSettings, dt: float,
+    feet: PointKinematics, surface: np.ndarray, normals: np.ndarray, n: int, setup: FrameSetup,
+    pattern: _ContactPattern,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The no-sliding rows (A, b) and the friction-cone rows G of the active
     contacts, over x = (qdd, lambda) of width n."""
-    idx = np.flatnonzero(active)
+    idx, dt = pattern.idx, setup.dt
     pos, jac, vel, bias = feet.position[idx], feet.jacobian[idx], feet.velocity[idx], feet.bias[idx]
-    normal, body = normals[idx], bodies[idx].tolist()
+    normal = normals[idx]
     # normal axis: critically damped spring toward the surface; bound the
     # commanded velocity so deep penetration recovers at a finite rate
     # instead of slamming the legs straight
@@ -290,24 +382,22 @@ def _contact_blocks(
     # second point only contributes the two rows perpendicular to that axis
     # (full 3 rows would be inconsistent), and none when it coincides with
     # the first.
-    first = [body.index(b) for b in body]
-    second = [c for c, anchor in enumerate(first) if anchor != c]
-    axis = pos[second] - pos[[first[c] for c in second]]
+    nc = len(idx)
+    axis = pos[pattern.second] - pos[pattern.anchors]
     norm = vector_norms(axis)
     apart = ~(norm[:, 0] < 1e-9)
-    linked = np.array(second, dtype=int)[apart]
+    linked = pattern.second[apart]
     # one tangent-basis call: the contact normals for the cone, then the axes
     tangents = _tangent_bases(np.concatenate([normal, axis[apart] / norm[apart]]))
-    basis = np.tile(np.eye(3), (len(body), 1, 1))
-    basis[linked, :2] = tangents[len(body) :]
+    basis = pattern.basis.copy()
+    basis[linked, :2] = tangents[nc:]
     basis[linked, 2] = 0.0
-    keep = np.ones((len(body), 3), dtype=bool)
-    keep[second] = False
+    keep = pattern.keep.copy()
     keep[linked, :2] = True
     slide = np.zeros((int(keep.sum()), n))
     slide[:, :NV] = (basis @ jac)[keep]
     slide_rhs = matvec_rows(basis, a_corr - bias)[keep]
-    return slide, slide_rhs, _cone_rows(normal, tangents[: len(body)], n, settings)
+    return slide, slide_rhs, _cone_rows(normal, tangents[:nc], n, setup, pattern)
 
 
 @dataclass
@@ -329,7 +419,7 @@ class FrameProblem:
     def qp(self, use_slide: bool, use_cone: bool) -> Tuple[np.ndarray, ...]:
         """The (P, q, A, b, G, h) of the level that keeps the given blocks."""
         blocks = (self.eom, self.slide, self.root) if use_slide else (self.eom, self.root)
-        a_mat = np.vstack([rows for rows, _ in blocks])
+        a_mat = np.concatenate([rows for rows, _ in blocks])
         b_vec = np.concatenate([rhs for _, rhs in blocks])
         g_mat = self.cone if use_cone else None
         h_vec = np.zeros(len(g_mat)) if g_mat is not None else None
@@ -337,21 +427,20 @@ class FrameProblem:
 
 
 def frame_problem(
-    model: HumanoidModel, state: GeneralizedState, ref: ReferenceFrameInput, hm: Optional[HeightMap],
-    settings: QPSettings, gains: PDGains, dt: float, flat_ground_height: float, latched: np.ndarray,
+    setup: FrameSetup, state: GeneralizedState, ref: ReferenceFrameInput, latched: np.ndarray
 ) -> FrameProblem:
     """The QP of one frame over x = (qdd, lambda).
 
     A labeled contact activates once the foot point is within 1 cm of the
     surface; `latched` marks contacts already established on earlier frames,
     which stay active while their label holds (dropping them mid-stance
-    injects impulses and destabilizes single-support phases).
-
-    With hm None (or use_height_map off) the ground is the horizontal plane
-    at flat_ground_height.
+    injects impulses and destabilizes single-support phases). The contact
+    points are pulled toward ref.ee_targets as given: refine_sequence puts
+    the labelled ones on the ground beforehand (FrameSetup.ground_targets).
     """
     q, qd = state.q, state.qd
-    dyn = frame_dynamics(model, q, qd)
+    settings, gains = setup.settings, setup.gains
+    dyn = frame_dynamics(setup.model, q, qd)
 
     # Foot-point kinematics, all four feet in one call. While the character
     # is in a contact phase (any label set) all four end effectors are
@@ -360,65 +449,48 @@ def frame_problem(
     active = np.zeros(4, dtype=bool)
     tracking = ref.contacts.any()
     if tracking:
-        effectors = [model.end_effector(name) for name in CONTACT_NAMES]
-        bodies = np.array([body for body, _ in effectors])
-        feet = dyn.points(bodies, np.array([off for _, off in effectors]))
-        targets = ref.ee_targets.copy()
-        # a contact label asserts ground contact: project the height target
-        # onto the scene surface so a floating or penetrating reference still
-        # lands the foot where the ground actually is
-        grounded = ref.contacts
-        # one scene query: the four foot points, then the grounded targets
-        heights, normals = _ground(
-            hm, settings, flat_ground_height, np.concatenate([feet.position, targets[grounded]])
-        )
-        targets[grounded, 1] = heights[4:] + CONTACT_REST_OFFSET
-        surface, normals = heights[:4], normals[:4]
+        feet = dyn.points(setup.bodies, setup.offsets)
+        surface, normals = setup.ground(feet.position)
         hold = latched & ref.contacts
         active = ref.contacts & (hold | (feet.position[:, 1] < surface + CONTACT_ACTIVATION_MARGIN))
+    pattern = setup.pattern(active)
 
     m_mat, h_vec = dyn.m, dyn.h
-
-    qdd_des = pd_desired_accel_angles(q, qd, ref.q_ref, gains)
 
     # Decision variables x = (qdd, lambda). The actuated torques are
     # substituted out, tau[6:] = B x + h[6:] with B = [M[6:], -Jc[:, 6:]^T],
     # so the actuated equation-of-motion rows hold by construction and the
     # torque regulariser becomes reg (B^T B, B^T h[6:]) on (P, q).
-    nc = int(active.sum())
+    nc = len(pattern.idx)
     n = NV + 3 * nc
-    lam0 = NV
     jc_t = feet.jacobian[active].transpose(2, 0, 1).reshape(NV, 3 * nc) if nc else np.zeros((NV, 0))
-    b_mat = np.hstack([m_mat[6:], -jc_t[6:]])
+    b_mat = np.concatenate([m_mat[6:], -jc_t[6:]], axis=1)
 
     p_mat = np.zeros((n, n))
     q_vec = np.zeros(n)
-    idx = np.arange(3, NV)
-    w = np.full(NV, 2.0 * settings.angle_weight)
-    w[3:6] *= ROOT_ORIENT_WEIGHT_SCALE
     if settings.use_angle_pd:
-        target = qdd_des
+        target = pd_desired_accel_angles(q, qd, ref.q_ref, gains)
     else:
-        # angle tracking ablated: the reference-tracking term is removed;
-        # a weak velocity-damping term (1% of the tracking weight) stays
-        # so the otherwise-unconstrained degrees of freedom remain
-        # numerically solvable
-        w *= 0.01
+        # angle tracking ablated: only the weak velocity damping stays
         target = np.zeros(NV)
         target[3:6] = -gains.root_orient_kd * qd[3:6]
         target[6:] = -gains.angle_kd * qd[6:]
-    p_mat[idx, idx] += w[idx]
-    q_vec[idx] -= w[idx] * target[idx]
+    np.einsum("ii->i", p_mat)[3:NV] = setup.angle_weight
+    q_vec[3:NV] -= setup.angle_weight * target[3:]
     if settings.use_position_pd and tracking:
-        w = 2.0 * settings.point_weight
-        a_des = pd_desired_accel_points(feet.position, feet.velocity, targets, gains)
-        # one point at a time, in CONTACT_NAMES order, as the sums round
-        for jac, rhs in zip(feet.jacobian, a_des - feet.bias):
-            p_mat[:NV, :NV] += w * jac.T @ jac
-            q_vec[:NV] -= w * jac.T @ rhs
+        a_des = pd_desired_accel_points(feet.position, feet.velocity, ref.ee_targets, gains)
+        # w J^T of each point is its own buffer (w J^T J is then a general
+        # product, not numpy's multithreaded syrk), the four Gram products
+        # come from one stacked call over the columns where they are not
+        # zero, and the sums run one point at a time, in CONTACT_NAMES order
+        wjt = (2.0 * settings.point_weight) * feet.jacobian.transpose(0, 2, 1)
+        c = setup.foot_cols
+        grams = wjt[:, :c] @ feet.jacobian[:, :, :c]
+        for k, rhs in enumerate(a_des - feet.bias):
+            p_mat[:c, :c] += grams[k]
+            q_vec[:NV] -= wjt[k] @ rhs
     reg = 2.0 * settings.reg_weight
-    diag = np.arange(lam0, n)
-    p_mat[diag, diag] += reg
+    p_mat[pattern.forces, pattern.forces] += reg
     # reg * B on the right is a separate buffer: numpy sends X.T @ X to a
     # multithreaded syrk, whose thread wake-up costs far more than its flops
     # at this size
@@ -426,35 +498,30 @@ def frame_problem(
     q_vec += reg * (b_mat.T @ h_vec[6:])
 
     slide, slide_rhs, cone = (
-        _contact_blocks(feet, bodies, active, surface, normals, n, settings, dt)
+        _contact_blocks(feet, surface, normals, n, setup, pattern)
         if nc
         else (np.zeros((0, n)), np.zeros(0), None)
     )
     root, root_rhs = np.zeros((0, n)), np.zeros(0)
     if settings.use_root_supervision and ref.root_future is not None:
-        root = np.zeros((3, n))
-        root[:3, :3] = np.eye(3)
-        root_rhs = root_supervision_accel(ref.root_future[1], ref.root_future[0], qd[0:3], dt)
-    names = tuple(name for name, on in zip(CONTACT_NAMES, active) if on)
+        root = setup.root_pin[:, :n]
+        root_rhs = root_supervision_accel(ref.root_future[1], ref.root_future[0], qd[0:3], setup.dt)
     # floating-base rows of the equation of motion: M[:6] qdd - Jc[:, :6]^T lambda = -h[:6]
-    eom = (np.hstack([m_mat[:6], -jc_t[:6]]), -h_vec[:6])
-    return FrameProblem(names, p_mat, q_vec, b_mat, h_vec[6:], eom, (slide, slide_rhs), (root, root_rhs), cone)
+    eom = (np.concatenate([m_mat[:6], -jc_t[:6]], axis=1), -h_vec[:6])
+    return FrameProblem(
+        pattern.names, p_mat, q_vec, b_mat, h_vec[6:], eom, (slide, slide_rhs), (root, root_rhs), cone
+    )
 
 
 def solve_frame(
-    model: HumanoidModel,
+    setup: FrameSetup,
     state: GeneralizedState,
     ref: ReferenceFrameInput,
-    hm: Optional[HeightMap],
-    settings: QPSettings,
-    gains: Optional[PDGains] = None,
-    dt: float = DEFAULT_DT,
-    flat_ground_height: float = 0.0,
     latched: Optional[np.ndarray] = None,
     previous: Optional[FrameSolution] = None,
 ) -> FrameSolution:
     """Solve one frame's `frame_problem` for (qdd, lambda) and recover tau
-    by substitution.
+    by substitution; `setup` holds what the frames of its sequence share.
 
     When the QP raises SolverError (infeasible or not converged), the frame
     is solved again one FALLBACK_LEVELS level down: without the no-sliding
@@ -471,9 +538,7 @@ def solve_frame(
     Without it the solve is cold.
     """
     latched = np.zeros(4, dtype=bool) if latched is None else latched
-    problem = frame_problem(
-        model, state, ref, hm, settings, gains or PDGains(), dt, flat_ground_height, latched
-    )
+    problem = frame_problem(setup, state, ref, latched)
 
     # An (approximately) infeasible constraint set, e.g. a leg locked at full
     # extension fighting the no-sliding target, downgrades through the chain:
@@ -489,7 +554,7 @@ def solve_frame(
     for level, use_slide, use_cone in levels:
         seed = warm.active_set if warm is not None and warm.level == level else None
         try:
-            sol = solve_qp(*problem.qp(use_slide, use_cone), tol=settings.solver_tol, warm_start=seed)
+            sol = solve_qp(*problem.qp(use_slide, use_cone), tol=setup.settings.solver_tol, warm_start=seed)
             break
         except SolverError as exc:
             failures.append((level, str(exc)))
@@ -523,7 +588,8 @@ def refine_sequence(
     The state is initialized from the first reference frame (root placed at
     the estimated world root position) with a finite-difference velocity. The
     last two frames run without root supervision since it needs references at
-    t+1 and t+2.
+    t+1 and t+2. One FrameSetup serves every frame, and every labelled foot
+    target is put on the ground before the first.
     """
     seq = kinematic_seq
     if len(seq) < 3:
@@ -537,13 +603,15 @@ def refine_sequence(
     n = len(seq)
     q_refs = seq.generalized_positions()
     ee_refs = end_effector_positions(model, forward_kinematics(model, q_refs))
-    targets = np.stack([ee_refs[name] for name in CONTACT_NAMES], axis=1)  # (n, 4, 3)
 
     flat_height = 0.0
     if not settings.use_height_map or hm is None:
         flat_height = float(min(p[0, 1] for p in ee_refs.values()))
+    setup = FrameSetup(model, hm, settings, gains, dt, flat_height)
 
     contacts = seq.contacts.data if seq.contacts is not None else np.zeros((n, 4), dtype=bool)
+    # (n, 4, 3), every labelled target on the ground below it
+    targets = setup.ground_targets(np.stack([ee_refs[name] for name in CONTACT_NAMES], axis=1), contacts)
 
     state = GeneralizedState(q_refs[0].copy(), (q_refs[1] - q_refs[0]) / dt, np.zeros(NV))
     out_q = np.empty((n, NV))
@@ -555,7 +623,7 @@ def refine_sequence(
         ref = ReferenceFrameInput(q_refs[t], targets[t], contacts[t], future)
         previous = solutions[-1] if solutions else None
         try:
-            sol = solve_frame(model, state, ref, hm, settings, gains, dt, flat_height, latched, previous)
+            sol = solve_frame(setup, state, ref, latched, previous)
         except SolverError as exc:
             raise SolverError(f"frame {t}: {exc}") from exc
         solutions.append(sol)

@@ -10,10 +10,11 @@ for P positive semidefinite and strictly convex on the equality null space
 
 1. Diagonal variable scaling evens out the objective's dynamic range, and row
    equilibration evens out the constraint rows.
-2. The equality-constrained KKT matrix K is factored once: one LU, the only
-   factorisation a QP makes. Its solve for the equality-only minimiser x0 is
-   refined by `_refine`: corrections against the true matrix until the
-   relative residual is below EXACT or stops falling. When x0 satisfies
+2. The equality-constrained KKT matrix K is factored once: one LU by one
+   LAPACK getrf call (`lu_factor`), the only factorisation a QP makes. Its
+   solve for the equality-only minimiser x0 is refined by `_refine`:
+   corrections against the true matrix until the relative residual is
+   below EXACT or stops falling. When x0 satisfies
    every inequality it is the solution (the common case for settled contacts).
 3. Otherwise the same factorisation gives how (x, nu) respond to a unit
    multiplier on each inequality row. G touches only a few columns of x
@@ -46,9 +47,12 @@ An inconsistent equality system (x0's constraint rows still off by more than
 1e-7 relative after refinement) or a violated dependent row that no working
 row can make room for raises QPInfeasibleError (the caller drops constraint
 groups in response); a failed factorisation or solve (a zero or non-finite
-pivot, a non-finite solution, or LAPACK's own error or warning), a working
+pivot, a non-finite solution, or LAPACK's own error), a working
 set that does not settle within 3 (mi + 1) steps, or a final KKT residual
 above tol raises SolverError.
+
+The LAPACK routines come from scipy.linalg.lapack, imported at the first
+solve, so importing this module does not load scipy.linalg.
 """
 
 from __future__ import annotations
@@ -58,10 +62,37 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor
-from scipy.linalg.lapack import dgeqrf, dgetrs, dpotrf, dpotrs, dtrtrs
 
 from .errors import QPInfeasibleError, SolverError
+
+class _Lapack:
+    """The routines of scipy.linalg.lapack, each imported at its first use:
+    importing scipy.linalg costs about a third of a second and 28 MB, which
+    a run that solves no QP should not pay."""
+
+    def __getattr__(self, name: str):
+        from scipy.linalg import lapack
+
+        routine = getattr(lapack, name)
+        setattr(self, name, routine)
+        return routine
+
+    def lu_factor(self, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """LU factorisation with partial pivoting of a copy of a, by one
+        LAPACK getrf call: (lu, piv) with 0-based pivots, as
+        scipy.linalg.lu_factor gives them, without its input checks. An
+        exactly zero pivot raises LinAlgError."""
+        lu, piv, info = self.dgetrf(a)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"getrf: pivot {info - 1} is exactly zero")
+        return lu, piv
+
+
+_LAPACK = _Lapack()
+# The one factorisation, a module attribute that tests and the benchmark's
+# tracer replace to fail or count it. The tracer also wraps every function
+# this module defines; a bound method is not one, so each call counts once.
+lu_factor = _LAPACK.lu_factor
 
 
 @dataclass
@@ -102,9 +133,7 @@ def _kkt_factor(kkt: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
         # kkt is assembled row-major, so its transpose is the column-major
         # array LAPACK takes; getrs solves with trans=1
         lu, piv = lu_factor(kkt.T)
-    except (np.linalg.LinAlgError, ValueError, LinAlgWarning) as exc:
-        # scipy reports getrf's exactly zero pivot (info > 0) as a
-        # LinAlgWarning, which arrives here when warnings are errors
+    except np.linalg.LinAlgError as exc:
         raise SolverError(f"KKT factorisation failed: {exc}") from exc
     diag[:] = unregularised
     pivots = np.diagonal(lu)
@@ -112,7 +141,7 @@ def _kkt_factor(kkt: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
         raise SolverError("KKT factorisation is singular")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        sol, info = dgetrs(lu, piv, rhs, trans=1)
+        sol, info = _LAPACK.dgetrs(lu, piv, rhs, trans=1)
         if info != 0 or not np.isfinite(sol).all():
             raise SolverError("KKT solve is not finite")
         return sol
@@ -206,7 +235,7 @@ class _WorkingSet:
         if seed:
             # one Cholesky factorisation when no seed row depends on earlier
             # ones (its squared pivots are the Schur complements), else row by row
-            r, info = dpotrf(s_mat[seed][:, seed], clean=1)
+            r, info = _LAPACK.dpotrf(s_mat[seed][:, seed], clean=1)
             if info == 0 and (r.diagonal() ** 2 > dep_tol[seed]).all():
                 self._r[: len(seed), : len(seed)] = r
                 self.rows = list(seed)
@@ -218,7 +247,7 @@ class _WorkingSet:
 
     def _triangular(self, rhs: np.ndarray, trans: int) -> np.ndarray:
         w = len(self.rows)
-        sol, info = dtrtrs(self._r[:w, :w], rhs, trans=trans)
+        sol, info = _LAPACK.dtrtrs(self._r[:w, :w], rhs, trans=trans)
         if info != 0:
             raise SolverError(f"working-set factor is singular ({w} rows)")
         return sol
@@ -228,7 +257,7 @@ class _WorkingSet:
         w = len(self.rows)
         if not w:
             return np.zeros(0)
-        sol, info = dpotrs(self._r[:w, :w], rhs)
+        sol, info = _LAPACK.dpotrs(self._r[:w, :w], rhs)
         if info != 0:
             raise SolverError(f"working-set factor is singular ({w} rows)")
         return sol
@@ -257,7 +286,7 @@ class _WorkingSet:
         if k < w - 1:
             # the block is upper Hessenberg, so its Householder vectors
             # occupy only the subdiagonal
-            qr, *_ = dgeqrf(r[k:w, k : w - 1])
+            qr, *_ = _LAPACK.dgeqrf(r[k:w, k : w - 1])
             sub = np.arange(w - 1 - k)
             qr[sub + 1, sub] = 0.0
             r[k:w, k : w - 1] = qr

@@ -5,39 +5,47 @@ Conventions:
     - Exponential coordinates v are axis * angle (radians); exp_so3(v) is the
       matrix exponential of the skew matrix of v.
     - Quaternions are (w, x, y, z), unit norm.
-    - left_jacobian(v) maps exponential-coordinate rates to world-frame angular
-      velocity of exp_so3(v): d/dt exp(v) = skew(left_jacobian(v) @ vdot) @ exp(v).
-    - Every conversion takes one input or a stack of them: exp_so3,
-      left_jacobian and left_jacobian_dot take (3,) or (..., 3), log_so3 and
-      matrix_to_quat (3, 3) or (..., 3, 3), quat_to_matrix and quat_to_exp
-      (4,) or (..., 4). A stack gives the same bits as one call per row, so
-      the dynamics evaluate all 24 joints at once and a sequence's root
-      rotations convert in one call.
+    - The left Jacobian J_l(v) maps exponential-coordinate rates to
+      world-frame angular velocity of exp_so3(v):
+      d/dt exp(v) = skew(J_l(v) @ vdot) @ exp(v).
+    - Every conversion takes one input or a stack of them: exp_so3 and
+      exp_and_jacobians take (3,) or (..., 3), log_so3 and matrix_to_quat
+      (3, 3) or (..., 3, 3), quat_to_matrix and quat_to_exp (4,) or (..., 4).
+      A stack gives the same bits as one call per row, so a sequence's root
+      rotations convert in one call, and the dynamics take the exponentials,
+      left Jacobians and their derivatives of all 24 joints from one
+      exp_and_jacobians pass.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 _SMALL_ANGLE = 1e-8
-# left_jacobian_dot's series branch: its closed form loses the leading terms
-# of A'(t)/t and B'(t)/t to cancellation well above _SMALL_ANGLE
+# the left Jacobian derivative's series branch: its closed form loses the
+# leading terms of A'(t)/t and B'(t)/t to cancellation well above _SMALL_ANGLE
 _SMALL_ANGLE_DOT = 1e-4
 
 
 def _scalar_powers(t: np.ndarray, *exponents: int) -> list:
     """t**n for each exponent, each an array shaped like t.
 
-    Taken one element at a time as a numpy scalar's t**n is (libm pow),
-    whatever t's shape. numpy's array power is another function: it squares
-    exactly, and its vectorised pow differs from libm in the last place for
-    other exponents. A gait refinement near divergence turns such an ulp
-    into another abort frame, so the rotations keep the scalar bits; past
-    the float range a numpy scalar gives inf (and a RuntimeWarning) where a
-    Python float would raise OverflowError.
+    Taken one element at a time as a Python float's or numpy scalar's t**n
+    is (libm pow), whatever t's shape. numpy's array power is another
+    function: it squares exactly, and its vectorised pow differs from libm
+    in the last place for other exponents. A gait refinement near divergence
+    turns such an ulp into another abort frame, so the rotations keep the
+    scalar bits. Python floats are the faster; past the float range they
+    raise OverflowError, and the powers are taken again as numpy scalars,
+    which give inf (and a RuntimeWarning).
     """
-    flat = t.ravel()
-    return [np.array([x**n for x in flat]).reshape(t.shape) for n in exponents]
+    for scalars in (t.ravel().tolist(), t.ravel()):  # Python floats, then numpy scalars
+        try:
+            return [np.array([x**n for x in scalars]).reshape(t.shape) for n in exponents]
+        except OverflowError:
+            pass
 
 
 _NEXT = np.array([1, 2, 0])
@@ -88,13 +96,17 @@ def vector_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
 
 
+# where skew() puts (v0, v1, v2) and their negations in its flattened 3x3 matrix
+_SKEW_PLUS = np.array([7, 2, 3])
+_SKEW_MINUS = np.array([5, 6, 1])
+
+
 def skew_rows(v: np.ndarray) -> np.ndarray:
     """skew() of every vector of a (..., 3) array, (..., 3, 3)."""
-    k = np.zeros(v.shape[:-1] + (3, 3))
-    k[..., 0, 1], k[..., 0, 2] = -v[..., 2], v[..., 1]
-    k[..., 1, 0], k[..., 1, 2] = v[..., 2], -v[..., 0]
-    k[..., 2, 0], k[..., 2, 1] = -v[..., 1], v[..., 0]
-    return k
+    k = np.zeros(v.shape[:-1] + (9,))
+    k[..., _SKEW_PLUS] = v
+    k[..., _SKEW_MINUS] = -v
+    return k.reshape(v.shape[:-1] + (3, 3))
 
 
 def log_so3(rot: np.ndarray) -> np.ndarray:
@@ -156,52 +168,53 @@ def quat_to_exp(q: np.ndarray) -> np.ndarray:
     return xyz * factor
 
 
-def left_jacobian(v: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SO(3): J_l(v) = I + A*skew(v) + B*skew(v)^2.
+def exp_and_jacobians(v: np.ndarray, vdot: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp_so3(v), the left Jacobian J_l(v) and its time derivative for
+    vdot = dv/dt, for two (..., 3) stacks, each (..., 3, 3).
 
-    A = (1-cos t)/t^2, B = (t-sin t)/t^3 with t = |v|, by their series below
-    1e-8 rad. Takes one vector (3,) or a stack (..., 3) and returns (3, 3) or
-    (..., 3, 3); a stack gives the same bits as one call per vector.
-    """
-    v = np.asarray(v, dtype=float)
-    t = vector_norms(v)[..., None]
-    t2, t3 = _scalar_powers(t, 2, 3)
-    small = t < _SMALL_ANGLE
-    safe = np.where(small, 1.0, t)
-    a = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(safe)) / np.where(small, 1.0, t2))
-    b = np.where(small, 1.0 / 6.0 - t2 / 120.0, (safe - np.sin(safe)) / np.where(small, 1.0, t3))
-    k = skew_rows(v)
-    return np.eye(3) + a * k + b * (k @ k)
+    J_l(v) = I + A skew(v) + B skew(v)^2, with A = (1-cos t)/t^2 and
+    B = (t-sin t)/t^3 for t = |v|, by their series below 1e-8 rad; it maps
+    exponential-coordinate rates to world angular velocity:
+    d/dt exp(v) = skew(J_l(v) vdot) exp(v). The dynamics recursions take the
+    angular acceleration of a 3-DoF joint as J_l(v) vddot + Jdot_l vdot.
 
-
-def left_jacobian_dot(v: np.ndarray, vdot: np.ndarray) -> np.ndarray:
-    """Time derivative of left_jacobian(v(t)) for given vdot = dv/dt.
-
-    Used by the dynamics recursions: the angular acceleration contributed by a
-    3-DoF exponential-coordinate joint is J_l(v) vddot + Jdot_l(v, vdot) vdot.
-    Takes one pair of vectors or two (..., 3) stacks, like left_jacobian.
+    One pass serves all three: one norm, one set of libm powers, one sin and
+    cos and one skew(v) and its square. Each entry has the bits of the
+    one-vector formulas (tests/oracles.py).
     """
     v = np.asarray(v, dtype=float)
     vdot = np.asarray(vdot, dtype=float)
     t = vector_norms(v)[..., None]
     t2, t3, t4, t5 = _scalar_powers(t, 2, 3, 4, 5)
-    # dA/dt = A'(t) * tdot with tdot = (v.vdot)/t; below 1e-4 rad the 1/t is
-    # folded into the series
-    small = t < _SMALL_ANGLE_DOT
+    small = t < _SMALL_ANGLE
     safe = np.where(small, 1.0, t)
     sin, one_minus_cos = np.sin(safe), 1.0 - np.cos(safe)
+    t_minus_sin = safe - sin
+    k = skew_rows(v)
+    k2 = k @ k
+    eye = np.eye(3)
+    # sin(t)/t, A and B to O(t^4) near zero
+    a_series, b_series = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
+    a_exp = np.where(small, 1.0 - t2 / 6.0, sin / safe)
+    a = np.where(small, a_series, one_minus_cos / np.where(small, 1.0, t2))
+    b = np.where(small, b_series, t_minus_sin / np.where(small, 1.0, t3))
+    rot = a_exp * k + eye + a * k2
+    jl = eye + a * k + b * k2
+
+    # dA/dt = A'(t) * tdot with tdot = (v.vdot)/t; below 1e-4 rad the 1/t is
+    # folded into the series, and A and B take theirs
+    small = t < _SMALL_ANGLE_DOT
     a_bar = np.where(
         small, -1.0 / 12.0 + t2 / 180.0, (safe * sin - 2.0 * one_minus_cos) / np.where(small, 1.0, t4)
     )
     b_bar = np.where(
         small,
         -1.0 / 60.0 + t2 / 1260.0,
-        (safe * one_minus_cos - 3.0 * (safe - sin)) / np.where(small, 1.0, t5),
+        (safe * one_minus_cos - 3.0 * t_minus_sin) / np.where(small, 1.0, t5),
     )
-    a = np.where(small, 0.5 - t2 / 24.0, one_minus_cos / np.where(small, 1.0, t2))
-    b = np.where(small, 1.0 / 6.0 - t2 / 120.0, (safe - sin) / np.where(small, 1.0, t3))
-    k = skew_rows(v)
+    a = np.where(small, a_series, a)
+    b = np.where(small, b_series, b)
     kd = skew_rows(vdot)
     vvd = v[..., None, :] @ vdot[..., :, None]
-    return vvd * (a_bar * k + b_bar * (k @ k)) + a * kd + b * (kd @ k + k @ kd)
-
+    jl_dot = vvd * (a_bar * k + b_bar * k2) + a * kd + b * (kd @ k + k @ kd)
+    return rot, jl, jl_dot

@@ -7,7 +7,9 @@ the minimum mesh height so queries off the scanned area degrade gracefully.
 The rasteriser is vectorised over triangles, in chunks of bounding-box cells
 so its memory stays flat for dense scanned meshes and whole-scene quads
 alike. Height and normal queries take scalars or arrays of points; one call
-answers a frame's contact points or a whole sequence.
+answers a frame's contact points or a whole sequence (the refinement's
+foot targets, the penetration metric). A query gathers the four cells of
+each point from the flattened grid, which HeightMap keeps row-major.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class HeightMap:
     default_height: float
 
     def __post_init__(self):
-        self.heights = np.asarray(self.heights, dtype=float)
+        # row-major, so that queries gather from its flattened view
+        self.heights = np.ascontiguousarray(self.heights, dtype=float)
         nx, nz = self.heights.shape
         if nx < 2 or nz < 2:
             raise InvalidInputError("height map needs at least 2x2 cells")
@@ -307,7 +310,9 @@ def query_height(hm: HeightMap, x: float | np.ndarray, z: float | np.ndarray) ->
     the half-cell margin inside the grid clamp to the edge cells. A NaN
     coordinate raises InvalidInputError.
     """
-    x, z = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    if x.shape != z.shape:
+        x, z = np.broadcast_arrays(x, z)
     for name, v in (("x", x), ("z", z)):
         bad = np.isnan(v)
         if bad.any():
@@ -319,18 +324,20 @@ def query_height(hm: HeightMap, x: float | np.ndarray, z: float | np.ndarray) ->
     # off-grid points are evaluated at the origin and replaced below
     gx = (np.where(off, ox, x) - ox) / hm.cell_size - 0.5
     gz = (np.where(off, oz, z) - oz) / hm.cell_size - 0.5
-    i0 = np.clip(np.floor(gx), 0, nx - 2).astype(np.intp)
-    j0 = np.clip(np.floor(gz), 0, nz - 2).astype(np.intp)
-    fx = np.clip(gx - i0, 0.0, 1.0)
-    fz = np.clip(gz - j0, 0.0, 1.0)
-    h = hm.heights
+    # clamped by minimum and maximum (np.clip's values, at a fraction of its
+    # call cost): no coordinate is NaN or -0.0 here
+    i0 = np.minimum(np.maximum(np.floor(gx), 0), nx - 2).astype(np.intp)
+    j0 = np.minimum(np.maximum(np.floor(gz), 0), nz - 2).astype(np.intp)
+    fx = np.minimum(np.maximum(gx - i0, 0.0), 1.0)
+    fz = np.minimum(np.maximum(gz - j0, 0.0), 1.0)
+    ex, ez = 1 - fx, 1 - fz
+    # cells (i0, j0), (i0 + 1, j0), (i0, j0 + 1), (i0 + 1, j0 + 1) of the flattened grid
+    h = hm.heights.reshape(-1)
+    cell = i0 * nz + j0
     out = np.where(
         off,
         hm.default_height,
-        (1 - fx) * (1 - fz) * h[i0, j0]
-        + fx * (1 - fz) * h[i0 + 1, j0]
-        + (1 - fx) * fz * h[i0, j0 + 1]
-        + fx * fz * h[i0 + 1, j0 + 1],
+        ex * ez * h[cell] + fx * ez * h[cell + nz] + ex * fz * h[cell + 1] + fx * fz * h[cell + nz + 1],
     )
     return float(out) if out.ndim == 0 else out
 
@@ -348,10 +355,15 @@ def query_surface(
     """
     x, z = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
     d = hm.cell_size
-    h = query_height(hm, np.stack([x, x + d, x - d, x, x]), np.stack([z, z, z, z + d, z - d]))
+    five = (5,) + x.shape
+    h = query_height(
+        hm, np.concatenate([x, x + d, x - d, x, x], axis=None).reshape(five),
+        np.concatenate([z, z, z, z + d, z - d], axis=None).reshape(five),
+    )
     dhdx = (h[1] - h[2]) / (2.0 * d)
     dhdz = (h[3] - h[4]) / (2.0 * d)
-    n = np.stack([-dhdx, np.ones_like(dhdx), -dhdz], axis=-1)
+    n = np.empty(x.shape + (3,))
+    n[..., 0], n[..., 1], n[..., 2] = -dhdx, 1.0, -dhdz
     return (float(h[0]) if x.ndim == 0 else h[0]), n / vector_norms(n)
 
 

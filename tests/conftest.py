@@ -25,9 +25,9 @@ def fk_calls(monkeypatch):
     original = humanoid.forward_kinematics
     calls = []
 
-    def counted(model, q):
+    def counted(model, q, joint_rot=None):
         calls.append(np.shape(q))
-        return original(model, q)
+        return original(model, q, joint_rot)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("physmotion") and getattr(module, "forward_kinematics", None) is original:

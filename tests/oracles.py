@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from physmotion.humanoid import NUM_BODIES, NV, FKResult, end_effector_positions, forward_kinematics
+from physmotion.humanoid import DEFAULT_DT, NUM_BODIES, NV, FKResult, end_effector_positions, forward_kinematics
 from physmotion.optimizer import (
     CONTACT_ACTIVATION_MARGIN,
     CONTACT_KP,
@@ -23,13 +23,15 @@ from physmotion.optimizer import (
     CONTACT_REST_OFFSET,
     FALLBACK_LEVELS,
     ROOT_ORIENT_WEIGHT_SCALE,
+    FrameSetup,
     PDGains,
-    _ground,
+    ReferenceFrameInput,
     pd_desired_accel_angles,
     root_supervision_accel,
+    solve_frame,
 )
 from physmotion.rotations import log_so3, matrix_to_quat, quat_to_matrix
-from physmotion.scene import CONTACT_NAMES
+from physmotion.scene import CONTACT_NAMES, query_surface
 
 
 def random_rotation(rng):
@@ -362,6 +364,28 @@ def cone_rows_scalar(normals, n, lam0, settings):
     return np.vstack(g_rows)
 
 
+def ground_scalar(hm, settings, point):
+    """Surface height and upward normal below one point; without a height map
+    (or with use_height_map off) the ground is the plane y = 0."""
+    if settings.use_height_map and hm is not None:
+        return query_surface(hm, point[0], point[2])
+    return 0.0, np.array([0.0, 1.0, 0.0])
+
+
+def grounded(setup, ref):
+    """ref with its labelled targets on the ground, as refine_sequence hands it over."""
+    targets = setup.ground_targets(ref.ee_targets, ref.contacts)
+    return ReferenceFrameInput(ref.q_ref, targets, ref.contacts, ref.root_future)
+
+
+def solve_frame_grounded(model, state, ref, hm, settings, dt=DEFAULT_DT, **kwargs):
+    """solve_frame of one frame as refine_sequence calls it: one FrameSetup
+    (default gains, flat ground at y = 0 without a height map) and the
+    labelled targets on the ground."""
+    setup = FrameSetup(model, hm, settings, dt=dt)
+    return solve_frame(setup, state, grounded(setup, ref), **kwargs)
+
+
 def frame_qp_scalar(model, dyn, state, ref, hm, settings, level, dt, latched):
     """The (P, q, A, b, G, h) of one frame at one FALLBACK_LEVELS level, built
     per contact point and per level as solve_frame built them."""
@@ -375,7 +399,7 @@ def frame_qp_scalar(model, dyn, state, ref, hm, settings, level, dt, latched):
         grounded = [name for name in targets if ref.contacts[CONTACT_NAMES.index(name)]]
         terms = [point_terms_scalar(model, dyn, body, off) for body, off in effectors]
         probes = np.array([t[0] for t in terms] + [targets[name] for name in grounded])
-        heights, normals = _ground(hm, settings, 0.0, probes)
+        heights, normals = zip(*(ground_scalar(hm, settings, p) for p in probes))
         for name, height in zip(grounded, heights[len(effectors) :]):
             targets[name][1] = height + CONTACT_REST_OFFSET
         for k, (name, (body, _)) in enumerate(zip(CONTACT_NAMES, effectors)):

@@ -10,7 +10,14 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from oracles import contact_targets, generalized_position, inverse_dynamics_scalar, random_rotation, world_to_camera
+from oracles import (
+    contact_targets,
+    generalized_position,
+    inverse_dynamics_scalar,
+    random_rotation,
+    solve_frame_grounded,
+    world_to_camera,
+)
 
 from physmotion.frames import (
     FilterParams,
@@ -41,7 +48,6 @@ from physmotion.optimizer import (
     ReferenceFrameInput,
     refine_sequence,
     root_supervision_accel,
-    solve_frame,
 )
 from physmotion.pipeline import RunConfig, filter_motion, run_pipeline
 from physmotion.scene import build_height_map, make_box_mesh, query_height
@@ -137,7 +143,7 @@ def test_criterion_2_constraint_satisfaction():
         for t in range(n):
             future = q_refs[t + 1 : t + 3, 0:3] if t + 2 < n else None
             ref = ReferenceFrameInput(q_refs[t], contact_targets(MODEL, q_refs[t]), bundle.contacts.data[t], future)
-            sol = solve_frame(MODEL, state, ref, hm, settings, dt=dt, latched=latched)
+            sol = solve_frame_grounded(MODEL, state, ref, hm, settings, dt=dt, latched=latched)
             latched = np.array(
                 [bundle.contacts.data[t][k] and CONTACT_NAMES[k] in sol.contact_names for k in range(4)]
             )
@@ -206,7 +212,7 @@ def test_criterion_3_static_balance_and_ballistics():
     q[1] = 0.97 + 5e-4
     state = GeneralizedState(q.copy(), np.zeros(NV), np.zeros(NV))
     ref = ReferenceFrameInput(q.copy(), contact_targets(MODEL, q), np.ones(4, bool), np.vstack([q[0:3]] * 2))
-    sol = solve_frame(MODEL, state, ref, hm, QPSettings())
+    sol = solve_frame_grounded(MODEL, state, ref, hm, QPSettings())
     weight = MODEL.total_mass * 9.81
     total_vertical = sol.contact_forces[:, 1].sum()
     stand_ok = np.abs(sol.qdd).max() <= 1e-3 and abs(total_vertical - weight) / weight < 0.01
@@ -214,7 +220,7 @@ def test_criterion_3_static_balance_and_ballistics():
     q2 = q.copy()
     q2[1] = 3.0
     ref2 = ReferenceFrameInput(q2.copy(), np.zeros((4, 3)), np.zeros(4, bool), None)
-    sol2 = solve_frame(MODEL, GeneralizedState(q2, np.zeros(NV), np.zeros(NV)), ref2, hm, QPSettings())
+    sol2 = solve_frame_grounded(MODEL, GeneralizedState(q2, np.zeros(NV), np.zeros(NV)), ref2, hm, QPSettings())
     flight_ok = abs(sol2.qdd[1] + 9.81) < 1e-6
     ok = stand_ok and flight_ok
     _announce(

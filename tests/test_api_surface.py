@@ -54,10 +54,12 @@ def test_every_public_name_is_reached_outside_the_tests():
     assert unreached == []
 
 
-def test_import_loads_neither_scipy_spatial_nor_sparse():
+def test_import_loads_no_scipy_linalg_spatial_or_sparse():
+    # the QP binds its LAPACK routines at its first solve, so a run without
+    # physics never loads scipy.linalg
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import physmotion; "
-        "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.spatial', 'scipy.sparse') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -26,7 +26,7 @@ from physmotion.humanoid import (
     load_model,
 )
 import physmotion.humanoid as humanoid
-from physmotion.rotations import exp_so3
+from physmotion.rotations import exp_and_jacobians, exp_so3
 
 
 def random_state(rng, angle_scale=0.6, vel_scale=1.0):
@@ -311,9 +311,10 @@ class TestBatchedKernels:
     def test_joint_axes_and_sweep(self, model, rng):
         for q, qd, _ in seeded_states(rng, 12):
             fk = forward_kinematics(model, q)
-            axes = humanoid._joint_axes(model, q, fk)
+            _, jl, jl_dot = exp_and_jacobians(q[3:].reshape(24, 3), qd[3:].reshape(24, 3))
+            axes = humanoid._joint_axes(model, fk, jl)
             assert np.array_equal(axes, joint_axes_scalar(model, q, fk))
-            got = humanoid._forward_sweep(model, q, qd, fk, axes)
+            got = humanoid._forward_sweep(model, qd, fk, axes, jl_dot)
             for a, b in zip(got, forward_sweep_scalar(model, q, qd, np.zeros(NV), fk, axes)):
                 assert np.array_equal(a, b)
                 assert np.array_equal(np.signbit(a), np.signbit(b))

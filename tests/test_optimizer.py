@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import contact_targets, frame_qp_scalar, generalized_position
+from oracles import contact_targets, frame_qp_scalar, generalized_position, grounded, solve_frame_grounded
 
 from physmotion.errors import InvalidInputError, QPInfeasibleError, SolverError
 from physmotion.humanoid import (
@@ -17,7 +17,9 @@ from physmotion.humanoid import (
 from physmotion.metrics import penetration_stats
 from physmotion.motion import sequence_from_generalized
 from physmotion.optimizer import (
+    CONTACT_REST_OFFSET,
     FALLBACK_LEVELS,
+    FrameSetup,
     PDGains,
     QPSettings,
     ReferenceFrameInput,
@@ -26,9 +28,8 @@ from physmotion.optimizer import (
     frame_problem,
     refine_sequence,
     root_supervision_accel,
-    solve_frame,
 )
-from physmotion.scene import build_height_map, make_box_mesh
+from physmotion.scene import CONTACT_NAMES, build_height_map, make_box_mesh, query_surface
 from physmotion.synth import SyntheticScenario, generate_scenario
 
 
@@ -150,7 +151,7 @@ class TestRootSupervision:
 class TestSolveFrame:
     def test_standing_statics(self, model, flat_map):
         state, ref = standing_setup(model)
-        sol = solve_frame(model, state, ref, flat_map, QPSettings())
+        sol = solve_frame_grounded(model, state, ref, flat_map, QPSettings())
         assert not sol.degraded
         assert np.abs(sol.qdd).max() <= 1e-3
         total_vertical = sol.contact_forces[:, 1].sum()
@@ -163,7 +164,7 @@ class TestSolveFrame:
         q[1] = 3.0
         state = GeneralizedState(q.copy(), np.zeros(NV), np.zeros(NV))
         ref = ReferenceFrameInput(q.copy(), np.zeros((4, 3)), contacts=np.zeros(4, bool), root_future=None)
-        sol = solve_frame(model, state, ref, flat_map, QPSettings())
+        sol = solve_frame_grounded(model, state, ref, flat_map, QPSettings())
         assert abs(sol.qdd[1] + 9.81) < 1e-6
         assert np.abs(np.delete(sol.qdd, 1)).max() < 1e-6
         assert np.abs(sol.tau).max() < 1e-6
@@ -171,7 +172,7 @@ class TestSolveFrame:
 
     def test_vanishing_friction_removes_tangential(self, model, flat_map):
         state, ref = standing_setup(model)
-        sol = solve_frame(model, state, ref, flat_map, QPSettings(friction_mu=1e-12))
+        sol = solve_frame_grounded(model, state, ref, flat_map, QPSettings(friction_mu=1e-12))
         tangential = np.abs(sol.contact_forces[:, [0, 2]]).max()
         assert tangential <= 1e-8
 
@@ -181,7 +182,7 @@ class TestSolveFrame:
             q = state.q + np.concatenate([rng.normal(size=3) * 0.01, rng.normal(size=72) * 0.05])
             qd = rng.normal(size=NV) * 0.7
             st = GeneralizedState(q, qd, np.zeros(NV))
-            sol = solve_frame(model, st, ref, flat_map, QPSettings())
+            sol = solve_frame_grounded(model, st, ref, flat_map, QPSettings())
             dyn = frame_dynamics(model, q, qd)
             h = dyn.h
             jt_lambda = np.zeros(NV)
@@ -202,7 +203,7 @@ class TestSolveFrame:
         state, ref = standing_setup(model)
         qd = rng.normal(size=NV) * 0.3
         st = GeneralizedState(state.q.copy(), qd, np.zeros(NV))
-        sol = solve_frame(model, st, ref, flat_map, QPSettings())
+        sol = solve_frame_grounded(model, st, ref, flat_map, QPSettings())
         expected = root_supervision_accel(ref.root_future[1], ref.root_future[0], qd[0:3], 1.0 / 60.0)
         assert np.abs(sol.qdd[0:3] - expected).max() <= 1e-8
 
@@ -211,7 +212,7 @@ class TestSolveFrame:
         ref_no_future = ReferenceFrameInput(
             q_ref=ref.q_ref, ee_targets=ref.ee_targets, contacts=ref.contacts, root_future=None
         )
-        sol = solve_frame(model, state, ref_no_future, flat_map, QPSettings())
+        sol = solve_frame_grounded(model, state, ref_no_future, flat_map, QPSettings())
         assert not sol.degraded  # still solvable, root free
 
     def test_position_pd_flag_bitwise_equivalence(self, model, flat_map, rng):
@@ -220,9 +221,9 @@ class TestSolveFrame:
         state, ref = standing_setup(model)
         state.qd = rng.normal(size=NV) * 0.2
         moved = ReferenceFrameInput(ref.q_ref, ref.ee_targets + 0.3, ref.contacts, ref.root_future)
-        a = solve_frame(model, state, ref, flat_map, QPSettings(use_position_pd=False))
-        b = solve_frame(model, state, moved, flat_map, QPSettings(use_position_pd=False))
-        c = solve_frame(model, state, moved, flat_map, QPSettings())
+        a = solve_frame_grounded(model, state, ref, flat_map, QPSettings(use_position_pd=False))
+        b = solve_frame_grounded(model, state, moved, flat_map, QPSettings(use_position_pd=False))
+        c = solve_frame_grounded(model, state, moved, flat_map, QPSettings())
         assert not np.array_equal(a.qdd, c.qdd)
         assert np.array_equal(a.qdd, b.qdd)
         assert np.array_equal(a.contact_forces, b.contact_forces)
@@ -248,14 +249,14 @@ class TestSolveFrame:
         monkeypatch.setattr(humanoid, "forward_kinematics", fk)
         monkeypatch.setattr(opt, "forward_kinematics", fk)
         monkeypatch.setattr(opt, "frame_dynamics", counted(humanoid.frame_dynamics))
-        solve_frame(model, state, ref, flat_map, QPSettings())
+        solve_frame_grounded(model, state, ref, flat_map, QPSettings())
         assert sorted(calls) == ["forward_kinematics", "frame_dynamics"]
 
     def test_determinism(self, model, flat_map, rng):
         state, ref = standing_setup(model)
         state.qd = rng.normal(size=NV) * 0.5
-        a = solve_frame(model, state, ref, flat_map, QPSettings())
-        b = solve_frame(model, state, ref, flat_map, QPSettings())
+        a = solve_frame_grounded(model, state, ref, flat_map, QPSettings())
+        b = solve_frame_grounded(model, state, ref, flat_map, QPSettings())
         assert np.array_equal(a.qdd, b.qdd)
         assert np.array_equal(a.contact_forces, b.contact_forces)
 
@@ -273,7 +274,7 @@ class TestSolveFrame:
 
         monkeypatch.setattr(opt, "solve_qp", flaky)
         state, ref = standing_setup(model)
-        sol = solve_frame(model, state, ref, flat_map, QPSettings())
+        sol = solve_frame_grounded(model, state, ref, flat_map, QPSettings())
         assert sol.degraded and sol.level == "no-slide"
         assert sol.failures == (("full", "forced"),)
         assert len(calls) == 2
@@ -293,7 +294,7 @@ class TestSolveFrame:
         monkeypatch.setattr(qp_module, "lu_factor", fails_first)
         state, ref = standing_setup(model)
         state.qd = rng.normal(size=NV) * 0.5
-        sol = solve_frame(model, state, ref, flat_map, QPSettings(friction_mu=0.05))
+        sol = solve_frame_grounded(model, state, ref, flat_map, QPSettings(friction_mu=0.05))
         assert len(calls) >= 2
         assert sol.level == "no-slide" and sol.degraded
         assert [level for level, _ in sol.failures] == ["full"]
@@ -312,7 +313,7 @@ class TestSolveFrame:
         state, ref = standing_setup(model)
         settings = QPSettings(solver_tol=3e-9)
         with pytest.raises(SolverError) as info:
-            solve_frame(model, state, ref, flat_map, settings)
+            solve_frame_grounded(model, state, ref, flat_map, settings)
         assert str(info.value) == "full: forced; no-slide: forced; no-cone: forced"
         assert len(FALLBACK_LEVELS) == 3
         assert tols == [settings.solver_tol] * len(FALLBACK_LEVELS)
@@ -332,7 +333,7 @@ class TestSolveFrame:
         state = GeneralizedState(q.copy(), np.zeros(NV), np.zeros(NV))
         ref = ReferenceFrameInput(q.copy(), np.zeros((4, 3)), contacts=np.zeros(4, bool), root_future=None)
         with pytest.raises(SolverError) as info:
-            solve_frame(model, state, ref, flat_map, QPSettings())
+            solve_frame_grounded(model, state, ref, flat_map, QPSettings())
         # without contacts every level is the same QP
         assert str(info.value) == "full: forced"
         assert len(calls) == 1
@@ -343,7 +344,7 @@ class TestSolveFrame:
         state, ref = standing_setup(model)
         state.qd = rng.normal(size=NV) * 0.5
         settings = QPSettings(friction_mu=0.05)
-        cold = solve_frame(model, state, ref, flat_map, settings)
+        cold = solve_frame_grounded(model, state, ref, flat_map, settings)
         assert cold.active_set and not cold.degraded
         seeds = []
         original = opt.solve_qp
@@ -357,7 +358,7 @@ class TestSolveFrame:
         other_level = replace(cold, level="no-slide")
         for previous, expected in ((cold, cold.active_set), (other_contacts, None), (other_level, None)):
             seeds.clear()
-            warm = solve_frame(model, state, ref, flat_map, settings, previous=previous)
+            warm = solve_frame_grounded(model, state, ref, flat_map, settings, previous=previous)
             assert seeds == [expected]
             assert np.abs(warm.qdd - cold.qdd).max() <= 1e-8 * (1.0 + np.abs(cold.qdd).max())
 
@@ -373,6 +374,34 @@ def walk_frame(model, scene, t, contacts=None):
     return GeneralizedState(q, qd, np.zeros(NV)), ref, build_height_map(bundle.mesh, (64, 64))
 
 
+class TestGroundTargets:
+    def test_per_sequence_heights_equal_the_per_frame_projection(self, model):
+        """One height query for a whole sequence's labelled targets gives the
+        bits of the per-frame projection it replaced: each frame's labelled
+        targets queried together, the feet's surface query alongside."""
+        for scene in ("ramp", "step"):
+            bundle = generate_scenario(SyntheticScenario(scene, "walk", 0.02, 0.0, 1.5, 4), model)
+            hm = build_height_map(bundle.mesh, (64, 64))
+            ee = end_effector_positions(model, forward_kinematics(model, bundle.noisy.generalized_positions()))
+            targets = np.stack([ee[name] for name in CONTACT_NAMES], axis=1)
+            labels = bundle.contacts.data
+            assert labels.any() and not labels.all()
+            for settings in (QPSettings(), QPSettings(use_height_map=False)):
+                setup = FrameSetup(model, hm, settings, flat_ground_height=-0.0123)
+                got = setup.ground_targets(targets, labels)
+                for t, (frame, on) in enumerate(zip(targets, labels)):
+                    expected = frame.copy()
+                    if settings.use_height_map:
+                        feet = frame + 0.01  # the frame's foot points share the query
+                        probes = np.concatenate([feet, frame[on]])
+                        heights = query_surface(hm, probes[:, 0], probes[:, 2])[0][4:]
+                    else:
+                        heights = np.full(int(on.sum()), -0.0123)
+                    expected[on, 1] = heights + CONTACT_REST_OFFSET
+                    assert np.array_equal(got[t], expected), (scene, settings.use_height_map, t)
+                assert np.array_equal(targets, np.stack([ee[name] for name in CONTACT_NAMES], axis=1))
+
+
 class TestContactAssembly:
     """The constraint blocks built once per frame against the per-contact,
     per-level construction they replaced, bit for bit at every level."""
@@ -380,7 +409,8 @@ class TestContactAssembly:
     def assert_levels_match(self, model, state, ref, hm, settings, latched=None):
         latched = np.zeros(4, dtype=bool) if latched is None else latched
         dyn = frame_dynamics(model, state.q, state.qd)
-        problem = frame_problem(model, state, ref, hm, settings, PDGains(), 1.0 / 60.0, 0.0, latched)
+        setup = FrameSetup(model, hm, settings)
+        problem = frame_problem(setup, state, grounded(setup, ref), latched)
         for level, use_slide, use_cone in FALLBACK_LEVELS:
             got = problem.qp(use_slide, use_cone)
             expected = frame_qp_scalar(model, dyn, state, ref, hm, settings, level, 1.0 / 60.0, latched)

@@ -357,7 +357,7 @@ original_lu_factor = qp_module.lu_factor
 
 def zero_pivot_factor(a):
     """The real lu_factor of an all-zero matrix: getrf reports info > 0,
-    which scipy turns into a LinAlgWarning."""
+    which lu_factor raises as LinAlgError."""
     return original_lu_factor(np.zeros_like(a))
 
 

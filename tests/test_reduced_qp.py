@@ -12,12 +12,13 @@ which do not involve the torques, are taken from the reduced QP that
 
 import numpy as np
 import pytest
-from oracles import contact_targets, generalized_position
+from oracles import contact_targets, generalized_position, grounded
 
-from physmotion.humanoid import DEFAULT_DT, NV, GeneralizedState, frame_dynamics
+from physmotion.humanoid import NV, GeneralizedState, frame_dynamics
 from physmotion.optimizer import (
     CONTACT_REST_OFFSET,
     ROOT_ORIENT_WEIGHT_SCALE,
+    FrameSetup,
     PDGains,
     QPSettings,
     ReferenceFrameInput,
@@ -82,9 +83,10 @@ def full_qp(model, state, ref, hm, settings, gains, names, reduced):
 
 
 def solve_both(model, state, ref, hm, settings):
-    sol = solve_frame(model, state, ref, hm, settings)
+    setup = FrameSetup(model, hm, settings)
+    sol = solve_frame(setup, state, grounded(setup, ref))
     assert not sol.degraded
-    problem = frame_problem(model, state, ref, hm, settings, PDGains(), DEFAULT_DT, 0.0, np.zeros(4, dtype=bool))
+    problem = frame_problem(setup, state, grounded(setup, ref), np.zeros(4, dtype=bool))
     p_mat, _, *reduced = problem.qp(use_slide=True, use_cone=True)
     assert problem.contact_names == sol.contact_names
     assert p_mat.shape[0] == NV + 3 * len(sol.contact_names)  # no torque columns

@@ -18,9 +18,8 @@ from oracles import (
 
 from physmotion.rotations import (
     cross_rows,
+    exp_and_jacobians,
     exp_so3,
-    left_jacobian,
-    left_jacobian_dot,
     log_so3,
     matrix_to_quat,
     quat_to_exp,
@@ -67,6 +66,10 @@ def test_cross_rows_is_np_cross_bit_for_bit(rng):
         assert np.allclose(skew(x) @ y, cross_rows(x, y))
 
 
+def left_jacobian(v):
+    return exp_and_jacobians(v, np.zeros_like(v))[1]
+
+
 def test_left_jacobian_finite_difference(rng):
     # d/dt exp(v) = skew(J_l(v) vdot) exp(v)
     eps = 1e-7
@@ -85,16 +88,15 @@ def test_left_jacobian_dot_finite_difference(rng):
         v = rng.normal(size=3) * rng.uniform(0, 2.5)
         vd = rng.normal(size=3)
         fd = (left_jacobian(v + eps * vd) - left_jacobian(v)) / eps
-        assert np.allclose(fd, left_jacobian_dot(v, vd), atol=5e-6)
+        assert np.allclose(fd, exp_and_jacobians(v, vd)[2], atol=5e-6)
 
 
 def test_left_jacobian_small_angle_branch(rng):
     vd = rng.normal(size=3)
     for scale in (0.0, 1e-10, 1e-6, 1e-4):
         v = np.array([scale, 0.0, 0.0])
-        jl = left_jacobian(v)
+        _, jl, jd = exp_and_jacobians(v, vd)
         assert np.allclose(jl, np.eye(3) + 0.5 * skew(v), atol=1e-7)
-        jd = left_jacobian_dot(v, vd)
         assert np.all(np.isfinite(jd))
 
 
@@ -168,39 +170,45 @@ def test_quaternion_conversions_of_a_stack_equal_the_scalar_formulas_bit_for_bit
 
 
 def jacobian_test_vectors(rng, n=3000):
-    """Random vectors on both sides of both series thresholds, and zero."""
+    """Random vectors on both sides of both series thresholds, at them and
+    one ulp either side, zero and 1e-300."""
     v = rng.normal(size=(n, 3)) * rng.uniform(0.0, 7.0, size=(n, 1))
-    v[:40] *= 1e-9  # below 1e-8: left_jacobian's series
-    v[40:80] *= 1e-5  # below 1e-4: left_jacobian_dot's series
+    v[:40] *= 1e-9  # below 1e-8: the exponential's and left Jacobian's series
+    v[40:80] *= 1e-5  # below 1e-4: the left Jacobian derivative's series
     v[80:120] = v[80:120] / np.linalg.norm(v[80:120], axis=1, keepdims=True) * 1e-8
     v[120:160] = v[120:160] / np.linalg.norm(v[120:160], axis=1, keepdims=True) * 1e-4
     v[160] = 0.0
     v[161] = [0.0, -0.0, 1e-300]
+    for k, threshold in enumerate((1e-8, 1e-4)):
+        for j, length in enumerate((np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0))):
+            v[162 + 3 * k + j] = [0.0, length, 0.0]
     return v, rng.normal(size=(n, 3)) * rng.uniform(0.0, 5.0, size=(n, 1))
 
 
-def test_left_jacobians_of_a_stack_equal_the_scalar_formulas_bit_for_bit(rng):
+def test_one_pass_equals_the_scalar_formulas_bit_for_bit(rng):
     v, vd = jacobian_test_vectors(rng)
-    jl = left_jacobian(v)
-    jd = left_jacobian_dot(v, vd)
-    assert jl.shape == jd.shape == (len(v), 3, 3)
+    rot, jl, jd = exp_and_jacobians(v, vd)
+    assert rot.shape == jl.shape == jd.shape == (len(v), 3, 3)
+    assert np.array_equal(rot, np.array([exp_so3_scalar(x) for x in v]))
     assert np.array_equal(jl, np.array([left_jacobian_scalar(x) for x in v]))
     assert np.array_equal(jd, np.array([left_jacobian_dot_scalar(x, y) for x, y in zip(v, vd)]))
+    # the exponential is exp_so3's, on both sides of each threshold
+    assert np.array_equal(rot, exp_so3(v))
+    assert (np.linalg.norm(v[162:168], axis=1) == [np.nextafter(1e-8, 0.0), 1e-8, np.nextafter(1e-8, 1.0),
+                                                   np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0)]).all()
     # one vector gives one matrix with the bits of its row in the stack, in
     # both series branches and at v = 0
-    for k in list(range(0, 200, 7)) + [160, 161, 999]:
-        one, one_dot = left_jacobian(v[k]), left_jacobian_dot(v[k], vd[k])
-        assert one.shape == one_dot.shape == (3, 3)
-        assert np.array_equal(one, jl[k]) and np.array_equal(one_dot, jd[k])
+    for k in list(range(0, 200, 7)) + list(range(160, 168)) + [999]:
+        one = exp_and_jacobians(v[k], vd[k])
+        assert all(m.shape == (3, 3) and np.array_equal(m, row[k]) for m, row in zip(one, (rot, jl, jd)))
     # any leading shape
-    assert np.array_equal(left_jacobian(v.reshape(30, 100, 3)), jl.reshape(30, 100, 3, 3))
-    assert np.array_equal(
-        left_jacobian_dot(v.reshape(30, 100, 3), vd.reshape(30, 100, 3)), jd.reshape(30, 100, 3, 3)
-    )
-    assert np.array_equal(left_jacobian(np.zeros(3)), np.eye(3))
+    for got, flat in zip(exp_and_jacobians(v.reshape(30, 100, 3), vd.reshape(30, 100, 3)), (rot, jl, jd)):
+        assert np.array_equal(got, flat.reshape(30, 100, 3, 3))
+    zero = exp_and_jacobians(np.zeros(3), vd[0])
+    assert np.array_equal(zero[0], np.eye(3)) and np.array_equal(zero[1], np.eye(3))
 
 
-def test_left_jacobian_dot_past_the_float_range_gives_inf_not_overflow_error(rng):
+def test_one_pass_past_the_float_range_gives_inf_not_overflow_error(rng):
     # a diverging refinement reaches such angles: t**5 overflows, which a
     # numpy scalar turns into inf (the op then aborts as a SolverError) and a
     # Python float into OverflowError, which is not a PhysmotionError
@@ -209,20 +217,24 @@ def test_left_jacobian_dot_past_the_float_range_gives_inf_not_overflow_error(rng
     v[3] = [1e-5, 0.0, 0.0]  # a small joint in the same stack
     vd = rng.normal(size=(6, 3))
     with pytest.warns(RuntimeWarning, match="overflow"):
-        stacked = left_jacobian_dot(v, vd)
+        stacked = exp_and_jacobians(v, vd)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rows = [left_jacobian_dot(x, y) for x, y in zip(v, vd)]
-        scalar = [left_jacobian_dot_scalar(x, y) for x, y in zip(v, vd)]
-        # |v| = 1e170: t**2 overflows too, and every entry is nan
+        rows = [exp_and_jacobians(x, y) for x, y in zip(v, vd)]
+        scalar = [(exp_so3_scalar(x), left_jacobian_scalar(x), left_jacobian_dot_scalar(x, y)) for x, y in zip(v, vd)]
+        # |v| = 1e170: t**2 overflows too, and every Jacobian entry is nan
         huge = v * 1e100
-        jl, jl_dot = left_jacobian(huge), left_jacobian_dot(huge, vd)
-        jl_rows = [left_jacobian(x) for x in huge]
-        jl_dot_rows = [left_jacobian_dot_scalar(x, y) for x, y in zip(huge, vd)]
-    for got, one, expected in zip(stacked, rows, scalar):
-        assert np.array_equal(got, one, equal_nan=True)
-        assert np.array_equal(got, expected, equal_nan=True)
-    assert np.array_equal(jl, np.array(jl_rows), equal_nan=True)
-    assert np.array_equal(jl_dot, np.array(jl_dot_rows), equal_nan=True)
-    assert np.isnan(jl[0]).all() and np.isfinite(jl[3]).all()
-    assert np.isfinite(stacked[3]).all()
+        big = exp_and_jacobians(huge, vd)
+        big_rows = [exp_and_jacobians(x, y) for x, y in zip(huge, vd)]
+        big_scalar = [(exp_so3_scalar(x), left_jacobian_scalar(x), left_jacobian_dot_scalar(x, y))
+                      for x, y in zip(huge, vd)]
+    for k in range(len(v)):
+        for m in range(3):
+            assert np.array_equal(stacked[m][k], rows[k][m], equal_nan=True)
+            assert np.array_equal(stacked[m][k], scalar[k][m], equal_nan=True)
+            assert np.array_equal(big[m][k], big_rows[k][m], equal_nan=True)
+            assert np.array_equal(big[m][k], big_scalar[k][m], equal_nan=True)
+    # at 1e70 only the derivative's t**5 is inf, so every term stays finite
+    assert all(np.isfinite(m).all() for m in stacked)
+    assert np.isnan(big[1][0]).all() and np.isfinite(big[1][3]).all()
+    assert all(np.isfinite(m[3]).all() for m in stacked)
