@@ -48,7 +48,6 @@ from .optimizer import (
 )
 from .pipeline import RunConfig, run_pipeline
 from .scene import (
-    ContactLabels,
     HeightMap,
     TriangleMesh,
     build_height_map,

@@ -21,6 +21,7 @@ from .frames import RigidTransform, check_field, check_quaternions, hand_eye_cal
 from .humanoid import default_model
 from .metrics import evaluate
 from .motion import load_motion
+from .optimizer import QPSettings
 from .pipeline import ABLATION_PRESETS, RunConfig, load_config, run_pipeline
 from .rotations import matrix_to_quat, quat_to_matrix
 from .scene import build_height_map, load_obj, save_height_map
@@ -123,6 +124,9 @@ def heightmap(mesh: str, out: str, resolution: int) -> None:
 def refine(motion: str, mesh: str, contacts: str, camera: str, out_dir: str, no_filter: bool,
            friction_mu: float, reg_weight: float, solver_tol: float, ablation: str, strict: bool) -> None:
     """Physics-refine a motion file against a scene mesh."""
+    overrides = {"friction_mu": friction_mu, "reg_weight": reg_weight, "solver_tol": solver_tol}
+    # built, not assigned field by field, so QPSettings checks the overrides
+    settings = QPSettings(use_height_map=mesh is not None, **{k: v for k, v in overrides.items() if v is not None})
     config = RunConfig(
         motion_path=motion,
         mesh_path=mesh,
@@ -131,15 +135,8 @@ def refine(motion: str, mesh: str, contacts: str, camera: str, out_dir: str, no_
         output_dir=out_dir,
         apply_filter=not no_filter,
         strict=strict,
+        settings=settings,
     )
-    if mesh is None:
-        config.settings.use_height_map = False
-    if friction_mu is not None:
-        config.settings.friction_mu = friction_mu
-    if reg_weight is not None:
-        config.settings.reg_weight = reg_weight
-    if solver_tol is not None:
-        config.settings.solver_tol = solver_tol
     _run(config, ablation)
 
 

@@ -112,11 +112,9 @@ class FilterParams:
 
     min_cutoff: float = 0.004
     beta: float = 0.7
-    sample_rate: float = 60.0
 
     def __post_init__(self):
         check_number("min_cutoff", self.min_cutoff, "> 0")
-        check_number("sample_rate", self.sample_rate, "> 0")
         check_number("beta", self.beta, ">= 0")
 
 
@@ -180,14 +178,15 @@ def _smoothing_alpha(cutoff: float | np.ndarray, rate: float) -> float | np.ndar
     return 1.0 / (1.0 + rate / (2.0 * np.pi * cutoff))
 
 
-def one_euro_filter(signal: np.ndarray, params: FilterParams) -> np.ndarray:
+def one_euro_filter(signal: np.ndarray, params: FilterParams, rate: float) -> np.ndarray:
     """One-Euro low-pass with speed-adaptive cutoff, applied per channel.
 
-    signal is (T,) or (T, n), uniformly sampled at params.sample_rate. The
+    signal is (T,) or (T, n), uniformly sampled at rate (Hz). The
     first output sample equals the first input sample. The derivative channel
     is smoothed with a fixed 1 Hz cutoff; the signal cutoff adapts as
     min_cutoff + beta * |smoothed derivative|.
     """
+    check_number("rate", rate, "> 0")
     x = np.asarray(signal, dtype=float)
     if x.size == 0:
         return x.copy()
@@ -197,7 +196,6 @@ def one_euro_filter(signal: np.ndarray, params: FilterParams) -> np.ndarray:
     if squeeze:
         x = x[:, None]
 
-    rate = params.sample_rate
     alpha_d = _smoothing_alpha(1.0, rate)
     out = np.empty_like(x)
     out[0] = x[0]

@@ -29,6 +29,11 @@ sums share one pass. `FrameDynamics.points` gives any number
 of body-fixed points' positions, Jacobians, velocities and bias
 accelerations in one call.
 
+The model owns the contact points: `HumanoidModel.contact_bodies` (4,) and
+`contact_offsets` (4, 3), in scene.CONTACT_NAMES order. They come from the
+bodies' end effectors, which must name each contact point once and nothing
+else; `contact_positions` places them for any FK result.
+
 Sign conventions: gravity enters the nonlinear-effects vector so that
 unsupported free fall solves qdd_y = -9.81 with zero torques and contact
 forces under tau + Jc^T lambda = M qdd + h.
@@ -61,6 +66,7 @@ class Body:
     offset: np.ndarray  # translation from parent joint, parent frame (m)
     mass: float
     inertia: np.ndarray  # 3x3 body-frame inertia about the joint origin (kg m^2)
+    # contact-point name (scene.CONTACT_NAMES) -> offset in the body frame (m)
     end_effectors: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -88,10 +94,27 @@ class HumanoidModel:
             b.offset = np.asarray(b.offset, dtype=float).reshape(3)
             if not np.isfinite(b.offset).all():
                 raise InvalidInputError(f"body {b.name}: offset must be finite")
+            b.inertia = inertia
+        # the contact points, CONTACT_NAMES order: every end effector is one
+        # of them, and each of them is on exactly one body
+        contacts: Dict[str, Tuple[int, np.ndarray]] = {}
+        for i, b in enumerate(bodies):
             for name, off in b.end_effectors.items():
+                if name not in CONTACT_NAMES:
+                    raise InvalidInputError(f"body {b.name}: end effector {name} is not a contact point")
+                if name in contacts:
+                    raise InvalidInputError(
+                        f"body {b.name}: contact point {name} is already on body {bodies[contacts[name][0]].name}"
+                    )
+                off = np.asarray(off, dtype=float).reshape(3)
                 if not np.isfinite(off).all():
                     raise InvalidInputError(f"body {b.name}: end effector {name} offset must be finite")
-            b.inertia = inertia
+                contacts[name] = (i, off)
+        missing = [name for name in CONTACT_NAMES if name not in contacts]
+        if missing:
+            raise InvalidInputError(f"model has no end effector for contact point(s) {', '.join(missing)}")
+        self.contact_bodies = np.array([contacts[name][0] for name in CONTACT_NAMES])
+        self.contact_offsets = np.array([contacts[name][1] for name in CONTACT_NAMES])
         self.bodies: Tuple[Body, ...] = tuple(bodies)
         self.gravity = np.asarray(gravity, dtype=float).reshape(3)
         if not np.isfinite(self.gravity).all():
@@ -144,19 +167,6 @@ class HumanoidModel:
         body_of = np.repeat(np.arange(NUM_BODIES), [6] + [3] * (NUM_BODIES - 1))
         ancestor = self.support_mask[body_of].T
         self.mass_blocks = (ancestor & (body_of[:, None] != body_of), ancestor.T)
-        # end effector registry in a stable order
-        self.end_effectors: List[Tuple[str, int, np.ndarray]] = []
-        for i, b in enumerate(bodies):
-            for name, off in b.end_effectors.items():
-                self.end_effectors.append((name, i, np.asarray(off, dtype=float).reshape(3)))
-        self.end_effectors.sort(key=lambda e: e[0])
-
-    def end_effector(self, name: str) -> Tuple[int, np.ndarray]:
-        for ee_name, body, off in self.end_effectors:
-            if ee_name == name:
-                return body, off
-        raise KeyError(name)
-
     @staticmethod
     def joint_cols(body: int) -> slice:
         """Generalized-coordinate columns driven by this body's joint."""
@@ -224,12 +234,11 @@ def forward_kinematics(
     return FKResult(rot.reshape(lead + rot.shape[1:]), pos.reshape(lead + pos.shape[1:]))
 
 
-def end_effector_positions(model: HumanoidModel, fk: FKResult) -> Dict[str, np.ndarray]:
-    """World position of every end effector, (..., 3) for an (..., 24) FK result."""
-    return {
-        name: fk.positions[..., body, :] + fk.rotations[..., body, :, :] @ off
-        for name, body, off in model.end_effectors
-    }
+def contact_positions(model: HumanoidModel, fk: FKResult) -> np.ndarray:
+    """World positions of the contact points, (..., 4, 3) in CONTACT_NAMES
+    order for an (..., 24) FK result."""
+    bodies = model.contact_bodies
+    return fk.positions[..., bodies, :] + matvec_rows(fk.rotations[..., bodies, :, :], model.contact_offsets)
 
 
 def _joint_axes(model: HumanoidModel, fk: FKResult, jl: np.ndarray) -> np.ndarray:
@@ -515,8 +524,8 @@ def load_model(path: str | Path) -> HumanoidModel:
 
 def model_from_dict(doc: dict) -> HumanoidModel:
     """A model from its document. A missing or malformed field raises
-    InvalidInputError naming its body, and so does a model without an end
-    effector for each contact point (scene.CONTACT_NAMES)."""
+    InvalidInputError naming its body, and so does an end effector listed
+    twice in one body; HumanoidModel checks the contact points."""
     bodies = []
     where = "model"
     try:
@@ -526,10 +535,11 @@ def model_from_dict(doc: dict) -> HumanoidModel:
                 inertia = np.asarray(rec["inertia"], dtype=float)
             else:
                 inertia = np.diag(np.asarray(rec["inertia_diag"], dtype=float).reshape(3))
-            ee = {
-                e["name"]: np.asarray(e["offset_xyz"], dtype=float).reshape(3)
-                for e in rec.get("end_effectors", [])
-            }
+            ee = {}
+            for e in rec.get("end_effectors", []):
+                if e["name"] in ee:
+                    raise InvalidInputError(f"body {rec['name']}: end effector {e['name']} is listed twice")
+                ee[e["name"]] = np.asarray(e["offset_xyz"], dtype=float).reshape(3)
             bodies.append(
                 Body(
                     name=rec["name"],
@@ -546,11 +556,7 @@ def model_from_dict(doc: dict) -> HumanoidModel:
         raise InvalidInputError(f"{where}: missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{where}: malformed field: {exc}") from exc
-    model = HumanoidModel(bodies, gravity)
-    missing = sorted(set(CONTACT_NAMES) - {name for name, _, _ in model.end_effectors})
-    if missing:
-        raise InvalidInputError(f"model has no end effector for contact point(s) {', '.join(missing)}")
-    return model
+    return HumanoidModel(bodies, gravity)
 
 
 _default_model_cache: Optional[HumanoidModel] = None

@@ -27,12 +27,12 @@ import numpy as np
 
 from .errors import InvalidInputError, UndefinedMetricError
 from .motion import MotionSequence
-from .scene import ContactLabels, HeightMap, query_height
+from .scene import CONTACT_NAMES, HeightMap, query_height
 
 PELVIS = 0
 FOOT_JOINTS = (7, 8, 10, 11)  # l_ankle, r_ankle, l_foot, r_foot
 TOE_JOINTS = (10, 11)
-TOE_CONTACT_COLUMNS = (0, 1)  # l_toe, r_toe in the contact-label order
+TOE_CONTACT_COLUMNS = (CONTACT_NAMES.index("l_toe"), CONTACT_NAMES.index("r_toe"))
 
 
 @dataclass
@@ -209,14 +209,15 @@ def jitter(seq: MotionSequence) -> float:
     return float(np.linalg.norm(second, axis=2).mean() * seq.frame_rate * 1000.0)
 
 
-def foot_sliding(seq: MotionSequence, contacts: ContactLabels) -> float:
+def foot_sliding(seq: MotionSequence, contacts: np.ndarray) -> float:
     """Mean horizontal toe displacement across consecutive in-contact frames, mm."""
     p = _joints(seq)
+    contacts = np.asarray(contacts, dtype=bool)
     if len(contacts) != len(p):
         raise InvalidInputError("contacts length differs from sequence length")
     disp = []
     for joint, col in zip(TOE_JOINTS, TOE_CONTACT_COLUMNS):
-        on = contacts.data[:, col]
+        on = contacts[:, col]
         both = on[1:] & on[:-1]
         if not both.any():
             continue
@@ -229,7 +230,7 @@ def foot_sliding(seq: MotionSequence, contacts: ContactLabels) -> float:
 
 
 def penetration_stats(
-    seq: MotionSequence, hm: HeightMap, contacts: Optional[ContactLabels] = None
+    seq: MotionSequence, hm: HeightMap, contacts: Optional[np.ndarray] = None
 ) -> Tuple[float, float, float]:
     """(percent of penetrating frames, mean max depth in mm, mean height above in mm).
 
@@ -246,7 +247,7 @@ def penetration_stats(
     if contacts is not None:
         if len(contacts) != n:
             raise InvalidInputError("contacts length differs from sequence length")
-        frames = np.flatnonzero(contacts.data.any(axis=1))
+        frames = np.flatnonzero(np.any(contacts, axis=1))
         low = np.argmin(p[frames, :, 1], axis=1)
         heights = np.maximum(0.0, p[frames, low, 1] - surf[frames, low])
     pct = 100.0 * penetrating / n if n else 0.0
@@ -259,7 +260,7 @@ def evaluate(
     pred: MotionSequence,
     gt: Optional[MotionSequence] = None,
     hm: Optional[HeightMap] = None,
-    contacts: Optional[ContactLabels] = None,
+    contacts: Optional[np.ndarray] = None,
 ) -> MetricReport:
     """Full metric suite; reconstruction metrics need gt, plausibility a map.
 

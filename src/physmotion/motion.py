@@ -26,7 +26,6 @@ from .errors import InvalidInputError, MotionFormatError, check_number
 from .frames import check_field, check_quaternions, parse_field
 from .humanoid import NV, HumanoidModel, forward_kinematics
 from .rotations import exp_so3, log_so3, matrix_to_quat, quat_to_matrix, vector_norms
-from .scene import ContactLabels
 
 SCHEMA = "physmotion.motion/1"
 NUM_JOINTS = 23  # articulated joints beside the root
@@ -41,7 +40,7 @@ class MotionSequence:
     root_rot: np.ndarray  # (T, 3, 3)
     joint_angles: np.ndarray  # (T, 23, 3) exponential coordinates
     joint_positions: Optional[np.ndarray] = None  # (T, 24, 3) world
-    contacts: Optional[ContactLabels] = None
+    contacts: Optional[np.ndarray] = None  # (T, 4) bool, scene.CONTACT_NAMES order
 
     def __post_init__(self):
         check_number("frame_rate", self.frame_rate, "> 0")
@@ -51,8 +50,10 @@ class MotionSequence:
         self.joint_angles = np.asarray(self.joint_angles, dtype=float).reshape(t, NUM_JOINTS, 3)
         if self.joint_positions is not None:
             self.joint_positions = np.asarray(self.joint_positions, dtype=float).reshape(t, 24, 3)
-        if self.contacts is not None and len(self.contacts) != t:
-            raise InvalidInputError("contacts length differs from frame count")
+        if self.contacts is not None:
+            self.contacts = np.asarray(self.contacts, dtype=bool).reshape(-1, 4)
+            if len(self.contacts) != t:
+                raise InvalidInputError("contacts length differs from frame count")
         for name in ("root_trans", "root_rot", "joint_angles"):
             if not np.isfinite(getattr(self, name)).all():
                 raise InvalidInputError(f"{name} contains non-finite values")
@@ -73,7 +74,7 @@ class MotionSequence:
             self.root_rot.copy(),
             self.joint_angles.copy(),
             None if self.joint_positions is None else self.joint_positions.copy(),
-            None if self.contacts is None else ContactLabels(self.contacts.data.copy()),
+            None if self.contacts is None else self.contacts.copy(),
         )
 
     def _stored_positions(self) -> np.ndarray:
@@ -132,7 +133,7 @@ def save_motion(seq: MotionSequence, path: str | Path) -> None:
             if seq.joint_positions is not None:
                 rec["joint_positions"] = seq.joint_positions[t].tolist()
             if seq.contacts is not None:
-                rec["contacts"] = seq.contacts.data[t].tolist()
+                rec["contacts"] = seq.contacts[t].tolist()
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -196,7 +197,7 @@ def load_motion(path: str | Path) -> MotionSequence:
         root_rot=quat_to_matrix(check_quaternions(columns["root_quat_wxyz"], places, "root_quat_wxyz")),
         joint_angles=check_field(columns["joint_angles"], places, "joint_angles"),
         joint_positions=check_field(positions, places, "joint_positions") if positions else None,
-        contacts=ContactLabels(np.array(contacts, dtype=bool)) if contacts else None,
+        contacts=np.array(contacts, dtype=bool) if contacts else None,
     )
 
 
@@ -232,7 +233,7 @@ def resample_motion(seq: MotionSequence, target_fps: float) -> MotionSequence:
     contacts = None
     if seq.contacts is not None:
         idx = np.clip(np.round(dst_t * seq.frame_rate).astype(int), 0, n - 1)
-        contacts = ContactLabels(seq.contacts.data[idx])
+        contacts = seq.contacts[idx]
     return MotionSequence(
         frame_rate=target_fps,
         root_trans=interp(seq.root_trans),
@@ -247,7 +248,7 @@ def sequence_from_generalized(
     frame_rate: float,
     q_frames: np.ndarray,
     model: HumanoidModel,
-    contacts: Optional[ContactLabels] = None,
+    contacts: Optional[np.ndarray] = None,
 ) -> MotionSequence:
     """Build a sequence (with joint positions) from per-frame q vectors."""
     q_frames = np.asarray(q_frames, dtype=float).reshape(-1, NV)

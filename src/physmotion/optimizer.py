@@ -28,9 +28,9 @@ below surface + 1 cm; labels alone can be stale when the kinematic input
 floats above the scene.
 
 A `FrameSetup` holds what every frame of a sequence shares, built once per
-sequence: the model, the ground, the settings and resolved gains, the
-contact points' bodies and offsets, the angle term's weights, the cone
-facet directions, the root-pin rows and, per pattern of active contacts,
+sequence: the model (which holds the contact points' bodies and offsets),
+the ground, the settings and resolved gains, the angle term's weights, the
+cone facet directions, the root-pin rows and, per pattern of active contacts,
 the contact blocks' index bookkeeping. `refine_sequence` also puts every
 labelled foot target of the sequence on the ground with one height query
 (`FrameSetup.ground_targets`), so a frame queries the ground under its
@@ -70,7 +70,7 @@ from .humanoid import (
     GeneralizedState,
     HumanoidModel,
     PointKinematics,
-    end_effector_positions,
+    contact_positions,
     forward_kinematics,
     frame_dynamics,
     integrate,
@@ -239,9 +239,9 @@ def root_supervision_accel(
 class FrameSetup:
     """What every frame of a sequence shares, built once: the model, the
     ground, the settings and resolved gains, and the parts of the QP that no
-    state changes (the contact points' bodies and offsets, the angle term's
-    weights, the cone facet directions, the root-pin rows and, per pattern
-    of active contacts, the contact blocks' index bookkeeping).
+    state changes (the span of the contact points' Jacobians, the angle
+    term's weights, the cone facet directions, the root-pin rows and, per
+    pattern of active contacts, the contact blocks' index bookkeeping).
 
     With hm None (or use_height_map off) the ground is the horizontal plane
     at flat_ground_height.
@@ -255,12 +255,9 @@ class FrameSetup:
         self.gains = gains if gains is not None else PDGains()
         self.hm = hm if settings.use_height_map else None
         self.flat_ground_height = float(flat_ground_height)
-        effectors = [model.end_effector(name) for name in CONTACT_NAMES]
-        self.bodies = np.array([body for body, _ in effectors])
-        self.offsets = np.array([off for _, off in effectors])
         # the contact points' Jacobians are zero past this column (their
         # bodies' supports end there), and so are their Gram products
-        self.foot_cols = int(np.flatnonzero(model.support_mask[self.bodies].any(axis=0)).max()) + 1
+        self.foot_cols = int(np.flatnonzero(model.support_mask[model.contact_bodies].any(axis=0)).max()) + 1
         # the angle term's weights on qdd[3:]; with angle tracking ablated, a
         # weak velocity-damping term (1% of the tracking weight) stays so the
         # otherwise-unconstrained degrees of freedom remain numerically solvable
@@ -302,7 +299,7 @@ class FrameSetup:
         key = active.tobytes()
         found = self._patterns.get(key)
         if found is None:
-            found = self._patterns[key] = _ContactPattern(self.bodies, active, self.settings.cone_facets)
+            found = self._patterns[key] = _ContactPattern(self.model.contact_bodies, active, self.settings.cone_facets)
         return found
 
 
@@ -449,7 +446,7 @@ def frame_problem(
     active = np.zeros(4, dtype=bool)
     tracking = ref.contacts.any()
     if tracking:
-        feet = dyn.points(setup.bodies, setup.offsets)
+        feet = dyn.points(setup.model.contact_bodies, setup.model.contact_offsets)
         surface, normals = setup.ground(feet.position)
         hold = latched & ref.contacts
         active = ref.contacts & (hold | (feet.position[:, 1] < surface + CONTACT_ACTIVATION_MARGIN))
@@ -602,16 +599,16 @@ def refine_sequence(
 
     n = len(seq)
     q_refs = seq.generalized_positions()
-    ee_refs = end_effector_positions(model, forward_kinematics(model, q_refs))
+    points = contact_positions(model, forward_kinematics(model, q_refs))
 
     flat_height = 0.0
     if not settings.use_height_map or hm is None:
-        flat_height = float(min(p[0, 1] for p in ee_refs.values()))
+        flat_height = float(points[0, :, 1].min())
     setup = FrameSetup(model, hm, settings, gains, dt, flat_height)
 
-    contacts = seq.contacts.data if seq.contacts is not None else np.zeros((n, 4), dtype=bool)
+    contacts = seq.contacts if seq.contacts is not None else np.zeros((n, 4), dtype=bool)
     # (n, 4, 3), every labelled target on the ground below it
-    targets = setup.ground_targets(np.stack([ee_refs[name] for name in CONTACT_NAMES], axis=1), contacts)
+    targets = setup.ground_targets(points, contacts)
 
     state = GeneralizedState(q_refs[0].copy(), (q_refs[1] - q_refs[0]) / dt, np.zeros(NV))
     out_q = np.empty((n, NV))

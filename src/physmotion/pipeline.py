@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .frames import FilterParams, Trajectory, camera_to_world, load_trajectory, one_euro_filter
-from .humanoid import HumanoidModel, default_model, load_model
+from .humanoid import DEFAULT_DT, HumanoidModel, default_model, load_model
 from .metrics import MetricReport, evaluate
 from .motion import MotionSequence, load_motion, save_motion
 from .optimizer import FrameSolution, PDGains, QPSettings, refine_sequence
@@ -79,9 +79,6 @@ _CONFIG_BLOCKS = {
     "filter": ("filter_params", FilterParams),
     "scenario": ("scenario", SyntheticScenario),
 }
-# block fields the run sets from its inputs, so a document may not: the
-# filter runs at the motion file's frame rate
-_SET_BY_RUN = {"filter": {"sample_rate"}}
 
 
 def _check_keys(where: str, block, known: set) -> None:
@@ -107,16 +104,15 @@ def _check_types(where: str, values: dict, cls) -> None:
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Build a RunConfig from a config document; a key that names no field,
-    at the top level or inside a block, or a field the run sets itself,
-    raises ConfigError naming it, and so does a value of the wrong type or
-    out of its field's range."""
+    at the top level or inside a block, raises ConfigError naming it, and so
+    does a value of the wrong type or out of its field's range."""
     plain = {f.name for f in fields(RunConfig)} - {name for name, _ in _CONFIG_BLOCKS.values()}
     _check_keys("config", doc, plain | set(_CONFIG_BLOCKS))
     kwargs = {k: v for k, v in doc.items() if k in plain}
     _check_types("config", kwargs, RunConfig)
     for key, (name, cls) in _CONFIG_BLOCKS.items():
         if key in doc:
-            _check_keys(key, doc[key], {f.name for f in fields(cls)} - _SET_BY_RUN.get(key, set()))
+            _check_keys(key, doc[key], {f.name for f in fields(cls)})
             _check_types(key, doc[key], cls)
             try:
                 kwargs[name] = cls(**doc[key])
@@ -180,13 +176,14 @@ def convert_camera_frame(seq: MotionSequence, camera: Trajectory) -> MotionSeque
 
 
 def filter_motion(seq: MotionSequence, params: FilterParams) -> MotionSequence:
-    """One-Euro filter over root pose and joint angles, channel-wise.
+    """One-Euro filter over root pose and joint angles, channel-wise, at the
+    sequence's frame rate.
 
     The rotation channels are unwrapped to a continuous exponential-coordinate
     series first; filtering raw per-frame logs would smear 2-pi branch flips
     into large transients.
     """
-    smoothed = one_euro_filter(seq.generalized_positions(), params)
+    smoothed = one_euro_filter(seq.generalized_positions(), params, seq.frame_rate)
     return MotionSequence(
         frame_rate=seq.frame_rate,
         root_trans=smoothed[:, 0:3],
@@ -198,9 +195,11 @@ def filter_motion(seq: MotionSequence, params: FilterParams) -> MotionSequence:
 
 
 def save_forces(solutions: List[FrameSolution], path: str | Path) -> None:
-    """Line-delimited JSON: per frame contact ids, force vectors, torques."""
+    """Line-delimited JSON: per frame contact ids, force vectors, torques.
+    The frames are refinement frames, at the header's fps (1 / DEFAULT_DT)
+    whatever the motion's rate."""
     with open(path, "w") as fh:
-        header = {"schema": "physmotion.forces/1", "frames": len(solutions)}
+        header = {"schema": "physmotion.forces/1", "fps": 1.0 / DEFAULT_DT, "frames": len(solutions)}
         fh.write(json.dumps(header) + "\n")
         for t, sol in enumerate(solutions):
             rec = {
@@ -255,7 +254,7 @@ def run_pipeline(
             config.filter_params.min_cutoff,
             config.filter_params.beta,
         )
-        seq = filter_motion(seq, replace(config.filter_params, sample_rate=seq.frame_rate))
+        seq = filter_motion(seq, config.filter_params)
 
     hmap: Optional[HeightMap] = None
     if config.mesh_path:

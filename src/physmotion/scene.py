@@ -10,6 +10,9 @@ alike. Height and normal queries take scalars or arrays of points; one call
 answers a frame's contact points or a whole sequence (the refinement's
 foot targets, the penetration metric). A query gathers the four cells of
 each point from the flattened grid, which HeightMap keeps row-major.
+
+Contact labels are a plain (T, 4) bool array, one column per contact point
+in CONTACT_NAMES order; the contacts file holds one row of them per frame.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .errors import EmptySceneError, InvalidInputError, MotionFormatError
 from .rotations import vector_norms
 
 DEFAULT_GRID_RESOLUTION = (1024, 1024)
+# the contact points, in the order of every (T, 4) contact-label array and of
+# HumanoidModel.contact_bodies and contact_offsets
 CONTACT_NAMES = ("l_toe", "r_toe", "l_heel", "r_heel")
 
 
@@ -367,29 +372,17 @@ def query_surface(
     return (float(h[0]) if x.ndim == 0 else h[0]), n / vector_norms(n)
 
 
-@dataclass
-class ContactLabels:
-    """Per-frame booleans for (l_toe, r_toe, l_heel, r_heel)."""
-
-    data: np.ndarray  # (T, 4) bool
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=bool).reshape(-1, 4)
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-
-def save_contacts_csv(labels: ContactLabels, path: str | Path) -> None:
+def save_contacts_csv(labels: np.ndarray, path: str | Path) -> None:
+    """Write (T, 4) contact labels, one row per frame."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("frame",) + CONTACT_NAMES)
-        for t, row in enumerate(labels.data):
+        for t, row in enumerate(labels):
             writer.writerow([t] + [int(v) for v in row])
 
 
-def load_contacts_csv(path: str | Path) -> ContactLabels:
-    """Per-frame labels written by save_contacts_csv: every row holds a frame
+def load_contacts_csv(path: str | Path) -> np.ndarray:
+    """(T, 4) bool labels written by save_contacts_csv: every row holds a frame
     index and one 0/1 field per contact point, and row t labels motion frame
     t, so its frame field must read t."""
     rows = []
@@ -414,7 +407,7 @@ def load_contacts_csv(path: str | Path) -> ContactLabels:
                     f"{path}:{reader.line_num}: frame {values[0]} in row {len(rows)}; row t must label frame t"
                 )
             rows.append([v == 1 for v in labels])
-    return ContactLabels(np.array(rows, dtype=bool).reshape(-1, 4))
+    return np.array(rows, dtype=bool).reshape(-1, 4)
 
 
 _HEIGHT_MAP_MAGIC = "physmotion-heightmap 1"

@@ -2,7 +2,9 @@
 
 Ground-truth motion is built so that contact-labeled foot markers sit on the
 analytic scene surface (sub-millimeter), with legs posed by closed-form
-planar two-link IK. The noisy twin adds per-joint Gaussian angle noise and a
+planar two-link IK. The contact labels are one (T, 4) bool array in
+scene.CONTACT_NAMES order: each foot's toe and heel carry that foot's
+stance. The noisy twin adds per-joint Gaussian angle noise and a
 linear root drift, standing in for a kinematic estimator's output.
 
 All motions face +z; the ramp scene descends along +z so downhill walks
@@ -22,7 +24,7 @@ from .errors import InvalidInputError, check_number
 from .humanoid import NV, HumanoidModel, default_model
 from .motion import MotionSequence, save_motion, sequence_from_generalized
 from .rotations import exp_so3
-from .scene import ContactLabels, TriangleMesh, make_box_mesh, merge_meshes, save_contacts_csv, save_obj
+from .scene import CONTACT_NAMES, TriangleMesh, make_box_mesh, merge_meshes, save_contacts_csv, save_obj
 
 SCENE_KINDS = ("flat", "ramp", "step")
 MOTION_KINDS = ("stand", "walk", "squat", "step-climb")
@@ -84,7 +86,7 @@ class ScenarioBundle:
     noisy: MotionSequence
     ground_truth: MotionSequence
     mesh: TriangleMesh
-    contacts: ContactLabels
+    contacts: np.ndarray  # (T, 4) bool, CONTACT_NAMES order
 
 
 def surface_height(scene: str, z: float) -> float:
@@ -312,9 +314,8 @@ def generate_scenario(
             q[3 + 3 * foot_cols] = a4
             stance[k, side] = on_ground
 
-    contacts = ContactLabels(
-        np.stack([stance[:, 0], stance[:, 1], stance[:, 0], stance[:, 1]], axis=1)
-    )
+    # each contact point is labelled with its foot's stance
+    contacts = stance[:, [0 if name.startswith("l_") else 1 for name in CONTACT_NAMES]]
     gt = sequence_from_generalized(fps, q_frames, model, contacts)
 
     rng = np.random.default_rng(scenario.seed)
@@ -326,9 +327,7 @@ def generate_scenario(
         direction = np.array([math.cos(angle), 0.0, math.sin(angle)])
         times = np.arange(n) / fps
         noisy_q[:, 0:3] += direction[None, :] * (scenario.drift_rate * times)[:, None]
-    noisy = sequence_from_generalized(
-        fps, noisy_q, model, ContactLabels(contacts.data.copy())
-    )
+    noisy = sequence_from_generalized(fps, noisy_q, model, contacts.copy())
     mesh = scene_mesh(scenario.scene, min(0.0, plan.root_z(0.0)), plan.root_z((n - 1) / fps))
     return ScenarioBundle(noisy=noisy, ground_truth=gt, mesh=mesh, contacts=contacts)
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from physmotion.humanoid import DEFAULT_DT, NUM_BODIES, NV, FKResult, end_effector_positions, forward_kinematics
+from physmotion.humanoid import DEFAULT_DT, NUM_BODIES, NV, FKResult, contact_positions, forward_kinematics
 from physmotion.optimizer import (
     CONTACT_ACTIVATION_MARGIN,
     CONTACT_KP,
@@ -78,9 +78,14 @@ def generalized_position(seq, t, previous=None):
 
 
 def contact_targets(model, q):
-    """(4, 3) world positions of the contact end effectors at q, CONTACT_NAMES order."""
-    ee = end_effector_positions(model, forward_kinematics(model, q))
-    return np.array([ee[name] for name in CONTACT_NAMES])
+    """(4, 3) world positions of the contact points at q, CONTACT_NAMES order."""
+    return contact_positions(model, forward_kinematics(model, q))
+
+
+def contact_point(model, name):
+    """(body index, offset) of the named contact point, found in the bodies'
+    own end effectors rather than in the model's contact table."""
+    return next((i, b.end_effectors[name]) for i, b in enumerate(model.bodies) if name in b.end_effectors)
 
 
 def skew(v):
@@ -394,7 +399,7 @@ def frame_qp_scalar(model, dyn, state, ref, hm, settings, level, dt, latched):
     _, use_slide, use_cone = next(entry for entry in FALLBACK_LEVELS if entry[0] == level)
     points, hold, targets = {}, {}, {}
     if ref.contacts.any():
-        effectors = [model.end_effector(name) for name in CONTACT_NAMES]
+        effectors = [contact_point(model, name) for name in CONTACT_NAMES]
         targets = {name: ref.ee_targets[k].copy() for k, name in enumerate(CONTACT_NAMES)}
         grounded = [name for name in targets if ref.contacts[CONTACT_NAMES.index(name)]]
         terms = [point_terms_scalar(model, dyn, body, off) for body, off in effectors]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 from oracles import (
+    contact_point,
     contact_targets,
     generalized_position,
     inverse_dynamics_scalar,
@@ -64,7 +65,7 @@ def _announce(name: str, ok: bool, detail: str) -> None:
 
 
 def _filtered_reference(seq, contacts, min_cutoff=1.0, beta=0.7):
-    filt = filter_motion(seq, FilterParams(min_cutoff=min_cutoff, beta=beta, sample_rate=60.0))
+    filt = filter_motion(seq, FilterParams(min_cutoff=min_cutoff, beta=beta))
     q = np.array([generalized_position(filt, t) for t in range(len(filt))])
     return sequence_from_generalized(60.0, q, MODEL, contacts)
 
@@ -142,17 +143,17 @@ def test_criterion_2_constraint_satisfaction():
         latched = np.zeros(4, bool)
         for t in range(n):
             future = q_refs[t + 1 : t + 3, 0:3] if t + 2 < n else None
-            ref = ReferenceFrameInput(q_refs[t], contact_targets(MODEL, q_refs[t]), bundle.contacts.data[t], future)
+            ref = ReferenceFrameInput(q_refs[t], contact_targets(MODEL, q_refs[t]), bundle.contacts[t], future)
             sol = solve_frame_grounded(MODEL, state, ref, hm, settings, dt=dt, latched=latched)
             latched = np.array(
-                [bundle.contacts.data[t][k] and CONTACT_NAMES[k] in sol.contact_names for k in range(4)]
+                [bundle.contacts[t][k] and CONTACT_NAMES[k] in sol.contact_names for k in range(4)]
             )
             degraded_total += sol.degraded
             dyn = frame_dynamics(MODEL, state.q, state.qd)
             m, h = dyn.m, dyn.h
             jt_lambda = np.zeros(NV)
             for cname, force in zip(sol.contact_names, sol.contact_forces):
-                body, off = MODEL.end_effector(cname)
+                body, off = contact_point(MODEL, cname)
                 fk_c = forward_kinematics(MODEL, state.q)
                 pos = fk_c.positions[body] + fk_c.rotations[body] @ off
                 jt_lambda += dyn.points([body], off).jacobian[0].T @ force
@@ -238,7 +239,7 @@ def test_criterion_4_penetration_improvement():
     q = np.array([generalized_position(bundle.noisy, t) for t in range(len(bundle.noisy))])
     q[:, 1] -= 0.05
     raw = sequence_from_generalized(60.0, q, MODEL, bundle.contacts)
-    filt = filter_motion(raw, FilterParams(min_cutoff=0.004, beta=0.7, sample_rate=60.0))
+    filt = filter_motion(raw, FilterParams(min_cutoff=0.004, beta=0.7))
     qf = np.array([generalized_position(filt, t) for t in range(len(filt))])
     ref_seq = sequence_from_generalized(60.0, qf, MODEL, bundle.contacts)
     refined, _ = refine_sequence(MODEL, ref_seq, hm, QPSettings())
@@ -363,11 +364,11 @@ def test_criterion_7_frames_and_filters():
         worst_cw = max(worst_cw, np.abs(back_rot - pose_rot).max())
         worst_cw = max(worst_cw, np.abs(back_trans - pose_trans).max())
     const = np.full(100, 1.234)
-    const_out = one_euro_filter(const, FilterParams(min_cutoff=0.5, beta=0.3, sample_rate=60))
+    const_out = one_euro_filter(const, FilterParams(min_cutoff=0.5, beta=0.3), 60)
     const_ok = np.array_equal(const_out, const)
     step = np.concatenate([np.zeros(10), np.ones(40)])
-    params = FilterParams(min_cutoff=1.0, beta=0.0, sample_rate=60)
-    got = one_euro_filter(step, params)
+    params = FilterParams(min_cutoff=1.0, beta=0.0)
+    got = one_euro_filter(step, params, 60)
 
     def alpha(fc, rate=60.0):
         return 1.0 / (1.0 + rate / (2.0 * np.pi * fc))

@@ -181,50 +181,51 @@ def one_euro_reference(signal, min_cutoff, beta, rate, d_cutoff=1.0):
 class TestOneEuro:
     def test_constant_signal_unchanged(self):
         sig = np.full(50, 3.25)
-        out = one_euro_filter(sig, FilterParams(min_cutoff=0.5, beta=0.2, sample_rate=60))
+        out = one_euro_filter(sig, FilterParams(min_cutoff=0.5, beta=0.2), 60)
         assert np.array_equal(out, sig)
 
     def test_first_sample_unchanged(self, rng):
         sig = rng.normal(size=(30, 4))
-        out = one_euro_filter(sig, FilterParams(sample_rate=60))
+        out = one_euro_filter(sig, FilterParams(), 60)
         assert np.array_equal(out[0], sig[0])
 
     def test_step_response_matches_direct_recursion(self):
         sig = np.concatenate([np.zeros(10), np.ones(30)])
-        params = FilterParams(min_cutoff=1.0, beta=0.0, sample_rate=60)
-        out = one_euro_filter(sig, params)
+        params = FilterParams(min_cutoff=1.0, beta=0.0)
+        out = one_euro_filter(sig, params, 60)
         expected = one_euro_reference(sig, 1.0, 0.0, 60.0)
         assert np.abs(out - expected).max() < 1e-12
 
     def test_adaptive_cutoff_matches_direct_recursion(self, rng):
         sig = np.cumsum(rng.normal(size=80))
-        params = FilterParams(min_cutoff=0.004, beta=0.7, sample_rate=60)
-        out = one_euro_filter(sig, params)
+        params = FilterParams(min_cutoff=0.004, beta=0.7)
+        out = one_euro_filter(sig, params, 60)
         expected = one_euro_reference(sig, 0.004, 0.7, 60.0)
         assert np.abs(out - expected).max() < 1e-12
 
     def test_channelwise_independence(self, rng):
         sig = rng.normal(size=(40, 3))
-        params = FilterParams(min_cutoff=0.1, beta=0.5, sample_rate=30)
-        stacked = one_euro_filter(sig, params)
+        params = FilterParams(min_cutoff=0.1, beta=0.5)
+        stacked = one_euro_filter(sig, params, 30)
         for c in range(3):
-            single = one_euro_filter(sig[:, c], params)
+            single = one_euro_filter(sig[:, c], params, 30)
             assert np.abs(stacked[:, c] - single).max() < 1e-15
 
     def test_empty_signal(self):
-        out = one_euro_filter(np.zeros((0, 3)), FilterParams(sample_rate=60))
+        out = one_euro_filter(np.zeros((0, 3)), FilterParams(), 60)
         assert out.shape == (0, 3)
 
     def test_non_finite_rejected(self):
         sig = np.array([0.0, np.nan, 1.0])
         with pytest.raises(InvalidInputError):
-            one_euro_filter(sig, FilterParams(sample_rate=60))
+            one_euro_filter(sig, FilterParams(), 60)
 
     def test_param_validation(self):
         with pytest.raises(InvalidInputError):
             FilterParams(min_cutoff=0.0)
-        with pytest.raises(InvalidInputError):
-            FilterParams(sample_rate=0.0)
+        for rate in (0.0, -60.0, float("nan")):
+            with pytest.raises(InvalidInputError, match="rate must be finite and > 0"):
+                one_euro_filter(np.zeros(3), FilterParams(), rate)
         with pytest.raises(InvalidInputError):
             FilterParams(beta=-0.1)
 

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     backward_pass_scalar,
+    contact_point,
     crba_scalar,
     fk_scalar,
     forward_sweep_scalar,
@@ -19,7 +20,7 @@ from physmotion.humanoid import (
     Body,
     GeneralizedState,
     HumanoidModel,
-    end_effector_positions,
+    contact_positions,
     forward_kinematics,
     frame_dynamics,
     integrate,
@@ -27,6 +28,7 @@ from physmotion.humanoid import (
 )
 import physmotion.humanoid as humanoid
 from physmotion.rotations import exp_and_jacobians, exp_so3
+from physmotion.scene import CONTACT_NAMES
 
 
 def random_state(rng, angle_scale=0.6, vel_scale=1.0):
@@ -101,16 +103,26 @@ class TestForwardKinematics:
             expected = fk_scalar(model, q[t])
             assert np.abs(fk.rotations[t] - expected.rotations).max() <= 1e-12
             assert np.abs(fk.positions[t] - expected.positions).max() <= 1e-12
-        # any leading shape; end effectors carry it too
+        # any leading shape; the contact points carry it too
         grid = forward_kinematics(model, q.reshape(10, 15, NV))
         assert np.array_equal(grid.positions.reshape(150, 24, 3), fk.positions)
-        stacked = end_effector_positions(model, fk)
+        stacked = contact_positions(model, fk)
+        assert stacked.shape == (150, 4, 3)
         for t in (0, 77, 149):
-            one = end_effector_positions(model, forward_kinematics(model, q[t]))
-            assert one.keys() == stacked.keys()
-            for name, p in one.items():
-                assert p.shape == (3,) and stacked[name].shape == (150, 3)
-                assert np.abs(stacked[name][t] - p).max() <= 1e-12
+            one = contact_positions(model, forward_kinematics(model, q[t]))
+            assert one.shape == (4, 3)
+            assert np.abs(stacked[t] - one).max() <= 1e-12
+
+    def test_contact_positions_equal_the_per_point_transform(self, model, rng):
+        # each point found in its body's own end effectors, placed one frame
+        # at a time as positions + R @ offset
+        q = np.concatenate([rng.normal(size=(40, 3)), rng.normal(size=(40, 72)) * 1.5], axis=1)
+        fk = forward_kinematics(model, q)
+        got = contact_positions(model, fk)
+        for k, name in enumerate(CONTACT_NAMES):
+            body, off = contact_point(model, name)
+            for t in range(len(q)):
+                assert np.array_equal(got[t, k], fk.positions[t, body] + fk.rotations[t, body] @ off)
 
 
 def point_jacobian(model, q, body, local_point):
@@ -320,9 +332,7 @@ class TestBatchedKernels:
                 assert np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_batched_foot_points_equal_one_point_at_a_time(self, model, rng):
-        effectors = [model.end_effector(name) for name in ("l_toe", "r_toe", "l_heel", "r_heel")]
-        bodies = [body for body, _ in effectors]
-        offsets = np.array([off for _, off in effectors])
+        bodies, offsets = model.contact_bodies, model.contact_offsets
         for q, qd, _ in seeded_states(rng, 12):
             dyn = frame_dynamics(model, q, qd)
             # the feet, then arbitrary points on arbitrary bodies
@@ -431,13 +441,23 @@ class TestModelIO:
             assert a.name == b.name and a.parent == b.parent
             assert np.abs(a.offset - b.offset).max() < 1e-12
             assert np.abs(a.inertia - b.inertia).max() < 1e-12
-        assert [e[0] for e in loaded.end_effectors] == [e[0] for e in model.end_effectors]
+        assert np.array_equal(loaded.contact_bodies, model.contact_bodies)
+        assert np.array_equal(loaded.contact_offsets, model.contact_offsets)
 
     def test_default_model_shape(self, model):
         assert len(model.bodies) == 24
         assert model.total_mass == pytest.approx(70.0)
-        assert {name for name, _, _ in model.end_effectors} == {"l_toe", "r_toe", "l_heel", "r_heel"}
         assert np.allclose(model.gravity, [0.0, -9.81, 0.0])
+
+    def test_default_contact_table_is_the_model_files_markers(self, model):
+        markers = {
+            e["name"]: (i, e["offset_xyz"])
+            for i, rec in enumerate(_default_doc()["bodies"])
+            for e in rec.get("end_effectors", [])
+        }
+        assert sorted(markers) == sorted(CONTACT_NAMES)
+        assert model.contact_bodies.tolist() == [markers[name][0] for name in CONTACT_NAMES]
+        assert model.contact_offsets.tolist() == [markers[name][1] for name in CONTACT_NAMES]
 
     def test_validation_rejects_bad_models(self, model):
         bodies = [Body(b.name, b.parent, b.offset.copy(), b.mass, b.inertia.copy(), dict(b.end_effectors)) for b in model.bodies]
@@ -474,6 +494,27 @@ def _default_doc():
     ],
 )
 def test_model_from_dict_rejects_non_finite_fields(edit, message):
+    from physmotion.humanoid import model_from_dict
+
+    doc = _default_doc()
+    edit(doc)
+    with pytest.raises(InvalidInputError, match=message):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["bodies"][0].update(end_effectors=[{"name": "l_toe", "offset_xyz": [0.0, -0.9, 0.0]}]),
+         "body l_foot: contact point l_toe is already on body pelvis"),
+        (lambda doc: doc["bodies"][10]["end_effectors"].append({"name": "l_toe", "offset_xyz": [0.0, -0.02, 0.2]}),
+         "body l_foot: end effector l_toe is listed twice"),
+        (lambda doc: doc["bodies"][20].update(end_effectors=[{"name": "l_hand", "offset_xyz": [0.0, -1.5, 0.0]}]),
+         "body l_wrist: end effector l_hand is not a contact point"),
+    ],
+    ids=["second-body", "twice-in-one-body", "not-a-contact-point"],
+)
+def test_model_from_dict_rejects_stray_and_repeated_contact_points(edit, message):
     from physmotion.humanoid import model_from_dict
 
     doc = _default_doc()

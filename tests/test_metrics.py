@@ -18,7 +18,7 @@ from physmotion.metrics import (
     wa_mpjpe,
 )
 from physmotion.motion import MotionSequence
-from physmotion.scene import ContactLabels, HeightMap, build_height_map, make_box_mesh, query_height
+from physmotion.scene import HeightMap, build_height_map, make_box_mesh, query_height
 
 
 def make_seq(rng, n=10, joints=None, walk=True):
@@ -304,12 +304,12 @@ class TestFootSliding:
 
     def test_stationary_is_zero(self):
         seq = self.make_standing()
-        contacts = ContactLabels(np.ones((12, 4), dtype=bool))
+        contacts = np.ones((12, 4), dtype=bool)
         assert foot_sliding(seq, contacts) == 0.0
 
     def test_no_contacts_warns_and_returns_zero(self):
         seq = self.make_standing()
-        contacts = ContactLabels(np.zeros((12, 4), dtype=bool))
+        contacts = np.zeros((12, 4), dtype=bool)
         with pytest.warns(UserWarning):
             assert foot_sliding(seq, contacts) == 0.0
 
@@ -320,7 +320,9 @@ class TestFootSliding:
             seq.joint_positions[t, TOE_JOINTS[0], 0] = 0.002 * t
         labels = np.zeros((11, 4), dtype=bool)
         labels[:, 0] = True
-        assert abs(foot_sliding(seq, ContactLabels(labels)) - 2.0) < 1e-9
+        assert abs(foot_sliding(seq, labels) - 2.0) < 1e-9
+        # 0/1 labels are labels, not row indices
+        assert abs(foot_sliding(seq, labels.astype(int)) - 2.0) < 1e-9
 
 
 class TestPenetrationStats:
@@ -336,19 +338,19 @@ class TestPenetrationStats:
 
     def test_on_surface(self):
         seq = self.seq_at_height(0.0)
-        pct, depth, above = penetration_stats(seq, self.flat_map(), ContactLabels(np.ones((10, 4), bool)))
+        pct, depth, above = penetration_stats(seq, self.flat_map(), np.ones((10, 4), bool))
         assert (pct, depth, above) == (0.0, 0.0, 0.0)
 
     def test_uniform_penetration(self):
         seq = self.seq_at_height(-0.010)
-        pct, depth, above = penetration_stats(seq, self.flat_map(), ContactLabels(np.ones((10, 4), bool)))
+        pct, depth, above = penetration_stats(seq, self.flat_map(), np.ones((10, 4), bool))
         assert pct == 100.0
         assert abs(depth - 10.0) < 1e-9
         assert above == 0.0
 
     def test_height_above(self):
         seq = self.seq_at_height(0.025)
-        pct, depth, above = penetration_stats(seq, self.flat_map(), ContactLabels(np.ones((10, 4), bool)))
+        pct, depth, above = penetration_stats(seq, self.flat_map(), np.ones((10, 4), bool))
         assert pct == 0.0 and depth == 0.0
         assert abs(above - 25.0) < 1e-9
 
@@ -356,7 +358,7 @@ class TestPenetrationStats:
         n = 20
         pos = rng.normal(size=(n, 24, 3)) * 0.05
         seq = MotionSequence(60.0, np.zeros((n, 3)), np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 23, 3)), pos)
-        labels = ContactLabels(rng.uniform(size=(n, 4)) > 0.3)
+        labels = rng.uniform(size=(n, 4)) > 0.3
         pct, depth, above = penetration_stats(seq, hm, labels)
         pen_frames, depths, heights = 0, [], []
         for t in range(n):
@@ -364,7 +366,7 @@ class TestPenetrationStats:
             if worst > 0:
                 pen_frames += 1
                 depths.append(worst)
-            if labels.data[t].any():
+            if labels[t].any():
                 jlow = min(FOOT_JOINTS, key=lambda j: pos[t, j, 1])
                 heights.append(max(0.0, pos[t, jlow, 1] - query_height(hm, *pos[t, jlow, [0, 2]])))
         assert abs(pct - 100.0 * pen_frames / n) < 1e-9
@@ -381,7 +383,7 @@ class TestPenetrationStats:
 
     def test_contacts_length_must_match(self):
         with pytest.raises(InvalidInputError, match="contacts length"):
-            penetration_stats(self.seq_at_height(0.0), self.flat_map(), ContactLabels(np.ones((9, 4), bool)))
+            penetration_stats(self.seq_at_height(0.0), self.flat_map(), np.ones((9, 4), bool))
 
     def test_strictly_above_is_zero_pct(self, rng):
         seq = self.seq_at_height(0.001)

@@ -15,7 +15,6 @@ from physmotion.motion import (
     sequence_from_generalized,
 )
 from physmotion.rotations import exp_so3, log_so3, matrix_to_quat
-from physmotion.scene import ContactLabels
 from physmotion.synth import SyntheticScenario, generate_scenario
 
 
@@ -26,7 +25,7 @@ def make_sequence(rng, n=5, with_positions=True, with_contacts=True):
         root_rot=np.array([random_rotation(rng) for _ in range(n)]),
         joint_angles=rng.normal(size=(n, 23, 3)) * 0.5,
         joint_positions=rng.normal(size=(n, 24, 3)) if with_positions else None,
-        contacts=ContactLabels(rng.uniform(size=(n, 4)) > 0.5) if with_contacts else None,
+        contacts=rng.uniform(size=(n, 4)) > 0.5 if with_contacts else None,
     )
 
 
@@ -45,7 +44,7 @@ def save_motion_per_element(seq, path):
             if seq.joint_positions is not None:
                 rec["joint_positions"] = [[float(v) for v in row] for row in seq.joint_positions[t]]
             if seq.contacts is not None:
-                rec["contacts"] = [bool(v) for v in seq.contacts.data[t]]
+                rec["contacts"] = [bool(v) for v in seq.contacts[t]]
             fh.write(json.dumps(rec) + "\n")
 
 

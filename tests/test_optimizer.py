@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import contact_targets, frame_qp_scalar, generalized_position, grounded, solve_frame_grounded
+from oracles import contact_point, contact_targets, frame_qp_scalar, generalized_position, grounded, solve_frame_grounded
 
 from physmotion.errors import InvalidInputError, QPInfeasibleError, SolverError
 from physmotion.humanoid import (
@@ -10,7 +10,7 @@ from physmotion.humanoid import (
     Body,
     GeneralizedState,
     HumanoidModel,
-    end_effector_positions,
+    contact_positions,
     forward_kinematics,
     frame_dynamics,
 )
@@ -85,8 +85,8 @@ class TestPDAngles:
 
 
 def feet_of(model, q, qd, names):
-    """The batched point terms of the named end effectors."""
-    effectors = [model.end_effector(name) for name in names]
+    """The batched point terms of the named contact points."""
+    effectors = [contact_point(model, name) for name in names]
     dyn = frame_dynamics(model, q, qd)
     return dyn.points([body for body, _ in effectors], np.array([off for _, off in effectors]))
 
@@ -94,16 +94,15 @@ def feet_of(model, q, qd, names):
 class TestPDPoints:
     def test_at_target_at_rest(self, model):
         q = np.zeros(NV)
-        ee = end_effector_positions(model, forward_kinematics(model, q))
-        feet = feet_of(model, q, np.zeros(NV), list(ee))
-        out = pd_desired_accel_points(feet.position, feet.velocity, np.array(list(ee.values())), PDGains())
-        assert out.shape == (len(ee), 3)
+        points = contact_positions(model, forward_kinematics(model, q))
+        feet = feet_of(model, q, np.zeros(NV), CONTACT_NAMES)
+        out = pd_desired_accel_points(feet.position, feet.velocity, points, PDGains())
+        assert out.shape == (len(CONTACT_NAMES), 3)
         assert np.abs(out).max() < 1e-12
 
     def test_proportional_magnitude(self, model):
         q = np.zeros(NV)
-        ee = end_effector_positions(model, forward_kinematics(model, q))
-        target = ee["l_toe"] + np.array([0.01, 0.0, 0.0])
+        target = contact_targets(model, q)[CONTACT_NAMES.index("l_toe")] + np.array([0.01, 0.0, 0.0])
         gains = PDGains(position_kp=400.0, position_kd=0.0)
         feet = feet_of(model, q, np.zeros(NV), ["l_toe"])
         out = pd_desired_accel_points(feet.position, feet.velocity, target[None], gains)
@@ -113,13 +112,12 @@ class TestPDPoints:
         q = np.concatenate([rng.normal(size=3), rng.normal(size=72) * 0.4])
         qd = rng.normal(size=NV)
         fk = forward_kinematics(model, q)
-        ee = end_effector_positions(model, fk)
-        targets = {name: p + rng.normal(size=3) * 0.05 for name, p in ee.items()}
+        targets = {name: p + rng.normal(size=3) * 0.05 for name, p in zip(CONTACT_NAMES, contact_positions(model, fk))}
         gains = PDGains(position_kp=123.0, position_kd=4.5)
         feet = feet_of(model, q, qd, list(targets))
         out = pd_desired_accel_points(feet.position, feet.velocity, np.array(list(targets.values())), gains)
         for k, name in enumerate(targets):
-            body, off = model.end_effector(name)
+            body, off = contact_point(model, name)
             pos = fk.positions[body] + fk.rotations[body] @ off
             vel = feet.jacobian[k] @ qd
             expected = 123.0 * (targets[name] - pos) - 4.5 * vel
@@ -187,7 +185,7 @@ class TestSolveFrame:
             h = dyn.h
             jt_lambda = np.zeros(NV)
             for name, force in zip(sol.contact_names, sol.contact_forces):
-                body, off = model.end_effector(name)
+                body, off = contact_point(model, name)
                 jt_lambda += dyn.points([body], off).jacobian[0].T @ force
             residual = sol.tau + jt_lambda - dyn.m @ sol.qdd - h
             assert np.abs(residual).max() <= 1e-6 * (1.0 + np.abs(h).max())
@@ -369,7 +367,7 @@ def walk_frame(model, scene, t, contacts=None):
     q = generalized_position(seq, t)
     qd = (generalized_position(seq, t + 1, previous=q) - q) * seq.frame_rate
     future = np.array([generalized_position(seq, t + k)[0:3] for k in (1, 2)])
-    labels = bundle.contacts.data[t] if contacts is None else contacts
+    labels = bundle.contacts[t] if contacts is None else contacts
     ref = ReferenceFrameInput(q.copy(), contact_targets(model, q), labels, future)
     return GeneralizedState(q, qd, np.zeros(NV)), ref, build_height_map(bundle.mesh, (64, 64))
 
@@ -382,9 +380,8 @@ class TestGroundTargets:
         for scene in ("ramp", "step"):
             bundle = generate_scenario(SyntheticScenario(scene, "walk", 0.02, 0.0, 1.5, 4), model)
             hm = build_height_map(bundle.mesh, (64, 64))
-            ee = end_effector_positions(model, forward_kinematics(model, bundle.noisy.generalized_positions()))
-            targets = np.stack([ee[name] for name in CONTACT_NAMES], axis=1)
-            labels = bundle.contacts.data
+            targets = contact_positions(model, forward_kinematics(model, bundle.noisy.generalized_positions()))
+            labels = bundle.contacts
             assert labels.any() and not labels.all()
             for settings in (QPSettings(), QPSettings(use_height_map=False)):
                 setup = FrameSetup(model, hm, settings, flat_ground_height=-0.0123)
@@ -399,7 +396,9 @@ class TestGroundTargets:
                         heights = np.full(int(on.sum()), -0.0123)
                     expected[on, 1] = heights + CONTACT_REST_OFFSET
                     assert np.array_equal(got[t], expected), (scene, settings.use_height_map, t)
-                assert np.array_equal(targets, np.stack([ee[name] for name in CONTACT_NAMES], axis=1))
+                assert np.array_equal(
+                    targets, contact_positions(model, forward_kinematics(model, bundle.noisy.generalized_positions()))
+                )
 
 
 class TestContactAssembly:

@@ -256,9 +256,7 @@ class TestRunPipeline:
         result = run_pipeline(config, model=model)
         # output equals the filtered kinematic input exactly
         loaded = load_motion(tmp_path / "noisy.jsonl")
-        params = FilterParams(min_cutoff=config.filter_params.min_cutoff,
-                              beta=config.filter_params.beta, sample_rate=loaded.frame_rate)
-        expected = filter_motion(loaded, params)
+        expected = filter_motion(loaded, config.filter_params)
         assert np.abs(result.refined.root_trans - expected.root_trans).max() < 1e-12
         assert np.abs(result.refined.joint_angles - expected.joint_angles).max() < 1e-12
 
@@ -276,9 +274,24 @@ class TestRunPipeline:
         assert len(reloaded) == len(result.refined)
         forces_lines = Path(result.outputs["forces"]).read_text().splitlines()
         header = json.loads(forces_lines[0])
-        assert header["frames"] == len(result.refined)
+        assert header["fps"] == 60.0 and header["frames"] == len(result.refined)
         rec = json.loads(forces_lines[1])
         assert set(rec) == {"frame", "contacts", "tau", "degraded"}
+
+    def test_forces_header_gives_the_refinement_rate(self, tmp_path, model):
+        # a 30 fps input is refined at 60 fps: the forces count physics frames
+        write_scenario(tmp_path, model, frame_rate=30.0)
+        config = RunConfig(
+            motion_path=str(tmp_path / "noisy.jsonl"),
+            mesh_path=str(tmp_path / "scene.obj"),
+            contacts_path=str(tmp_path / "contacts.csv"),
+            output_dir=str(tmp_path / "out"),
+            grid_resolution=64,
+        )
+        result = run_pipeline(config, model=model)
+        assert len(result.refined) == 31 and len(result.solutions) == 61
+        header = json.loads(Path(result.outputs["forces"]).read_text().splitlines()[0])
+        assert header == {"schema": "physmotion.forces/1", "fps": 60.0, "frames": len(result.solutions)}
 
     def test_determinism_byte_identical(self, tmp_path, model):
         write_scenario(tmp_path, model, noise_sigma=0.02)
@@ -383,6 +396,23 @@ class TestCLI:
             bundle = generate_scenario(SyntheticScenario(**{**block, "seed": 5}), model)
             save_motion(bundle.noisy, "expected.jsonl")
             assert Path("out/inputs/noisy_motion.jsonl").read_bytes() == Path("expected.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (["--friction-mu", "nan", "--solver-tol", "-1"], "friction_mu"),
+            (["--solver-tol", "-1"], "solver_tol"),
+            (["--reg-weight", "0"], "reg_weight"),
+        ],
+    )
+    def test_refine_overrides_are_checked(self, tmp_path, model, overrides, field):
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            write_scenario(Path("."), model)
+            r = runner.invoke(main, ["refine", "--motion", "noisy.jsonl", "--out", "out"] + overrides)
+            assert r.exit_code == EXIT_CONFIG, r.output
+            assert f"{field} must be finite and > 0" in r.output
+            assert not Path("out").exists()
 
     def test_pipeline_config_error_exit_code(self, tmp_path):
         runner = CliRunner()
@@ -544,7 +574,7 @@ class TestCLI:
 def save_forces_per_element(solutions, path):
     """Writer with one float() per element: the byte oracle for save_forces."""
     with open(path, "w") as fh:
-        header = {"schema": "physmotion.forces/1", "frames": len(solutions)}
+        header = {"schema": "physmotion.forces/1", "fps": 60.0, "frames": len(solutions)}
         fh.write(json.dumps(header) + "\n")
         for t, sol in enumerate(solutions):
             rec = {
@@ -578,7 +608,7 @@ def test_forces_bytes_equal_the_per_element_writer(tmp_path, rng):
 def test_sequence_stages_make_no_per_frame_forward_kinematics(model, fk_calls):
     bundle = generate_scenario(SyntheticScenario(scene="flat", motion="walk", duration=0.5, seed=3), model)
     fk_calls.clear()  # the scenario generator's own calls
-    filter_motion(bundle.noisy, FilterParams(sample_rate=60.0))
+    filter_motion(bundle.noisy, FilterParams())
     assert fk_calls == []
     bundle.noisy.with_joint_positions(model)
     assert fk_calls == [(len(bundle.noisy), 75)]

@@ -12,7 +12,7 @@ which do not involve the torques, are taken from the reduced QP that
 
 import numpy as np
 import pytest
-from oracles import contact_targets, generalized_position, grounded
+from oracles import contact_point, contact_targets, generalized_position, grounded
 
 from physmotion.humanoid import NV, GeneralizedState, frame_dynamics
 from physmotion.optimizer import (
@@ -40,7 +40,7 @@ def full_qp(model, state, ref, hm, settings, gains, names, reduced):
     nc = len(names)
     n = NV + 3 * nc + NA
     dyn = frame_dynamics(model, q, qd)
-    effectors = [model.end_effector(name) for name in CONTACT_NAMES]
+    effectors = [contact_point(model, name) for name in CONTACT_NAMES]
     feet = dyn.points([body for body, _ in effectors], np.array([off for _, off in effectors]))
     p_mat = np.zeros((n, n))
     q_vec = np.zeros(n)
@@ -111,7 +111,7 @@ def assert_matches(model, state, sol, full):
     dyn = frame_dynamics(model, state.q, state.qd)
     jt_lambda = np.zeros(NV)
     for name, force in zip(sol.contact_names, sol.contact_forces):
-        body, off = model.end_effector(name)
+        body, off = contact_point(model, name)
         jt_lambda += dyn.points([body], off).jacobian[0].T @ force
     h = dyn.h
     lhs = dyn.m @ sol.qdd + h
@@ -149,7 +149,7 @@ def test_single_support_on_ramp(model):
     bundle = generate_scenario(SyntheticScenario("ramp", "walk", 0.0, 0.0, 1.5, 4), model)
     hm = build_height_map(bundle.mesh, (128, 128))
     seq = bundle.ground_truth
-    labels = bundle.contacts.data
+    labels = bundle.contacts
     # the first frame in mid-walk with exactly one foot (toe and heel) labelled
     t = next(
         t for t in range(10, len(seq) - 2)

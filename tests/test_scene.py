@@ -7,7 +7,6 @@ from physmotion.metrics import penetration_stats
 from physmotion.motion import MotionSequence
 from physmotion.rotations import vector_norms
 from physmotion.scene import (
-    ContactLabels,
     HeightMap,
     TriangleMesh,
     build_height_map,
@@ -415,11 +414,11 @@ class TestFileFormats:
             load_height_map(path)
 
     def test_contacts_csv_round_trip(self, rng, tmp_path):
-        labels = ContactLabels(rng.uniform(size=(12, 4)) > 0.5)
+        labels = rng.uniform(size=(12, 4)) > 0.5
         path = tmp_path / "contacts.csv"
         save_contacts_csv(labels, path)
         loaded = load_contacts_csv(path)
-        assert np.array_equal(loaded.data, labels.data)
+        assert loaded.dtype == bool and np.array_equal(loaded, labels)
         header = path.read_text().splitlines()[0]
         assert header == "frame,l_toe,r_toe,l_heel,r_heel"
 

@@ -3,7 +3,7 @@ import pytest
 from oracles import generalized_position
 
 from physmotion.errors import InvalidInputError
-from physmotion.humanoid import end_effector_positions, forward_kinematics
+from physmotion.humanoid import contact_positions, forward_kinematics
 from physmotion.scene import CONTACT_NAMES, build_height_map, query_height
 from physmotion.synth import (
     SCENE_KINDS,
@@ -32,10 +32,10 @@ def test_contact_markers_on_surface(model, scene, motion):
     worst = 0.0
     for t in range(len(gt)):
         fk = forward_kinematics(model, generalized_position(gt, t))
-        ee = end_effector_positions(model, fk)
-        for k, name in enumerate(CONTACT_NAMES):
-            if bundle.contacts.data[t, k]:
-                p = ee[name]
+        points = contact_positions(model, fk)
+        for k in range(len(CONTACT_NAMES)):
+            if bundle.contacts[t, k]:
+                p = points[k]
                 worst = max(worst, abs(p[1] - surface_height(scene, p[2])))
     assert worst < 1e-3  # within 1 mm
 
@@ -48,7 +48,7 @@ def test_zero_noise_identity(model):
 
 def test_stand_all_contacts(model):
     bundle = generate_scenario(SyntheticScenario(scene="flat", motion="stand", duration=1.0, seed=2), model)
-    assert bundle.contacts.data.all()
+    assert bundle.contacts.all()
 
 
 def test_drift_arithmetic(model):
@@ -105,8 +105,7 @@ def test_leg_ik_exactness(model):
         q[3 + 3 * 4] = a2
         q[3 + 3 * 10] = a4
         fk = forward_kinematics(model, q)
-        ee = end_effector_positions(model, fk)
-        got = ee["l_toe"] - fk.positions[1]
+        got = contact_positions(model, fk)[CONTACT_NAMES.index("l_toe")] - fk.positions[1]
         want = toe - hip
         assert np.abs(got - want).max() < 1e-9
 
