@@ -90,10 +90,17 @@ class MotionSequence:
         """(T, 75) q of every frame: the first frame as stored, and in every
         later frame each 3-vector of exponential coordinates (the root's and
         each joint's) moved to the 2*pi-equivalent representation nearest the
-        same vector of the frame before, so no coordinate jumps a branch."""
+        same vector of the frame before, so no coordinate jumps a branch.
+
+        One call checks every frame against its stored predecessor; frames
+        up to the first one with a vector to move are kept as stored, and
+        the frame-by-frame unwrap runs only from there on.
+        """
         q = self._stored_positions()
         coords = q[:, 3:].reshape(len(q), -1, 3)  # a view of q
-        for t in range(1, len(q)):
+        moved = (_continuous_exp_coords(coords[1:], coords[:-1]) != coords[1:]).any(axis=(1, 2))
+        first = 1 + int(np.argmax(moved)) if moved.any() else len(q)
+        for t in range(first, len(q)):
             coords[t] = _continuous_exp_coords(coords[t], coords[t - 1])
         return q
 

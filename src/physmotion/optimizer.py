@@ -181,8 +181,10 @@ class ReferenceFrameInput:
         self.contacts = np.asarray(self.contacts, dtype=bool).reshape(4)
         if self.root_future is not None:
             self.root_future = np.asarray(self.root_future, dtype=float).reshape(2, 3)
-        if not np.isfinite(self.q_ref).all():
-            raise InvalidInputError("q_ref contains non-finite values")
+        for name in ("q_ref", "ee_targets", "root_future"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise InvalidInputError(f"{name} contains non-finite values")
 
 
 @dataclass

@@ -4,11 +4,12 @@ The map stores the top surface only: a vertical downward ray is cast through
 every cell center and the highest hit wins. Cells the mesh never covers get
 the minimum mesh height so queries off the scanned area degrade gracefully.
 
-The rasteriser is vectorised over triangles, in chunks of bounding-box cells
-so its memory stays flat for dense scanned meshes and whole-scene quads
-alike. Height and normal queries take scalars or arrays of points; one call
-answers a frame's contact points or a whole sequence (the refinement's
-foot targets, the penetration metric). A query gathers the four cells of
+The rasteriser is vectorised over triangles: those whose bounding boxes of
+cells have one shape are evaluated together as one broadcast, in runs of a
+bounded number of cells, so its memory stays flat for dense scanned meshes
+and whole-scene quads alike. Height and normal queries take scalars or
+arrays of points; one call answers a frame's contact points or a whole
+sequence (the refinement's foot targets, the penetration metric). A query gathers the four cells of
 each point from the flattened grid, which HeightMap keeps row-major.
 
 Contact labels are a plain (T, 4) bool array, one column per contact point
@@ -181,19 +182,18 @@ _EPS = 1e-12
 
 def _plane_heights(px, pz, ay, by, cy, v0x, v0z, v1x, v1z, den):
     """Height of a triangle's plane at plan-view offsets (px, pz) from vertex
-    a, or -inf where the point falls outside the triangle.
+    a, and whether each point falls inside the triangle.
 
     Barycentric weights of b and c from the edge vectors v0 = b - a and
-    v1 = c - a with den = v0 x v1; the arguments broadcast, so one call
-    serves one triangle over a block of cells or many triangles over their
-    own cells.
+    v1 = c - a with den = v0 x v1; a point is inside when no weight is below
+    -1e-12. The arguments broadcast, so one call serves one triangle over a
+    block of cells or many triangles over their own cells.
     """
     w1 = (px * v1z - v1x * pz) / den
     w2 = (v0x * pz - px * v0z) / den
     w0 = 1.0 - w1 - w2
-    inside = (w0 >= -1e-12) & (w1 >= -1e-12) & (w2 >= -1e-12)
-    y = w0 * ay + w1 * by + w2 * cy
-    return np.where(inside, y, -np.inf)
+    inside = np.minimum(np.minimum(w0, w1), w2) >= -1e-12
+    return w0 * ay + w1 * by + w2 * cy, inside
 
 
 def _planes(verts: np.ndarray, tris: np.ndarray):
@@ -205,12 +205,15 @@ def _planes(verts: np.ndarray, tris: np.ndarray):
     return a[:, 0], a[:, 2], a[:, 1], b[:, 1], c[:, 1], v0x, v0z, v1x, v1z, v0x * v1z - v1x * v0z
 
 
-def _cell_range(centers: np.ndarray, coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _cell_range(centers: np.ndarray, coords: np.ndarray, tris: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """First and one-past-last cell whose center lies in [min, max] of each
-    row of coords, widened by _EPS."""
-    lo = np.searchsorted(centers, coords.min(axis=1) - _EPS, side="left")
-    hi = np.searchsorted(centers, coords.max(axis=1) + _EPS, side="right")
-    return lo, hi
+    triangle's vertex coords (V,), widened by _EPS. A search is monotone in
+    its key, so each vertex is searched once and a triangle takes the least
+    and greatest of its three vertices' cells."""
+    lo = np.searchsorted(centers, coords - _EPS, side="left")[tris]
+    hi = np.searchsorted(centers, coords + _EPS, side="right")[tris]
+    first = np.minimum(np.minimum(lo[:, 0], lo[:, 1]), lo[:, 2])
+    return first, np.maximum(np.maximum(hi[:, 0], hi[:, 1]), hi[:, 2])
 
 
 def build_height_map(
@@ -225,11 +228,14 @@ def build_height_map(
     downward ray through the center of cell (i, j); uncovered cells get the
     minimum mesh y.
 
-    Triangles are evaluated over their bounding boxes of cells in chunks of
-    about _CHUNK_CELLS cells; a triangle whose box is larger than that goes
-    by itself, in blocks of rows. Heights fold in with a maximum, which does
-    not depend on order, so the result equals a triangle-by-triangle scan
-    bit for bit.
+    Triangles are evaluated over their bounding boxes of cells. Those whose
+    box holds at most _CHUNK_CELLS cells are grouped by box shape (rows x
+    cols), and a run of m triangles of one shape, at most _CHUNK_CELLS cells
+    in all, is one (m, rows, cols) broadcast; a triangle with a larger box
+    goes by itself, in blocks of rows. Every cell gets the arithmetic of a
+    one-triangle scan, and heights fold in with a maximum, which does not
+    depend on order, so the result equals a triangle-by-triangle scan bit
+    for bit.
     """
     if mesh.empty:
         raise EmptySceneError("cannot build a height map from an empty mesh")
@@ -256,8 +262,8 @@ def build_height_map(
 
     # Project to the (x, z) plane: each triangle's bounding box of cells.
     tris = mesh.triangles
-    i0, i1 = _cell_range(xs, verts[tris, 0])
-    j0, j1 = _cell_range(zs, verts[tris, 2])
+    i0, i1 = _cell_range(xs, verts[:, 0], tris)
+    j0, j1 = _cell_range(zs, verts[:, 2], tris)
     cells = (i1 - i0) * (j1 - j0)
 
     # A triangle larger than a chunk: blocks of whole rows, each evaluated by
@@ -271,35 +277,34 @@ def build_height_map(
         for r0 in range(i0[t], i1[t], step):
             r1 = min(r0 + step, i1[t])
             block = heights[r0:r1, j0[t] : j1[t]]
-            np.maximum(block, _plane_heights((xs[r0:r1] - ax)[:, None], pz, *args), out=block)
+            y, inside = _plane_heights((xs[r0:r1] - ax)[:, None], pz, *args)
+            np.maximum(block, y, out=block, where=inside)
 
-    # The other triangles, in consecutive runs of about _CHUNK_CELLS cells:
-    # a new chunk starts at the triangle holding each multiple of it, so a
-    # chunk holds fewer than 2 * _CHUNK_CELLS cells. Every cell of every box
-    # is one entry, folded with an unbuffered maximum since neighbouring
-    # triangles share cells.
+    # The other triangles, grouped by box shape (rows x cols) and taken in
+    # runs of at most _CHUNK_CELLS cells: a run of m triangles is one
+    # (m, rows, cols) broadcast, folded with an unbuffered maximum since
+    # neighbouring triangles share cells.
     small = np.flatnonzero((cells > 0) & (cells <= _CHUNK_CELLS))
-    end = np.cumsum(cells[small])
-    total = end[-1] if len(end) else 0
-    cuts = np.searchsorted(end, np.arange(_CHUNK_CELLS, total, _CHUNK_CELLS), side="right")
-    edges = np.unique(np.concatenate([[0], cuts, [len(small)]]))
+    shape = (i1 - i0) * (nz + 1) + (j1 - j0)  # one integer per box shape
+    small = small[np.argsort(shape[small], kind="stable")]  # file order within a shape
+    planes = _planes(verts, tris[small])
+    has_area = np.abs(planes[-1]) >= _EPS  # a vertical wall has no top surface
+    small = small[has_area]
+    ax, az, *args = (v[has_area][:, None, None] for v in planes)
+    shape, row0, col0 = shape[small], i0[small], j0[small]
+    starts = np.flatnonzero(np.diff(shape, prepend=-1))
     flat = heights.reshape(-1)
-    for p, q in zip(edges[:-1], edges[1:]):
-        t = small[p:q]
-        planes = _planes(verts, tris[t])
-        has_area = np.abs(planes[-1]) >= _EPS  # a vertical wall has no top surface
-        t, planes = t[has_area], [v[has_area] for v in planes]
-        cols = j1[t] - j0[t]
-        n = cells[t]
-        owner = np.repeat(np.arange(len(t)), n)
-        local = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        r = local // cols[owner]
-        i = i0[t][owner] + r
-        j = j0[t][owner] + (local - r * cols[owner])
-        ax, az, *args = (v[owner] for v in planes)
-        y = _plane_heights(xs[i] - ax, zs[j] - az, *args)
-        hit = y > -np.inf
-        np.maximum.at(flat, (i * nz + j)[hit], y[hit])
+    for p, q in zip(starts, [*starts[1:], len(small)]):
+        r, c = divmod(int(shape[p]), nz + 1)
+        step = _CHUNK_CELLS // (r * c)
+        for s in range(p, q, step):
+            run = slice(s, min(s + step, q))
+            i = row0[run, None] + np.arange(r)  # (m, rows)
+            j = col0[run, None] + np.arange(c)  # (m, cols)
+            y, inside = _plane_heights(
+                xs[i][:, :, None] - ax[run], zs[j][:, None, :] - az[run], *(v[run] for v in args)
+            )
+            np.maximum.at(flat, (i[:, :, None] * nz + j[:, None, :])[inside], y[inside])
 
     heights[~np.isfinite(heights)] = default
     return HeightMap(origin=(float(xmin), float(zmin)), cell_size=float(cell), heights=heights, default_height=default)

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from physmotion.humanoid import DEFAULT_DT, NUM_BODIES, NV, FKResult, contact_positions, forward_kinematics
+from physmotion.motion import _continuous_exp_coords
 from physmotion.optimizer import (
     CONTACT_ACTIVATION_MARGIN,
     CONTACT_KP,
@@ -74,6 +75,16 @@ def generalized_position(seq, t, previous=None):
         for j in range(24):
             sl = slice(3 + 3 * j, 6 + 3 * j)
             q[sl] = continuous_exp_coords_scalar(q[sl], previous[sl])
+    return q
+
+
+def generalized_positions_per_frame(seq):
+    """(T, 75) q of a MotionSequence, each frame after the first unwrapped
+    against the unwrapped frame before it, one frame at a time."""
+    q = seq._stored_positions()
+    coords = q[:, 3:].reshape(len(q), -1, 3)
+    for t in range(1, len(q)):
+        coords[t] = _continuous_exp_coords(coords[t], coords[t - 1])
     return q
 
 

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import fk_scalar, generalized_position, random_rotation
+from oracles import fk_scalar, generalized_position, generalized_positions_per_frame, random_rotation
 
 from physmotion.errors import InvalidInputError, MotionFormatError
 from physmotion.humanoid import NV
@@ -246,6 +246,41 @@ class TestGeneralizedConversion:
         for coords in (q[:, 3:6], q[:, 15:18]):
             assert np.abs(np.diff(coords, axis=0)).max() < 0.2
             assert np.abs(coords - turn[:, None] * axis).max() < 1e-9
+
+    def test_generalized_positions_equal_the_plain_loop(self, rng):
+        # the root spins past pi five times; joints cross a branch first
+        # at different frames, and some never do
+        n = 300
+        spin = np.linspace(0.0, 9.7 * np.pi, n)
+        root_axis = rng.normal(size=3)
+        root_axis /= np.linalg.norm(root_axis)
+        axes = rng.normal(size=(23, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        start = rng.uniform(0.0, 0.9 * np.pi, size=23)
+        turn = start + np.linspace(0.0, 1.5 * np.pi, n)[:, None] * rng.uniform(0.2, 1.0, size=23)
+        turn[:, :4] = 0.3 * rng.normal(size=(n, 4))  # joints that stay near zero
+        joints = log_so3(exp_so3((axes * turn[..., None]).reshape(-1, 3))).reshape(n, 23, 3)
+        seq = MotionSequence(60.0, rng.normal(size=(n, 3)), exp_so3(root_axis * spin[:, None]), joints)
+        stored = np.array([generalized_position(seq, t) for t in range(n)])[:, 3:].reshape(n, 24, 3)
+        jumps = np.abs(np.diff(stored, axis=0)).max(axis=2) > np.pi
+        first = [int(np.argmax(jumps[:, c])) + 1 for c in range(24) if jumps[:, c].any()]
+        assert jumps[:, 0].sum() == 5 and len(set(first)) > 10 and min(first) > 1
+        q = seq.generalized_positions()
+        assert q.tobytes() == generalized_positions_per_frame(seq).tobytes()
+        assert np.abs(q[:, 3:6] - spin[:, None] * root_axis).max() < 1e-9
+
+    @pytest.mark.parametrize("second", [0.2, -(np.pi - 0.05)])
+    def test_generalized_positions_of_one_and_two_frames(self, second):
+        angles = np.zeros((2, 23, 3))
+        angles[:, 4, 0] = np.pi - 0.05, second
+        rots = exp_so3(np.array([[0.0, np.pi - 0.01, 0.0], [0.0, -(np.pi - 0.01), 0.0]]))
+        seq = MotionSequence(60.0, np.zeros((2, 3)), rots, angles)
+        for part in (MotionSequence(60.0, seq.root_trans[:1], seq.root_rot[:1], seq.joint_angles[:1]), seq):
+            q = part.generalized_positions()
+            assert q.tobytes() == generalized_positions_per_frame(part).tobytes()
+        # the root turns past pi into frame 1; joint 4 does too when second < 0
+        moved = q[1] != seq._stored_positions()[1]
+        assert moved[3:6].any() and moved[18] == (second < 0.0)
 
     def test_with_joint_positions_is_fk_of_each_stored_frame(self, model, rng):
         seq = branch_flipping_sequence(rng, n=40)

@@ -598,3 +598,13 @@ def test_settings_validation():
         QPSettings(reg_weight=0.0)
     with pytest.raises(InvalidInputError):
         PDGains(angle_kp=-1.0)
+
+
+@pytest.mark.parametrize("field", ["q_ref", "ee_targets", "root_future"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reference_frame_rejects_non_finite_values(model, field, bad):
+    _, ref = standing_setup(model)
+    values = {name: getattr(ref, name).copy() for name in ("q_ref", "ee_targets", "contacts", "root_future")}
+    values[field].reshape(-1)[4] = bad
+    with pytest.raises(InvalidInputError, match=f"^{field} contains non-finite values$"):
+        ReferenceFrameInput(**values)

@@ -144,7 +144,7 @@ class TestRasteriserMatchesLoop:
     def check(self, mesh, resolution, bounds=None):
         hm = build_height_map(mesh, resolution, bounds)
         expected = loop_height_map(mesh, resolution, bounds)
-        assert np.array_equal(hm.heights, expected)
+        assert hm.heights.tobytes() == expected.tobytes()
         return hm
 
     def test_wave_terrain(self, rng):
@@ -186,6 +186,78 @@ class TestRasteriserMatchesLoop:
         mesh = merge_meshes([make_box_mesh(-1.0, 2.0, 0.5, 5.5, -0.02), wave_terrain(rng, n=10)])
         hm = self.check(mesh, (200, 300))
         assert hm.heights.size // 2 > scene._CHUNK_CELLS
+
+    def test_mixed_size_overlapping_soup(self):
+        # boxes from one cell to past a chunk, so many box shapes, each run
+        # of one shape folding over cells its neighbours also cover
+        mesh = triangle_soup(np.random.default_rng(11), 600, (0.002, 0.3))
+        bounds = (0.0, 1.0, 0.0, 1.0)
+        shapes = box_shapes(mesh, (240, 320), bounds)
+        assert len(set(shapes)) > 300 and max(r * c for r, c in shapes) > scene._CHUNK_CELLS
+        self.check(mesh, (240, 320), bounds)
+
+    def test_every_triangle_one_box_shape(self):
+        # one triangle copied at whole-cell offsets with seeded heights: a
+        # single shape group of several runs whose triangles overlap
+        rng = np.random.default_rng(12)
+        base = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.125], [0.1875, 0.0, 0.4375]])
+        shifts = rng.integers(0, 96, size=(700, 2)) / 64.0
+        verts = base[None] + np.stack([shifts[:, 0], np.zeros(700), shifts[:, 1]], axis=1)[:, None]
+        verts[:, :, 1] = rng.normal(size=(700, 3))
+        mesh = TriangleMesh(verts.reshape(-1, 3), np.arange(2100).reshape(700, 3))
+        bounds = (0.0, 2.0, 0.0, 2.0)
+        shapes = box_shapes(mesh, (128, 128), bounds)
+        (rows, cols), = set(shapes)
+        assert len(shapes) * rows * cols > 2 * scene._CHUNK_CELLS
+        self.check(mesh, (128, 128), bounds)
+
+    def test_no_triangle_within_one_chunk(self):
+        quad = make_box_mesh(0.0, 1.0, 0.0, 1.0, 0.25)
+        assert min(r * c for r, c in box_shapes(quad, (200, 200))) > scene._CHUNK_CELLS
+        hm = self.check(quad, (200, 200))
+        assert np.abs(hm.heights - 0.25).max() < 1e-12
+
+    def test_blocks_stay_within_two_chunks(self, monkeypatch):
+        mesh = merge_meshes(
+            [triangle_soup(np.random.default_rng(13), 300, (0.002, 0.3)), make_box_mesh(-1.0, 2.0, -1.0, 2.0, -0.5)]
+        )
+        sizes = []
+        plane_heights = scene._plane_heights
+
+        def spy(*args):
+            y, inside = plane_heights(*args)
+            sizes.append(y.size)
+            return y, inside
+
+        monkeypatch.setattr(scene, "_plane_heights", spy)
+        self.check(mesh, (256, 256))
+        assert max(sizes) <= 2 * scene._CHUNK_CELLS
+
+
+def triangle_soup(rng, n: int, size_range) -> TriangleMesh:
+    """n seeded triangles over about the unit square, each with its own
+    vertices, of sizes log-uniform in size_range (m)."""
+    center = rng.uniform(0.0, 1.0, size=(n, 1, 3))
+    size = np.exp(rng.uniform(*np.log(size_range), size=(n, 1, 1)))
+    verts = center + rng.normal(size=(n, 3, 3)) * size
+    return TriangleMesh(verts.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
+
+
+def box_shapes(mesh: TriangleMesh, resolution, bounds=None) -> list:
+    """(rows, cols) of each triangle's bounding box of cell centers, on the
+    grid loop_height_map lays out."""
+    verts = mesh.vertices
+    if bounds is None:
+        bounds = (verts[:, 0].min(), verts[:, 0].max(), verts[:, 2].min(), verts[:, 2].max())
+    xmin, xmax, zmin, zmax = bounds
+    cell = max((xmax - xmin) / resolution[0], (zmax - zmin) / resolution[1])
+    shapes = []
+    for axis, lo, n in ((0, xmin, resolution[0]), (2, zmin, resolution[1])):
+        centers = lo + (np.arange(n) + 0.5) * cell
+        coords = verts[mesh.triangles, axis]
+        first = np.searchsorted(centers, coords.min(axis=1) - 1e-12, side="left")
+        shapes.append(np.searchsorted(centers, coords.max(axis=1) + 1e-12, side="right") - first)
+    return list(zip(shapes[0].tolist(), shapes[1].tolist()))
 
 
 class TestQueryHeight:
