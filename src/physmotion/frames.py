@@ -224,11 +224,15 @@ def load_trajectory(path: str | Path) -> Trajectory:
             except json.JSONDecodeError as exc:
                 raise MotionFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
-                frames.append(int(rec["frame"]))
+                frame = rec["frame"]
                 quats.append(parse_field(rec["quat_wxyz"], (4,)))
                 translations.append(parse_field(rec["trans_xyz"], (3,)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise MotionFormatError(f"{path}:{lineno}: missing or malformed field: {exc}") from exc
+            # as written: int() would take 1.7, "2" or true, and overflow on 1e400
+            if type(frame) is not int or not -(2**63) <= frame < 2**63:
+                raise MotionFormatError(f"{path}:{lineno}: frame must be a 64-bit JSON integer, got {frame!r}")
+            frames.append(frame)
             places.append(f"{path}:{lineno}")
     if not frames:
         raise MotionFormatError(f"{path}: empty trajectory file")

@@ -18,16 +18,17 @@ derivative of all 24 rotation vectors, then it runs forward kinematics on
 those rotations and one forward sweep at qdd = 0, and derives M (CRBA), h
 (RNEA backward pass) and the contact-point terms from them.
 
-No forward pass steps body by body. Forward kinematics composes the tree
-one depth level at a time (`HumanoidModel.levels`), for one q or a stack.
-The forward sweep evaluates each group of per-body terms for all 24 bodies
-at once (the stacked left Jacobians and their derivatives, the cross
-products) and sums them along the root-to-leaf paths
-(`HumanoidModel.paths`) in the order of the recursion, so every value has
-the bits of the body-by-body loop; the velocity and angular-acceleration
-sums share one pass. `FrameDynamics.points` gives any number
-of body-fixed points' positions, Jacobians, velocities and bias
-accelerations in one call.
+No pass steps body by body; the tree is walked two ways, each term
+computed for all 24 bodies at once. Rotation products and subtree sums go
+by depth level (`HumanoidModel.levels`): the rotations root to leaves, and
+the one fold (`_fold`) leaves to root for the CRBA composite inertias, the
+RNEA forces and the RNEA moments. Sums down the tree go by path: the joint
+origins and the forward sweep's velocities and accelerations are running
+sums along the root-to-leaf paths (`HumanoidModel.paths`, `_path_sums`),
+for one q or a stack. Both add in the order of the body-by-body
+recursions, so every value has their bits. `FrameDynamics.points` gives
+any number of body-fixed points' positions, Jacobians, velocities and
+bias accelerations in one call.
 
 The model owns the contact points: `HumanoidModel.contact_bodies` (4,) and
 `contact_offsets` (4, 3), in scene.CONTACT_NAMES order. They come from the
@@ -45,7 +46,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,7 +121,6 @@ class HumanoidModel:
         if not np.isfinite(self.gravity).all():
             raise InvalidInputError("gravity must be finite")
         self.parents = np.array([b.parent for b in bodies])
-        self.parent_list: List[int] = self.parents.tolist()
         # each body's parent row with the root pointing at itself, for
         # gathering every body's parent term at once (the root's is unused)
         self.parent_rows = np.maximum(self.parents, 0)
@@ -151,8 +151,6 @@ class HumanoidModel:
         self.masses = np.array([b.mass for b in bodies])
         self.inertias = np.stack([b.inertia for b in bodies])
         self.offsets = np.stack([b.offset for b in bodies])
-        # each level's offsets from its parents, (bodies, 1, 3)
-        self.level_offsets = tuple(self.offsets[bodies][:, None] for bodies, _ in self.levels)
         # support_mask[i]: the generalized columns of body i's joint and of
         # every ancestor's
         self.support_mask = np.zeros((NUM_BODIES, NV), dtype=bool)
@@ -210,7 +208,9 @@ def forward_kinematics(
     joint rotations of all bodies and frames come from one exp_so3 call, or
     are joint_rot (..., 24, 3, 3) when the caller has them already (the
     dynamics take them from the same pass as the left Jacobians). Every
-    frame is composed down the tree one level at a time.
+    frame's rotations are composed down the tree one level at a time; the
+    joint origins x_i = x_p + R_p offset_i are then summed along the
+    root-to-leaf paths (_path_sums), as the forward sweep sums velocities.
     """
     q = np.asarray(q, dtype=float)
     lead = q.shape[:-1]
@@ -222,23 +222,27 @@ def forward_kinematics(
     else:
         joint_rot = joint_rot.reshape(-1, NUM_BODIES, 3, 3).transpose(1, 0, 2, 3)
     rot = np.empty((NUM_BODIES, len(q), 3, 3))
-    pos = np.empty((NUM_BODIES, len(q), 3))
     rot[0] = joint_rot[0]
-    pos[0] = q[:, 0:3]
-    for (bodies, parents), offsets in zip(model.levels, model.level_offsets):
-        parent_rot = rot[parents]
-        pos[bodies] = pos[parents] + matvec_rows(parent_rot, offsets)
-        rot[bodies] = parent_rot @ joint_rot[bodies]
+    for bodies, parents in model.levels:
+        rot[bodies] = rot[parents] @ joint_rot[bodies]
+    arms = matvec_rows(rot[model.parent_rows], model.offsets[:, None])  # the frames side by side in d
+    pos = _path_sums(model, q[:, 0:3].ravel(), arms.reshape(NUM_BODIES, 1, -1)).reshape(NUM_BODIES, -1, 3)
     rot = np.ascontiguousarray(rot.transpose(1, 0, 2, 3))
     pos = np.ascontiguousarray(pos.transpose(1, 0, 2))
     return FKResult(rot.reshape(lead + rot.shape[1:]), pos.reshape(lead + pos.shape[1:]))
 
 
+def _body_points(fk: FKResult, bodies: np.ndarray, offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(R_b o, x_b + R_b o), each (..., k, 3), of the points o = offsets[j]
+    (k, 3) fixed to bodies b = bodies[j] (k,) for an (..., 24) FK result."""
+    arm = matvec_rows(fk.rotations[..., bodies, :, :], offsets)
+    return arm, fk.positions[..., bodies, :] + arm
+
+
 def contact_positions(model: HumanoidModel, fk: FKResult) -> np.ndarray:
     """World positions of the contact points, (..., 4, 3) in CONTACT_NAMES
     order for an (..., 24) FK result."""
-    bodies = model.contact_bodies
-    return fk.positions[..., bodies, :] + matvec_rows(fk.rotations[..., bodies, :, :], model.contact_offsets)
+    return _body_points(fk, model.contact_bodies, model.contact_offsets)[1]
 
 
 def _joint_axes(model: HumanoidModel, fk: FKResult, jl: np.ndarray) -> np.ndarray:
@@ -250,14 +254,14 @@ def _joint_axes(model: HumanoidModel, fk: FKResult, jl: np.ndarray) -> np.ndarra
     return jl
 
 
-def _motion_subspace(fk: FKResult, axes: np.ndarray) -> np.ndarray:
+def _motion_subspace(cc: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """(6, 75) world motion subspace, Plucker rows (omega; velocity of the
-    body-fixed point at the world origin): body i's spatial velocity is
-    S[:, support_mask[i]] @ qd[support_mask[i]]."""
+    body-fixed point at the world origin), from cc = skew(joint origins):
+    body i's spatial velocity is S[:, support_mask[i]] @ qd[support_mask[i]]."""
     s = np.zeros((6, NV))
     s[3:, 0:3] = np.eye(3)  # root translation
     s[:3, 3:] = axes.transpose(1, 0, 2).reshape(3, 3 * NUM_BODIES)
-    s[3:, 3:] = (skew_rows(fk.positions) @ axes).transpose(1, 0, 2).reshape(3, 3 * NUM_BODIES)
+    s[3:, 3:] = (cc @ axes).transpose(1, 0, 2).reshape(3, 3 * NUM_BODIES)
     return s
 
 
@@ -265,11 +269,12 @@ def _path_sums(model: HumanoidModel, root_value: np.ndarray, terms: np.ndarray) 
     """(24, d): x_0 = root_value and x_i = x_p + terms[i, 0] + ... + terms[i, k-1]
     for every other body i with parent p, from terms (24, k, d).
 
-    Each body's value is a running sum along a root-to-leaf path through it,
-    and np.cumsum adds in sequence, so every x_i rounds exactly as the
-    body-by-body recursion would. Recursions that share their inputs run as
-    one, side by side in d; one with fewer terms pads them with -0.0, which
-    adds exactly nothing to any sum.
+    The tree's one root-to-leaf walk. Each body's value is a running sum
+    along a root-to-leaf path through it, and np.cumsum adds in sequence, so
+    every x_i rounds exactly as the body-by-body recursion would. Recursions
+    that share their inputs run as one, side by side in d (forward
+    kinematics puts a stack's frames there); one with fewer terms pads them
+    with -0.0, which adds exactly nothing to any sum.
     """
     paths = model.paths[:, 1:]
     k, d = terms.shape[1:]
@@ -278,7 +283,7 @@ def _path_sums(model: HumanoidModel, root_value: np.ndarray, terms: np.ndarray) 
     seq[:, 0] = root_value
     seq[:, 1:] = padded[paths].reshape(len(paths), -1, d)
     rows, depth = model.path_slot
-    return np.cumsum(seq, axis=1)[rows, k * depth]
+    return np.cumsum(seq, axis=1, out=seq)[rows, k * depth]
 
 
 def _forward_sweep(
@@ -333,8 +338,30 @@ def _forward_sweep(
     return omega, vel, omega_dot, acc
 
 
-def _world_inertias(model: HumanoidModel, fk: FKResult) -> np.ndarray:
-    return fk.rotations @ model.inertias @ fk.rotations.transpose(0, 2, 1)
+def _fold(model: HumanoidModel, rows: np.ndarray, arms: Optional[np.ndarray] = None) -> None:
+    """Subtree sums of rows (24, d) in place: rows[p] += rows[i] (+ arms[i])
+    for every body i with parent p, each row complete when it is added. The
+    deepest level goes first and siblings in descending index (np.add.at adds
+    in the order given), so every sum rounds as the last-to-first loop would."""
+    for bodies, parents in reversed(model.levels):
+        bodies, parents = bodies[::-1], parents[::-1]
+        np.add.at(rows, parents, rows[bodies] if arms is None else rows[bodies] + arms[bodies])
+
+
+def _subtree_terms(model: HumanoidModel, cc: np.ndarray, inertia_w: np.ndarray, acc: np.ndarray) -> tuple:
+    """The CRBA's composite inertias I_c(i) (24, 6, 6), the spatial inertia
+    of body i's subtree about the world origin, and the RNEA's subtree
+    forces (24, 3), the sum of m_j acc_j over it: one fold of 39-wide rows."""
+    mass = model.masses[:, None, None]
+    rows = np.empty((NUM_BODIES, 39))
+    composite = rows[:, :36].reshape(NUM_BODIES, 6, 6)
+    composite[:, :3, :3] = inertia_w - mass * (cc @ cc)
+    composite[:, :3, 3:] = mass * cc
+    composite[:, 3:, :3] = -mass * cc
+    composite[:, 3:, 3:] = mass * np.eye(3)
+    rows[:, 36:] = model.masses[:, None] * acc
+    _fold(model, rows)
+    return composite, rows[:, 36:]
 
 
 def _backward_pass(
@@ -344,61 +371,32 @@ def _backward_pass(
     inertia_w: np.ndarray,
     omega: np.ndarray,
     omega_dot: np.ndarray,
-    acc: np.ndarray,
+    force: np.ndarray,
 ) -> np.ndarray:
     """The RNEA backward pass: generalized forces producing the given body
-    motion. Gravity is folded in by passing acc - gravity."""
+    motion, from its subtree forces (gravity enters as acc - gravity). The
+    moments fold with the moment of each body's subtree force about its
+    parent's origin, which needs only the folded force."""
     pos = fk.positions
-    force = model.masses[:, None] * acc
     moment = np.einsum("bij,bj->bi", inertia_w, omega_dot) + cross_rows(
         omega, np.einsum("bij,bj->bi", inertia_w, omega)
     )
-    # children come after their parents, so each body's subtree is complete
-    # when it is folded into its parent; the moment of a body's subtree force
-    # about its parent's origin needs only that final force, so the moments
-    # are taken in one pass between the two folds. The folds add 3-vectors
-    # as lists of Python floats: the same double arithmetic, in the same
-    # order, without a numpy call per body.
-    parents = model.parent_list
-    folded = force.tolist()
-    for i in range(NUM_BODIES - 1, 0, -1):
-        p = parents[i]
-        folded[p] = [a + b for a, b in zip(folded[p], folded[i])]
-    force = np.array(folded)
-    arm_moment = cross_rows(pos - pos[model.parent_rows], force).tolist()
-    folded = moment.tolist()
-    for i in range(NUM_BODIES - 1, 0, -1):
-        p = parents[i]
-        folded[p] = [a + (b + c) for a, b, c in zip(folded[p], folded[i], arm_moment[i])]
-    moment = np.array(folded)
+    _fold(model, moment, cross_rows(pos - pos[model.parent_rows], force))
     tau = np.empty(NV)
     tau[0:3] = force[0]
     tau[3:] = np.einsum("bji,bj->bi", axes, moment).ravel()
     return tau
 
 
-def _crba(
-    model: HumanoidModel, fk: FKResult, subspace: np.ndarray, inertia_w: np.ndarray
-) -> np.ndarray:
+def _crba(model: HumanoidModel, subspace: np.ndarray, composite: np.ndarray) -> np.ndarray:
     """Joint-space inertia matrix by the composite-rigid-body algorithm: the
     block of joint i and an ancestor j is S_j^T I_c(i) S_i, with I_c(i) the
-    spatial inertia of the subtree at i about the world origin.
+    composite inertia (_subtree_terms).
 
     Every joint's I_c(i) S_i comes from one stacked product and S^T of all
     of them from one more; `HumanoidModel.mass_blocks` then keeps each entry
     of M from the block the per-joint assembly would have written it from.
     """
-    mass = model.masses[:, None, None]
-    cc = skew_rows(fk.positions)
-    composite = np.empty((NUM_BODIES, 6, 6))
-    composite[:, :3, :3] = inertia_w - mass * (cc @ cc)
-    composite[:, :3, 3:] = mass * cc
-    composite[:, 3:, :3] = -mass * cc
-    composite[:, 3:, 3:] = mass * np.eye(3)
-    parents = model.parent_list
-    for i in range(NUM_BODIES - 1, 0, -1):
-        composite[parents[i]] += composite[i]
-
     # (6, 75): I_c(i) S_i in the columns of joint i
     force = np.empty((6, NV))
     force[:, :6] = composite[0] @ subspace[:, :6]
@@ -447,8 +445,7 @@ class FrameDynamics:
         bodies = np.asarray(bodies, dtype=int).reshape(-1)
         if np.any((bodies < 0) | (bodies >= NUM_BODIES)):
             raise InvalidInputError(f"body ids {bodies.tolist()} out of range")
-        arm = matvec_rows(self.fk.rotations[bodies], np.asarray(local_points, dtype=float).reshape(-1, 3))
-        position = self.fk.positions[bodies] + arm
+        arm, position = _body_points(self.fk, bodies, np.asarray(local_points, dtype=float).reshape(-1, 3))
         jac = self.subspace[3:] - skew_rows(position) @ self.subspace[:3]
         w = self.omega[bodies]
         return PointKinematics(
@@ -467,21 +464,24 @@ def frame_dynamics(model: HumanoidModel, q: np.ndarray, qd: np.ndarray) -> Frame
     """Forward kinematics once, then one forward sweep at qdd = 0.
 
     The joints' rotations, left Jacobians and Jacobian derivatives come from
-    one exp_and_jacobians pass over the 24 rotation vectors. M comes from
-    the CRBA over the sweep's joint axes, h from one RNEA backward pass over
-    its accelerations with gravity folded in; the contact-point quantities
-    come from the result's `points`.
+    one exp_and_jacobians pass over the 24 rotation vectors. One fold gives
+    the composite inertias and the subtree forces (gravity folded in); M
+    comes from the CRBA over the sweep's joint axes, h from the RNEA
+    backward pass, whose moments are the second fold. The contact-point
+    quantities come from the result's `points`.
     """
     q = np.asarray(q, dtype=float)
     qd = np.asarray(qd, dtype=float)
     joint_rot, jl, jl_dot = exp_and_jacobians(q[3:].reshape(NUM_BODIES, 3), qd[3:].reshape(NUM_BODIES, 3))
     fk = forward_kinematics(model, q, joint_rot)
     axes = _joint_axes(model, fk, jl)
-    subspace = _motion_subspace(fk, axes)
+    cc = skew_rows(fk.positions)
+    subspace = _motion_subspace(cc, axes)
     omega, vel, omega_dot, acc = _forward_sweep(model, qd, fk, axes, jl_dot)
-    inertia_w = _world_inertias(model, fk)
-    m = _crba(model, fk, subspace, inertia_w)
-    h = _backward_pass(model, fk, axes, inertia_w, omega, omega_dot, acc - model.gravity)
+    inertia_w = fk.rotations @ model.inertias @ fk.rotations.transpose(0, 2, 1)
+    composite, force = _subtree_terms(model, cc, inertia_w, acc - model.gravity)
+    m = _crba(model, subspace, composite)
+    h = _backward_pass(model, fk, axes, inertia_w, omega, omega_dot, force)
     return FrameDynamics(model, fk, subspace, omega, vel, omega_dot, acc, m, h)
 
 
@@ -525,7 +525,8 @@ def load_model(path: str | Path) -> HumanoidModel:
 def model_from_dict(doc: dict) -> HumanoidModel:
     """A model from its document. A missing or malformed field raises
     InvalidInputError naming its body, and so does an end effector listed
-    twice in one body; HumanoidModel checks the contact points."""
+    twice in one body; a parent must be a JSON integer and a mass a JSON
+    number. HumanoidModel checks the contact points."""
     bodies = []
     where = "model"
     try:
@@ -540,21 +541,19 @@ def model_from_dict(doc: dict) -> HumanoidModel:
                 if e["name"] in ee:
                     raise InvalidInputError(f"body {rec['name']}: end effector {e['name']} is listed twice")
                 ee[e["name"]] = np.asarray(e["offset_xyz"], dtype=float).reshape(3)
-            bodies.append(
-                Body(
-                    name=rec["name"],
-                    parent=int(rec["parent"]),
-                    offset=np.asarray(rec["offset_xyz"], dtype=float).reshape(3),
-                    mass=float(rec["mass"]),
-                    inertia=inertia,
-                    end_effectors=ee,
-                )
-            )
+            # as written: int() and float() would take 4.9, "4" or true
+            name, parent, mass = rec["name"], rec["parent"], rec["mass"]
+            if type(parent) is not int:
+                raise TypeError(f"parent must be a JSON integer, got {parent!r}")
+            if type(mass) not in (int, float):
+                raise TypeError(f"mass must be a JSON number, got {mass!r}")
+            offset = np.asarray(rec["offset_xyz"], dtype=float).reshape(3)
+            bodies.append(Body(name, parent, offset, float(mass), inertia, ee))
         where = "model"
         gravity = np.asarray(doc.get("gravity", DEFAULT_GRAVITY), dtype=float).reshape(3)
     except KeyError as exc:
         raise InvalidInputError(f"{where}: missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{where}: malformed field: {exc}") from exc
     return HumanoidModel(bodies, gravity)
 

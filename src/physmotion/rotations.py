@@ -65,22 +65,32 @@ def matvec_rows(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (mats @ vecs[..., None])[..., 0]
 
 
+def _rodrigues(v: np.ndarray, *exponents: int) -> tuple:
+    """What exp_so3 and exp_and_jacobians share, for a (..., 3) stack v:
+    K = skew(v), K^2, sin(t)/t and (1-cos t)/t^2 with t = |v| (to O(t^4)
+    below 1e-8 rad) and the latter's series alone; then t, the libm powers
+    t**2 and t**n for each of exponents, the below-1e-8 mask, t with 1
+    there, and sin and 1 - cos of that, each (..., 1, 1)."""
+    t = vector_norms(v)[..., None]
+    powers = _scalar_powers(t, 2, *exponents)
+    t2 = powers[0]
+    small = t < _SMALL_ANGLE
+    safe = np.where(small, 1.0, t)
+    sin, one_minus_cos = np.sin(safe), 1.0 - np.cos(safe)
+    a = np.where(small, 1.0 - t2 / 6.0, sin / safe)
+    b_series = 0.5 - t2 / 24.0
+    b = np.where(small, b_series, one_minus_cos / np.where(small, 1.0, t2))
+    k = skew_rows(v)
+    return k, k @ k, a, b, b_series, t, powers, small, safe, sin, one_minus_cos
+
+
 def exp_so3(v: np.ndarray) -> np.ndarray:
     """Rodrigues formula with a series fallback near zero angle.
 
     Takes one vector (3,) or a stack (..., 3) and returns (3, 3) or
     (..., 3, 3); a stack gives the same bits as one call per vector.
     """
-    v = np.asarray(v, dtype=float)
-    angle = vector_norms(v)[..., None]
-    (square,) = _scalar_powers(angle, 2)
-    small = angle < _SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    # sin(t)/t and (1-cos(t))/t^2, to O(t^4) near zero
-    a = np.where(small, 1.0 - square / 6.0, np.sin(safe) / safe)
-    b = np.where(small, 0.5 - square / 24.0, (1.0 - np.cos(safe)) / np.where(small, 1.0, square))
-    k = skew_rows(v)
-    k2 = k @ k
+    k, k2, a, b, *_ = _rodrigues(np.asarray(v, dtype=float))
     k2 *= b
     # (a K + I) + b K^2 in place: a stack holds two (..., 3, 3) arrays at a time
     k *= a
@@ -178,25 +188,15 @@ def exp_and_jacobians(v: np.ndarray, vdot: np.ndarray) -> Tuple[np.ndarray, np.n
     d/dt exp(v) = skew(J_l(v) vdot) exp(v). The dynamics recursions take the
     angular acceleration of a 3-DoF joint as J_l(v) vddot + Jdot_l vdot.
 
-    One pass serves all three: one norm, one set of libm powers, one sin and
-    cos and one skew(v) and its square. Each entry has the bits of the
-    one-vector formulas (tests/oracles.py).
+    One _rodrigues pass serves all three, with exp_so3's coefficients; each
+    entry has the bits of the one-vector formulas (tests/oracles.py).
     """
     v = np.asarray(v, dtype=float)
     vdot = np.asarray(vdot, dtype=float)
-    t = vector_norms(v)[..., None]
-    t2, t3, t4, t5 = _scalar_powers(t, 2, 3, 4, 5)
-    small = t < _SMALL_ANGLE
-    safe = np.where(small, 1.0, t)
-    sin, one_minus_cos = np.sin(safe), 1.0 - np.cos(safe)
+    k, k2, a_exp, a, a_series, t, (t2, t3, t4, t5), small, safe, sin, one_minus_cos = _rodrigues(v, 3, 4, 5)
     t_minus_sin = safe - sin
-    k = skew_rows(v)
-    k2 = k @ k
     eye = np.eye(3)
-    # sin(t)/t, A and B to O(t^4) near zero
-    a_series, b_series = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
-    a_exp = np.where(small, 1.0 - t2 / 6.0, sin / safe)
-    a = np.where(small, a_series, one_minus_cos / np.where(small, 1.0, t2))
+    b_series = 1.0 / 6.0 - t2 / 120.0  # B to O(t^4) near zero
     b = np.where(small, b_series, t_minus_sin / np.where(small, 1.0, t3))
     rot = a_exp * k + eye + a * k2
     jl = eye + a * k + b * k2

@@ -245,6 +245,20 @@ def test_trajectory_file_round_trip(rng, tmp_path):
     assert set(rec) == {"frame", "quat_wxyz", "trans_xyz"}
 
 
+@pytest.mark.parametrize(
+    "frame", ["1.7", '"1"', "true", "1e400", str(10**30)], ids=["float", "string", "bool", "inf", "past-int64"]
+)
+def test_trajectory_frame_must_be_a_json_integer(rng, tmp_path, frame):
+    # int() used to read 1.7, "1" and true as frame 1, and overflow on 1e400
+    path = tmp_path / "traj.jsonl"
+    save_trajectory(make_trajectory(rng, n=3), path)
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace('"frame": 1', f'"frame": {frame}')
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MotionFormatError, match=f"{path}:2: frame must be a 64-bit JSON integer"):
+        load_trajectory(path)
+
+
 def test_zero_quaternion_rejected_with_line(rng, tmp_path):
     path = tmp_path / "traj.jsonl"
     save_trajectory(make_trajectory(rng, n=3), path)

@@ -18,16 +18,18 @@ from physmotion.errors import InvalidInputError, InvalidStateError
 from physmotion.humanoid import (
     NV,
     Body,
+    FKResult,
     GeneralizedState,
     HumanoidModel,
     contact_positions,
+    default_model,
     forward_kinematics,
     frame_dynamics,
     integrate,
     load_model,
 )
 import physmotion.humanoid as humanoid
-from physmotion.rotations import exp_and_jacobians, exp_so3
+from physmotion.rotations import exp_and_jacobians, exp_so3, skew_rows
 from physmotion.scene import CONTACT_NAMES
 
 
@@ -304,7 +306,7 @@ def dynamics_oracle(model, q, qd):
     inertia_w = fk.rotations @ model.inertias @ fk.rotations.transpose(0, 2, 1)
     omega, vel, omega_dot, acc = forward_sweep_scalar(model, q, qd, np.zeros(NV), fk, axes)
     h = backward_pass_scalar(model, fk, axes, inertia_w, omega, omega_dot, acc - model.gravity)
-    m = crba_scalar(model, fk, humanoid._motion_subspace(fk, axes), inertia_w)
+    m = crba_scalar(model, fk, humanoid._motion_subspace(skew_rows(fk.positions), axes), inertia_w)
     return dict(m=m, h=h, omega=omega, vel=vel, omega_dot_bias=omega_dot, acc_bias=acc)
 
 
@@ -362,6 +364,48 @@ class TestBatchedKernels:
             assert path[0] == 0
             for j in range(1, depth[body] + 1):
                 assert model.parents[path[j]] == path[j - 1]
+
+
+def random_tree_model(rng):
+    """A 24-body model on a random tree, each parent drawn from the bodies
+    before its child, with the left contact points on one body and the right
+    ones on another."""
+    parents = [-1] + [int(rng.integers(i)) for i in range(1, 24)]
+    left, right = rng.choice(np.arange(24), 2, replace=False)
+    bodies = []
+    for i, parent in enumerate(parents):
+        spread = rng.normal(size=(3, 3)) * 0.1
+        side = "l_" if i == left else "r_" if i == right else None
+        feet = {name: rng.normal(size=3) * 0.1 for name in CONTACT_NAMES if side and name.startswith(side)}
+        inertia = spread @ spread.T + 0.01 * np.eye(3)
+        bodies.append(Body(f"b{i}", parent, rng.normal(size=3) * 0.2, float(rng.uniform(0.5, 10.0)), inertia, feet))
+    return HumanoidModel(bodies)
+
+
+def test_second_tree_equals_the_per_body_recursions(rng):
+    """The per-body oracles on random trees, so that a fold or path-sum
+    order that holds only for the SMPL tree's shape fails."""
+    for _ in range(6):
+        model = random_tree_model(rng)
+        assert not np.array_equal(model.parents, default_model().parents)
+        states = list(seeded_states(rng, 8))
+        stacked = forward_kinematics(model, np.array([q for q, _, _ in states]))
+        for t, (q, qd, _) in enumerate(states):
+            expected = fk_scalar(model, q)
+            for fk in (forward_kinematics(model, q), FKResult(stacked.rotations[t], stacked.positions[t])):
+                assert np.array_equal(fk.rotations, expected.rotations)
+                assert np.array_equal(fk.positions, expected.positions)
+            dyn = frame_dynamics(model, q, qd)
+            for name, value in dynamics_oracle(model, q, qd).items():
+                assert np.array_equal(getattr(dyn, name), value), name
+                assert np.array_equal(np.signbit(getattr(dyn, name)), np.signbit(value)), name
+            arbitrary = (rng.integers(0, 24, 6), rng.normal(size=(6, 3)) * 0.1)
+            for ids, local in ((model.contact_bodies, model.contact_offsets), arbitrary):
+                pts = dyn.points(ids, local)
+                for k, (body, lp) in enumerate(zip(ids, local)):
+                    for got, want in zip((pts.position, pts.jacobian, pts.velocity, pts.bias),
+                                         point_terms_scalar(model, dyn, body, lp)):
+                        assert np.array_equal(got[k], want)
 
 
 class TestIntegrate:
@@ -500,6 +544,30 @@ def test_model_from_dict_rejects_non_finite_fields(edit, message):
     edit(doc)
     with pytest.raises(InvalidInputError, match=message):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("parent", 2.9, "parent must be a JSON integer, got 2.9"),
+        ("parent", "0", "parent must be a JSON integer, got '0'"),
+        ("parent", True, "parent must be a JSON integer, got True"),
+        ("mass", "7.0", "mass must be a JSON number, got '7.0'"),
+        ("mass", True, "mass must be a JSON number, got True"),
+        ("mass", 10**400, "int too large to convert to float"),
+    ],
+    ids=["parent-float", "parent-string", "parent-bool", "mass-string", "mass-bool", "mass-overflow"],
+)
+def test_model_from_dict_takes_parent_and_mass_as_written(field, value, message):
+    # int() and float() used to read 2.9 and "0" as parents 2 and 0, true as
+    # parent 1 and mass 1.0, and to overflow on a 400-digit mass
+    from physmotion.humanoid import model_from_dict
+
+    doc = _default_doc()
+    doc["bodies"][3][field] = value
+    with pytest.raises(InvalidInputError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == f"bodies[3]: malformed field: {message}"
 
 
 @pytest.mark.parametrize(

@@ -414,6 +414,17 @@ class TestCLI:
             assert f"{field} must be finite and > 0" in r.output
             assert not Path("out").exists()
 
+    def test_overflowing_camera_frame_is_an_input_error(self, tmp_path, model):
+        # "frame": 1e400 used to escape as an OverflowError, exit 1
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            write_scenario(Path("."), model, duration=0.1)
+            record = {"frame": 0, "quat_wxyz": [1.0, 0.0, 0.0, 0.0], "trans_xyz": [0.0, 0.0, 0.0]}
+            Path("camera.jsonl").write_text(json.dumps(record).replace('"frame": 0', '"frame": 1e400') + "\n")
+            r = runner.invoke(main, ["refine", "--motion", "noisy.jsonl", "--camera", "camera.jsonl", "--out", "out"])
+            assert r.exit_code == EXIT_CONFIG, r.output
+            assert "camera.jsonl:1: frame must be a 64-bit JSON integer, got inf" in r.output
+
     def test_pipeline_config_error_exit_code(self, tmp_path):
         runner = CliRunner()
         with runner.isolated_filesystem(temp_dir=tmp_path):
