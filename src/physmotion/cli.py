@@ -45,7 +45,7 @@ def _load_transform(path: str) -> RigidTransform:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
         raise MotionFormatError(f"{path}: invalid JSON: {exc}") from exc
     for key in ("rotation_quat_wxyz", "translation_xyz"):
         if not isinstance(doc, dict) or key not in doc:
@@ -156,7 +156,7 @@ def evaluate_cmd(pred: str, gt: str, mesh: str, resolution: int, out: str) -> No
     if gt_seq.joint_positions is None:
         gt_seq = gt_seq.with_joint_positions(model)
     hm = build_height_map(load_obj(mesh), (resolution, resolution)) if mesh else None
-    report = evaluate(pred_seq, gt_seq, hm, pred_seq.contacts)
+    report = evaluate(pred_seq, gt_seq, hm)
     click.echo(report.table())
     if out:
         with open(out, "w") as fh:

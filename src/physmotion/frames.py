@@ -221,7 +221,7 @@ def load_trajectory(path: str | Path) -> Trajectory:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
                 raise MotionFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
                 frame = rec["frame"]

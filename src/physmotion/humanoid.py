@@ -175,19 +175,17 @@ class HumanoidModel:
 
 @dataclass
 class GeneralizedState:
+    """What one frame hands the next besides its solution: q and qd."""
+
     q: np.ndarray
     qd: np.ndarray
-    qdd: np.ndarray
 
     def __post_init__(self):
-        for name in ("q", "qd", "qdd"):
+        for name in ("q", "qd"):
             v = np.asarray(getattr(self, name), dtype=float).reshape(-1)
             if v.shape != (NV,):
                 raise InvalidStateError(f"{name} must have length {NV}, got {v.shape}")
             setattr(self, name, v)
-
-    def copy(self) -> "GeneralizedState":
-        return GeneralizedState(self.q.copy(), self.qd.copy(), self.qdd.copy())
 
 
 @dataclass
@@ -485,8 +483,8 @@ def frame_dynamics(model: HumanoidModel, q: np.ndarray, qd: np.ndarray) -> Frame
     return FrameDynamics(model, fk, subspace, omega, vel, omega_dot, acc, m, h)
 
 
-def integrate(state: GeneralizedState, dt: float) -> GeneralizedState:
-    """Explicit update: position with the current velocity, then velocity.
+def integrate(state: GeneralizedState, qdd: np.ndarray, dt: float) -> GeneralizedState:
+    """Explicit update by qdd: position with the current velocity, then velocity.
 
         q(t+1)  = q(t)  + qd(t) dt
         qd(t+1) = qd(t) + qdd(t) dt
@@ -496,15 +494,9 @@ def integrate(state: GeneralizedState, dt: float) -> GeneralizedState:
     """
     if dt <= 0.0:
         raise InvalidInputError("dt must be positive")
-    if not (
-        np.isfinite(state.q).all() and np.isfinite(state.qd).all() and np.isfinite(state.qdd).all()
-    ):
+    if not (np.isfinite(state.q).all() and np.isfinite(state.qd).all() and np.isfinite(qdd).all()):
         raise InvalidStateError("state contains non-finite values")
-    return GeneralizedState(
-        state.q + state.qd * dt,
-        state.qd + state.qdd * dt,
-        state.qdd.copy(),
-    )
+    return GeneralizedState(state.q + state.qd * dt, state.qd + qdd * dt)
 
 
 # --- model file I/O -------------------------------------------------------
@@ -515,9 +507,11 @@ def load_model(path: str | Path) -> HumanoidModel:
     InvalidInputError naming the file and the field."""
     try:
         with open(path) as fh:
-            return model_from_dict(json.load(fh))
-    except json.JSONDecodeError as exc:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
         raise InvalidInputError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return model_from_dict(doc)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
 

@@ -260,9 +260,9 @@ def evaluate(
     pred: MotionSequence,
     gt: Optional[MotionSequence] = None,
     hm: Optional[HeightMap] = None,
-    contacts: Optional[np.ndarray] = None,
 ) -> MetricReport:
-    """Full metric suite; reconstruction metrics need gt, plausibility a map.
+    """Full metric suite; reconstruction metrics need gt, plausibility a map,
+    and foot sliding pred's contact labels.
 
     Metrics that are undefined for the input (zero displacement, too few
     frames) are reported as NaN instead of aborting the report.
@@ -275,7 +275,7 @@ def evaluate(
         except UndefinedMetricError:
             return nan
 
-    contacts = contacts if contacts is not None else pred.contacts
+    contacts = pred.contacts
     pen = penetration_stats(pred, hm, contacts) if hm is not None else (nan, nan, nan)
     return MetricReport(
         mpjpe=guarded(mpjpe, pred, gt) if gt is not None else nan,

@@ -149,7 +149,7 @@ def load_motion(path: str | Path) -> MotionSequence:
         header_line = fh.readline()
         try:
             header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
             raise MotionFormatError(f"{path}:1: invalid header: {exc}") from exc
         schema = header.get("schema") if isinstance(header, dict) else None
         if schema != SCHEMA:
@@ -166,7 +166,7 @@ def load_motion(path: str | Path) -> MotionSequence:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise MotionFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             place = f"{path}:{lineno}"
             if not isinstance(rec, dict):

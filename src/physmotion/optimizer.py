@@ -18,14 +18,16 @@ pulling contact-labeled foot points toward their reference world positions.
 E_reg = reg_weight * (|lambda|^2 + |tau[6:]|^2), a quadratic in x after the
 substitution.
 
-`refine_sequence` hands each frame's active inequality set to the next
-frame, where it seeds the working set of the QP's dual active-set method
-(contact phases persist for tens of frames, so the seed is usually the
-answer); the solver prunes a stale seed and continues from what is left.
+One frame hands the next two things: the state (q, qd), integrated with
+the frame's qdd, and its `FrameSolution`. The solution's `active` mask is
+the next frame's held contacts, and its active inequality set seeds the
+working set of the QP's dual active-set method (contact phases persist for
+tens of frames, so the seed is usually the answer); the solver prunes a
+stale seed and continues from what is left.
 
-Contact activation requires both the per-frame contact label and foot height
-below surface + 1 cm; labels alone can be stale when the kinematic input
-floats above the scene.
+Contact activation requires the per-frame contact label and either a held
+contact or foot height below surface + 1 cm; labels alone can be stale when
+the kinematic input floats above the scene.
 
 A `FrameSetup` holds what every frame of a sequence shares, built once per
 sequence: the model (which holds the contact points' bodies and offsets),
@@ -78,7 +80,7 @@ from .humanoid import (
 from .motion import MotionSequence, resample_motion, sequence_from_generalized
 from .qp import solve_qp
 from .rotations import cross_rows, matvec_rows, vector_norms
-from .scene import CONTACT_NAMES, HeightMap, query_height, query_surface
+from .scene import CONTACT_NAMES, HeightMap, query_surface
 
 # Baumgarte stabilization of the contact equality, critically damped at 60 fps
 CONTACT_KP = 3600.0
@@ -187,11 +189,25 @@ class ReferenceFrameInput:
                 raise InvalidInputError(f"{name} contains non-finite values")
 
 
+class _ActiveContacts:
+    """`contact_names` from `active`, the (4,) bool mask of the active contacts."""
+
+    active: np.ndarray
+
+    @property
+    def contact_names(self) -> Tuple[str, ...]:
+        return tuple(name for name, on in zip(CONTACT_NAMES, self.active) if on)
+
+
 @dataclass
-class FrameSolution:
+class FrameSolution(_ActiveContacts):
+    """One frame's solution. With the state it is all that frame hands to
+    the next: `active` is the next frame's held contacts, and `level` and
+    `active_set` its warm start."""
+
     qdd: np.ndarray  # (75,)
-    contact_names: Tuple[str, ...]
-    contact_forces: np.ndarray  # (nc, 3) world frame
+    active: np.ndarray  # (4,) bool, the contacts active this frame
+    contact_forces: np.ndarray  # (nc, 3) world frame, one row per active contact
     tau: np.ndarray  # (75,), rows 0..5 identically zero
     level: str = "full"  # the FALLBACK_LEVELS entry the frame was solved at
     active_set: Tuple[int, ...] = ()  # active friction-cone rows of the QP
@@ -289,12 +305,7 @@ class FrameSetup:
         reference still lands the foot where the ground actually is.
         """
         out = np.array(targets, dtype=float)
-        grounded = out[contacts]
-        if self.hm is not None:
-            heights = query_height(self.hm, grounded[:, 0], grounded[:, 2])
-        else:
-            heights = np.full(len(grounded), self.flat_ground_height)
-        out[contacts, 1] = heights + CONTACT_REST_OFFSET
+        out[contacts, 1] = self.ground(out[contacts])[0] + CONTACT_REST_OFFSET
         return out
 
     def pattern(self, active: np.ndarray) -> "_ContactPattern":
@@ -306,13 +317,12 @@ class FrameSetup:
 
 
 class _ContactPattern:
-    """The index bookkeeping of one set of active contacts: which they are,
+    """The index bookkeeping of one set of active contacts: their indices,
     which of them shares its body with an earlier one (its anchor), and the
     positions the contact blocks write."""
 
     def __init__(self, bodies: np.ndarray, active: np.ndarray, facets: int):
         self.idx = np.flatnonzero(active)
-        self.names = tuple(CONTACT_NAMES[i] for i in self.idx)
         nc = len(self.idx)
         body = bodies[self.idx].tolist()
         first = [body.index(b) for b in body]
@@ -400,11 +410,11 @@ def _contact_blocks(
 
 
 @dataclass
-class FrameProblem:
+class FrameProblem(_ActiveContacts):
     """One frame's QP over x = (qdd, lambda), its blocks built once for every
     fallback level."""
 
-    contact_names: Tuple[str, ...]  # the active contacts, CONTACT_NAMES order
+    active: np.ndarray  # (4,) bool, the active contacts
     p_mat: np.ndarray  # (n, n) cost, 1/2 x^T P x + q^T x
     q_vec: np.ndarray  # (n,)
     b_mat: np.ndarray  # (69, n) torque recovery: tau[6:] = B x + h[6:]
@@ -426,16 +436,17 @@ class FrameProblem:
 
 
 def frame_problem(
-    setup: FrameSetup, state: GeneralizedState, ref: ReferenceFrameInput, latched: np.ndarray
+    setup: FrameSetup, state: GeneralizedState, ref: ReferenceFrameInput, held: np.ndarray
 ) -> FrameProblem:
     """The QP of one frame over x = (qdd, lambda).
 
     A labeled contact activates once the foot point is within 1 cm of the
-    surface; `latched` marks contacts already established on earlier frames,
-    which stay active while their label holds (dropping them mid-stance
-    injects impulses and destabilizes single-support phases). The contact
-    points are pulled toward ref.ee_targets as given: refine_sequence puts
-    the labelled ones on the ground beforehand (FrameSetup.ground_targets).
+    surface; `held` (4,) marks contacts already established (solve_frame
+    passes the previous frame's active ones), which stay active while their
+    label holds (dropping them mid-stance injects impulses and destabilizes
+    single-support phases). The contact points are pulled toward
+    ref.ee_targets as given: refine_sequence puts the labelled ones on the
+    ground beforehand (FrameSetup.ground_targets).
     """
     q, qd = state.q, state.qd
     settings, gains = setup.settings, setup.gains
@@ -450,8 +461,7 @@ def frame_problem(
     if tracking:
         feet = dyn.points(setup.model.contact_bodies, setup.model.contact_offsets)
         surface, normals = setup.ground(feet.position)
-        hold = latched & ref.contacts
-        active = ref.contacts & (hold | (feet.position[:, 1] < surface + CONTACT_ACTIVATION_MARGIN))
+        active = ref.contacts & (held | (feet.position[:, 1] < surface + CONTACT_ACTIVATION_MARGIN))
     pattern = setup.pattern(active)
 
     m_mat, h_vec = dyn.m, dyn.h
@@ -467,13 +477,9 @@ def frame_problem(
 
     p_mat = np.zeros((n, n))
     q_vec = np.zeros(n)
-    if settings.use_angle_pd:
-        target = pd_desired_accel_angles(q, qd, ref.q_ref, gains)
-    else:
-        # angle tracking ablated: only the weak velocity damping stays
-        target = np.zeros(NV)
-        target[3:6] = -gains.root_orient_kd * qd[3:6]
-        target[6:] = -gains.angle_kd * qd[6:]
+    # angle tracking ablated: a PD toward q itself, so only the weak velocity
+    # damping stays
+    target = pd_desired_accel_angles(q, qd, ref.q_ref if settings.use_angle_pd else q, gains)
     np.einsum("ii->i", p_mat)[3:NV] = setup.angle_weight
     q_vec[3:NV] -= setup.angle_weight * target[3:]
     if settings.use_position_pd and tracking:
@@ -508,7 +514,7 @@ def frame_problem(
     # floating-base rows of the equation of motion: M[:6] qdd - Jc[:, :6]^T lambda = -h[:6]
     eom = (np.concatenate([m_mat[:6], -jc_t[:6]], axis=1), -h_vec[:6])
     return FrameProblem(
-        pattern.names, p_mat, q_vec, b_mat, h_vec[6:], eom, (slide, slide_rhs), (root, root_rhs), cone
+        active, p_mat, q_vec, b_mat, h_vec[6:], eom, (slide, slide_rhs), (root, root_rhs), cone
     )
 
 
@@ -516,7 +522,6 @@ def solve_frame(
     setup: FrameSetup,
     state: GeneralizedState,
     ref: ReferenceFrameInput,
-    latched: Optional[np.ndarray] = None,
     previous: Optional[FrameSolution] = None,
 ) -> FrameSolution:
     """Solve one frame's `frame_problem` for (qdd, lambda) and recover tau
@@ -532,12 +537,14 @@ def solve_frame(
     frame with no active contact has one QP at every level, so it is solved
     at full only and fails as "full: ...".
 
-    `previous` is the preceding frame's solution; its active set warm-starts
-    the QP when the same contacts are active and the same level is tried.
-    Without it the solve is cold.
+    `previous` is the preceding frame's solution, which with the state is
+    all one frame hands to the next. Its active contacts are this frame's
+    held ones, and its active set warm-starts the QP when the same contacts
+    are active and the same level is tried. Without it no contact is held
+    and the solve is cold.
     """
-    latched = np.zeros(4, dtype=bool) if latched is None else latched
-    problem = frame_problem(setup, state, ref, latched)
+    held = previous.active if previous is not None else np.zeros(4, dtype=bool)
+    problem = frame_problem(setup, state, ref, held)
 
     # An (approximately) infeasible constraint set, e.g. a leg locked at full
     # extension fighting the no-sliding target, downgrades through the chain:
@@ -546,8 +553,7 @@ def solve_frame(
     # contacts are active (the inequality rows are then laid out alike).
     # Without an active contact there are no no-sliding rows and no cone, so
     # every level is the same QP and only the first is solved.
-    names = problem.contact_names
-    warm = previous if previous is not None and previous.contact_names == names else None
+    warm = previous if previous is not None and previous.contact_names == problem.contact_names else None
     levels = FALLBACK_LEVELS if problem.cone is not None else FALLBACK_LEVELS[:1]
     failures: List[Tuple[str, str]] = []
     for level, use_slide, use_cone in levels:
@@ -564,8 +570,8 @@ def solve_frame(
     tau[6:] = problem.b_mat @ sol.x + problem.h_act
     return FrameSolution(
         qdd=sol.x[:NV],
-        contact_names=names,
-        contact_forces=sol.x[NV:].reshape(len(names), 3),
+        active=problem.active,
+        contact_forces=sol.x[NV:].reshape(-1, 3),
         tau=tau,
         level=level,
         active_set=sol.active_set,
@@ -585,10 +591,13 @@ def refine_sequence(
     """Run the per-frame QP over a whole sequence, integrating frame by frame.
 
     The state is initialized from the first reference frame (root placed at
-    the estimated world root position) with a finite-difference velocity. The
-    last two frames run without root supervision since it needs references at
-    t+1 and t+2. One FrameSetup serves every frame, and every labelled foot
-    target is put on the ground before the first.
+    the estimated world root position) with a finite-difference velocity.
+    Each frame hands the next only its integrated state and its
+    FrameSolution. The last two frames run without root supervision since
+    it needs references at t+1 and t+2. One FrameSetup serves every frame
+    (its flat ground, without a height map, at the first frame's lowest
+    contact point), and every labelled foot target is put on the ground
+    before the first.
     """
     seq = kinematic_seq
     if len(seq) < 3:
@@ -602,34 +611,26 @@ def refine_sequence(
     n = len(seq)
     q_refs = seq.generalized_positions()
     points = contact_positions(model, forward_kinematics(model, q_refs))
-
-    flat_height = 0.0
-    if not settings.use_height_map or hm is None:
-        flat_height = float(points[0, :, 1].min())
-    setup = FrameSetup(model, hm, settings, gains, dt, flat_height)
+    setup = FrameSetup(model, hm, settings, gains, dt, float(points[0, :, 1].min()))
 
     contacts = seq.contacts if seq.contacts is not None else np.zeros((n, 4), dtype=bool)
     # (n, 4, 3), every labelled target on the ground below it
     targets = setup.ground_targets(points, contacts)
 
-    state = GeneralizedState(q_refs[0].copy(), (q_refs[1] - q_refs[0]) / dt, np.zeros(NV))
+    state = GeneralizedState(q_refs[0].copy(), (q_refs[1] - q_refs[0]) / dt)
     out_q = np.empty((n, NV))
     solutions: List[FrameSolution] = []
-    latched = np.zeros(4, dtype=bool)
     for t in range(n):
         out_q[t] = state.q
         future = q_refs[t + 1 : t + 3, 0:3] if t + 2 < n else None
         ref = ReferenceFrameInput(q_refs[t], targets[t], contacts[t], future)
-        previous = solutions[-1] if solutions else None
         try:
-            sol = solve_frame(setup, state, ref, latched, previous)
+            sol = solve_frame(setup, state, ref, solutions[-1] if solutions else None)
         except SolverError as exc:
             raise SolverError(f"frame {t}: {exc}") from exc
         solutions.append(sol)
-        latched = contacts[t] & np.array([name in sol.contact_names for name in CONTACT_NAMES])
         if t < n - 1:
-            state.qdd = sol.qdd
-            state = integrate(state, dt)
+            state = integrate(state, sol.qdd, dt)
 
     refined = sequence_from_generalized(seq.frame_rate, out_q, model, seq.contacts)
     if abs(original_fps - seq.frame_rate) > 1e-9:

@@ -127,7 +127,8 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: JSONDecodeError, or an integer past the int-string limit
         raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(doc)
 
@@ -296,7 +297,7 @@ def run_pipeline(
     if gt is not None and gt.joint_positions is None:
         gt = gt.with_joint_positions(model)
     if gt is not None or hmap is not None:
-        report = evaluate(refined, gt, hmap, refined.contacts)
+        report = evaluate(refined, gt, hmap)
         report_path = out_dir / "report.json"
         with open(report_path, "w") as fh:
             fh.write(report.to_json() + "\n")

@@ -118,7 +118,6 @@ def test_criterion_2_constraint_satisfaction():
     exact (state, velocity) pair behind each accepted frame is available for
     residual checks."""
     from physmotion.humanoid import integrate
-    from physmotion.scene import CONTACT_NAMES
 
     settings = QPSettings()
     dt = 1.0 / 60.0
@@ -139,15 +138,12 @@ def test_criterion_2_constraint_satisfaction():
             seq = raw
         n = len(seq)
         q_refs = seq.generalized_positions()
-        state = GeneralizedState(q_refs[0].copy(), (q_refs[1] - q_refs[0]) / dt, np.zeros(NV))
-        latched = np.zeros(4, bool)
+        state = GeneralizedState(q_refs[0].copy(), (q_refs[1] - q_refs[0]) / dt)
+        sol = None
         for t in range(n):
             future = q_refs[t + 1 : t + 3, 0:3] if t + 2 < n else None
             ref = ReferenceFrameInput(q_refs[t], contact_targets(MODEL, q_refs[t]), bundle.contacts[t], future)
-            sol = solve_frame_grounded(MODEL, state, ref, hm, settings, dt=dt, latched=latched)
-            latched = np.array(
-                [bundle.contacts[t][k] and CONTACT_NAMES[k] in sol.contact_names for k in range(4)]
-            )
+            sol = solve_frame_grounded(MODEL, state, ref, hm, settings, dt=dt, previous=sol)
             degraded_total += sol.degraded
             dyn = frame_dynamics(MODEL, state.q, state.qd)
             m, h = dyn.m, dyn.h
@@ -179,9 +175,8 @@ def test_criterion_2_constraint_satisfaction():
                 target = root_supervision_accel(future[1], future[0], state.qd[0:3], dt)
                 worst_drift = max(worst_drift, np.abs(sol.qdd[0:3] - target).max())
             tau_root_ok &= bool(np.array_equal(sol.tau[0:6], np.zeros(6)))
-            state.qdd = sol.qdd
             if t < n - 1:
-                state = integrate(state, dt)
+                state = integrate(state, sol.qdd, dt)
 
     # runtime on a 600-frame sequence
     long_bundle = generate_scenario(SyntheticScenario("flat", "walk", 0.0, 0.0, 10.0, 4), MODEL)
@@ -211,7 +206,7 @@ def test_criterion_3_static_balance_and_ballistics():
     hm = build_height_map(make_box_mesh(-2, 2, -2, 2, 0.0), (64, 64))
     q = np.zeros(NV)
     q[1] = 0.97 + 5e-4
-    state = GeneralizedState(q.copy(), np.zeros(NV), np.zeros(NV))
+    state = GeneralizedState(q.copy(), np.zeros(NV))
     ref = ReferenceFrameInput(q.copy(), contact_targets(MODEL, q), np.ones(4, bool), np.vstack([q[0:3]] * 2))
     sol = solve_frame_grounded(MODEL, state, ref, hm, QPSettings())
     weight = MODEL.total_mass * 9.81
@@ -221,7 +216,7 @@ def test_criterion_3_static_balance_and_ballistics():
     q2 = q.copy()
     q2[1] = 3.0
     ref2 = ReferenceFrameInput(q2.copy(), np.zeros((4, 3)), np.zeros(4, bool), None)
-    sol2 = solve_frame_grounded(MODEL, GeneralizedState(q2, np.zeros(NV), np.zeros(NV)), ref2, hm, QPSettings())
+    sol2 = solve_frame_grounded(MODEL, GeneralizedState(q2, np.zeros(NV)), ref2, hm, QPSettings())
     flight_ok = abs(sol2.qdd[1] + 9.81) < 1e-6
     ok = stand_ok and flight_ok
     _announce(

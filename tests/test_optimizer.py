@@ -41,7 +41,7 @@ def flat_map():
 def standing_setup(model, rest_offset=5e-4):
     q = np.zeros(NV)
     q[1] = 0.97 + rest_offset
-    state = GeneralizedState(q.copy(), np.zeros(NV), np.zeros(NV))
+    state = GeneralizedState(q.copy(), np.zeros(NV))
     ref = ReferenceFrameInput(
         q_ref=q.copy(),
         ee_targets=contact_targets(model, q),
@@ -160,7 +160,7 @@ class TestSolveFrame:
     def test_free_flight_ballistics(self, model, flat_map):
         q = np.zeros(NV)
         q[1] = 3.0
-        state = GeneralizedState(q.copy(), np.zeros(NV), np.zeros(NV))
+        state = GeneralizedState(q.copy(), np.zeros(NV))
         ref = ReferenceFrameInput(q.copy(), np.zeros((4, 3)), contacts=np.zeros(4, bool), root_future=None)
         sol = solve_frame_grounded(model, state, ref, flat_map, QPSettings())
         assert abs(sol.qdd[1] + 9.81) < 1e-6
@@ -179,7 +179,7 @@ class TestSolveFrame:
         for _ in range(20):
             q = state.q + np.concatenate([rng.normal(size=3) * 0.01, rng.normal(size=72) * 0.05])
             qd = rng.normal(size=NV) * 0.7
-            st = GeneralizedState(q, qd, np.zeros(NV))
+            st = GeneralizedState(q, qd)
             sol = solve_frame_grounded(model, st, ref, flat_map, QPSettings())
             dyn = frame_dynamics(model, q, qd)
             h = dyn.h
@@ -200,7 +200,7 @@ class TestSolveFrame:
     def test_no_drift_equality_when_active(self, model, flat_map, rng):
         state, ref = standing_setup(model)
         qd = rng.normal(size=NV) * 0.3
-        st = GeneralizedState(state.q.copy(), qd, np.zeros(NV))
+        st = GeneralizedState(state.q.copy(), qd)
         sol = solve_frame_grounded(model, st, ref, flat_map, QPSettings())
         expected = root_supervision_accel(ref.root_future[1], ref.root_future[0], qd[0:3], 1.0 / 60.0)
         assert np.abs(sol.qdd[0:3] - expected).max() <= 1e-8
@@ -328,7 +328,7 @@ class TestSolveFrame:
         monkeypatch.setattr(opt, "solve_qp", failing)
         q = np.zeros(NV)
         q[1] = 3.0
-        state = GeneralizedState(q.copy(), np.zeros(NV), np.zeros(NV))
+        state = GeneralizedState(q.copy(), np.zeros(NV))
         ref = ReferenceFrameInput(q.copy(), np.zeros((4, 3)), contacts=np.zeros(4, bool), root_future=None)
         with pytest.raises(SolverError) as info:
             solve_frame_grounded(model, state, ref, flat_map, QPSettings())
@@ -352,13 +352,23 @@ class TestSolveFrame:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(opt, "solve_qp", record)
-        other_contacts = replace(cold, contact_names=cold.contact_names[:2])
+        other_contacts = replace(cold, active=np.array([True, True, False, False]))
         other_level = replace(cold, level="no-slide")
         for previous, expected in ((cold, cold.active_set), (other_contacts, None), (other_level, None)):
             seeds.clear()
             warm = solve_frame_grounded(model, state, ref, flat_map, settings, previous=previous)
             assert seeds == [expected]
             assert np.abs(warm.qdd - cold.qdd).max() <= 1e-8 * (1.0 + np.abs(cold.qdd).max())
+
+    def test_held_contacts_come_from_previous(self, model, flat_map):
+        state, ref = standing_setup(model)
+        state.q[1] += 0.05  # above the activation margin: only held contacts activate
+        cold = solve_frame_grounded(model, state, ref, flat_map, QPSettings())
+        assert ref.contacts.all() and not cold.active.any()
+        held = np.array([True, False, True, True])
+        sol = solve_frame_grounded(model, state, ref, flat_map, QPSettings(), previous=replace(cold, active=held))
+        assert np.array_equal(sol.active, held)
+        assert sol.contact_names == ("l_toe", "l_heel", "r_heel") and sol.contact_forces.shape == (3, 3)
 
 
 def walk_frame(model, scene, t, contacts=None):
@@ -369,7 +379,7 @@ def walk_frame(model, scene, t, contacts=None):
     future = np.array([generalized_position(seq, t + k)[0:3] for k in (1, 2)])
     labels = bundle.contacts[t] if contacts is None else contacts
     ref = ReferenceFrameInput(q.copy(), contact_targets(model, q), labels, future)
-    return GeneralizedState(q, qd, np.zeros(NV)), ref, build_height_map(bundle.mesh, (64, 64))
+    return GeneralizedState(q, qd), ref, build_height_map(bundle.mesh, (64, 64))
 
 
 class TestGroundTargets:

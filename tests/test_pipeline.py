@@ -7,13 +7,17 @@ import pytest
 from click.testing import CliRunner
 
 from physmotion.cli import EXIT_CONFIG, main
-from physmotion.errors import ConfigError, EmptySceneError, MotionFormatError
+from physmotion.errors import ConfigError, EmptySceneError, InvalidInputError, MotionFormatError
 from physmotion.frames import FilterParams
 from physmotion.motion import load_motion, save_motion
 from physmotion.optimizer import FrameSolution
 from physmotion.pipeline import ABLATION_PRESETS, RunConfig, filter_motion, run_pipeline, save_forces
 from physmotion.scene import save_contacts_csv, save_obj
 from physmotion.synth import SyntheticScenario, generate_scenario
+
+
+# one digit past Python's default int-string limit of 4,300 digits
+HUGE_INT = "1" * 4301
 
 
 def write_scenario(tmp_path, model, **kwargs):
@@ -425,6 +429,17 @@ class TestCLI:
             assert r.exit_code == EXIT_CONFIG, r.output
             assert "camera.jsonl:1: frame must be a 64-bit JSON integer, got inf" in r.output
 
+    def test_camera_integer_past_the_int_string_limit_is_an_input_error(self, tmp_path, model):
+        # Python's int-string limit raises a ValueError that is no JSONDecodeError
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            write_scenario(Path("."), model, duration=0.1)
+            Path("camera.jsonl").write_text('{"frame": ' + HUGE_INT + "}\n")
+            r = runner.invoke(main, ["refine", "--motion", "noisy.jsonl", "--camera", "camera.jsonl", "--out", "out"])
+            assert r.exit_code == EXIT_CONFIG, r.output
+            assert isinstance(r.exception, SystemExit)  # no traceback
+            assert "MotionFormatError: camera.jsonl:1: invalid JSON: " in r.output
+
     def test_pipeline_config_error_exit_code(self, tmp_path):
         runner = CliRunner()
         with runner.isolated_filesystem(temp_dir=tmp_path):
@@ -582,6 +597,36 @@ class TestCLI:
             assert "mpjpe" in doc
 
 
+@pytest.mark.parametrize(
+    "reader, error, lines, place",
+    [
+        ("trajectory", MotionFormatError, ['{"frame": HUGE}'], ":1: invalid JSON: "),
+        ("motion", MotionFormatError, ['{"schema": HUGE}'], ":1: invalid header: "),
+        ("motion", MotionFormatError, ["HEADER", '{"frame": HUGE}'], ":2: invalid JSON: "),
+        ("model", InvalidInputError, ['{"bodies": HUGE}'], ": invalid JSON: "),
+        ("config", ConfigError, ['{"grid_resolution": HUGE}'], ": "),
+        ("transform", MotionFormatError, ['{"translation_xyz": [HUGE, 0, 0]}'], ": invalid JSON: "),
+    ],
+    ids=["trajectory", "motion-header", "motion-record", "model", "config", "transform"],
+)
+def test_an_integer_past_the_int_string_limit_is_the_readers_error(tmp_path, reader, error, lines, place):
+    from physmotion.cli import _load_transform
+    from physmotion.frames import load_trajectory
+    from physmotion.humanoid import load_model
+    from physmotion.motion import SCHEMA
+    from physmotion.pipeline import load_config
+
+    readers = {"trajectory": load_trajectory, "motion": load_motion, "model": load_model,
+               "config": load_config, "transform": _load_transform}
+    header = json.dumps({"schema": SCHEMA, "fps": 60.0, "frames": 1})
+    path = tmp_path / "file.json"
+    path.write_text("".join(line.replace("HEADER", header).replace("HUGE", HUGE_INT) + "\n" for line in lines))
+    with pytest.raises(error) as info:
+        readers[reader](str(path))
+    assert str(info.value).startswith(f"{path}{place}")
+    assert "integer string conversion" in str(info.value)
+
+
 def save_forces_per_element(solutions, path):
     """Writer with one float() per element: the byte oracle for save_forces."""
     with open(path, "w") as fh:
@@ -601,7 +646,6 @@ def save_forces_per_element(solutions, path):
 
 
 def test_forces_bytes_equal_the_per_element_writer(tmp_path, rng):
-    names = ("l_toe", "r_toe", "l_heel", "r_heel")
     solutions = []
     for k in range(6):
         tau = rng.normal(size=75) * 10.0 ** rng.integers(-5, 5)
@@ -609,7 +653,7 @@ def test_forces_bytes_equal_the_per_element_writer(tmp_path, rng):
         forces = rng.normal(size=(k % 5, 3)) * 300.0
         level = ("full", "no-slide", "no-cone")[k % 3]
         solutions.append(
-            FrameSolution(np.zeros(75), names[: k % 5], forces, tau, level=level)
+            FrameSolution(np.zeros(75), np.arange(4) < k % 5, forces, tau, level=level)
         )
     save_forces(solutions, tmp_path / "new.jsonl")
     save_forces_per_element(solutions, tmp_path / "old.jsonl")

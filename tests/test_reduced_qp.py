@@ -128,7 +128,7 @@ def standing(model, rng=None):
     q[1] = 0.97 + CONTACT_REST_OFFSET
     qd = np.zeros(NV) if rng is None else rng.normal(size=NV) * 0.5
     ref = ReferenceFrameInput(q.copy(), contact_targets(model, q), np.ones(4, dtype=bool), np.vstack([q[0:3], q[0:3]]))
-    return GeneralizedState(q, qd, np.zeros(NV)), ref
+    return GeneralizedState(q, qd), ref
 
 
 def test_standing_flat(model, flat_map):
@@ -157,7 +157,7 @@ def test_single_support_on_ramp(model):
     )
     q = generalized_position(seq, t)
     qd = (generalized_position(seq, t + 1, previous=q) - q) * seq.frame_rate
-    state = GeneralizedState(q, qd, np.zeros(NV))
+    state = GeneralizedState(q, qd)
     future = np.array([generalized_position(seq, t + k)[0:3] for k in (1, 2)])
     ref = ReferenceFrameInput(q.copy(), contact_targets(model, q), labels[t], future)
     sol, full = solve_both(model, state, ref, hm, QPSettings())
