@@ -15,6 +15,11 @@ construction (tau[0:6] = 0: the floating base is unactuated).
 
 E_pd combines an angle-space PD toward the reference pose and a Cartesian PD
 pulling contact-labeled foot points toward their reference world positions.
+Each PD term (joint angles, root orientation, foot points and the contact
+normal's Baumgarte term) is one critically damped rate w (1/s), evaluated by
+`pd_accel` as w^2 e - 2 w v: kp = w^2 and kd = 2 w, a double pole at s = -w
+that the explicit Euler step maps to p = 1 - w dt. The contact normal runs
+at the deadbeat rate w = 1/dt (p = 0).
 E_reg = reg_weight * (|lambda|^2 + |tau[6:]|^2), a quadratic in x after the
 substitution.
 
@@ -31,7 +36,7 @@ the kinematic input floats above the scene.
 
 A `FrameSetup` holds what every frame of a sequence shares, built once per
 sequence: the model (which holds the contact points' bodies and offsets),
-the ground, the settings and resolved gains, the angle term's weights, the
+the ground, the settings and gains, the angle term's weights, the
 cone facet directions, the root-pin rows and, per pattern of active contacts,
 the contact blocks' index bookkeeping. `refine_sequence` also puts every
 labelled foot target of the sequence on the ground with one height query
@@ -82,9 +87,6 @@ from .qp import solve_qp
 from .rotations import cross_rows, matvec_rows, vector_norms
 from .scene import CONTACT_NAMES, HeightMap, query_surface
 
-# Baumgarte stabilization of the contact equality, critically damped at 60 fps
-CONTACT_KP = 3600.0
-CONTACT_KV = 120.0
 # contacts activate only when the foot is this close to the surface
 CONTACT_ACTIVATION_MARGIN = 0.01
 # the stabilization rests the contact point a hair above the surface so the
@@ -107,37 +109,24 @@ FALLBACK_LEVELS = (
 )
 
 
-def _critical_damping(kp: float) -> float:
-    return 2.0 * math.sqrt(kp)
-
-
 @dataclass
 class PDGains:
-    """Dual-controller gains; derivative gains default to critical damping.
+    """The critically damped rate w (1/s) of each tracking term: joint
+    angles, contact points and root orientation, each a PD with kp = w^2 and
+    kd = 2 w (`pd_accel`).
 
-    The root-orientation rows get their own, much softer gains: the base is
+    The root orientation gets its own, much slower rate: the base is
     unactuated, so its tracking torque must come from contact friction, and
     demands beyond the friction-cone authority (roughly 25 rad/s^2 in single
     support) saturate the cone and destabilize the stance instead of helping.
     """
 
-    angle_kp: float = 2400.0
-    angle_kd: Optional[float] = None
-    position_kp: float = 2500.0
-    position_kd: Optional[float] = None
-    root_orient_kp: float = 400.0
-    root_orient_kd: Optional[float] = None
+    angle_rate: float = math.sqrt(2400.0)
+    position_rate: float = 50.0
+    root_orient_rate: float = 20.0
 
     def __post_init__(self):
-        for name in ("angle_kp", "position_kp", "root_orient_kp"):
-            check_number(name, getattr(self, name), ">= 0")
-        if self.angle_kd is None:
-            self.angle_kd = _critical_damping(self.angle_kp)
-        if self.position_kd is None:
-            self.position_kd = _critical_damping(self.position_kp)
-        if self.root_orient_kd is None:
-            self.root_orient_kd = _critical_damping(self.root_orient_kp)
-        for name in ("angle_kd", "position_kd", "root_orient_kd"):
+        for name in ("angle_rate", "position_rate", "root_orient_rate"):
             check_number(name, getattr(self, name), ">= 0")
 
 
@@ -220,6 +209,12 @@ class FrameSolution(_ActiveContacts):
         return self.level != FALLBACK_LEVELS[0][0]
 
 
+def pd_accel(rate: float, error: np.ndarray, velocity: np.ndarray) -> np.ndarray:
+    """The critically damped PD acceleration w^2 e - 2 w v of rate w (1/s),
+    for an error e (target minus value) and a velocity v of one shape."""
+    return rate * rate * error - 2.0 * rate * velocity
+
+
 def pd_desired_accel_angles(
     q: np.ndarray, qd: np.ndarray, q_ref: np.ndarray, gains: PDGains
 ) -> np.ndarray:
@@ -229,17 +224,9 @@ def pd_desired_accel_angles(
     constraint (or, absent it, by contact mechanics alone).
     """
     out = np.zeros(NV)
-    out[3:6] = gains.root_orient_kp * (q_ref[3:6] - q[3:6]) - gains.root_orient_kd * qd[3:6]
-    out[6:] = gains.angle_kp * (q_ref[6:] - q[6:]) - gains.angle_kd * qd[6:]
+    out[3:6] = pd_accel(gains.root_orient_rate, q_ref[3:6] - q[3:6], qd[3:6])
+    out[6:] = pd_accel(gains.angle_rate, q_ref[6:] - q[6:], qd[6:])
     return out
-
-
-def pd_desired_accel_points(
-    position: np.ndarray, velocity: np.ndarray, target: np.ndarray, gains: PDGains
-) -> np.ndarray:
-    """Cartesian PD on tracked points, kp (r_ref - p) - kd (J qd), for
-    (k, 3) positions, velocities J qd and reference positions."""
-    return gains.position_kp * (target - position) - gains.position_kd * velocity
 
 
 def root_supervision_accel(
@@ -256,7 +243,7 @@ def root_supervision_accel(
 
 class FrameSetup:
     """What every frame of a sequence shares, built once: the model, the
-    ground, the settings and resolved gains, and the parts of the QP that no
+    ground, the settings and gains, and the parts of the QP that no
     state changes (the span of the contact points' Jacobians, the angle
     term's weights, the cone facet directions, the root-pin rows and, per
     pattern of active contacts, the contact blocks' index bookkeeping).
@@ -371,13 +358,12 @@ def _contact_blocks(
     idx, dt = pattern.idx, setup.dt
     pos, jac, vel, bias = feet.position[idx], feet.jacobian[idx], feet.velocity[idx], feet.bias[idx]
     normal = normals[idx]
-    # normal axis: critically damped spring toward the surface; bound the
+    # normal axis: a deadbeat PD (rate 1/dt) toward the surface; bound the
     # commanded velocity so deep penetration recovers at a finite rate
     # instead of slamming the legs straight
-    err = pos[:, 1] - (surface[idx] + CONTACT_REST_OFFSET)
     v_n = (vel[:, None, :] @ normal[:, :, None])[:, 0, 0]
     v_t = vel - v_n[:, None] * normal
-    a_n = -CONTACT_KV * v_n - CONTACT_KP * err
+    a_n = pd_accel(1.0 / dt, (surface[idx] + CONTACT_REST_OFFSET) - pos[:, 1], v_n)
     cap = CONTACT_MAX_CORRECTION_VELOCITY
     v_next = v_n + a_n * dt
     a_n = np.where(np.abs(v_next) > cap, (np.copysign(cap, v_next) - v_n) / dt, a_n)
@@ -483,7 +469,7 @@ def frame_problem(
     np.einsum("ii->i", p_mat)[3:NV] = setup.angle_weight
     q_vec[3:NV] -= setup.angle_weight * target[3:]
     if settings.use_position_pd and tracking:
-        a_des = pd_desired_accel_points(feet.position, feet.velocity, ref.ee_targets, gains)
+        a_des = pd_accel(gains.position_rate, ref.ee_targets - feet.position, feet.velocity)
         # w J^T of each point is its own buffer (w J^T J is then a general
         # product, not numpy's multithreaded syrk), the four Gram products
         # come from one stacked call over the columns where they are not
@@ -590,8 +576,11 @@ def refine_sequence(
 ) -> Tuple[MotionSequence, List[FrameSolution]]:
     """Run the per-frame QP over a whole sequence, integrating frame by frame.
 
-    The state is initialized from the first reference frame (root placed at
-    the estimated world root position) with a finite-difference velocity.
+    The QP runs at 60 fps: `resample_motion` takes the sequence there and
+    the refined motion back to the input rate, each a no-op when the rates
+    already match. The state is initialized from the first reference frame
+    (root placed at the estimated world root position) with a
+    finite-difference velocity.
     Each frame hands the next only its integrated state and its
     FrameSolution. The last two frames run without root supervision since
     it needs references at t+1 and t+2. One FrameSetup serves every frame
@@ -602,10 +591,8 @@ def refine_sequence(
     seq = kinematic_seq
     if len(seq) < 3:
         raise InvalidInputError("refinement needs at least 3 frames")
-    target_fps = 1.0 / DEFAULT_DT
     original_fps = seq.frame_rate
-    if abs(seq.frame_rate - target_fps) > 1e-9:
-        seq = resample_motion(seq, target_fps)
+    seq = resample_motion(seq, 1.0 / DEFAULT_DT)
     dt = seq.dt
 
     n = len(seq)
@@ -633,6 +620,4 @@ def refine_sequence(
             state = integrate(state, sol.qdd, dt)
 
     refined = sequence_from_generalized(seq.frame_rate, out_q, model, seq.contacts)
-    if abs(original_fps - seq.frame_rate) > 1e-9:
-        refined = resample_motion(refined, original_fps)
-    return refined, solutions
+    return resample_motion(refined, original_fps), solutions

@@ -82,12 +82,13 @@ _CONFIG_BLOCKS = {
 
 
 def _check_keys(where: str, block, known: set) -> None:
-    """Raise ConfigError unless block is a mapping whose keys are all in known."""
+    """Raise ConfigError unless block is a mapping whose keys are all in
+    known; the message names the unknown keys and then the accepted ones."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object, got {type(block).__name__}")
     unknown = sorted(str(key) for key in set(block) - known)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}; accepted: {', '.join(sorted(known))}")
 
 
 def _check_types(where: str, values: dict, cls) -> None:

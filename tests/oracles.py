@@ -18,8 +18,6 @@ from physmotion.humanoid import DEFAULT_DT, NUM_BODIES, NV, FKResult, contact_po
 from physmotion.motion import _continuous_exp_coords
 from physmotion.optimizer import (
     CONTACT_ACTIVATION_MARGIN,
-    CONTACT_KP,
-    CONTACT_KV,
     CONTACT_MAX_CORRECTION_VELOCITY,
     CONTACT_REST_OFFSET,
     FALLBACK_LEVELS,
@@ -27,7 +25,6 @@ from physmotion.optimizer import (
     FrameSetup,
     PDGains,
     ReferenceFrameInput,
-    pd_desired_accel_angles,
     root_supervision_accel,
     solve_frame,
 )
@@ -402,6 +399,11 @@ def solve_frame_grounded(model, state, ref, hm, settings, dt=DEFAULT_DT, **kwarg
     return solve_frame(setup, state, grounded(setup, ref), **kwargs)
 
 
+def pd_gains(rate):
+    """(kp, kd) of the critically damped PD of rate w (1/s): w^2 and 2 w."""
+    return rate * rate, 2.0 * rate
+
+
 def frame_qp_scalar(model, dyn, state, ref, hm, settings, level, dt, latched):
     """The (P, q, A, b, G, h) of one frame at one FALLBACK_LEVELS level, built
     per contact point and per level as solve_frame built them."""
@@ -434,10 +436,14 @@ def frame_qp_scalar(model, dyn, state, ref, hm, settings, level, dt, latched):
             active.append(p)
 
     m_mat, h_vec = dyn.m, dyn.h
-    qdd_des = pd_desired_accel_angles(q, qd, ref.q_ref, gains)
+    (kp_root, kd_root), (kp_angle, kd_angle), (kp_point, kd_point) = (
+        pd_gains(rate) for rate in (gains.root_orient_rate, gains.angle_rate, gains.position_rate)
+    )
+    qdd_des = np.zeros(NV)
+    qdd_des[3:6] = kp_root * (ref.q_ref[3:6] - q[3:6]) - kd_root * qd[3:6]
+    qdd_des[6:] = kp_angle * (ref.q_ref[6:] - q[6:]) - kd_angle * qd[6:]
     a_des = {
-        name: gains.position_kp * (np.asarray(target) - points[name]["position"])
-        - gains.position_kd * points[name]["velocity"]
+        name: kp_point * (np.asarray(target) - points[name]["position"]) - kd_point * points[name]["velocity"]
         for name, target in targets.items()
     }
     nc = len(active)
@@ -457,8 +463,8 @@ def frame_qp_scalar(model, dyn, state, ref, hm, settings, level, dt, latched):
     else:
         w *= 0.01
         target = np.zeros(NV)
-        target[3:6] = -gains.root_orient_kd * qd[3:6]
-        target[6:] = -gains.angle_kd * qd[6:]
+        target[3:6] = -kd_root * qd[3:6]
+        target[6:] = -kd_angle * qd[6:]
     p_mat[idx, idx] += w[idx]
     q_vec[idx] -= w[idx] * target[idx]
     if settings.use_position_pd:
@@ -478,12 +484,14 @@ def frame_qp_scalar(model, dyn, state, ref, hm, settings, level, dt, latched):
     eq_rows = [np.hstack([m_mat[:6], -jc_t[:6]])]
     eq_rhs = [-h_vec[:6]]
     if use_slide:
+        # the normal axis is deadbeat: rate 1/dt
+        kp_normal, kd_normal = pd_gains(1.0 / dt)
         first_on_body = {}
         for point in active:
             err = point["position"][1] - (point["surface_height"] + CONTACT_REST_OFFSET)
             v_n = float(point["velocity"] @ point["normal"])
             v_t = point["velocity"] - v_n * point["normal"]
-            a_n = -CONTACT_KV * v_n - CONTACT_KP * err
+            a_n = -kd_normal * v_n - kp_normal * err
             cap = CONTACT_MAX_CORRECTION_VELOCITY
             v_next = v_n + a_n * dt
             if abs(v_next) > cap:

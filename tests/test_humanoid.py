@@ -570,6 +570,32 @@ def test_model_from_dict_takes_parent_and_mass_as_written(field, value, message)
     assert str(err.value) == f"bodies[3]: malformed field: {message}"
 
 
+@pytest.mark.parametrize("bad", ["0.1", True], ids=["string", "bool"])
+@pytest.mark.parametrize(
+    "edit, where, field",
+    [
+        (lambda doc, bad: doc["bodies"][5]["offset_xyz"].__setitem__(1, bad), "bodies[5]", "offset_xyz"),
+        (lambda doc, bad: doc["bodies"][10]["end_effectors"][1]["offset_xyz"].__setitem__(0, bad),
+         "bodies[10]", "end effector l_heel offset_xyz"),
+        (lambda doc, bad: doc["bodies"][2]["inertia_diag"].__setitem__(2, bad), "bodies[2]", "inertia_diag"),
+        (lambda doc, bad: doc["bodies"][4].update(inertia=[[1.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 0.0, 1.0]]),
+         "bodies[4]", "inertia"),
+        (lambda doc, bad: doc.update(gravity=[0.0, bad, 0.0]), "model", "gravity"),
+    ],
+    ids=["offset", "end-effector-offset", "inertia-diag", "inertia", "gravity"],
+)
+def test_model_from_dict_takes_vector_fields_as_json_numbers(edit, where, field, bad):
+    # np.asarray(..., dtype=float) used to read "0.1" as 0.1 and true as 1.0
+    from physmotion.humanoid import model_from_dict
+
+    doc = _default_doc()
+    edit(doc, bad)
+    with pytest.raises(InvalidInputError) as err:
+        model_from_dict(doc)
+    assert str(err.value).startswith(f"{where}: malformed field: {field} must hold JSON numbers only, got ")
+    assert repr(bad) in str(err.value)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from oracles import contact_point, contact_targets, frame_qp_scalar, generalized
 
 from physmotion.errors import InvalidInputError, QPInfeasibleError, SolverError
 from physmotion.humanoid import (
+    DEFAULT_DT,
     NV,
     Body,
     GeneralizedState,
@@ -23,8 +25,8 @@ from physmotion.optimizer import (
     PDGains,
     QPSettings,
     ReferenceFrameInput,
+    pd_accel,
     pd_desired_accel_angles,
-    pd_desired_accel_points,
     frame_problem,
     refine_sequence,
     root_supervision_accel,
@@ -61,22 +63,22 @@ class TestPDAngles:
         q = np.zeros(NV)
         q_ref = np.zeros(NV)
         q_ref[10] = 0.1
-        gains = PDGains(angle_kp=100.0, angle_kd=0.0)
+        gains = PDGains(angle_rate=10.0)
         out = pd_desired_accel_angles(q, np.zeros(NV), q_ref, gains)
         assert np.isclose(out[10], 10.0)
         assert np.abs(np.delete(out, 10)).max() == 0.0
 
     def test_scalar_recomputation_oracle(self, model, rng):
         q, qd, q_ref = rng.normal(size=NV), rng.normal(size=NV), rng.normal(size=NV)
-        gains = PDGains(angle_kp=321.0, angle_kd=7.5, root_orient_kp=55.0, root_orient_kd=2.0)
+        gains = PDGains(angle_rate=17.5, root_orient_rate=7.25)
         out = pd_desired_accel_angles(q, qd, q_ref, gains)
         for i in range(NV):
             if i < 3:
                 expected = 0.0
             elif i < 6:
-                expected = 55.0 * (q_ref[i] - q[i]) - 2.0 * qd[i]
+                expected = 52.5625 * (q_ref[i] - q[i]) - 14.5 * qd[i]
             else:
-                expected = 321.0 * (q_ref[i] - q[i]) - 7.5 * qd[i]
+                expected = 306.25 * (q_ref[i] - q[i]) - 35.0 * qd[i]
             assert abs(out[i] - expected) < 1e-12
 
     def test_root_translation_rows_zero(self, model, rng):
@@ -96,16 +98,15 @@ class TestPDPoints:
         q = np.zeros(NV)
         points = contact_positions(model, forward_kinematics(model, q))
         feet = feet_of(model, q, np.zeros(NV), CONTACT_NAMES)
-        out = pd_desired_accel_points(feet.position, feet.velocity, points, PDGains())
+        out = pd_accel(PDGains().position_rate, points - feet.position, feet.velocity)
         assert out.shape == (len(CONTACT_NAMES), 3)
         assert np.abs(out).max() < 1e-12
 
     def test_proportional_magnitude(self, model):
         q = np.zeros(NV)
         target = contact_targets(model, q)[CONTACT_NAMES.index("l_toe")] + np.array([0.01, 0.0, 0.0])
-        gains = PDGains(position_kp=400.0, position_kd=0.0)
         feet = feet_of(model, q, np.zeros(NV), ["l_toe"])
-        out = pd_desired_accel_points(feet.position, feet.velocity, target[None], gains)
+        out = pd_accel(20.0, target[None] - feet.position, feet.velocity)
         assert np.isclose(np.linalg.norm(out[0]), 4.0)
 
     def test_direct_recomputation_oracle(self, model, rng):
@@ -113,15 +114,35 @@ class TestPDPoints:
         qd = rng.normal(size=NV)
         fk = forward_kinematics(model, q)
         targets = {name: p + rng.normal(size=3) * 0.05 for name, p in zip(CONTACT_NAMES, contact_positions(model, fk))}
-        gains = PDGains(position_kp=123.0, position_kd=4.5)
         feet = feet_of(model, q, qd, list(targets))
-        out = pd_desired_accel_points(feet.position, feet.velocity, np.array(list(targets.values())), gains)
+        out = pd_accel(11.5, np.array(list(targets.values())) - feet.position, feet.velocity)
         for k, name in enumerate(targets):
             body, off = contact_point(model, name)
             pos = fk.positions[body] + fk.rotations[body] @ off
             vel = feet.jacobian[k] @ qd
-            expected = 123.0 * (targets[name] - pos) - 4.5 * vel
+            expected = 132.25 * (targets[name] - pos) - 23.0 * vel
             assert np.abs(out[k] - expected).max() < 1e-10
+
+
+class TestGainRule:
+    """Each PD term is one critically damped rate w: kp = w^2 and kd = 2 w.
+    The default rates give back the hand-set gains of the kp/kd form bit
+    for bit."""
+
+    def test_default_rates_give_the_hand_set_gains(self):
+        gains = PDGains()
+        rates = (gains.angle_rate, gains.position_rate, gains.root_orient_rate)
+        assert [w * w for w in rates] == [2400.0, 2500.0, 400.0]
+        assert [2 * w for w in rates] == [2 * math.sqrt(2400.0), 100.0, 40.0]
+        for w, kp, kd in zip(rates, (2400.0, 2500.0, 400.0), (2 * math.sqrt(2400.0), 100.0, 40.0)):
+            assert pd_accel(w, 1.0, 0.0) == kp
+            assert pd_accel(w, 0.0, 1.0) == -kd
+
+    def test_contact_normal_is_deadbeat_at_60_fps(self):
+        rate = 1.0 / DEFAULT_DT
+        assert (rate * rate, 2.0 * rate) == (3600.0, 120.0)
+        assert pd_accel(rate, 1.0, 0.0) == 3600.0
+        assert pd_accel(rate, 0.0, 1.0) == -120.0
 
 
 class TestRootSupervision:
@@ -598,6 +619,25 @@ class TestRefineSequence:
         refined, sols = refine_sequence(model, bundle.ground_truth, hm, QPSettings())
         assert len(sols) == len(refined) == len(bundle.ground_truth)
 
+    def test_refine_runs_at_default_dt_unless_the_rate_is_60_fps(self, model, flat_map, monkeypatch):
+        # one test decides whether the rate is 60 fps: resample_motion's own, so
+        # a rate 1e-10 off is resampled and every frame steps at DEFAULT_DT
+        import physmotion.optimizer as opt
+
+        bundle = generate_scenario(SyntheticScenario(scene="flat", motion="stand", duration=0.2, seed=1), model)
+        seq = replace(bundle.ground_truth, frame_rate=60.0 + 1e-10)
+        steps, integrate = [], opt.integrate
+
+        def spy(state, qdd, dt):
+            steps.append(dt)
+            return integrate(state, qdd, dt)
+
+        monkeypatch.setattr(opt, "integrate", spy)
+        refined, _ = refine_sequence(model, seq, flat_map, QPSettings())
+        assert len(steps) == len(seq) - 1
+        assert set(steps) == {DEFAULT_DT}
+        assert refined.frame_rate == seq.frame_rate and len(refined) == len(seq)
+
 
 def test_settings_validation():
     with pytest.raises(InvalidInputError):
@@ -607,7 +647,9 @@ def test_settings_validation():
     with pytest.raises(InvalidInputError):
         QPSettings(reg_weight=0.0)
     with pytest.raises(InvalidInputError):
-        PDGains(angle_kp=-1.0)
+        PDGains(angle_rate=-1.0)
+    with pytest.raises(InvalidInputError):
+        PDGains(root_orient_rate=float("nan"))
 
 
 @pytest.mark.parametrize("field", ["q_ref", "ee_targets", "root_future"])

@@ -10,8 +10,9 @@ from physmotion.cli import EXIT_CONFIG, main
 from physmotion.errors import ConfigError, EmptySceneError, InvalidInputError, MotionFormatError
 from physmotion.frames import FilterParams
 from physmotion.motion import load_motion, save_motion
-from physmotion.optimizer import FrameSolution
+from physmotion.optimizer import FrameSolution, QPSettings
 from physmotion.pipeline import ABLATION_PRESETS, RunConfig, filter_motion, run_pipeline, save_forces
+from physmotion.rotations import log_so3, vector_norms
 from physmotion.scene import save_contacts_csv, save_obj
 from physmotion.synth import SyntheticScenario, generate_scenario
 
@@ -39,7 +40,7 @@ class TestRunConfig:
             "output_dir": "o",
             "grid_resolution": 77,
             "settings": {"friction_mu": 0.5, "use_root_supervision": False},
-            "gains": {"angle_kp": 1200.0},
+            "gains": {"angle_rate": 30.0},
             "filter": {"min_cutoff": 1.5},
         }
         path = tmp_path / "cfg.json"
@@ -48,7 +49,7 @@ class TestRunConfig:
         assert config.grid_resolution == 77
         assert config.settings.friction_mu == 0.5
         assert not config.settings.use_root_supervision
-        assert config.gains.angle_kp == 1200.0
+        assert config.gains.angle_rate == 30.0
         assert config.filter_params.min_cutoff == 1.5
 
     @pytest.mark.parametrize(
@@ -57,7 +58,7 @@ class TestRunConfig:
             ({"motionpath": "x.jsonl"}, "config", "motionpath"),
             ({"settings": {"bogus": 1}}, "settings", "bogus"),
             ({"settings": {"max_iter": 200}}, "settings", "max_iter"),
-            ({"gains": {"angle_kp": 1.0, "kp": 1.0}}, "gains", "kp"),
+            ({"gains": {"angle_rate": 1.0, "kp": 1.0}}, "gains", "kp"),
             ({"filter": {"cutoff": 1.0}}, "filter", "cutoff"),
             ({"filter": {"beta": 0.5, "sample_rate": 30.0}}, "filter", "sample_rate"),
             ({"frame_rate": 30}, "config", "frame_rate"),
@@ -76,6 +77,18 @@ class TestRunConfig:
             config_from_dict(doc)
         assert f"in {where}: {key}" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["angle_kp", "angle_kd", "root_orient_kd"])
+    def test_gain_key_of_the_kp_kd_form_names_the_rates(self, key):
+        # each PD term is one critically damped rate, so a kp or kd is an
+        # unknown key, and the message lists the keys the block accepts
+        from physmotion.pipeline import config_from_dict
+
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"gains": {key: 2400.0}})
+        assert str(err.value) == (
+            f"unknown key(s) in gains: {key}; accepted: angle_rate, position_rate, root_orient_rate"
+        )
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -83,7 +96,7 @@ class TestRunConfig:
             "{not json",
             json.dumps({"settings": {"friction_mu": "high"}}),
             json.dumps({"scenario": {"duration": [1.0]}}),
-            json.dumps({"gains": {"angle_kp": -1.0}}),
+            json.dumps({"gains": {"angle_rate": -1.0}}),
         ],
     )
     def test_load_config_malformed_is_a_config_error(self, tmp_path, text):
@@ -105,9 +118,9 @@ class TestRunConfig:
             ("settings", "angle_weight", -1.0),
             ("settings", "cone_facets", 4.5),
             ("settings", "use_angle_pd", 0),
-            ("gains", "angle_kp", float("nan")),
-            ("gains", "position_kd", float("nan")),
-            ("gains", "root_orient_kd", "soft"),
+            ("gains", "angle_rate", float("nan")),
+            ("gains", "position_rate", float("nan")),
+            ("gains", "root_orient_rate", "soft"),
             ("filter", "min_cutoff", float("nan")),
             ("filter", "beta", float("nan")),
             ("scenario", "seed", 2.0),
@@ -667,3 +680,31 @@ def test_sequence_stages_make_no_per_frame_forward_kinematics(model, fk_calls):
     assert fk_calls == []
     bundle.noisy.with_joint_positions(model)
     assert fk_calls == [(len(bundle.noisy), 75)]
+
+
+# gait cells that must stay sound: (scene, drift m/s, seed), each run as
+# the benchmark's gait workload runs it (sigma 0.03, 4 s walk, root
+# supervision off); a completion is sound when its refined root orientation
+# stays within this angle of the filtered input's on every frame
+GAIT_SENTINELS = [("flat", 0.01, 1), ("flat", 0.01, 7), ("ramp", 0.0, 1)]
+SOUND_ROOT_ANGLE = 0.3
+
+
+@pytest.mark.parametrize(
+    "scene, drift, seed", GAIT_SENTINELS, ids=["flat-walk/no-root/s1", "flat-walk/no-root/s7", "ramp-walk/no-root/s1"]
+)
+def test_gait_sentinel_completes_sound_without_degrading(tmp_path, model, scene, drift, seed):
+    scenario = SyntheticScenario(scene=scene, motion="walk", noise_sigma=0.03, drift_rate=drift, duration=4.0, seed=seed)
+    config = RunConfig(output_dir=str(tmp_path), scenario=scenario, settings=QPSettings(use_root_supervision=False))
+    run_pipeline(config, model=model)
+
+    # judged from the written files alone
+    noisy = load_motion(tmp_path / "inputs" / "noisy_motion.jsonl")
+    refined = load_motion(tmp_path / "refined_motion.jsonl")
+    records = [json.loads(line) for line in (tmp_path / "forces.jsonl").read_text().splitlines()[1:]]
+    assert len(refined) == len(noisy) == len(records)
+    assert [r["frame"] for r in records if r["degraded"]] == []
+    filtered = filter_motion(noisy, FilterParams())
+    relative = np.swapaxes(filtered.root_rot, 1, 2) @ refined.root_rot
+    angles = vector_norms(log_so3(relative))[:, 0]
+    assert angles.max() < SOUND_ROOT_ANGLE, (int(angles.argmax()), float(angles.max()))

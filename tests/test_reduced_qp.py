@@ -12,7 +12,7 @@ which do not involve the torques, are taken from the reduced QP that
 
 import numpy as np
 import pytest
-from oracles import contact_point, contact_targets, generalized_position, grounded
+from oracles import contact_point, contact_targets, generalized_position, grounded, pd_gains
 
 from physmotion.humanoid import NV, GeneralizedState, frame_dynamics
 from physmotion.optimizer import (
@@ -23,7 +23,6 @@ from physmotion.optimizer import (
     QPSettings,
     ReferenceFrameInput,
     frame_problem,
-    pd_desired_accel_angles,
     solve_frame,
 )
 from physmotion.qp import solve_qp
@@ -47,7 +46,11 @@ def full_qp(model, state, ref, hm, settings, gains, names, reduced):
 
     w = np.full(NV, 2.0 * settings.angle_weight)
     w[3:6] *= ROOT_ORIENT_WEIGHT_SCALE
-    target = pd_desired_accel_angles(q, qd, ref.q_ref, gains)
+    target = np.zeros(NV)
+    for rows, rate in ((slice(3, 6), gains.root_orient_rate), (slice(6, NV), gains.angle_rate)):
+        kp, kd = pd_gains(rate)
+        target[rows] = kp * (ref.q_ref[rows] - q[rows]) - kd * qd[rows]
+    kp_point, kd_point = pd_gains(gains.position_rate)
     for i in range(3, NV):
         p_mat[i, i] += w[i]
         q_vec[i] -= w[i] * target[i]
@@ -58,7 +61,7 @@ def full_qp(model, state, ref, hm, settings, gains, names, reduced):
         goal = ref.ee_targets[k].copy()
         if ref.contacts[k]:
             goal[1] = query_height(hm, goal[0], goal[2]) + CONTACT_REST_OFFSET
-        accel = gains.position_kp * (goal - feet.position[k]) - gains.position_kd * feet.velocity[k]
+        accel = kp_point * (goal - feet.position[k]) - kd_point * feet.velocity[k]
         rhs = accel - feet.bias[k]
         p_mat[:NV, :NV] += 2.0 * settings.point_weight * jac.T @ jac
         q_vec[:NV] -= 2.0 * settings.point_weight * jac.T @ rhs
