@@ -17,14 +17,14 @@ from dataclasses import replace
 import click
 
 from .errors import MotionFormatError, PhysmotionError, SolverError
-from .frames import RigidTransform, check_field, check_quaternions, hand_eye_calibrate, parse_field
+from .frames import NumericField, RigidTransform, check_quaternions, hand_eye_calibrate
 from .humanoid import default_model
 from .metrics import evaluate
 from .motion import load_motion
 from .optimizer import QPSettings
 from .pipeline import ABLATION_PRESETS, RunConfig, load_config, run_pipeline
 from .rotations import matrix_to_quat, quat_to_matrix
-from .scene import build_height_map, load_obj, save_height_map
+from .scene import DEFAULT_GRID_RESOLUTION, build_height_map, load_obj, save_height_map
 from .synth import SyntheticScenario, generate_scenario, write_scenario
 
 EXIT_OK = 0
@@ -50,8 +50,8 @@ def _load_transform(path: str) -> RigidTransform:
     for key in ("rotation_quat_wxyz", "translation_xyz"):
         if not isinstance(doc, dict) or key not in doc:
             raise MotionFormatError(f"{path}: missing field {key}")
-    quat = check_quaternions([parse_field(doc["rotation_quat_wxyz"], (4,))], [path], "rotation_quat_wxyz")[0]
-    trans = check_field([parse_field(doc["translation_xyz"], (3,))], [path], "translation_xyz")[0]
+    quat = check_quaternions(NumericField("rotation_quat_wxyz", (4,)).add(doc["rotation_quat_wxyz"], path))[0]
+    trans = NumericField("translation_xyz", (3,)).add(doc["translation_xyz"], path).array()[0]
     return RigidTransform(quat_to_matrix(quat), trans)
 
 
@@ -101,7 +101,7 @@ def calibrate(t_eh: str, t_ef: str, t_mf: str, out: str) -> None:
 @main.command()
 @click.argument("mesh", type=click.Path(exists=True))
 @click.option("--out", "-o", default="scene.hmap", type=click.Path(), show_default=True)
-@click.option("--resolution", default=1024, show_default=True, help="grid cells per axis")
+@click.option("--resolution", default=DEFAULT_GRID_RESOLUTION, show_default=True, help="grid cells per axis")
 def heightmap(mesh: str, out: str, resolution: int) -> None:
     """Build a height map from a Wavefront OBJ scene mesh."""
     hm = build_height_map(load_obj(mesh), (resolution, resolution))
@@ -144,7 +144,7 @@ def refine(motion: str, mesh: str, contacts: str, camera: str, out_dir: str, no_
 @click.option("--pred", required=True, type=click.Path(exists=True), help="predicted motion file")
 @click.option("--gt", required=True, type=click.Path(exists=True), help="ground-truth motion file")
 @click.option("--mesh", type=click.Path(exists=True), help="scene mesh for plausibility metrics")
-@click.option("--resolution", default=256, show_default=True)
+@click.option("--resolution", default=DEFAULT_GRID_RESOLUTION, show_default=True, help="grid cells per axis")
 @click.option("--out", "-o", type=click.Path(), help="also write the report as JSON")
 def evaluate_cmd(pred: str, gt: str, mesh: str, resolution: int, out: str) -> None:
     """Metric report for a prediction against ground truth."""

@@ -8,9 +8,12 @@ conversion and the file readers and writers take whole stacks of frames.
 from __future__ import annotations
 
 import json
+import math
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -41,42 +44,106 @@ def _check_rotations(rot: np.ndarray, name: str = "rotation", tol: float = 1e-7)
     return rot
 
 
-def parse_field(value, shape: tuple) -> np.ndarray:
-    """One record's numeric field as parsed from JSON, as a float array of
-    the given shape; all nan when it is not numbers of that shape, which
-    check_field then reports."""
-    try:
-        floats = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        return np.full(shape, np.nan)
-    return floats if floats.shape == shape else np.full(shape, np.nan)
+_BATCH = 4096  # numbers NumericField converts at once
 
 
-def check_field(rows: list, places: List[str], field: str) -> np.ndarray:
-    """The parse_field arrays of a file's N >= 1 records as one array.
+class NumericField:
+    """One numeric field of a file's N >= 1 records as one (N, *shape) float
+    array, shape (n,) or (rows, columns): the one decoder of the motion,
+    trajectory, transform and model readers.
 
-    places[i] names record i (file:line). The first record whose field is
-    not finite numbers of the shape raises MotionFormatError naming its
-    place and the field. The motion, trajectory and transform readers check
-    each field once per file.
+    A value must be JSON numbers (int or float, never bool or str) in lists
+    of the shape, finite unless finite is false. add() takes the values in
+    record order with their places (file:line, or a model's body), and it or
+    array() raises error naming the first bad record and the field. add()
+    keeps only a value's numbers, converted some thousands at a time, so a
+    reader need not keep its parsed records, whose many small lists would
+    cost the garbage collector more than the decoding.
     """
-    array = np.array(rows)
-    finite = np.isfinite(array).reshape(len(rows), -1).all(axis=1)
-    if not finite.all():
-        dims = " x ".join(str(d) for d in array.shape[1:])
-        raise MotionFormatError(f"{places[np.argmin(finite)]}: {field} must be {dims} finite numbers")
-    return array
+
+    def __init__(self, name: str, shape: tuple, error: type = MotionFormatError, finite: bool = True):
+        self.name, self.shape, self.error, self.finite = name, shape, error, finite
+        self.not_numbers = f"{name} must be {' x '.join(map(str, shape))} finite numbers"
+        self.places: List[str] = []
+        self.arrays: List[np.ndarray] = []
+        self.numbers: list = []  # those of the last records, not yet in arrays
+
+    def add(self, value, place: str) -> "NumericField":
+        try:
+            if type(value) is not list or len(value) != self.shape[0]:
+                raise TypeError
+            # the rows' lengths in one call; a string row of the length
+            # passes, and its characters then fail the numbers' type check
+            if len(self.shape) == 2:
+                if set(map(len, value)) != {self.shape[1]}:
+                    raise TypeError
+                value = chain.from_iterable(value)
+        except TypeError:  # not lists of the shape, or len() of a number, bool or null
+            self._convert()  # an earlier record's fault comes first
+            raise self.error(f"{place}: {self.not_numbers}") from None
+        self.numbers += value
+        self.places.append(place)
+        if len(self.numbers) >= _BATCH:
+            self._convert()
+        return self
+
+    def array(self) -> np.ndarray:
+        self._convert()
+        return np.concatenate(self.arrays).reshape(-1, *self.shape)
+
+    def _convert(self) -> None:
+        """Moves the numbers into arrays, or raises naming the first of their records at fault."""
+        with suppress(OverflowError):  # from an integer past the float range
+            if set(map(type, self.numbers)) <= {int, float}:  # a bool is not an int here, as float() takes it
+                array = np.array(self.numbers, dtype=float)
+                if not self.finite or np.isfinite(array).all():
+                    self.arrays.append(array)
+                    self.numbers = []
+                    return
+        size = math.prod(self.shape)
+        for i, place in enumerate(self.places[len(self.places) - len(self.numbers) // size :]):
+            numbers = self.numbers[i * size : (i + 1) * size]
+            stray = [x for x in numbers if type(x) not in (int, float)]
+            if stray:
+                raise self.error(f"{place}: {self.name} must hold JSON numbers only, got {stray[0]!r}")
+            with suppress(OverflowError):  # never finite
+                if all(map(math.isfinite, numbers)) or not self.finite:
+                    continue
+            raise self.error(f"{place}: {self.not_numbers}")
 
 
-def check_quaternions(rows: list, places: List[str], field: str) -> np.ndarray:
-    """check_field of (w, x, y, z) quaternions, each of non-zero, finite norm."""
-    quats = check_field(rows, places, field)
+def check_quaternions(field: NumericField) -> np.ndarray:
+    """The array of a field of (w, x, y, z) quaternions, each of non-zero, finite norm."""
+    quats = field.array()
     with np.errstate(over="ignore"):  # finite entries past 1e154 have no finite norm
         norms = vector_norms(quats)[:, 0]
     bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
     if len(bad):
-        raise MotionFormatError(f"{places[bad[0]]}: {field} has a zero or non-finite norm")
+        raise MotionFormatError(f"{field.places[bad[0]]}: {field.name} has a zero or non-finite norm")
     return quats
+
+
+_DECODER = json.JSONDecoder()
+
+
+def jsonl_records(fh, path: str | Path, start: int = 1) -> Iterator[Tuple[str, dict]]:
+    """(place, record) for each non-blank line of a line-delimited JSON
+    file, lines numbered from start and each place file:line; a line that
+    is not JSON or not a JSON object raises MotionFormatError naming it."""
+    for lineno, line in enumerate(fh, start=start):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            # json.loads(line) less its wrapper, whose cost is a few percent of a motion file's load
+            rec, end = _DECODER.raw_decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+        except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
+            raise MotionFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise MotionFormatError(f"{path}:{lineno}: expected a JSON object")
+        yield f"{path}:{lineno}", rec
 
 
 @dataclass(frozen=True)
@@ -213,28 +280,20 @@ def one_euro_filter(signal: np.ndarray, params: FilterParams, rate: float) -> np
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    frames, quats, translations, places = [], [], [], []
+    frames = []
+    quats, translations = NumericField("quat_wxyz", (4,)), NumericField("trans_xyz", (3,))
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
-                raise MotionFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        for place, rec in jsonl_records(fh, path):
             try:
                 frame = rec["frame"]
-                quats.append(parse_field(rec["quat_wxyz"], (4,)))
-                translations.append(parse_field(rec["trans_xyz"], (3,)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MotionFormatError(f"{path}:{lineno}: missing or malformed field: {exc}") from exc
+                quats.add(rec["quat_wxyz"], place)
+                translations.add(rec["trans_xyz"], place)
+            except KeyError as exc:
+                raise MotionFormatError(f"{place}: missing field {exc}") from exc
             # as written: int() would take 1.7, "2" or true, and overflow on 1e400
             if type(frame) is not int or not -(2**63) <= frame < 2**63:
-                raise MotionFormatError(f"{path}:{lineno}: frame must be a 64-bit JSON integer, got {frame!r}")
+                raise MotionFormatError(f"{place}: frame must be a 64-bit JSON integer, got {frame!r}")
             frames.append(frame)
-            places.append(f"{path}:{lineno}")
     if not frames:
         raise MotionFormatError(f"{path}: empty trajectory file")
-    rotations = quat_to_matrix(check_quaternions(quats, places, "quat_wxyz"))
-    return Trajectory(np.array(frames), rotations, check_field(translations, places, "trans_xyz"))
+    return Trajectory(np.array(frames), quat_to_matrix(check_quaternions(quats)), translations.array())

@@ -51,6 +51,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError
+from .frames import NumericField
 from .rotations import cross_rows, exp_and_jacobians, exp_so3, matvec_rows, skew_rows
 from .scene import CONTACT_NAMES
 
@@ -516,45 +517,42 @@ def load_model(path: str | Path) -> HumanoidModel:
         raise InvalidInputError(f"{path}: {exc}") from exc
 
 
-def _json_numbers(field: str, value) -> np.ndarray:
-    """value as a float array, provided every element is a JSON number:
-    float() would take "0.1" and true."""
-    elements = np.asarray(value, dtype=object)
-    if not all(type(x) in (int, float) for x in elements.flat):
-        raise TypeError(f"{field} must hold JSON numbers only, got {value!r}")
-    return elements.astype(float)
-
-
 def model_from_dict(doc: dict) -> HumanoidModel:
     """A model from its document. A missing or malformed field raises
     InvalidInputError naming its body, and so does an end effector listed
-    twice in one body; a parent must be a JSON integer, and a mass and every
-    element of an offset, an inertia and the gravity a JSON number.
-    HumanoidModel checks the contact points."""
+    twice in one body; a parent must be a JSON integer, a mass a JSON number,
+    and an offset, an inertia and the gravity JSON numbers of their shape
+    (frames.NumericField). HumanoidModel checks that they are finite, and
+    checks the contact points."""
     bodies = []
     where = "model"
+
+    def numbers(label: str, value, shape: tuple) -> np.ndarray:
+        field = NumericField(label, shape, InvalidInputError, finite=False)
+        return field.add(value, f"{where}: malformed field").array()[0]
+
     try:
         for i, rec in enumerate(doc["bodies"]):
             where = f"bodies[{i}]"
             if "inertia" in rec:
-                inertia = _json_numbers("inertia", rec["inertia"])
+                inertia = numbers("inertia", rec["inertia"], (3, 3))
             else:
-                inertia = np.diag(_json_numbers("inertia_diag", rec["inertia_diag"]).reshape(3))
+                inertia = np.diag(numbers("inertia_diag", rec["inertia_diag"], (3,)))
             ee = {}
             for e in rec.get("end_effectors", []):
                 if e["name"] in ee:
                     raise InvalidInputError(f"body {rec['name']}: end effector {e['name']} is listed twice")
-                ee[e["name"]] = _json_numbers(f"end effector {e['name']} offset_xyz", e["offset_xyz"]).reshape(3)
+                ee[e["name"]] = numbers(f"end effector {e['name']} offset_xyz", e["offset_xyz"], (3,))
             # as written: int() and float() would take 4.9, "4" or true
             name, parent, mass = rec["name"], rec["parent"], rec["mass"]
             if type(parent) is not int:
                 raise TypeError(f"parent must be a JSON integer, got {parent!r}")
             if type(mass) not in (int, float):
                 raise TypeError(f"mass must be a JSON number, got {mass!r}")
-            offset = _json_numbers("offset_xyz", rec["offset_xyz"]).reshape(3)
+            offset = numbers("offset_xyz", rec["offset_xyz"], (3,))
             bodies.append(Body(name, parent, offset, float(mass), inertia, ee))
         where = "model"
-        gravity = _json_numbers("gravity", doc.get("gravity", DEFAULT_GRAVITY)).reshape(3)
+        gravity = numbers("gravity", doc.get("gravity", DEFAULT_GRAVITY.tolist()), (3,))
     except KeyError as exc:
         raise InvalidInputError(f"{where}: missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:

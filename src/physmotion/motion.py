@@ -7,9 +7,11 @@ A motion file is one header line followed by one record per frame:
      "joint_angles": [[...] x 23], "joint_positions": [[...] x 24]?,
      "contacts": [bool x 4]?}
 
-Record t carries "frame": t, and its contacts, when present, are four JSON
-booleans. Rotations are matrices in memory and quaternions (w, x, y, z) on
-disk, converted with one stacked call per sequence.
+Record t carries "frame": t, its numeric fields hold JSON numbers
+(frames.NumericField), and its contacts, when present, are four JSON
+booleans; the header's "frames", when given, is a JSON integer. Rotations
+are matrices in memory and quaternions (w, x, y, z) on disk, converted with
+one stacked call per sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, MotionFormatError, check_number
-from .frames import check_field, check_quaternions, parse_field
+from .frames import NumericField, check_quaternions, jsonl_records
 from .humanoid import NV, HumanoidModel, forward_kinematics
 from .rotations import exp_so3, log_so3, matrix_to_quat, quat_to_matrix, vector_norms
 
@@ -158,53 +160,41 @@ def load_motion(path: str | Path) -> MotionSequence:
         if type(fps) not in (int, float) or not (math.isfinite(fps) and fps > 0.0):
             raise MotionFormatError(f"{path}:1: fps must be finite and > 0, not {fps!r}")
 
-        columns = {key: [] for key in _FIELDS}
-        places, contacts = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:
-                raise MotionFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            place = f"{path}:{lineno}"
-            if not isinstance(rec, dict):
-                raise MotionFormatError(f"{place}: expected a JSON object")
+        fields = {key: NumericField(key, shape) for key, shape in _FIELDS.items()}
+        contacts = []
+        n = 0
+        for place, rec in jsonl_records(fh, path, start=2):
             # row t is frame t, as in a contacts file
-            if type(rec.get("frame")) is not int or rec["frame"] != len(places):
-                raise MotionFormatError(
-                    f"{place}: frame {rec.get('frame')!r} in row {len(places)}; row t must read frame t"
-                )
-            places.append(place)
-            for key, shape in _FIELDS.items():
+            if type(rec.get("frame")) is not int or rec["frame"] != n:
+                raise MotionFormatError(f"{place}: frame {rec.get('frame')!r} in row {n}; row t must read frame t")
+            for key, field in fields.items():
                 if key in rec:
-                    columns[key].append(parse_field(rec[key], shape))
+                    field.add(rec[key], place)
                 elif key != "joint_positions":
                     raise MotionFormatError(f"{place}: missing field {key}")
             if "contacts" in rec:
                 flags = rec["contacts"]
                 if not (isinstance(flags, list) and len(flags) == 4 and all(isinstance(v, bool) for v in flags)):
                     raise MotionFormatError(f"{place}: contacts must be four JSON booleans, got {flags!r}")
-                contacts.append(flags)
+                contacts += flags
+            n += 1
 
-    n = len(places)
     if not n:
         raise MotionFormatError(f"{path}: no frames")
-    positions = columns["joint_positions"]
-    for key, rows in (("joint_positions", positions), ("contacts", contacts)):
-        if rows and len(rows) != n:
+    positions = fields["joint_positions"]
+    for key, count in (("joint_positions", len(positions.places)), ("contacts", len(contacts) // 4)):
+        if 0 < count < n:
             raise MotionFormatError(f"{path}: {key} present on only some frames")
     expected = header.get("frames", n)
-    if expected != n:
+    if type(expected) is not int or expected != n:
         raise MotionFormatError(f"{path}: header declares {expected!r} frames, found {n}")
     return MotionSequence(
         frame_rate=fps,
-        root_trans=check_field(columns["root_trans_xyz"], places, "root_trans_xyz"),
-        root_rot=quat_to_matrix(check_quaternions(columns["root_quat_wxyz"], places, "root_quat_wxyz")),
-        joint_angles=check_field(columns["joint_angles"], places, "joint_angles"),
-        joint_positions=check_field(positions, places, "joint_positions") if positions else None,
-        contacts=np.array(contacts, dtype=bool) if contacts else None,
+        root_trans=fields["root_trans_xyz"].array(),
+        root_rot=quat_to_matrix(check_quaternions(fields["root_quat_wxyz"])),
+        joint_angles=fields["joint_angles"].array(),
+        joint_positions=positions.array() if positions.places else None,
+        contacts=np.array(contacts, dtype=bool).reshape(n, 4) if contacts else None,
     )
 
 

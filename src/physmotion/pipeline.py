@@ -23,7 +23,7 @@ from .metrics import MetricReport, evaluate
 from .motion import MotionSequence, load_motion, save_motion
 from .optimizer import FrameSolution, PDGains, QPSettings, refine_sequence
 from .rotations import exp_so3
-from .scene import HeightMap, build_height_map, load_contacts_csv, load_obj, save_height_map
+from .scene import DEFAULT_GRID_RESOLUTION, HeightMap, build_height_map, load_contacts_csv, load_obj, save_height_map
 from .synth import SyntheticScenario, generate_scenario, write_scenario
 
 log = logging.getLogger("physmotion")
@@ -51,7 +51,7 @@ class RunConfig:
     contacts_path: Optional[str] = None
     model_path: Optional[str] = None
     output_dir: str = "out"
-    grid_resolution: int = 1024
+    grid_resolution: int = DEFAULT_GRID_RESOLUTION
     apply_filter: bool = True
     run_physics: bool = True
     strict: bool = False
@@ -244,6 +244,9 @@ def run_pipeline(
         seq.contacts = load_contacts_csv(config.contacts_path)
         if len(seq.contacts) != len(seq):
             raise ConfigError("contact labels length differs from motion length")
+    gt = load_motion(config.gt_motion_path) if config.gt_motion_path else None
+    if gt is not None and len(gt) != len(seq):
+        raise ConfigError(f"ground truth has {len(gt)} frames, motion has {len(seq)}")
 
     if config.camera_trajectory_path:
         log.info("converting camera-frame poses to world frame")
@@ -294,7 +297,6 @@ def run_pipeline(
         outputs["height_map"] = str(hm_path)
 
     report: Optional[MetricReport] = None
-    gt = load_motion(config.gt_motion_path) if config.gt_motion_path else None
     if gt is not None and gt.joint_positions is None:
         gt = gt.with_joint_positions(model)
     if gt is not None or hmap is not None:

@@ -28,7 +28,8 @@ import numpy as np
 from .errors import EmptySceneError, InvalidInputError, MotionFormatError
 from .rotations import vector_norms
 
-DEFAULT_GRID_RESOLUTION = (1024, 1024)
+# height-map cells per axis, the default of every caller that builds one
+DEFAULT_GRID_RESOLUTION = 1024
 # the contact points, in the order of every (T, 4) contact-label array and of
 # HumanoidModel.contact_bodies and contact_offsets
 CONTACT_NAMES = ("l_toe", "r_toe", "l_heel", "r_heel")
@@ -218,7 +219,7 @@ def _cell_range(centers: np.ndarray, coords: np.ndarray, tris: np.ndarray) -> Tu
 
 def build_height_map(
     mesh: TriangleMesh,
-    resolution: Tuple[int, int] = DEFAULT_GRID_RESOLUTION,
+    resolution: Tuple[int, int] = (DEFAULT_GRID_RESOLUTION, DEFAULT_GRID_RESOLUTION),
     bounds: Optional[Tuple[float, float, float, float]] = None,
 ) -> HeightMap:
     """Rasterize the highest surface of a mesh onto a regular grid.

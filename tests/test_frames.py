@@ -259,6 +259,34 @@ def test_trajectory_frame_must_be_a_json_integer(rng, tmp_path, frame):
         load_trajectory(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"frame": 1, "quat_wxyz": ["1", 0, 0, 0], "trans_xyz": [0, 0, 0]}', "quat_wxyz must hold JSON numbers only, got '1'"),
+        ('{"frame": 1, "quat_wxyz": [true, true, true, true], "trans_xyz": [0, 0, 0]}',
+         "quat_wxyz must hold JSON numbers only, got True"),
+        ('{"frame": 1, "quat_wxyz": [1, 0, 0, false], "trans_xyz": [0, 0, 0]}', "quat_wxyz must hold JSON numbers only, got False"),
+        ('{"frame": 1, "quat_wxyz": [1, 0, 0, 0], "trans_xyz": ["1.5", 0, 0]}', "trans_xyz must hold JSON numbers only, got '1.5'"),
+        ('{"frame": 1, "quat_wxyz": [1, 0, 0, 0], "trans_xyz": [true, true, true]}', "trans_xyz must hold JSON numbers only, got True"),
+        ('{"frame": 1, "quat_wxyz": [1, 0, 0, 0], "trans_xyz": [0, 0, false]}', "trans_xyz must hold JSON numbers only, got False"),
+        ('{"frame": 1, "quat_wxyz": [1, 0, 0, 0], "trans_xyz": [0, 0]}', "trans_xyz must be 3 finite numbers"),
+        ('{"frame": 1, "quat_wxyz": [1, 0, 0, 0]}', "missing field 'trans_xyz'"),
+        ("[1, 0, 0, 0]", "expected a JSON object"),
+    ],
+    ids=["quat-string", "quat-bool", "quat-bool-among-numbers", "trans-string", "trans-bool", "trans-bool-among-numbers",
+         "trans-short", "trans-missing", "not-an-object"],
+)
+def test_trajectory_record_rejected_with_line_and_field(rng, tmp_path, line, message):
+    path = tmp_path / "traj.jsonl"
+    save_trajectory(make_trajectory(rng, n=3), path)
+    lines = path.read_text().splitlines()
+    lines[1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MotionFormatError) as err:
+        load_trajectory(path)
+    assert str(err.value) == f"{path}:2: {message}"
+
+
 def test_zero_quaternion_rejected_with_line(rng, tmp_path):
     path = tmp_path / "traj.jsonl"
     save_trajectory(make_trajectory(rng, n=3), path)

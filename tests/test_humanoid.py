@@ -535,6 +535,9 @@ def _default_doc():
         (lambda doc: doc["bodies"][10]["end_effectors"][0].update(offset_xyz=[0.0, float("nan"), 0.0]),
          "body l_foot: end effector l_toe offset must be finite"),
         (lambda doc: doc.update(gravity=[0.0, float("nan"), 0.0]), "gravity must be finite"),
+        # past the float range: no float to hand on
+        (lambda doc: doc["bodies"][5].update(offset_xyz=[10**400, 0.0, 0.0]),
+         r"^bodies\[5\]: malformed field: offset_xyz must be 3 finite numbers$"),
     ],
 )
 def test_model_from_dict_rejects_non_finite_fields(edit, message):

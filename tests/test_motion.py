@@ -29,6 +29,28 @@ def make_sequence(rng, n=5, with_positions=True, with_contacts=True):
     )
 
 
+# a numeric string, booleans only and a boolean among numbers, each put in a
+# numeric field by numbers_edit, and the element its message quotes
+NUMBERS_EDITS = {"string": "'1.5'", "bool": "True", "bool-among-numbers": "False"}
+
+
+def numbers_edit(key, kind):
+    """An edit of a motion record's numeric field: see NUMBERS_EDITS."""
+
+    def edit(rec):
+        rows = rec[key] if isinstance(rec[key][0], list) else [rec[key]]
+        if kind == "string":
+            rows[0][0] = "1.5"
+        elif kind == "bool":
+            for row in rows:
+                row[:] = [True] * len(row)
+        else:
+            rows[-1][-1] = False
+        return rec
+
+    return edit
+
+
 def save_motion_per_element(seq, path):
     """Writer with one float() or bool() per element: the byte oracle."""
     with open(path, "w") as fh:
@@ -152,6 +174,13 @@ class TestMotionFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MotionFormatError, match="header declares 'three' frames, found 3"):
             load_motion(path)
+        # the count must be a JSON integer: true and 1.0 equal 1 but are not one
+        save_motion(make_sequence(rng, n=1), path)
+        lines = path.read_text().splitlines()
+        for count, shown in (("true", "True"), ("1.0", "1.0")):
+            path.write_text("\n".join([lines[0].replace('"frames": 1', f'"frames": {count}')] + lines[1:]) + "\n")
+            with pytest.raises(MotionFormatError, match=f"header declares {shown} frames, found 1"):
+                load_motion(path)
 
     @pytest.mark.parametrize(
         "row, edit, message",
@@ -165,13 +194,23 @@ class TestMotionFile:
             (1, lambda rec: {**rec, "contacts": [True, False]}, "contacts must be four JSON booleans, got [True, False]"),
             (0, lambda rec: {**rec, "contacts": [1, 0, 1, 0]}, "contacts must be four JSON booleans"),
             (1, lambda rec: [rec], "expected a JSON object"),
+            (1, lambda rec: {**rec, "root_trans_xyz": [0.0, 0.9]}, "root_trans_xyz must be 3 finite numbers"),
+            (0, lambda rec: {**rec, "joint_angles": rec["joint_angles"][:22]}, "joint_angles must be 23 x 3 finite numbers"),
+            (1, lambda rec: {**rec, "joint_angles": [[0.0] * 3] * 22 + [0.0]}, "joint_angles must be 23 x 3 finite numbers"),
+            (2, lambda rec: {**rec, "root_trans_xyz": [10**400, 0, 0]}, "root_trans_xyz must be 3 finite numbers"),
+            *[(1, numbers_edit(key, kind), f"{key} must hold JSON numbers only, got {got}")
+              for key in ("root_trans_xyz", "root_quat_wxyz", "joint_angles", "joint_positions")
+              for kind, got in NUMBERS_EDITS.items()],
         ],
         ids=["frame-99-first", "frame-repeated", "frame-string", "frame-missing", "contacts-strings",
-             "contacts-number", "contacts-two", "contacts-integers", "record-list"],
+             "contacts-number", "contacts-two", "contacts-integers", "record-list", "vector-short", "matrix-short",
+             "matrix-row-number", "integer-past-float",
+             *[f"{key}-{kind}" for key in ("root_trans_xyz", "root_quat_wxyz", "joint_angles", "joint_positions")
+               for kind in NUMBERS_EDITS]],
     )
     def test_frame_and_contacts_fields_checked(self, rng, tmp_path, row, edit, message):
         path = tmp_path / "motion.jsonl"
-        save_motion(make_sequence(rng, n=3, with_positions=False), path)
+        save_motion(make_sequence(rng, n=3), path)
         lines = path.read_text().splitlines()
         lines[1 + row] = json.dumps(edit(json.loads(lines[1 + row])))
         path.write_text("\n".join(lines) + "\n")
@@ -179,6 +218,36 @@ class TestMotionFile:
             load_motion(path)
         assert str(err.value).startswith(f"{path}:{2 + row}: ")
         assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edits, row",
+        [
+            # row -> (field, index, element); the numbers are converted some
+            # thousands at a time, and rows 3 and 70 of joint_angles fall in
+            # different batches
+            ({3: ("joint_angles", (5, 0), float("nan")), 70: ("joint_angles", (0, 0), "0.1")}, 3),
+            ({70: ("joint_angles", (1, 2), "0.1"), 71: ("joint_angles", (1, 2), float("inf"))}, 70),
+            ({5: ("joint_angles", (22, 2), True), 9: ("joint_angles", (0, 1), None)}, 5),
+            ({4: ("root_trans_xyz", (1,), False), 2: ("root_trans_xyz", (0,), float("nan"))}, 2),
+            ({61: ("joint_angles", (3, 1), float("nan")), 62: ("joint_angles", (4,), 0.0)}, 61),
+        ],
+        ids=["nan-then-string", "string-then-inf", "bool-then-null", "nan-then-bool", "nan-then-misshapen"],
+    )
+    def test_first_of_two_bad_records_is_named(self, rng, tmp_path, edits, row):
+        path = tmp_path / "motion.jsonl"
+        save_motion(make_sequence(rng, n=80, with_positions=False, with_contacts=False), path)
+        lines = path.read_text().splitlines()
+        for t, (key, index, element) in edits.items():
+            rec = json.loads(lines[1 + t])
+            target = rec[key]
+            for i in index[:-1]:
+                target = target[i]
+            target[index[-1]] = element
+            lines[1 + t] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MotionFormatError) as err:
+            load_motion(path)
+        assert str(err.value).startswith(f"{path}:{2 + row}: {edits[row][0]} must ")
 
     @pytest.mark.parametrize("fps", ["NaN", "Infinity", "0", '"fast"', "true"])
     def test_fps_must_be_a_finite_positive_number(self, tmp_path, fps):

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from physmotion.cli import EXIT_CONFIG, main
 from physmotion.errors import ConfigError, EmptySceneError, InvalidInputError, MotionFormatError
 from physmotion.frames import FilterParams
-from physmotion.motion import load_motion, save_motion
+from physmotion.motion import MotionSequence, load_motion, save_motion
 from physmotion.optimizer import FrameSolution, QPSettings
 from physmotion.pipeline import ABLATION_PRESETS, RunConfig, filter_motion, run_pipeline, save_forces
 from physmotion.rotations import log_so3, vector_norms
@@ -260,6 +260,27 @@ class TestRunPipeline:
         result = run_pipeline(config, model=model)
         refined_pct = penetration_stats(result.refined, hm, bundle.contacts)[0]
         assert refined_pct < input_pct
+
+    @pytest.mark.parametrize("run_physics", [True, False], ids=["physics", "no-physics"])
+    def test_ground_truth_length_checked_before_refining(self, tmp_path, model, run_physics):
+        # it used to be loaded after the outputs were written: a solver
+        # failure with physics, and a shape mismatch naming no file without
+        bundle = write_scenario(tmp_path, model)
+        gt = bundle.ground_truth
+        save_motion(MotionSequence(gt.frame_rate, gt.root_trans[:30], gt.root_rot[:30], gt.joint_angles[:30]),
+                    tmp_path / "short_gt.jsonl")
+        config = RunConfig(
+            motion_path=str(tmp_path / "noisy.jsonl"),
+            gt_motion_path=str(tmp_path / "short_gt.jsonl"),
+            mesh_path=str(tmp_path / "scene.obj"),
+            contacts_path=str(tmp_path / "contacts.csv"),
+            output_dir=str(tmp_path / "out"),
+            run_physics=run_physics,
+            grid_resolution=64,
+        )
+        with pytest.raises(ConfigError, match=f"^ground truth has 30 frames, motion has {len(bundle.noisy)}$"):
+            run_pipeline(config, model=model)
+        assert not (tmp_path / "out").exists()
 
     def test_stage_isolation_without_physics(self, tmp_path, model):
         write_scenario(tmp_path, model, noise_sigma=0.02)
@@ -527,6 +548,12 @@ class TestCLI:
             (json.dumps({"rotation_quat_wxyz": [float("nan"), 0, 0, 1], "translation_xyz": [0, 0, 0]}), "rotation_quat_wxyz"),
             (json.dumps({"rotation_quat_wxyz": [1, 0, 0, 0], "translation_xyz": [0, 0]}), "translation_xyz"),
             (json.dumps({"rotation_quat_wxyz": [1, 0, 0, 0], "translation_xyz": [0, "x", 0]}), "translation_xyz"),
+            (json.dumps({"rotation_quat_wxyz": ["1", 0, 0, 0], "translation_xyz": [0, 0, 0]}), "rotation_quat_wxyz"),
+            (json.dumps({"rotation_quat_wxyz": [True] * 4, "translation_xyz": [0, 0, 0]}), "rotation_quat_wxyz"),
+            (json.dumps({"rotation_quat_wxyz": [1, 0, False, 0], "translation_xyz": [0, 0, 0]}), "rotation_quat_wxyz"),
+            (json.dumps({"rotation_quat_wxyz": [1, 0, 0, 0], "translation_xyz": [0, "1.5", 0]}), "translation_xyz"),
+            (json.dumps({"rotation_quat_wxyz": [1, 0, 0, 0], "translation_xyz": [True] * 3}), "translation_xyz"),
+            (json.dumps({"rotation_quat_wxyz": [1, 0, 0, 0], "translation_xyz": [0, 0, True]}), "translation_xyz"),
         ],
     )
     def test_calibrate_rejects_a_bad_transform_file(self, tmp_path, text, field):
@@ -608,6 +635,18 @@ class TestCLI:
             assert r.exit_code == 0, r.output
             doc = json.loads(Path("rep.json").read_text())
             assert "mpjpe" in doc
+
+    def test_evaluate_writes_the_pipelines_report(self, tmp_path, model):
+        # one default grid resolution: evaluate's used to be 256 against the
+        # pipeline's 1024, and this clip's penetration read 16.60 % against 17.43 %
+        scenario = SyntheticScenario(scene="step", motion="step-climb", noise_sigma=0.03, seed=1)
+        run_pipeline(RunConfig(output_dir=str(tmp_path), run_physics=False, scenario=scenario), model=model)
+        inputs = tmp_path / "inputs"
+        r = CliRunner().invoke(main, ["evaluate", "--pred", str(tmp_path / "refined_motion.jsonl"),
+                                      "--gt", str(inputs / "gt_motion.jsonl"), "--mesh", str(inputs / "scene.obj"),
+                                      "-o", str(tmp_path / "evaluate.json")])
+        assert r.exit_code == 0, r.output
+        assert (tmp_path / "evaluate.json").read_text() == (tmp_path / "report.json").read_text()
 
 
 @pytest.mark.parametrize(
