@@ -263,20 +263,42 @@ def one_euro_filter(signal: np.ndarray, params: FilterParams, rate: float) -> np
     if squeeze:
         x = x[:, None]
 
-    alpha_d = _smoothing_alpha(1.0, rate)
+    # Two recursions, each a pass of three in-place operations per sample,
+    # in the incremental form y + a (u - y) (bit-exact on constant signals):
+    # the smoothed derivative from the differences, then the signal from the
+    # cutoffs its derivative sets. Everything else is one operation over the
+    # whole signal. One buffer holds the differences, then in their place
+    # the smoothed derivative, then the signal's smoothing factors.
+    work = np.empty_like(x)
+    work[0] = 0.0
+    np.subtract(x[1:], x[:-1], out=work[1:])
+    work[1:] *= rate
+    _smooth(work, work[1:], _smoothing_alpha(1.0, rate))
+    alpha = work[1:]
+    np.abs(alpha, out=alpha)
+    alpha *= params.beta
+    alpha += params.min_cutoff
+    # _smoothing_alpha in place: 1 / (1 + rate / (2 pi cutoff))
+    alpha *= 2.0 * np.pi
+    np.divide(rate, alpha, out=alpha)
+    alpha += 1.0
+    np.divide(1.0, alpha, out=alpha)
     out = np.empty_like(x)
     out[0] = x[0]
-    x_hat = x[0].copy()
-    dx_hat = np.zeros(x.shape[1])
-    for t in range(1, x.shape[0]):
-        dx = (x[t] - x[t - 1]) * rate
-        dx_hat = dx_hat + alpha_d * (dx - dx_hat)
-        cutoff = params.min_cutoff + params.beta * np.abs(dx_hat)
-        alpha = _smoothing_alpha(cutoff, rate)
-        # incremental form: bit-exact on constant signals
-        x_hat = x_hat + alpha * (x[t] - x_hat)
-        out[t] = x_hat
+    _smooth(out, x[1:], alpha)
     return out[:, 0] if squeeze else out
+
+
+def _smooth(y: np.ndarray, u: np.ndarray, alpha) -> None:
+    """y[t] = y[t-1] + alpha[t-1] (u[t-1] - y[t-1]) for t >= 1, in place from
+    y[0]; alpha is one factor or one row per step. u may be y[1:], each
+    u[t-1] read before y[t] replaces it."""
+    step = np.empty(y.shape[1:])
+    scalar = np.ndim(alpha) == 0
+    for t in range(1, len(y)):
+        np.subtract(u[t - 1], y[t - 1], out=step)
+        step *= alpha if scalar else alpha[t - 1]
+        np.add(y[t - 1], step, out=y[t])
 
 
 def load_trajectory(path: str | Path) -> Trajectory:

@@ -57,6 +57,7 @@ from .scene import CONTACT_NAMES
 
 NUM_BODIES = 24
 NV = 75  # 3 translation + 3 root orientation + 23 * 3 joints
+_EYE = np.eye(3)
 DEFAULT_DT = 1.0 / 60.0
 DEFAULT_GRAVITY = np.array([0.0, -9.81, 0.0])
 
@@ -148,6 +149,23 @@ class HumanoidModel:
             self.paths[r, : len(path)] = path
             slot_row[path] = r
         self.path_slot = (slot_row, depth)
+        # _path_sums' gathers: the paths' rows of a (NUM_BODIES + 1, k, d)
+        # terms array, flattened, and per k where each body's sum lands in the
+        # flattened running sums (the last of its k terms along its path)
+        self._path_rows = self.paths.ravel()
+        self._path_ends = {k: slot_row * (k * self.paths.shape[1]) + k * depth + k - 1 for k in (1, 2)}
+        # the levels as slices where their bodies or parents are consecutive
+        # (every level of the SMPL numbering): a slice reads a view
+        self._level_index = tuple((_as_index(b), _as_index(p)) for b, p in self.levels)
+        # _fold's rounds, deepest level first: a level's siblings add in
+        # descending index order, so round r of a level adds each parent's
+        # r-th child in that order, and a round names each parent once
+        rounds = []
+        for level, above in reversed(self.levels):
+            level, above = level[::-1], above[::-1]
+            rank = np.array([np.count_nonzero(above[:j] == p) for j, p in enumerate(above)])
+            rounds += [(_as_index(above[rank == r]), _as_index(level[rank == r])) for r in range(rank.max() + 1)]
+        self._fold_rounds = tuple(rounds)
         self.total_mass = float(sum(b.mass for b in bodies))
         self.masses = np.array([b.mass for b in bodies])
         self.inertias = np.stack([b.inertia for b in bodies])
@@ -165,13 +183,29 @@ class HumanoidModel:
         # the same body, and zero off the ancestor lines
         body_of = np.repeat(np.arange(NUM_BODIES), [6] + [3] * (NUM_BODIES - 1))
         ancestor = self.support_mask[body_of].T
-        self.mass_blocks = (ancestor & (body_of[:, None] != body_of), ancestor.T)
+        # as one gather: for M[a, b], the flat index into the products of
+        # the entry (a, b), or (b, a), or NV * NV for a zero
+        entry = np.arange(NV * NV).reshape(NV, NV)
+        from_column = ancestor & (body_of[:, None] != body_of)
+        self._mass_entries = np.where(from_column, entry, np.where(ancestor.T, entry.T, NV * NV))
+
     @staticmethod
     def joint_cols(body: int) -> slice:
         """Generalized-coordinate columns driven by this body's joint."""
         if body == 0:
             return slice(0, 6)
         return slice(3 + 3 * body, 6 + 3 * body)
+
+
+def _as_index(ids: np.ndarray):
+    """ids (k,) as a slice when they step by +1 or -1, else ids itself."""
+    if len(ids) == 1:
+        return slice(int(ids[0]), int(ids[0]) + 1)
+    step = int(ids[1] - ids[0])
+    if step in (1, -1) and np.array_equal(np.diff(ids), np.full(len(ids) - 1, step)):
+        stop = int(ids[-1]) + step
+        return slice(int(ids[0]), None if stop < 0 else stop, step)
+    return ids
 
 
 @dataclass
@@ -214,18 +248,28 @@ def forward_kinematics(
     q = np.asarray(q, dtype=float)
     lead = q.shape[:-1]
     q = q.reshape(-1, NV)
+    n = len(q)
     # body-major (24, frames, ...) while walking, so that a level's gathers
     # and scatters move whole blocks of frames
     if joint_rot is None:
-        joint_rot = exp_so3(q[:, 3:].reshape(-1, NUM_BODIES, 3).transpose(1, 0, 2))
+        joint_rot = exp_so3(q[:, 3:].reshape(n, NUM_BODIES, 3).transpose(1, 0, 2))
     else:
-        joint_rot = joint_rot.reshape(-1, NUM_BODIES, 3, 3).transpose(1, 0, 2, 3)
-    rot = np.empty((NUM_BODIES, len(q), 3, 3))
+        joint_rot = joint_rot.reshape(n, NUM_BODIES, 3, 3).transpose(1, 0, 2, 3)
+    rot = np.empty((NUM_BODIES, n, 3, 3))
     rot[0] = joint_rot[0]
-    for bodies, parents in model.levels:
-        rot[bodies] = rot[parents] @ joint_rot[bodies]
-    arms = matvec_rows(rot[model.parent_rows], model.offsets[:, None])  # the frames side by side in d
-    pos = _path_sums(model, q[:, 0:3].ravel(), arms.reshape(NUM_BODIES, 1, -1)).reshape(NUM_BODIES, -1, 3)
+    for bodies, parents in model._level_index:
+        if isinstance(bodies, slice):  # a view, written in place
+            np.matmul(rot[parents], joint_rot[bodies], out=rot[bodies])
+        else:
+            rot[bodies] = rot[parents] @ joint_rot[bodies]
+    # the path sums' terms, the frames side by side in d: the root
+    # translation, then each body's arm R_p offset_i
+    terms = np.empty((NUM_BODIES + 1, 1, 3 * n))
+    np.matmul(rot.take(model.parent_rows, axis=0), model.offsets[:, None, :, None],
+              out=terms[:NUM_BODIES].reshape(NUM_BODIES, n, 3, 1))
+    terms[0, 0] = q[:, 0:3].ravel()
+    terms[NUM_BODIES] = 0.0
+    pos = _path_sums(model, terms).reshape(NUM_BODIES, n, 3)
     rot = np.ascontiguousarray(rot.transpose(1, 0, 2, 3))
     pos = np.ascontiguousarray(pos.transpose(1, 0, 2))
     return FKResult(rot.reshape(lead + rot.shape[1:]), pos.reshape(lead + pos.shape[1:]))
@@ -234,8 +278,8 @@ def forward_kinematics(
 def _body_points(fk: FKResult, bodies: np.ndarray, offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(R_b o, x_b + R_b o), each (..., k, 3), of the points o = offsets[j]
     (k, 3) fixed to bodies b = bodies[j] (k,) for an (..., 24) FK result."""
-    arm = matvec_rows(fk.rotations[..., bodies, :, :], offsets)
-    return arm, fk.positions[..., bodies, :] + arm
+    arm = matvec_rows(fk.rotations.take(bodies, axis=-3), offsets)
+    return arm, fk.positions.take(bodies, axis=-2) + arm
 
 
 def contact_positions(model: HumanoidModel, fk: FKResult) -> np.ndarray:
@@ -249,7 +293,7 @@ def _joint_axes(model: HumanoidModel, fk: FKResult, jl: np.ndarray) -> np.ndarra
     which it overwrites: axes[i] @ (joint i rates) is the angular velocity of
     body i relative to its parent; axes[0] maps root-orientation rates to the
     base's angular velocity."""
-    jl[1:] = fk.rotations[model.parents[1:]] @ jl[1:]
+    jl[1:] = fk.rotations.take(model.parents[1:], axis=0) @ jl[1:]
     return jl
 
 
@@ -258,31 +302,29 @@ def _motion_subspace(cc: np.ndarray, axes: np.ndarray) -> np.ndarray:
     body-fixed point at the world origin), from cc = skew(joint origins):
     body i's spatial velocity is S[:, support_mask[i]] @ qd[support_mask[i]]."""
     s = np.zeros((6, NV))
-    s[3:, 0:3] = np.eye(3)  # root translation
-    s[:3, 3:] = axes.transpose(1, 0, 2).reshape(3, 3 * NUM_BODIES)
-    s[3:, 3:] = (cc @ axes).transpose(1, 0, 2).reshape(3, 3 * NUM_BODIES)
+    s[3:, 0:3] = _EYE  # root translation
+    s[:3, 3:].reshape(3, NUM_BODIES, 3)[...] = axes.transpose(1, 0, 2)
+    np.matmul(cc, axes, out=s[3:, 3:].reshape(3, NUM_BODIES, 3).transpose(1, 0, 2))
     return s
 
 
-def _path_sums(model: HumanoidModel, root_value: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """(24, d): x_0 = root_value and x_i = x_p + terms[i, 0] + ... + terms[i, k-1]
-    for every other body i with parent p, from terms (24, k, d).
+def _path_sums(model: HumanoidModel, terms: np.ndarray) -> np.ndarray:
+    """(24, d): x_0 = terms[0, 0] and x_i = x_p + terms[i, 0] + ... +
+    terms[i, k-1] for every other body i with parent p, from terms
+    (NUM_BODIES + 1, k, d) whose root row holds -0.0 after its value and
+    whose last row, which pads the paths, is zero.
 
     The tree's one root-to-leaf walk. Each body's value is a running sum
-    along a root-to-leaf path through it, and np.cumsum adds in sequence, so
-    every x_i rounds exactly as the body-by-body recursion would. Recursions
-    that share their inputs run as one, side by side in d (forward
-    kinematics puts a stack's frames there); one with fewer terms pads them
-    with -0.0, which adds exactly nothing to any sum.
+    along a root-to-leaf path through it, and a running sum adds in sequence, so
+    every x_i rounds exactly as the body-by-body recursion would (adding
+    -0.0 changes no value). Recursions that share their inputs run as one,
+    side by side in d (forward kinematics puts a stack's frames there); one
+    with fewer terms pads them with -0.0.
     """
-    paths = model.paths[:, 1:]
     k, d = terms.shape[1:]
-    padded = np.concatenate([terms, np.zeros((1, k, d))])  # row NUM_BODIES pads the paths
-    seq = np.empty((len(paths), 1 + k * paths.shape[1], d))
-    seq[:, 0] = root_value
-    seq[:, 1:] = padded[paths].reshape(len(paths), -1, d)
-    rows, depth = model.path_slot
-    return np.cumsum(seq, axis=1, out=seq)[rows, k * depth]
+    seq = terms.take(model._path_rows, axis=0).reshape(len(model.paths), -1, d)
+    np.add.accumulate(seq, axis=1, out=seq)
+    return seq.reshape(-1, d).take(model._path_ends[k], axis=0)
 
 
 def _forward_sweep(
@@ -313,38 +355,52 @@ def _forward_sweep(
     rot, pos = fk.rotations, fk.positions
     up = model.parent_rows
     thd = qd[3:].reshape(NUM_BODIES, 3)
-    w_rel = matvec_rows(axes, thd)
+    # omega sums the w_i, and the root's w is its value
+    spins = np.empty((NUM_BODIES + 1, 1, 3))
+    w_rel = spins[:NUM_BODIES, 0]
+    np.matmul(axes, thd[:, :, None], out=w_rel[:, :, None])
+    spins[NUM_BODIES] = 0.0
+    omega = _path_sums(model, spins)
     # velocity-product term of each joint; the root's stays in world axes
     jdot = matvec_rows(jl_dot, thd)
-    jdot[1:] = matvec_rows(rot[up[1:]], jdot[1:])
-    omega = _path_sums(model, w_rel[0], w_rel[:, None])
+    jdot[1:] = matvec_rows(rot.take(up[1:], axis=0), jdot[1:])
 
-    d = pos - pos[up]
-    omega_up = omega[up]
+    d = pos - pos.take(up, axis=0)
+    omega_up = omega.take(up, axis=0)
+    pairs = np.empty((NUM_BODIES + 1, 2, 6))
     swing = cross_rows(omega_up, d)
-    terms = np.empty((NUM_BODIES, 2, 6))
-    terms[:, 0, :3] = swing
-    terms[:, 1, :3] = -0.0
-    terms[:, 0, 3:] = cross_rows(omega_up, w_rel)  # coriolis
-    terms[:, 1, 3:] = jdot
-    sums = _path_sums(model, np.concatenate([qd[0:3], jdot[0]]), terms)
+    pairs[:NUM_BODIES, 0, :3] = swing
+    pairs[:NUM_BODIES, 1, :3] = -0.0
+    cross_rows(omega_up, w_rel, out=pairs[:NUM_BODIES, 0, 3:])  # coriolis
+    pairs[:NUM_BODIES, 1, 3:] = jdot
+    pairs[0, 0, :3] = qd[0:3]
+    pairs[0, 0, 3:] = jdot[0]
+    pairs[0, 1, 3:] = -0.0
+    pairs[NUM_BODIES] = 0.0
+    sums = _path_sums(model, pairs)
     vel, omega_dot = sums[:, :3].copy(), sums[:, 3:].copy()
 
-    terms = np.empty((NUM_BODIES, 2, 3))
-    terms[:, 0] = cross_rows(omega_dot[up], d)  # tangential
-    terms[:, 1] = cross_rows(omega_up, swing)  # centripetal
-    acc = _path_sums(model, np.zeros(3), terms)
+    pairs = np.empty((NUM_BODIES + 1, 2, 3))
+    cross_rows(omega_dot.take(up, axis=0), d, out=pairs[:NUM_BODIES, 0])  # tangential
+    cross_rows(omega_up, swing, out=pairs[:NUM_BODIES, 1])  # centripetal
+    pairs[0] = ((0.0,), (-0.0,))
+    pairs[NUM_BODIES] = 0.0
+    acc = _path_sums(model, pairs)
     return omega, vel, omega_dot, acc
 
 
 def _fold(model: HumanoidModel, rows: np.ndarray, arms: Optional[np.ndarray] = None) -> None:
     """Subtree sums of rows (24, d) in place: rows[p] += rows[i] (+ arms[i])
     for every body i with parent p, each row complete when it is added. The
-    deepest level goes first and siblings in descending index (np.add.at adds
-    in the order given), so every sum rounds as the last-to-first loop would."""
-    for bodies, parents in reversed(model.levels):
-        bodies, parents = bodies[::-1], parents[::-1]
-        np.add.at(rows, parents, rows[bodies] if arms is None else rows[bodies] + arms[bodies])
+    deepest level goes first and siblings in descending index, by rounds
+    that name each parent once (`HumanoidModel._fold_rounds`), so every sum
+    rounds as the last-to-first loop would."""
+    for parents, bodies in model._fold_rounds:
+        addend = rows[bodies] if arms is None else rows[bodies] + arms[bodies]
+        if isinstance(parents, slice):  # a view, added to in place
+            np.add(rows[parents], addend, out=rows[parents])
+        else:
+            rows[parents] += addend
 
 
 def _subtree_terms(model: HumanoidModel, cc: np.ndarray, inertia_w: np.ndarray, acc: np.ndarray) -> tuple:
@@ -354,11 +410,11 @@ def _subtree_terms(model: HumanoidModel, cc: np.ndarray, inertia_w: np.ndarray, 
     mass = model.masses[:, None, None]
     rows = np.empty((NUM_BODIES, 39))
     composite = rows[:, :36].reshape(NUM_BODIES, 6, 6)
-    composite[:, :3, :3] = inertia_w - mass * (cc @ cc)
-    composite[:, :3, 3:] = mass * cc
-    composite[:, 3:, :3] = -mass * cc
-    composite[:, 3:, 3:] = mass * np.eye(3)
-    rows[:, 36:] = model.masses[:, None] * acc
+    np.subtract(inertia_w, mass * (cc @ cc), out=composite[:, :3, :3])
+    np.multiply(mass, cc, out=composite[:, :3, 3:])
+    np.multiply(-mass, cc, out=composite[:, 3:, :3])
+    composite[:, 3:, 3:] = mass * _EYE
+    np.multiply(model.masses[:, None], acc, out=rows[:, 36:])
     _fold(model, rows)
     return composite, rows[:, 36:]
 
@@ -380,7 +436,7 @@ def _backward_pass(
     moment = np.einsum("bij,bj->bi", inertia_w, omega_dot) + cross_rows(
         omega, np.einsum("bij,bj->bi", inertia_w, omega)
     )
-    _fold(model, moment, cross_rows(pos - pos[model.parent_rows], force))
+    _fold(model, moment, cross_rows(pos - pos.take(model.parent_rows, axis=0), force))
     tau = np.empty(NV)
     tau[0:3] = force[0]
     tau[3:] = np.einsum("bji,bj->bi", axes, moment).ravel()
@@ -393,17 +449,20 @@ def _crba(model: HumanoidModel, subspace: np.ndarray, composite: np.ndarray) -> 
     composite inertia (_subtree_terms).
 
     Every joint's I_c(i) S_i comes from one stacked product and S^T of all
-    of them from one more; `HumanoidModel.mass_blocks` then keeps each entry
-    of M from the block the per-joint assembly would have written it from.
+    of them from one more; one gather (`HumanoidModel._mass_entries`) then
+    takes each entry of M from the block the per-joint assembly would have
+    written it from.
     """
     # (6, 75): I_c(i) S_i in the columns of joint i
     force = np.empty((6, NV))
     force[:, :6] = composite[0] @ subspace[:, :6]
     joints = subspace[:, 6:].reshape(6, NUM_BODIES - 1, 3).transpose(1, 0, 2)
     force[:, 6:] = (composite[1:] @ joints).transpose(1, 0, 2).reshape(6, NV - 6)
-    blocks = subspace.T @ force
-    from_column, from_row = model.mass_blocks
-    return np.where(from_column, blocks, np.where(from_row, blocks.T, 0.0))
+    # the blocks, then a zero for the entries off the ancestor lines
+    blocks = np.empty(NV * NV + 1)
+    np.matmul(subspace.T, force, out=blocks[:-1].reshape(NV, NV))
+    blocks[-1] = 0.0
+    return blocks.take(model._mass_entries).reshape(NV, NV)
 
 
 @dataclass
@@ -442,8 +501,9 @@ class FrameDynamics:
         body's support, so its Jacobian is zero in every other column.
         """
         bodies = np.asarray(bodies, dtype=int).reshape(-1)
-        if np.any((bodies < 0) | (bodies >= NUM_BODIES)):
-            raise InvalidInputError(f"body ids {bodies.tolist()} out of range")
+        ids = bodies.tolist()
+        if ids and not (0 <= min(ids) and max(ids) < NUM_BODIES):
+            raise InvalidInputError(f"body ids {ids} out of range")
         arm, position = _body_points(self.fk, bodies, np.asarray(local_points, dtype=float).reshape(-1, 3))
         jac = self.subspace[3:] - skew_rows(position) @ self.subspace[:3]
         w = self.omega[bodies]

@@ -305,12 +305,14 @@ class FrameSetup:
 
 class _ContactPattern:
     """The index bookkeeping of one set of active contacts: their indices,
-    which of them shares its body with an earlier one (its anchor), and the
-    positions the contact blocks write."""
+    the width n of x, which of them shares its body with an earlier one (its
+    anchor), and the positions the contact blocks write, the cone's in the
+    flattened (rows, n) cone matrix."""
 
     def __init__(self, bodies: np.ndarray, active: np.ndarray, facets: int):
         self.idx = np.flatnonzero(active)
         nc = len(self.idx)
+        self.n = NV + 3 * nc
         body = bodies[self.idx].tolist()
         first = [body.index(b) for b in body]
         self.second = np.array([c for c, anchor in enumerate(first) if anchor != c], dtype=int)
@@ -318,9 +320,8 @@ class _ContactPattern:
         self.basis = np.tile(np.eye(3), (nc, 1, 1))
         self.keep = np.ones((nc, 3), dtype=bool)
         self.keep[self.second] = False
-        self.forces = np.arange(NV, NV + 3 * nc)  # the diagonal of the contact forces
         rows = np.arange(nc * facets)[:, None]
-        self.cone = (rows, NV + 3 * (rows // facets) + np.arange(3))
+        self.cone = (rows * self.n + NV + 3 * (rows // facets) + np.arange(3)).ravel()
 
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -334,36 +335,31 @@ def _tangent_bases(n: np.ndarray) -> np.ndarray:
     return np.concatenate([t1, cross_rows(n, t1)], axis=1).reshape(-1, 2, 3)
 
 
-def _cone_rows(
-    normals: np.ndarray, tangents: np.ndarray, n: int, setup: FrameSetup, pattern: _ContactPattern
-) -> np.ndarray:
-    """The linearized friction cones of k contacts as G x <= 0 rows over
-    x = (qdd, lambda): per contact, cone_facets facet rows d_f . lambda_c <=
+def _cone_rows(normals: np.ndarray, tangents: np.ndarray, setup: FrameSetup, pattern: _ContactPattern) -> np.ndarray:
+    """The linearized friction cones of the active contacts as G x <= 0 rows
+    over x = (qdd, lambda): per contact, cone_facets facet rows d_f . lambda_c <=
     mu n . lambda_c. The facet directions sum to zero, so the rows sum to
     -cone_facets mu n . lambda_c <= 0: they imply the unilateral condition
     n . lambda_c >= 0, which therefore has no row of its own."""
     d = setup.facet_cos * tangents[:, :1] + setup.facet_sin * tangents[:, 1:]
-    blocks = (d - setup.settings.friction_mu * normals[:, None]).reshape(-1, 3)
-    g_mat = np.zeros((len(blocks), n))
-    g_mat[pattern.cone] = blocks
+    g_mat = np.zeros((len(pattern.cone) // 3, pattern.n))
+    g_mat.put(pattern.cone, d - setup.settings.friction_mu * normals[:, None])
     return g_mat
 
 
 def _contact_blocks(
-    feet: PointKinematics, surface: np.ndarray, normals: np.ndarray, n: int, setup: FrameSetup,
-    pattern: _ContactPattern,
+    feet: PointKinematics, surface: np.ndarray, normals: np.ndarray, setup: FrameSetup, pattern: _ContactPattern
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The no-sliding rows (A, b) and the friction-cone rows G of the active
-    contacts, over x = (qdd, lambda) of width n."""
+    """The no-sliding rows of the active contacts over qdd (k, 75) and their
+    right-hand side (k,), and their friction-cone rows G over x = (qdd, lambda)."""
     idx, dt = pattern.idx, setup.dt
-    pos, jac, vel, bias = feet.position[idx], feet.jacobian[idx], feet.velocity[idx], feet.bias[idx]
-    normal = normals[idx]
+    pos, vel, normal = feet.position.take(idx, axis=0), feet.velocity.take(idx, axis=0), normals.take(idx, axis=0)
     # normal axis: a deadbeat PD (rate 1/dt) toward the surface; bound the
     # commanded velocity so deep penetration recovers at a finite rate
     # instead of slamming the legs straight
     v_n = (vel[:, None, :] @ normal[:, :, None])[:, 0, 0]
     v_t = vel - v_n[:, None] * normal
-    a_n = pd_accel(1.0 / dt, (surface[idx] + CONTACT_REST_OFFSET) - pos[:, 1], v_n)
+    a_n = pd_accel(1.0 / dt, (surface.take(idx) + CONTACT_REST_OFFSET) - pos[:, 1], v_n)
     cap = CONTACT_MAX_CORRECTION_VELOCITY
     v_next = v_n + a_n * dt
     a_n = np.where(np.abs(v_next) > cap, (np.copysign(cap, v_next) - v_n) / dt, a_n)
@@ -378,7 +374,7 @@ def _contact_blocks(
     # (full 3 rows would be inconsistent), and none when it coincides with
     # the first.
     nc = len(idx)
-    axis = pos[pattern.second] - pos[pattern.anchors]
+    axis = pos.take(pattern.second, axis=0) - pos.take(pattern.anchors, axis=0)
     norm = vector_norms(axis)
     apart = ~(norm[:, 0] < 1e-9)
     linked = pattern.second[apart]
@@ -389,10 +385,9 @@ def _contact_blocks(
     basis[linked, 2] = 0.0
     keep = pattern.keep.copy()
     keep[linked, :2] = True
-    slide = np.zeros((int(keep.sum()), n))
-    slide[:, :NV] = (basis @ jac)[keep]
-    slide_rhs = matvec_rows(basis, a_corr - bias)[keep]
-    return slide, slide_rhs, _cone_rows(normal, tangents[:nc], n, setup, pattern)
+    slide = (basis @ feet.jacobian.take(idx, axis=0))[keep]
+    slide_rhs = matvec_rows(basis, a_corr - feet.bias.take(idx, axis=0))[keep]
+    return slide, slide_rhs, _cone_rows(normal, tangents[:nc], setup, pattern)
 
 
 @dataclass
@@ -452,53 +447,60 @@ def frame_problem(
 
     m_mat, h_vec = dyn.m, dyn.h
 
-    # Decision variables x = (qdd, lambda). The actuated torques are
-    # substituted out, tau[6:] = B x + h[6:] with B = [M[6:], -Jc[:, 6:]^T],
-    # so the actuated equation-of-motion rows hold by construction and the
-    # torque regulariser becomes reg (B^T B, B^T h[6:]) on (P, q).
-    nc = len(pattern.idx)
-    n = NV + 3 * nc
-    jc_t = feet.jacobian[active].transpose(2, 0, 1).reshape(NV, 3 * nc) if nc else np.zeros((NV, 0))
-    b_mat = np.concatenate([m_mat[6:], -jc_t[6:]], axis=1)
+    # Decision variables x = (qdd, lambda). The equation of motion over x is
+    # [M, -Jc^T] x + h = (0, tau[6:]). Its actuated rows substitute the
+    # torques out, tau[6:] = B x + h[6:] with B = [M[6:], -Jc[:, 6:]^T], so
+    # they hold by construction and the torque regulariser becomes
+    # reg (B^T B, B^T h[6:]) on (P, q); its floating-base rows are equalities.
+    nc, n = len(pattern.idx), pattern.n
+    motion = np.empty((NV, n))
+    motion[:, :NV] = m_mat
+    if nc:
+        jac = feet.jacobian.take(pattern.idx, axis=0)
+        np.negative(jac.transpose(2, 0, 1), out=motion[:, NV:].reshape(NV, nc, 3))
+    b_mat = motion[6:]
 
     p_mat = np.zeros((n, n))
+    diagonal = p_mat.reshape(-1)[:: n + 1]  # a writable view
     q_vec = np.zeros(n)
     # angle tracking ablated: a PD toward q itself, so only the weak velocity
     # damping stays
     target = pd_desired_accel_angles(q, qd, ref.q_ref if settings.use_angle_pd else q, gains)
-    np.einsum("ii->i", p_mat)[3:NV] = setup.angle_weight
+    diagonal[3:NV] = setup.angle_weight
     q_vec[3:NV] -= setup.angle_weight * target[3:]
     if settings.use_position_pd and tracking:
         a_des = pd_accel(gains.position_rate, ref.ee_targets - feet.position, feet.velocity)
         # w J^T of each point is its own buffer (w J^T J is then a general
         # product, not numpy's multithreaded syrk), the four Gram products
         # come from one stacked call over the columns where they are not
-        # zero, and the sums run one point at a time, in CONTACT_NAMES order
+        # zero, and so do the four pulls w J^T (a_des - bias); the sums run
+        # one point at a time, in CONTACT_NAMES order
         wjt = (2.0 * settings.point_weight) * feet.jacobian.transpose(0, 2, 1)
         c = setup.foot_cols
         grams = wjt[:, :c] @ feet.jacobian[:, :, :c]
-        for k, rhs in enumerate(a_des - feet.bias):
+        pulls = matvec_rows(wjt, a_des - feet.bias)
+        for k in range(len(pulls)):
             p_mat[:c, :c] += grams[k]
-            q_vec[:NV] -= wjt[k] @ rhs
+            q_vec[:NV] -= pulls[k]
     reg = 2.0 * settings.reg_weight
-    p_mat[pattern.forces, pattern.forces] += reg
+    diagonal[NV:] += reg
     # reg * B on the right is a separate buffer: numpy sends X.T @ X to a
     # multithreaded syrk, whose thread wake-up costs far more than its flops
     # at this size
     p_mat += b_mat.T @ (reg * b_mat)
     q_vec += reg * (b_mat.T @ h_vec[6:])
 
-    slide, slide_rhs, cone = (
-        _contact_blocks(feet, surface, normals, n, setup, pattern)
-        if nc
-        else (np.zeros((0, n)), np.zeros(0), None)
-    )
+    slide, slide_rhs, cone = np.zeros((0, n)), np.zeros(0), None
+    if nc:
+        rows, slide_rhs, cone = _contact_blocks(feet, surface, normals, setup, pattern)
+        slide = np.zeros((len(rows), n))
+        slide[:, :NV] = rows
     root, root_rhs = np.zeros((0, n)), np.zeros(0)
     if settings.use_root_supervision and ref.root_future is not None:
         root = setup.root_pin[:, :n]
         root_rhs = root_supervision_accel(ref.root_future[1], ref.root_future[0], qd[0:3], setup.dt)
     # floating-base rows of the equation of motion: M[:6] qdd - Jc[:, :6]^T lambda = -h[:6]
-    eom = (np.concatenate([m_mat[:6], -jc_t[:6]], axis=1), -h_vec[:6])
+    eom = (motion[:6], -h_vec[:6])
     return FrameProblem(
         active, p_mat, q_vec, b_mat, h_vec[6:], eom, (slide, slide_rhs), (root, root_rhs), cone
     )
@@ -539,7 +541,7 @@ def solve_frame(
     # contacts are active (the inequality rows are then laid out alike).
     # Without an active contact there are no no-sliding rows and no cone, so
     # every level is the same QP and only the first is solved.
-    warm = previous if previous is not None and previous.contact_names == problem.contact_names else None
+    warm = previous if previous is not None and (previous.active == problem.active).all() else None
     levels = FALLBACK_LEVELS if problem.cone is not None else FALLBACK_LEVELS[:1]
     failures: List[Tuple[str, str]] = []
     for level, use_slide, use_cone in levels:

@@ -78,11 +78,12 @@ class _Lapack:
         return routine
 
     def lu_factor(self, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """LU factorisation with partial pivoting of a copy of a, by one
-        LAPACK getrf call: (lu, piv) with 0-based pivots, as
-        scipy.linalg.lu_factor gives them, without its input checks. An
-        exactly zero pivot raises LinAlgError."""
-        lu, piv, info = self.dgetrf(a)
+        """LU factorisation with partial pivoting of a, by one LAPACK getrf
+        call: (lu, piv) with 0-based pivots, as scipy.linalg.lu_factor gives
+        them, without its input checks. A Fortran-ordered a is factored in
+        place (any other is copied first). An exactly zero pivot raises
+        LinAlgError."""
+        lu, piv, info = self.dgetrf(a, overwrite_a=1)
         if info > 0:
             raise np.linalg.LinAlgError(f"getrf: pivot {info - 1} is exactly zero")
         return lu, piv
@@ -123,20 +124,20 @@ def _kkt_factor(kkt: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
       the regularized matrix (about 1e-6 relative from the true one on gait
       frames), and the dual method reads it only to pick its working set.
     """
-    diag = np.einsum("ii->i", kkt)  # a writable view
+    # kkt is assembled row-major, so its transpose is the column-major
+    # array LAPACK takes (getrs then solves with trans=1); getrf factors a
+    # copy of it, regularised on the diagonal, in place
+    lu = np.array(kkt.T, order="F")
+    diag = lu.T.reshape(-1)[:: len(lu) + 1]  # a writable view
     # P is positive semidefinite, so its largest entry is on its diagonal
     delta = 1e-9 * (1.0 + float(np.abs(diag[:n]).max()))
-    unregularised = diag.copy()
     diag[:n] += delta
     diag[n:] -= delta
     try:
-        # kkt is assembled row-major, so its transpose is the column-major
-        # array LAPACK takes; getrs solves with trans=1
-        lu, piv = lu_factor(kkt.T)
+        lu, piv = lu_factor(lu)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"KKT factorisation failed: {exc}") from exc
-    diag[:] = unregularised
-    pivots = np.diagonal(lu)
+    pivots = lu.diagonal()
     if not (np.isfinite(pivots).all() and pivots.all()):
         raise SolverError("KKT factorisation is singular")
 
@@ -162,8 +163,9 @@ def _refine(
     constraints. The constraint error, |residual[n:]|max relative to
     1 + |rhs[n:]|max, certifies that the constraint rows are consistent.
     """
-    top = 1.0 + float(np.abs(rhs[:n]).max())
-    bottom = 1.0 + float(np.abs(rhs[n:]).max(initial=0.0))
+    mag = np.abs(rhs)
+    top = 1.0 + float(mag[:n].max())
+    bottom = 1.0 + float(mag[n:].max(initial=0.0))
 
     def errors(z: np.ndarray) -> Tuple[np.ndarray, float, float]:
         res = rhs - mat @ z
@@ -201,7 +203,7 @@ def kkt_residual(
     and complementarity relative to the multiplier magnitude.
     """
     grad = p_mat @ x + q_vec
-    station = grad.copy()
+    station = grad
     if a_mat.size:
         station = station + a_mat.T @ nu
     if g_mat.size:
@@ -235,8 +237,8 @@ class _WorkingSet:
         if seed:
             # one Cholesky factorisation when no seed row depends on earlier
             # ones (its squared pivots are the Schur complements), else row by row
-            r, info = _LAPACK.dpotrf(s_mat[seed][:, seed], clean=1)
-            if info == 0 and (r.diagonal() ** 2 > dep_tol[seed]).all():
+            r, info = _LAPACK.dpotrf(s_mat.take(seed, axis=0).take(seed, axis=1), clean=1)
+            if info == 0 and (r.diagonal() ** 2 > dep_tol.take(seed)).all():
                 self._r[: len(seed), : len(seed)] = r
                 self.rows = list(seed)
                 return
@@ -269,7 +271,7 @@ class _WorkingSet:
         should p enter."""
         if not self.rows:
             return np.zeros(0), float(self.s_mat[p, p]), np.zeros(0)
-        col = self._triangular(self.s_mat[self.rows, p], 1)
+        col = self._triangular(self.s_mat[p].take(self.rows), 1)  # S is exactly symmetric
         return self._triangular(col, 0), float(self.s_mat[p, p] - col @ col), col
 
     def add(self, p: int, col: np.ndarray, z: float) -> None:
@@ -295,8 +297,26 @@ class _WorkingSet:
     def multipliers(self, s0: np.ndarray) -> np.ndarray:
         """mu with the working rows tight (S_WW mu_W = s0_W) and 0 elsewhere."""
         mu = np.zeros(s0.shape[0])
-        mu[self.rows] = self.solve(s0[self.rows])
+        mu.put(self.rows, self.solve(s0.take(self.rows)))
         return mu
+
+
+def _least_ratio(num: List[float], den: List[float], bound: float) -> Optional[Tuple[int, float]]:
+    """(j, num[j] / den[j]) at the least of the ratios num / den over the
+    entries whose den exceeds bound, or None when none does: the index
+    np.argmin finds among the ratios with inf at the other entries (the
+    first least one, or the first nan). The working set is a few rows, so
+    Python floats cost less than arrays here."""
+    if not any(b > bound for b in den):
+        return None
+    best_j, best = 0, math.inf
+    for i, (a, b) in enumerate(zip(num, den)):
+        r = a / b if b > bound else math.inf
+        if r != r:
+            return i, r
+        if r < best or i == 0:
+            best_j, best = i, r
+    return best_j, best
 
 
 def _dual_active_set(
@@ -315,8 +335,11 @@ def _dual_active_set(
     working = _WorkingSet(s_mat, 1e-10 * diag + 1e-15 * float(diag.max()), sorted(set(warm)))
     steps = 0
     mu = working.multipliers(s0)
-    while working.rows and mu[working.rows].min() < 0.0:
-        working.remove(int(np.argmin(mu[working.rows])))
+    while working.rows:
+        k = int(mu.take(working.rows).argmin())
+        if not mu[working.rows[k]] < 0.0:
+            break
+        working.remove(k)
         mu = working.multipliers(s0)
         steps += 1
 
@@ -324,7 +347,7 @@ def _dual_active_set(
     while True:
         slack = s0 - s_mat @ mu
         candidates = slack.copy()
-        candidates[working.rows] = -np.inf
+        candidates.put(working.rows, -np.inf)
         while True:  # the most violated row whose slack is not met
             p = int(candidates.argmax())
             if candidates[p] <= feas_tol:
@@ -343,13 +366,10 @@ def _dual_active_set(
             # reaches zero (which wins a tie)
             t, k = (slack_p / z, w) if full else (np.inf, w)
             if w:
-                mu_w = mu[working.rows]
-                leave = c > 1e-12 * max(1.0, float(np.abs(c).max()))
-                if leave.any():
-                    ratios = np.divide(mu_w, c, out=np.full(w, np.inf), where=leave)
-                    j = int(ratios.argmin())
-                    if ratios[j] <= t:
-                        t, k = float(ratios[j]), j
+                mu_w = mu.take(working.rows)
+                least = _least_ratio(mu_w.tolist(), c.tolist(), 1e-12 * max(1.0, float(np.abs(c).max())))
+                if least is not None and least[1] <= t:
+                    k, t = least
             if k == w and not full:
                 raise QPInfeasibleError(
                     f"inequality row {p} is violated and depends on rows {sorted(working.rows)}"
@@ -358,7 +378,7 @@ def _dual_active_set(
             if steps > max_steps:
                 raise SolverError(f"dual active set did not settle in {max_steps} steps ({mi} inequalities)")
             if w:
-                mu[working.rows] = mu_w - t * c
+                mu.put(working.rows, mu_w - t * c)
             mu[p] += t
             if k == w:
                 working.add(p, col, z)
@@ -399,18 +419,19 @@ def solve_qp(
         h_in = np.asarray(h_vec, dtype=float).reshape(-1)
     me, mi = a_in.shape[0], g_in.shape[0]
     rows_in, rhs_in = np.concatenate([a_in, g_in]), np.concatenate([b_in, h_in])
-    if not all(np.isfinite(arr).all() for arr in (p_in, q_in, rows_in, rhs_in)):
+    if not (np.isfinite(p_in).all() and np.isfinite(q_in).all() and np.isfinite(rows_in).all()
+            and np.isfinite(rhs_in).all()):
         for arr, label in ((p_in, "P"), (q_in, "q"), (a_in, "A"), (b_in, "b"), (g_in, "G"), (h_in, "h")):
             if not np.isfinite(arr).all():
                 raise SolverError(f"non-finite values in QP data ({label})")
 
     # diagonal variable scaling: x = d * x_scaled
-    diag = np.abs(np.diag(p_in))
+    diag = np.abs(p_in.diagonal())
     d = 1.0 / np.sqrt(np.maximum(diag, 1e-6 * (diag.max() if diag.size else 1.0) + 1e-12))
     q_s = q_in * d
     # row equilibration of [A; G]: keeps small constraint rows (e.g. the root
     # acceleration pin) from drowning numerically among large dynamics rows
-    rows_s = rows_in * d[None, :]
+    rows_s = rows_in * d
     row_scale = np.maximum(np.abs(rows_s).max(axis=1, initial=0.0), 1e-12)
     rows_s /= row_scale[:, None]
     rhs_s = rhs_in / row_scale
@@ -431,7 +452,8 @@ def solve_qp(
     nz = n + me
     bordered = np.zeros((nz + mi, nz + mi))
     kkt = bordered[:nz, :nz]
-    np.multiply(p_in * d[None, :], d[:, None], out=kkt[:n, :n])
+    np.multiply(p_in, d, out=kkt[:n, :n])
+    kkt[:n, :n] *= d[:, None]
     kkt[:n, n:] = a_s.T
     kkt[n:, :n] = a_s
     lu_solve = _kkt_factor(kkt, n)
@@ -449,22 +471,27 @@ def solve_qp(
     # responses to all mi rows are combinations of the responses Y to unit
     # forces on those columns: a multiplier vector mu moves (x, nu) by
     # Y G_J^T mu, and S = G_J [K^-1]_JJ G_J^T
-    support = np.flatnonzero(np.abs(g_s).max(axis=0))
-    unit = np.zeros((nz, support.shape[0]), order="F")
-    unit[support, np.arange(support.shape[0])] = -1.0
+    support = np.abs(g_s).max(axis=0).nonzero()[0]
+    # column k is -1 at row support[k]; the F-ordered columns as C-ordered rows
+    unit = np.zeros((support.shape[0], nz))
+    unit.put(support + nz * np.arange(support.shape[0]), -1.0)
+    unit = unit.T
     y_mat = lu_solve(unit)
     g_j = g_s[:, support]
     s_mat = -g_j @ y_mat[support] @ g_j.T
     s_mat = 0.5 * (s_mat + s_mat.T)
-    seed = np.asarray(warm_start if warm_start is not None else (), dtype=int)
-    warm = seed.tolist() if seed.size and seed.min() >= 0 and seed.max() < mi else []
+    warm = []
+    if warm_start is not None and len(warm_start):
+        seed = np.asarray(warm_start, dtype=int)
+        if seed.min() >= 0 and seed.max() < mi:
+            warm = seed.tolist()
     working, steps = _dual_active_set(s_mat, s0, feas_tol, warm)
 
     # final solve with the working rows as equalities, by block elimination
     # on the one factorisation: S_WW mu_W = s0_W and z = z0 + Y G_J^T mu;
     # each correction against the true bordered matrix eliminates the same way
     rows = working.rows
-    g_w, y_w = g_s[rows], y_mat @ g_j[rows].T
+    g_w, y_w = g_s.take(rows, axis=0), y_mat @ g_j.take(rows, axis=0).T
     w = len(rows)
     bordered = bordered[: nz + w, : nz + w]
     bordered[:n, nz:] = g_w.T
@@ -475,9 +502,9 @@ def solve_qp(
         d_mu = working.solve(g_w @ w0[:n] - res[nz:])
         return np.concatenate([w0 + y_w @ d_mu, d_mu])
 
-    mu_w = working.solve(s0[rows])
+    mu_w = working.solve(s0.take(rows))
     start = np.concatenate([z0 + y_w @ mu_w, mu_w])
-    zb, _ = _refine(bordered, np.concatenate([rhs0, h_s[rows]]), n, start, correct)
+    zb, _ = _refine(bordered, np.concatenate([rhs0, h_s.take(rows)]), n, start, correct)
     mu_s = np.zeros(mi)
-    mu_s[rows] = np.maximum(zb[nz:], 0.0)
+    mu_s.put(rows, np.maximum(zb[nz:], 0.0))
     return finish(zb[:n], zb[n:nz], mu_s, 1 + steps, sorted(rows))

@@ -19,7 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,21 +29,24 @@ _SMALL_ANGLE = 1e-8
 _SMALL_ANGLE_DOT = 1e-4
 
 
-def _scalar_powers(t: np.ndarray, *exponents: int) -> list:
-    """t**n for each exponent, each an array shaped like t.
+def _scalar_powers(t: np.ndarray, *exponents: float) -> np.ndarray:
+    """(1 + len(exponents),) + t.shape: t itself, then t**n for each
+    exponent, from one conversion.
 
     Taken one element at a time as a Python float's or numpy scalar's t**n
     is (libm pow), whatever t's shape. numpy's array power is another
     function: it squares exactly, and its vectorised pow differs from libm
     in the last place for other exponents. A gait refinement near divergence
     turns such an ulp into another abort frame, so the rotations keep the
-    scalar bits. Python floats are the faster; past the float range they
-    raise OverflowError, and the powers are taken again as numpy scalars,
-    which give inf (and a RuntimeWarning).
+    scalar bits. Python floats are the faster (and a float exponent the
+    faster, with the same bits); past the float range they raise
+    OverflowError, and the powers are taken again as numpy scalars, which
+    give inf (and a RuntimeWarning).
     """
     for scalars in (t.ravel().tolist(), t.ravel()):  # Python floats, then numpy scalars
         try:
-            return [np.array([x**n for x in scalars]).reshape(t.shape) for n in exponents]
+            flat = [*scalars, *[x**n for n in exponents for x in scalars]]
+            return np.array(flat).reshape((1 + len(exponents),) + t.shape)
         except OverflowError:
             pass
 
@@ -52,11 +55,14 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
-def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cross_rows(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Row-wise cross product of (..., 3) arrays, component k being
     a[k+1] b[k+2] - a[k+2] b[k+1]: np.cross's formula and bits, without its
-    axis bookkeeping."""
-    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+    axis bookkeeping (take gathers the components at a fraction of the cost
+    of an index array); into out when given."""
+    return np.subtract(
+        a.take(_NEXT, axis=-1) * b.take(_PREV, axis=-1), a.take(_PREV, axis=-1) * b.take(_NEXT, axis=-1), out=out
+    )
 
 
 def matvec_rows(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -65,23 +71,71 @@ def matvec_rows(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (mats @ vecs[..., None])[..., 0]
 
 
-def _rodrigues(v: np.ndarray, *exponents: int) -> tuple:
-    """What exp_so3 and exp_and_jacobians share, for a (..., 3) stack v:
-    K = skew(v), K^2, sin(t)/t and (1-cos t)/t^2 with t = |v| (to O(t^4)
-    below 1e-8 rad) and the latter's series alone; then t, the libm powers
-    t**2 and t**n for each of exponents, the below-1e-8 mask, t with 1
-    there, and sin and 1 - cos of that, each (..., 1, 1)."""
+# The Rodrigues coefficients as quotients num / den of t = |v|, each with a
+# series c + t^2 / d below its threshold, one row each:
+#   row  quotient                                series              below
+#   0    sin t / t                               1 - t^2/6           1e-8
+#   1    (1 - cos t) / t^2                       1/2 - t^2/24        1e-8
+#   2    (t sin t - 2 (1 - cos t)) / t^4         -1/12 + t^2/180     1e-4
+#   3    (1 - cos t) / t^2                       1/2 - t^2/24        1e-8
+#   4    (t - sin t) / t^3                       1/6 - t^2/120       1e-8
+#   5    (t (1 - cos t) - 3 (t - sin t)) / t^5   -1/60 + t^2/1260    1e-4
+#   6    (1 - cos t) / t^2                       1/2 - t^2/24        1e-4
+#   7    (t - sin t) / t^3                       1/6 - t^2/120       1e-4
+# exp_so3 takes rows 0 and 1; exp_and_jacobians takes all eight: rows 0-2
+# multiply K (exp, J_l, the derivative's A'), rows 3-5 multiply K^2, and rows
+# 6-7, the derivative's A and B, switch to their series at 1e-4 rad.
+_NUMERATOR = np.array([0, 1, 3, 1, 2, 4, 1, 2])  # rows of _trig_terms
+_DENOMINATOR = np.array([0, 1, 3, 1, 2, 4, 1, 2])  # rows of (t, t^2, t^3, t^4, t^5)
+_SERIES_C = np.array([1.0, 0.5, -1.0 / 12.0, 0.5, 1.0 / 6.0, -1.0 / 60.0, 0.5, 1.0 / 6.0])
+_SERIES_D = np.array([-6.0, -24.0, 180.0, -24.0, -120.0, 1260.0, -24.0, -120.0])  # signed: c + t^2 / d
+_SERIES_BELOW_1E4 = np.array([False, False, True, False, False, True, True, True])
+
+
+def _coefficients(v: np.ndarray, rows: int) -> np.ndarray:
+    """The first `rows` (2 or 8) Rodrigues coefficients of the table above
+    for a (..., 3) stack v, as (rows, ..., 1, 1).
+
+    Each element gets the operations of the one-vector formulas: the
+    quotient, or its series below the row's threshold, where t is replaced
+    by 1 so that no division is by zero. A stack with no angle below 1e-4
+    rad skips the series."""
     t = vector_norms(v)[..., None]
-    powers = _scalar_powers(t, 2, *exponents)
-    t2 = powers[0]
-    small = t < _SMALL_ANGLE
-    safe = np.where(small, 1.0, t)
-    sin, one_minus_cos = np.sin(safe), 1.0 - np.cos(safe)
-    a = np.where(small, 1.0 - t2 / 6.0, sin / safe)
-    b_series = 0.5 - t2 / 24.0
-    b = np.where(small, b_series, one_minus_cos / np.where(small, 1.0, t2))
-    k = skew_rows(v)
-    return k, k @ k, a, b, b_series, t, powers, small, safe, sin, one_minus_cos
+    derivative = rows > 2
+    small = t < (_SMALL_ANGLE_DOT if derivative else _SMALL_ANGLE)
+    series = bool(small.any())
+    tiny = t < _SMALL_ANGLE if derivative else small
+    safe = np.where(tiny, 1.0, t) if series else t
+    # (t, t^2, t^3, t^4, t^5), t^n by libm pow; a series element's quotient
+    # divides by 1 instead
+    powers = _scalar_powers(t, *(2.0, 3.0, 4.0, 5.0)[: rows // 2])
+    trig = _trig_terms(safe, derivative)
+    lead = (slice(None),) + (None,) * t.ndim
+    if rows == 2:
+        num, den = trig, powers
+    else:
+        num, den = trig.take(_NUMERATOR, axis=0), powers.take(_DENOMINATOR, axis=0)
+    if not series:
+        return num / den
+    mask = np.where(_SERIES_BELOW_1E4[:rows][lead], small, tiny)
+    below = _SERIES_C[:rows][lead] + powers[1] / _SERIES_D[:rows][lead]
+    return np.where(mask, below, num / np.where(mask, 1.0, den))
+
+
+def _trig_terms(t: np.ndarray, derivative: bool) -> np.ndarray:
+    """(sin t, 1 - cos t), and with derivative also t - sin t,
+    t sin t - 2 (1 - cos t) and t (1 - cos t) - 3 (t - sin t); (k,) + t.shape."""
+    out = np.empty((5 if derivative else 2,) + t.shape)
+    np.sin(t, out=out[0])
+    np.subtract(1.0, np.cos(t), out=out[1])
+    if derivative:
+        np.subtract(t, out[0], out=out[2])
+        np.subtract(t * out[:2], _TWO_THREE.reshape((2,) + (1,) * t.ndim) * out[1:3], out=out[3:])
+    return out
+
+
+_TWO_THREE = np.array([2.0, 3.0])
+_EYE = np.eye(3)
 
 
 def exp_so3(v: np.ndarray) -> np.ndarray:
@@ -90,11 +144,14 @@ def exp_so3(v: np.ndarray) -> np.ndarray:
     Takes one vector (3,) or a stack (..., 3) and returns (3, 3) or
     (..., 3, 3); a stack gives the same bits as one call per vector.
     """
-    k, k2, a, b, *_ = _rodrigues(np.asarray(v, dtype=float))
+    v = np.asarray(v, dtype=float)
+    a, b = _coefficients(v, 2)
+    k = skew_rows(v)
+    k2 = k @ k
     k2 *= b
     # (a K + I) + b K^2 in place: a stack holds two (..., 3, 3) arrays at a time
     k *= a
-    k += np.eye(3)
+    k += _EYE
     k += k2
     return k
 
@@ -188,33 +245,25 @@ def exp_and_jacobians(v: np.ndarray, vdot: np.ndarray) -> Tuple[np.ndarray, np.n
     d/dt exp(v) = skew(J_l(v) vdot) exp(v). The dynamics recursions take the
     angular acceleration of a 3-DoF joint as J_l(v) vddot + Jdot_l vdot.
 
-    One _rodrigues pass serves all three, with exp_so3's coefficients; each
+    One pass serves all three: the eight coefficients of the table above
+    are one quotient, and the skew matrices of v and vdot one array; each
     entry has the bits of the one-vector formulas (tests/oracles.py).
     """
     v = np.asarray(v, dtype=float)
     vdot = np.asarray(vdot, dtype=float)
-    k, k2, a_exp, a, a_series, t, (t2, t3, t4, t5), small, safe, sin, one_minus_cos = _rodrigues(v, 3, 4, 5)
-    t_minus_sin = safe - sin
-    eye = np.eye(3)
-    b_series = 1.0 / 6.0 - t2 / 120.0  # B to O(t^4) near zero
-    b = np.where(small, b_series, t_minus_sin / np.where(small, 1.0, t3))
-    rot = a_exp * k + eye + a * k2
-    jl = eye + a * k + b * k2
-
+    coef = _coefficients(v, 8)
+    pair = np.empty((2,) + v.shape)
+    pair[0], pair[1] = v, vdot
+    k, kd = skew_rows(pair)
+    k2 = k @ k
+    with_k = coef[:3] * k  # exp's, J_l's and the derivative's A' terms
+    with_k2 = coef[3:6] * k2
+    rot_jl = with_k[:2] + _EYE
+    rot_jl += with_k2[:2]
     # dA/dt = A'(t) * tdot with tdot = (v.vdot)/t; below 1e-4 rad the 1/t is
     # folded into the series, and A and B take theirs
-    small = t < _SMALL_ANGLE_DOT
-    a_bar = np.where(
-        small, -1.0 / 12.0 + t2 / 180.0, (safe * sin - 2.0 * one_minus_cos) / np.where(small, 1.0, t4)
-    )
-    b_bar = np.where(
-        small,
-        -1.0 / 60.0 + t2 / 1260.0,
-        (safe * one_minus_cos - 3.0 * t_minus_sin) / np.where(small, 1.0, t5),
-    )
-    a = np.where(small, a_series, a)
-    b = np.where(small, b_series, b)
-    kd = skew_rows(vdot)
     vvd = v[..., None, :] @ vdot[..., :, None]
-    jl_dot = vvd * (a_bar * k + b_bar * k2) + a * kd + b * (kd @ k + k @ kd)
-    return rot, jl, jl_dot
+    jl_dot = vvd * (with_k[2] + with_k2[2])
+    jl_dot += coef[6] * kd
+    jl_dot += coef[7] * (kd @ k + k @ kd)
+    return rot_jl[0], rot_jl[1], jl_dot

@@ -7,7 +7,8 @@ the minimum mesh height so queries off the scanned area degrade gracefully.
 The rasteriser is vectorised over triangles: those whose bounding boxes of
 cells have one shape are evaluated together as one broadcast, in runs of a
 bounded number of cells, so its memory stays flat for dense scanned meshes
-and whole-scene quads alike. Height and normal queries take scalars or
+and whole-scene quads alike; a triangle larger than a run goes by blocks of
+rows, each over the columns its rows can meet. Height and normal queries take scalars or
 arrays of points; one call answers a frame's contact points or a whole
 sequence (the refinement's foot targets, the penetration metric). A query gathers the four cells of
 each point from the flattened grid, which HeightMap keeps row-major.
@@ -78,6 +79,13 @@ class HeightMap:
             raise InvalidInputError(f"default_height must be finite, not {self.default_height!r}")
         if not np.isfinite(self.heights).all():
             raise InvalidInputError("height map contains non-finite heights")
+        # query_height's per-axis constants: the grid's (x, z) bounds, the
+        # last cell a point's lower corner may take, and the offsets of a
+        # point's four cells in the flattened grid
+        self._lo = np.array([float(self.origin[0]), float(self.origin[1])])
+        self._hi = np.array([self.origin[0] + nx * self.cell_size, self.origin[1] + nz * self.cell_size])
+        self._last = np.array([nx - 2, nz - 2])
+        self._corners = np.array([[0, 1], [nz, nz + 1]])
 
 
 # OBJ statements of one kind converted per numpy call; bounds the token
@@ -206,6 +214,24 @@ def _planes(verts: np.ndarray, tris: np.ndarray):
     return a[:, 0], a[:, 2], a[:, 1], b[:, 1], c[:, 1], v0x, v0z, v1x, v1z, v0x * v1z - v1x * v0z
 
 
+def _row_spans(px: np.ndarray, v0x, v0z, v1x, v1z, den) -> Tuple[np.ndarray, np.ndarray]:
+    """Per plan-view row offset px, the offsets [lo, hi] along the row
+    between which _plane_heights can find the point inside the triangle:
+    each barycentric weight is affine along a row, w = alpha + beta pz, and
+    its bound -1e-12 gives one end of the span. A weight constant along the
+    row (beta 0) bounds nothing. The ends carry rounding, so a caller widens
+    the span by a cell; a row that misses the triangle has lo > hi."""
+    alpha1, beta1 = px * (v1z / den), -v1x / den
+    alpha2, beta2 = px * (-v0z / den), v0x / den
+    alpha = np.stack([1.0 - alpha1 - alpha2, alpha1, alpha2])
+    beta = np.array([-(beta1 + beta2), beta1, beta2])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (-1e-12 - alpha) / beta
+    lo = np.where(beta > 0.0, bound, -np.inf).max(axis=0)
+    hi = np.where(beta < 0.0, bound, np.inf).min(axis=0)
+    return lo, hi
+
+
 def _cell_range(centers: np.ndarray, coords: np.ndarray, tris: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """First and one-past-last cell whose center lies in [min, max] of each
     triangle's vertex coords (V,), widened by _EPS. A search is monotone in
@@ -268,17 +294,25 @@ def build_height_map(
     cells = (i1 - i0) * (j1 - j0)
 
     # A triangle larger than a chunk: blocks of whole rows, each evaluated by
-    # broadcasting and folded in place.
+    # broadcasting and folded in place, over the columns where one of its
+    # rows can meet the triangle (_row_spans).
     for t in np.flatnonzero(cells > _CHUNK_CELLS):
         ax, az, *args = (v[0] for v in _planes(verts, tris[t : t + 1]))
         if abs(args[-1]) < _EPS:
             continue  # degenerate in plan view: vertical wall, no top surface
         step = max(1, _CHUNK_CELLS // int(j1[t] - j0[t]))
-        pz = (zs[j0[t] : j1[t]] - az)[None, :]
-        for r0 in range(i0[t], i1[t], step):
-            r1 = min(r0 + step, i1[t])
-            block = heights[r0:r1, j0[t] : j1[t]]
-            y, inside = _plane_heights((xs[r0:r1] - ax)[:, None], pz, *args)
+        px = xs[i0[t] : i1[t]] - ax
+        pz = zs[j0[t] : j1[t]] - az
+        starts = np.arange(0, len(px), step)
+        lo, hi = _row_spans(px, *args[3:])
+        first = np.maximum(np.searchsorted(pz, np.minimum.reduceat(lo, starts), side="left") - 1, 0)
+        last = np.minimum(np.searchsorted(pz, np.maximum.reduceat(hi, starts), side="right") + 1, len(pz))
+        for r0, c0, c1 in zip(starts.tolist(), first.tolist(), last.tolist()):
+            if c0 >= c1:
+                continue
+            r1 = min(r0 + step, len(px))
+            block = heights[i0[t] + r0 : i0[t] + r1, j0[t] + c0 : j0[t] + c1]
+            y, inside = _plane_heights(px[r0:r1, None], pz[None, c0:c1], *args)
             np.maximum(block, y, out=block, where=inside)
 
     # The other triangles, grouped by box shape (rows x cols) and taken in
@@ -320,37 +354,49 @@ def query_height(hm: HeightMap, x: float | np.ndarray, z: float | np.ndarray) ->
     grid, infinite coordinates included, get the default height; points in
     the half-cell margin inside the grid clamp to the edge cells. A NaN
     coordinate raises InvalidInputError.
+
+    The two coordinates go through each step as one (2, ...) array.
     """
     x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
     if x.shape != z.shape:
         x, z = np.broadcast_arrays(x, z)
-    for name, v in (("x", x), ("z", z)):
-        bad = np.isnan(v)
-        if bad.any():
-            where = f" at index {tuple(int(i) for i in np.argwhere(bad)[0])}" if v.ndim else ""
-            raise InvalidInputError(f"height query with non-finite {name} coordinate (NaN){where}")
+    xz = np.empty((2,) + x.shape)
+    xz[0], xz[1] = x, z
+    if np.isnan(xz).any():
+        for name, v in (("x", x), ("z", z)):
+            bad = np.isnan(v)
+            if bad.any():
+                where = f" at index {tuple(int(i) for i in np.argwhere(bad)[0])}" if v.ndim else ""
+                raise InvalidInputError(f"height query with non-finite {name} coordinate (NaN){where}")
     nx, nz = hm.heights.shape
-    ox, oz = hm.origin
-    off = (x < ox) | (x > ox + nx * hm.cell_size) | (z < oz) | (z > oz + nz * hm.cell_size)
+    lead = (slice(None),) + (None,) * x.ndim
+    lo, hi, last = hm._lo[lead], hm._hi[lead], hm._last[lead]
+    off = (xz < lo) | (xz > hi)
+    off = off[0] | off[1]
     # off-grid points are evaluated at the origin and replaced below
-    gx = (np.where(off, ox, x) - ox) / hm.cell_size - 0.5
-    gz = (np.where(off, oz, z) - oz) / hm.cell_size - 0.5
+    g = (np.where(off, lo, xz) - lo) / hm.cell_size - 0.5
     # clamped by minimum and maximum (np.clip's values, at a fraction of its
     # call cost): no coordinate is NaN or -0.0 here
-    i0 = np.minimum(np.maximum(np.floor(gx), 0), nx - 2).astype(np.intp)
-    j0 = np.minimum(np.maximum(np.floor(gz), 0), nz - 2).astype(np.intp)
-    fx = np.minimum(np.maximum(gx - i0, 0.0), 1.0)
-    fz = np.minimum(np.maximum(gz - j0, 0.0), 1.0)
-    ex, ez = 1 - fx, 1 - fz
-    # cells (i0, j0), (i0 + 1, j0), (i0, j0 + 1), (i0 + 1, j0 + 1) of the flattened grid
-    h = hm.heights.reshape(-1)
-    cell = i0 * nz + j0
-    out = np.where(
-        off,
-        hm.default_height,
-        ex * ez * h[cell] + fx * ez * h[cell + nz] + ex * fz * h[cell + 1] + fx * fz * h[cell + nz + 1],
-    )
+    ij = np.minimum(np.maximum(np.floor(g), 0), last).astype(np.intp)
+    # the weights (1 - f, f) of each axis, then their products:
+    # weights[a, b] multiplies cell (i0 + a, j0 + b)
+    ef = np.empty((2,) + g.shape)
+    np.minimum(np.maximum(g - ij, 0.0), 1.0, out=ef[1])
+    np.subtract(1, ef[1], out=ef[0])
+    weights = ef[:, None, 0] * ef[None, :, 1]
+    # cells (i0, j0), (i0, j0 + 1), (i0 + 1, j0), (i0 + 1, j0 + 1) of the flattened grid
+    corners = hm.heights.reshape(-1).take((ij[0] * nz + ij[1]) + hm._corners[lead[:1] + lead])
+    terms = weights * corners  # summed in the one-point formula's order
+    out = terms[0, 0] + terms[1, 0]
+    out += terms[0, 1]
+    out += terms[1, 1]
+    out = np.where(off, hm.default_height, out)
     return float(out) if out.ndim == 0 else out
+
+
+# the five points of query_surface's stencil, as multiples of the cell size
+# along x and z; -0.0 adds exactly nothing
+_STENCIL = np.array([[-0.0, 1.0, -1.0, -0.0, -0.0], [-0.0, -0.0, -0.0, 1.0, -1.0]])
 
 
 def query_surface(
@@ -364,17 +410,18 @@ def query_surface(
     Scalar x, z give a float and a (3,) array; arrays that broadcast together
     give heights of the broadcast shape and normals of that shape plus (3,).
     """
-    x, z = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    if x.shape != z.shape:
+        x, z = np.broadcast_arrays(x, z)
     d = hm.cell_size
-    five = (5,) + x.shape
-    h = query_height(
-        hm, np.concatenate([x, x + d, x - d, x, x], axis=None).reshape(five),
-        np.concatenate([z, z, z, z + d, z - d], axis=None).reshape(five),
-    )
-    dhdx = (h[1] - h[2]) / (2.0 * d)
-    dhdz = (h[3] - h[4]) / (2.0 * d)
+    xz = np.empty((2, 1) + x.shape)
+    xz[0, 0], xz[1, 0] = x, z
+    five = xz + (d * _STENCIL).reshape((2, 5) + (1,) * x.ndim)
+    h = query_height(hm, five[0], five[1])
     n = np.empty(x.shape + (3,))
-    n[..., 0], n[..., 1], n[..., 2] = -dhdx, 1.0, -dhdz
+    # (dh/dx, dh/dz) by central differences, negated into the normal's x and z
+    np.negative(((h[1::2] - h[2::2]) / (2.0 * d)).transpose(*range(1, h.ndim), 0), out=n[..., ::2])
+    n[..., 1] = 1.0
     return (float(h[0]) if x.ndim == 0 else h[0]), n / vector_norms(n)
 
 
@@ -390,7 +437,10 @@ def save_contacts_csv(labels: np.ndarray, path: str | Path) -> None:
 def load_contacts_csv(path: str | Path) -> np.ndarray:
     """(T, 4) bool labels written by save_contacts_csv: every row holds a frame
     index and one 0/1 field per contact point, and row t labels motion frame
-    t, so its frame field must read t."""
+    t, so its frame field must read t.
+
+    Fields are taken as written: the frame is ASCII decimal digits and each
+    label exactly 0 or 1; int() would also take "1_0", " +1" or "1 "."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -398,21 +448,18 @@ def load_contacts_csv(path: str | Path) -> np.ndarray:
         if header is None or tuple(header[1:5]) != CONTACT_NAMES:
             raise MotionFormatError(f"{path}: expected header frame,{','.join(CONTACT_NAMES)}")
         for rec in reader:
-            try:
-                values = [int(v) for v in rec]
-            except ValueError:
-                values = []  # reported below like a short row
-            labels = values[1:]
-            if len(values) != 5 or any(v not in (0, 1) for v in labels):
+            frame, *labels = rec or [""]
+            if not (len(labels) == 4 and frame.isascii() and frame.isdigit() and set(labels) <= {"0", "1"}):
                 raise MotionFormatError(
                     f"{path}:{reader.line_num}: expected an integer frame and four 0/1 labels, "
                     f"got {','.join(rec)!r}"
                 )
-            if values[0] != len(rows):
+            frame = frame.lstrip("0") or "0"  # the integer's digits, with no length limit
+            if frame != str(len(rows)):
                 raise MotionFormatError(
-                    f"{path}:{reader.line_num}: frame {values[0]} in row {len(rows)}; row t must label frame t"
+                    f"{path}:{reader.line_num}: frame {frame} in row {len(rows)}; row t must label frame t"
                 )
-            rows.append([v == 1 for v in labels])
+            rows.append([v == "1" for v in labels])
     return np.array(rows, dtype=bool).reshape(-1, 4)
 
 

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from physmotion.errors import QPInfeasibleError, SolverError
 from physmotion.humanoid import DEFAULT_DT, NUM_BODIES, NV, FKResult, contact_positions, forward_kinematics
 from physmotion.motion import _continuous_exp_coords
 from physmotion.optimizer import (
@@ -28,7 +29,7 @@ from physmotion.optimizer import (
     root_supervision_accel,
     solve_frame,
 )
-from physmotion.rotations import log_so3, matrix_to_quat, quat_to_matrix
+from physmotion.rotations import log_so3, matrix_to_quat, quat_to_matrix, vector_norms
 from physmotion.scene import CONTACT_NAMES, query_surface
 
 
@@ -248,6 +249,19 @@ def inverse_dynamics_scalar(model, q, qd, qdd):
     inertia_w = fk.rotations @ model.inertias @ fk.rotations.transpose(0, 2, 1)
     omega, _, omega_dot, acc = forward_sweep_scalar(model, q, qd, qdd, fk, axes)
     return backward_pass_scalar(model, fk, axes, inertia_w, omega, omega_dot, acc - model.gravity)
+
+
+def motion_subspace_scalar(model, fk, axes):
+    """The (6, 75) world motion subspace assembled one joint's columns at a
+    time: the root translation's unit columns, then per joint its axes and
+    the velocity its axes give the body-fixed point at the world origin."""
+    s = np.zeros((6, NV))
+    s[3:, 0:3] = np.eye(3)
+    for i in range(NUM_BODIES):
+        cols = slice(3 + 3 * i, 6 + 3 * i)
+        s[:3, cols] = axes[i]
+        s[3:, cols] = skew(fk.positions[i]) @ axes[i]
+    return s
 
 
 def crba_scalar(model, fk, subspace, inertia_w):
@@ -521,3 +535,299 @@ def frame_qp_scalar(model, dyn, state, ref, hm, settings, level, dt, latched):
         g_mat = cone_rows_scalar([p["normal"] for p in active], n, lam0, settings)
         h_ineq = np.zeros(len(g_mat))
     return p_mat, q_vec, np.vstack(eq_rows), np.concatenate(eq_rhs), g_mat, h_ineq
+
+
+def query_height_scalar(hm, x, z):
+    """Bilinear height of one point (x, z), one operation at a time; off the
+    grid, the default height."""
+    nx, nz = hm.heights.shape
+    ox, oz = hm.origin
+    if x < ox or x > ox + nx * hm.cell_size or z < oz or z > oz + nz * hm.cell_size:
+        return hm.default_height
+    gx = (x - ox) / hm.cell_size - 0.5
+    gz = (z - oz) / hm.cell_size - 0.5
+    i0 = int(min(max(math.floor(gx), 0), nx - 2))
+    j0 = int(min(max(math.floor(gz), 0), nz - 2))
+    fx = min(max(gx - i0, 0.0), 1.0)
+    fz = min(max(gz - j0, 0.0), 1.0)
+    ex, ez = 1 - fx, 1 - fz
+    h = hm.heights
+    return ex * ez * h[i0, j0] + fx * ez * h[i0 + 1, j0] + ex * fz * h[i0, j0 + 1] + fx * fz * h[i0 + 1, j0 + 1]
+
+
+def query_surface_scalar(hm, x, z):
+    """(height, upward unit normal) of one point: the normal from central
+    differences of the height one cell to either side."""
+    d = hm.cell_size
+    dhdx = (query_height_scalar(hm, x + d, z) - query_height_scalar(hm, x - d, z)) / (2.0 * d)
+    dhdz = (query_height_scalar(hm, x, z + d) - query_height_scalar(hm, x, z - d)) / (2.0 * d)
+    n = np.array([-dhdx, 1.0, -dhdz])
+    return query_height_scalar(hm, x, z), n / vector_norms(n)
+
+
+def one_euro_per_sample(signal, params, rate):
+    """The One-Euro filter of a (T, n) signal, one sample at a time."""
+    x = np.asarray(signal, dtype=float)
+    alpha_d = 1.0 / (1.0 + rate / (2.0 * np.pi * 1.0))
+    out = np.empty_like(x)
+    out[0] = x[0]
+    x_hat = x[0].copy()
+    dx_hat = np.zeros(x.shape[1])
+    for t in range(1, x.shape[0]):
+        dx = (x[t] - x[t - 1]) * rate
+        dx_hat = dx_hat + alpha_d * (dx - dx_hat)
+        cutoff = params.min_cutoff + params.beta * np.abs(dx_hat)
+        alpha = 1.0 / (1.0 + rate / (2.0 * np.pi * cutoff))
+        x_hat = x_hat + alpha * (x[t] - x_hat)
+        out[t] = x_hat
+    return out
+
+
+def solve_qp_reference(p_mat, q_vec, a_mat, b_vec, g_mat, h_vec, tol=1e-8, warm_start=None):
+    """qp.solve_qp as a plain transcription of its method (docstrings in
+    physmotion/qp.py): scaling, one regularised KKT factorisation with
+    refined solves, the responses to unit multipliers and the
+    Goldfarb-Idnani dual active set on a triangular factor of the working
+    rows. Returns (x, nu, mu, iterations, active set, KKT residual); raises
+    what solve_qp raises."""
+    from scipy.linalg import lapack
+
+    def kkt_solver(kkt, n):
+        diag = np.einsum("ii->i", kkt)
+        delta = 1e-9 * (1.0 + float(np.abs(diag[:n]).max()))
+        unregularised = diag.copy()
+        diag[:n] += delta
+        diag[n:] -= delta
+        lu, piv, info = lapack.dgetrf(kkt.T)
+        if info > 0:
+            raise SolverError(f"KKT factorisation failed: getrf: pivot {info - 1} is exactly zero")
+        diag[:] = unregularised
+        pivots = np.diagonal(lu)
+        if not (np.isfinite(pivots).all() and pivots.all()):
+            raise SolverError("KKT factorisation is singular")
+
+        def solve(rhs):
+            sol, info = lapack.dgetrs(lu, piv, rhs, trans=1)
+            if info != 0 or not np.isfinite(sol).all():
+                raise SolverError("KKT solve is not finite")
+            return sol
+
+        return solve
+
+    def refine(mat, rhs, n, sol, correct):
+        top = 1.0 + float(np.abs(rhs[:n]).max())
+        bottom = 1.0 + float(np.abs(rhs[n:]).max(initial=0.0))
+
+        def errors(z):
+            res = rhs - mat @ z
+            mag = np.abs(res)
+            cons = float(mag[n:].max(initial=0.0)) / bottom
+            return res, max(float(mag[:n].max()) / top, cons), cons
+
+        res, err, cons = errors(sol)
+        for _ in range(8):
+            if err < 1e-13:
+                break
+            new_sol = sol + correct(res)
+            new_res, new_err, new_cons = errors(new_sol)
+            if not new_err < err:
+                break
+            sol, res, err, cons = new_sol, new_res, new_err, new_cons
+        return sol, cons
+
+    p_in = np.asarray(p_mat, dtype=float)
+    q_in = np.asarray(q_vec, dtype=float).reshape(-1)
+    n = q_in.shape[0]
+    a_in, b_in = (np.zeros((0, n)), np.zeros(0)) if a_mat is None or np.size(a_mat) == 0 else (
+        np.asarray(a_mat, dtype=float).reshape(-1, n), np.asarray(b_vec, dtype=float).reshape(-1))
+    g_in, h_in = (np.zeros((0, n)), np.zeros(0)) if g_mat is None or np.size(g_mat) == 0 else (
+        np.asarray(g_mat, dtype=float).reshape(-1, n), np.asarray(h_vec, dtype=float).reshape(-1))
+    me, mi = a_in.shape[0], g_in.shape[0]
+    rows_in, rhs_in = np.concatenate([a_in, g_in]), np.concatenate([b_in, h_in])
+    for arr, label in ((p_in, "P"), (q_in, "q"), (a_in, "A"), (b_in, "b"), (g_in, "G"), (h_in, "h")):
+        if not np.isfinite(arr).all():
+            raise SolverError(f"non-finite values in QP data ({label})")
+    diag = np.abs(np.diag(p_in))
+    d = 1.0 / np.sqrt(np.maximum(diag, 1e-6 * (diag.max() if diag.size else 1.0) + 1e-12))
+    q_s = q_in * d
+    rows_s = rows_in * d[None, :]
+    row_scale = np.maximum(np.abs(rows_s).max(axis=1, initial=0.0), 1e-12)
+    rows_s /= row_scale[:, None]
+    rhs_s = rhs_in / row_scale
+    a_s, g_s, b_s, h_s = rows_s[:me], rows_s[me:], rhs_s[:me], rhs_s[me:]
+
+    def finish(xs, nu_s, mu_s, iterations, active):
+        x, nu, mu = xs * d, nu_s / row_scale[:me], mu_s / row_scale[me:]
+        grad = p_in @ x + q_in
+        station = grad.copy()
+        if a_in.size:
+            station = station + a_in.T @ nu
+        if g_in.size:
+            station = station + g_in.T @ mu
+        parts = [float(np.abs(station).max()) / (1.0 + float(np.abs(grad).max()))]
+        if a_in.size:
+            parts.append(float(np.abs(a_in @ x - b_in).max()) / (1.0 + float(np.abs(b_in).max())))
+        if g_in.size:
+            slack = g_in @ x - h_in
+            mu_scale = 1.0 + float(np.abs(mu).max())
+            parts.append(float(max(0.0, slack.max())) / (1.0 + float(np.abs(h_in).max())))
+            parts.append(float(max(0.0, -mu.min())) / mu_scale)
+            parts.append(float(np.abs(mu * slack).max()) / mu_scale)
+        residual = max(parts)
+        if residual > tol:
+            raise SolverError(f"KKT residual {residual:.3e} above tolerance ({len(active)} active of {mi} inequalities)")
+        return x, nu, mu, iterations, tuple(active), residual
+
+    nz = n + me
+    bordered = np.zeros((nz + mi, nz + mi))
+    kkt = bordered[:nz, :nz]
+    np.multiply(p_in * d[None, :], d[:, None], out=kkt[:n, :n])
+    kkt[:n, n:] = a_s.T
+    kkt[n:, :n] = a_s
+    lu_solve = kkt_solver(kkt, n)
+    rhs0 = np.concatenate([-q_s, b_s])
+    z0, consistency = refine(kkt, rhs0, n, lu_solve(rhs0), lu_solve)
+    if consistency > 1e-7:
+        raise QPInfeasibleError("equality constraints are inconsistent")
+    x0, nu0 = z0[:n], z0[n:]
+    s0 = g_s @ x0 - h_s
+    feas_tol = 1e-9 * (1.0 + float(np.abs(h_s).max(initial=0.0)))
+    if mi == 0 or s0.max() <= feas_tol:
+        return finish(x0, nu0, np.zeros(mi), 1, ())
+
+    support = np.flatnonzero(np.abs(g_s).max(axis=0))
+    unit = np.zeros((nz, support.shape[0]), order="F")
+    unit[support, np.arange(support.shape[0])] = -1.0
+    y_mat = lu_solve(unit)
+    g_j = g_s[:, support]
+    s_mat = -g_j @ y_mat[support] @ g_j.T
+    s_mat = 0.5 * (s_mat + s_mat.T)
+    seed = np.asarray(warm_start if warm_start is not None else (), dtype=int)
+    warm = seed.tolist() if seed.size and seed.min() >= 0 and seed.max() < mi else []
+
+    # the dual active set on the working rows' factor R (R^T R = S_WW)
+    sdiag = s_mat.diagonal()
+    dep_tol = 1e-10 * sdiag + 1e-15 * float(sdiag.max())
+    rows, r_fac = [], np.zeros(s_mat.shape, order="F")
+
+    def triangular(rhs, trans):
+        w = len(rows)
+        sol, info = lapack.dtrtrs(r_fac[:w, :w], rhs, trans=trans)
+        if info != 0:
+            raise SolverError(f"working-set factor is singular ({w} rows)")
+        return sol
+
+    def solve_working(rhs):
+        w = len(rows)
+        if not w:
+            return np.zeros(0)
+        sol, info = lapack.dpotrs(r_fac[:w, :w], rhs)
+        if info != 0:
+            raise SolverError(f"working-set factor is singular ({w} rows)")
+        return sol
+
+    def response(p):
+        if not rows:
+            return np.zeros(0), float(s_mat[p, p]), np.zeros(0)
+        col = triangular(s_mat[rows, p], 1)
+        return triangular(col, 0), float(s_mat[p, p] - col @ col), col
+
+    def add(p, col, z):
+        w = len(rows)
+        r_fac[:w, w] = col
+        r_fac[w, w] = math.sqrt(z)
+        rows.append(p)
+
+    def remove(k):
+        w = len(rows)
+        r_fac[:w, k : w - 1] = r_fac[:w, k + 1 : w]
+        r_fac[:w, w - 1] = 0.0
+        if k < w - 1:
+            qr, *_ = lapack.dgeqrf(r_fac[k:w, k : w - 1])
+            sub = np.arange(w - 1 - k)
+            qr[sub + 1, sub] = 0.0
+            r_fac[k:w, k : w - 1] = qr
+        del rows[k]
+
+    def multipliers():
+        mu = np.zeros(mi)
+        mu[rows] = solve_working(s0[rows])
+        return mu
+
+    seed_rows = sorted(set(warm))
+    if seed_rows:
+        r, info = lapack.dpotrf(s_mat[seed_rows][:, seed_rows], clean=1)
+        if info == 0 and (r.diagonal() ** 2 > dep_tol[seed_rows]).all():
+            r_fac[: len(seed_rows), : len(seed_rows)] = r
+            rows.extend(seed_rows)
+        else:
+            for p in seed_rows:
+                _, z, col = response(p)
+                if z > dep_tol[p]:
+                    add(p, col, z)
+    steps = 0
+    mu = multipliers()
+    while rows and mu[rows].min() < 0.0:
+        remove(int(np.argmin(mu[rows])))
+        mu = multipliers()
+        steps += 1
+    max_steps = 3 * (mi + 1)
+    while True:
+        slack = s0 - s_mat @ mu
+        candidates = slack.copy()
+        candidates[rows] = -np.inf
+        while True:
+            p = int(candidates.argmax())
+            if candidates[p] <= feas_tol:
+                break
+            if slack[p] > feas_tol + 1e-13 * (abs(s0[p]) + float(np.abs(s_mat[p]) @ mu)):
+                break
+            candidates[p] = -np.inf
+        if candidates[p] <= feas_tol:
+            break
+        slack_p = float(slack[p])
+        while True:
+            c, z, col = response(p)
+            w = len(rows)
+            full = z > dep_tol[p]
+            t, k = (slack_p / z, w) if full else (np.inf, w)
+            if w:
+                mu_w = mu[rows]
+                leave = c > 1e-12 * max(1.0, float(np.abs(c).max()))
+                if leave.any():
+                    ratios = np.divide(mu_w, c, out=np.full(w, np.inf), where=leave)
+                    j = int(ratios.argmin())
+                    if ratios[j] <= t:
+                        t, k = float(ratios[j]), j
+            if k == w and not full:
+                raise QPInfeasibleError(f"inequality row {p} is violated and depends on rows {sorted(rows)}")
+            steps += 1
+            if steps > max_steps:
+                raise SolverError(f"dual active set did not settle in {max_steps} steps ({mi} inequalities)")
+            if w:
+                mu[rows] = mu_w - t * c
+            mu[p] += t
+            if k == w:
+                add(p, col, z)
+                break
+            mu[rows[k]] = 0.0
+            remove(k)
+            slack_p -= t * z
+
+    g_w, y_w = g_s[rows], y_mat @ g_j[rows].T
+    w = len(rows)
+    bordered = bordered[: nz + w, : nz + w]
+    bordered[:n, nz:] = g_w.T
+    bordered[nz:, :n] = g_w
+
+    def correct(res):
+        w0 = lu_solve(res[:nz])
+        d_mu = solve_working(g_w @ w0[:n] - res[nz:])
+        return np.concatenate([w0 + y_w @ d_mu, d_mu])
+
+    mu_w = solve_working(s0[rows])
+    start = np.concatenate([z0 + y_w @ mu_w, mu_w])
+    zb, _ = refine(bordered, np.concatenate([rhs0, h_s[rows]]), n, start, correct)
+    mu_s = np.zeros(mi)
+    mu_s[rows] = np.maximum(zb[nz:], 0.0)
+    return finish(zb[:n], zb[n:nz], mu_s, 1 + steps, sorted(rows))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import random_rotation, save_trajectory, world_to_camera
+from oracles import one_euro_per_sample, random_rotation, save_trajectory, world_to_camera
 
 from physmotion.errors import (
     InvalidInputError,
@@ -202,6 +202,19 @@ class TestOneEuro:
         out = one_euro_filter(sig, params, 60)
         expected = one_euro_reference(sig, 0.004, 0.7, 60.0)
         assert np.abs(out - expected).max() < 1e-12
+
+    def test_two_passes_equal_the_per_sample_loop_bit_for_bit(self, rng):
+        for shape, params, rate in (
+            ((1201, 75), FilterParams(), 60.0),
+            ((40, 3), FilterParams(min_cutoff=0.1, beta=0.5), 30.0),
+            ((2, 1), FilterParams(min_cutoff=2.0, beta=0.0), 24.0),
+            ((1, 4), FilterParams(), 60.0),
+        ):
+            sig = np.cumsum(rng.normal(size=shape), axis=0) * rng.uniform(0.01, 3.0)
+            sig[:, 0] = 0.25  # a constant channel
+            out = one_euro_filter(sig, params, rate)
+            assert np.array_equal(out, one_euro_per_sample(sig, params, rate))
+            assert np.array_equal(out[:, 0], sig[:, 0])
 
     def test_channelwise_independence(self, rng):
         sig = rng.normal(size=(40, 3))

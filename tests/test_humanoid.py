@@ -11,6 +11,7 @@ from oracles import (
     forward_sweep_scalar,
     inverse_dynamics_scalar,
     joint_axes_scalar,
+    motion_subspace_scalar,
     point_terms_scalar,
 )
 
@@ -29,7 +30,7 @@ from physmotion.humanoid import (
     load_model,
 )
 import physmotion.humanoid as humanoid
-from physmotion.rotations import exp_and_jacobians, exp_so3, skew_rows
+from physmotion.rotations import exp_and_jacobians, exp_so3
 from physmotion.scene import CONTACT_NAMES
 
 
@@ -306,8 +307,9 @@ def dynamics_oracle(model, q, qd):
     inertia_w = fk.rotations @ model.inertias @ fk.rotations.transpose(0, 2, 1)
     omega, vel, omega_dot, acc = forward_sweep_scalar(model, q, qd, np.zeros(NV), fk, axes)
     h = backward_pass_scalar(model, fk, axes, inertia_w, omega, omega_dot, acc - model.gravity)
-    m = crba_scalar(model, fk, humanoid._motion_subspace(skew_rows(fk.positions), axes), inertia_w)
-    return dict(m=m, h=h, omega=omega, vel=vel, omega_dot_bias=omega_dot, acc_bias=acc)
+    subspace = motion_subspace_scalar(model, fk, axes)
+    m = crba_scalar(model, fk, subspace, inertia_w)
+    return dict(m=m, h=h, omega=omega, vel=vel, omega_dot_bias=omega_dot, acc_bias=acc, subspace=subspace)
 
 
 class TestBatchedKernels:

@@ -474,6 +474,19 @@ class TestCLI:
             assert isinstance(r.exception, SystemExit)  # no traceback
             assert "MotionFormatError: camera.jsonl:1: invalid JSON: " in r.output
 
+    def test_lenient_contact_label_is_an_input_error(self, tmp_path, model):
+        # int() takes "0_1" as the label 1; the reader takes 0 or 1 as written
+        runner = CliRunner()
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            write_scenario(Path("."), model, duration=0.1)
+            lines = Path("contacts.csv").read_text().splitlines()
+            lines[1] = "0,0_1,0_1,0_1,0_1"
+            Path("contacts.csv").write_text("\n".join(lines) + "\n")
+            r = runner.invoke(main, ["refine", "--motion", "noisy.jsonl", "--contacts", "contacts.csv", "--out", "out"])
+            assert r.exit_code == EXIT_CONFIG, r.output
+            assert isinstance(r.exception, SystemExit)  # no traceback
+            assert "MotionFormatError: contacts.csv:2: expected an integer frame and four 0/1 labels" in r.output
+
     def test_pipeline_config_error_exit_code(self, tmp_path):
         runner = CliRunner()
         with runner.isolated_filesystem(temp_dir=tmp_path):

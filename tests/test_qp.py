@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import solve_qp_reference
+
 import physmotion.qp as qp_module
 from physmotion.errors import QPInfeasibleError, SolverError
 from physmotion.qp import kkt_residual, solve_qp
@@ -379,3 +381,95 @@ def test_lapack_failures_are_solver_errors(rng, monkeypatch, factor, strict):
         warnings.simplefilter("error" if strict else "ignore")
         with pytest.raises(SolverError):
             solve_qp(*prob)
+
+
+class TestMatchesTheReference:
+    """solve_qp against the plain transcription of its method
+    (oracles.solve_qp_reference), bit for bit: the solution, multipliers,
+    iterations, active set and residual, or the same error."""
+
+    def check(self, prob, warm_start=None):
+        try:
+            expected = solve_qp_reference(*prob, warm_start=warm_start)
+        except SolverError as exc:
+            with pytest.raises(type(exc)) as raised:
+                solve_qp(*prob, warm_start=warm_start)
+            assert str(raised.value) == str(exc)
+            return None
+        sol = solve_qp(*prob, warm_start=warm_start)
+        got = (sol.x, sol.eq_multipliers, sol.ineq_multipliers, sol.iterations, sol.active_set, sol.kkt_residual)
+        for name, a, b in zip(("x", "nu", "mu", "iterations", "active set", "residual"), got, expected):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
+        return sol
+
+    def test_no_inequalities(self, rng):
+        for k in range(20):
+            p, q, a, b, _, _ = random_convex_qp(rng, n=7, me=k % 4, mi=1)
+            if k % 4 == 0:
+                a = b = None
+            assert self.check((p, q, a, b, None, None)).iterations == 1
+            self.check((p, q, a, b, np.zeros((0, 7)), np.zeros(0)))
+
+    def test_random_problems_and_seeds(self, rng):
+        for prob, cold in qps_with_active_inequalities(rng, count=20):
+            mi = prob[4].shape[0]
+            stale = tuple(i for i in range(mi) if i not in cold.active_set)
+            for seed in (None, cold.active_set, stale, tuple(range(mi)), (mi,), (-1, 0)):
+                self.check(prob, seed)
+
+    def test_warm_seeds_with_dependent_rows(self, rng):
+        # each contact's unilateral row depends on its facets, so a seed of
+        # every row, or of a whole pyramid, names dependent rows
+        for k in range(40):
+            prob = pyramid_qp(rng, contacts=2, apex=k % 2 == 0)
+            for seed in (None, tuple(range(10)), tuple(range(5)), (4, 3, 2, 1, 0), (0, 2, 4, 9)):
+                self.check(prob, seed)
+            prob, _ = apex_qp(rng)
+            for seed in (None, tuple(range(5)), (0, 2), (4,)):
+                self.check(prob, seed)
+
+    def test_infeasible_and_inconsistent_problems(self):
+        g, h = np.array([[1.0], [-1.0]]), np.array([0.0, -1.0])
+        self.check((np.eye(1), np.zeros(1), None, None, g, h))
+        for a, b, _, g, h, _ in CONSISTENT_EQUALITIES.values():
+            self.check((np.eye(3), np.full(3, 2.0), a, b + np.array([0.0] * (len(b) - 1) + [0.5]), g, h))
+        self.check((np.eye(2), np.zeros(2), np.array([[1.0, 0.0]]), np.array([np.nan]), None, None))
+
+
+def least_ratio_numpy(num, den, bound):
+    """_least_ratio as array operations: argmin over num / den where den
+    exceeds bound and inf elsewhere, None when den exceeds it nowhere."""
+    num, den = np.array(num), np.array(den)
+    leave = den > bound
+    if not leave.any():
+        return None
+    ratios = np.divide(num, den, out=np.full(len(den), np.inf), where=leave)
+    j = int(ratios.argmin())
+    return j, float(ratios[j])
+
+
+def test_least_ratio_is_the_array_argmin_bit_for_bit(rng):
+    # a ratio that overflows, all ratios inf, a nan after the least ratio
+    for num, den in (([1e300, 1.0], [1e-300, 1.0]), ([np.inf, 1.0], [1.0, 0.0]), ([1.0, np.nan], [1.0, 1.0])):
+        with np.errstate(over="ignore"):
+            assert qp_module._least_ratio(num, den, 0.0) == least_ratio_numpy(num, den, 0.0) or np.isnan(num[1])
+    assert qp_module._least_ratio([1.0, np.nan], [1.0, 1.0], 0.0)[0] == 1  # argmin's nan
+    special = [0.0, -0.0, 1e-300, -1e-13, np.inf, -np.inf, np.nan, 1.0, 2.0]
+    for _ in range(3000):
+        w = int(rng.integers(1, 8))
+        num = rng.normal(size=w) * 10.0 ** rng.integers(-3, 4, size=w)
+        den = rng.normal(size=w)
+        for arr in (num, den):  # ties, zeros, infinities and nans
+            mask = rng.random(w) < 0.3
+            arr[mask] = rng.choice(special, size=mask.sum())
+        if rng.random() < 0.3:
+            den[rng.integers(w)] = den[rng.integers(w)]
+        bound = float(rng.choice([0.0, 1e-12, 0.5]))
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = least_ratio_numpy(num, den, bound)
+        got = qp_module._least_ratio(num.tolist(), den.tolist(), bound)
+        if expected is None:
+            assert got is None
+        else:
+            assert got[0] == expected[0]
+            assert np.array_equal(got[1], expected[1], equal_nan=True)

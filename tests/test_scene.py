@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import query_height_scalar, query_surface_scalar
 
 from physmotion import scene
 from physmotion.errors import EmptySceneError, InvalidInputError, MotionFormatError
@@ -217,6 +218,25 @@ class TestRasteriserMatchesLoop:
         hm = self.check(quad, (200, 200))
         assert np.abs(hm.heights - 0.25).max() < 1e-12
 
+    def test_large_triangles_of_every_orientation(self):
+        # each box spans more than a chunk: right triangles with legs along
+        # the axes (a weight constant along rows), the same turned about the
+        # centre, slivers a cell or less wide, and triangles past the bounds
+        rng = np.random.default_rng(14)
+        legs = rng.uniform(0.6, 1.3, size=(12, 2))
+        plan = np.zeros((12, 3, 2))
+        plan[:, 1, 0], plan[:, 2, 1] = legs[:, 0], legs[:, 1]
+        plan[8:, 2] = 0.6 * plan[8:, 1] + rng.uniform(-2e-3, 2e-3, size=(4, 2))  # slivers
+        turn = rng.uniform(0.0, 2.0 * np.pi, 12)
+        turn[:4] = 0.0
+        rot = np.stack([np.cos(turn), -np.sin(turn), np.sin(turn), np.cos(turn)], axis=1).reshape(12, 2, 2)
+        plan = (plan - plan.mean(axis=1, keepdims=True)) @ rot.transpose(0, 2, 1) + rng.uniform(0.3, 0.7, (12, 1, 2))
+        verts = np.stack([plan[..., 0], rng.normal(size=(12, 3)), plan[..., 1]], axis=-1)
+        mesh = TriangleMesh(verts.reshape(-1, 3), np.arange(36).reshape(12, 3))
+        for bounds, resolution in (((0.0, 1.0, 0.0, 1.0), (400, 400)), (None, (1000, 640))):
+            assert min(r * c for r, c in box_shapes(mesh, resolution, bounds)) > scene._CHUNK_CELLS
+            self.check(mesh, resolution, bounds)
+
     def test_blocks_stay_within_two_chunks(self, monkeypatch):
         mesh = merge_meshes(
             [triangle_soup(np.random.default_rng(13), 300, (0.002, 0.3)), make_box_mesh(-1.0, 2.0, -1.0, 2.0, -0.5)]
@@ -369,6 +389,32 @@ class TestQueryHeight:
         assert normal.shape == (3,)
 
 
+def test_queries_equal_the_one_point_formulas_bit_for_bit(rng):
+    """query_height and query_surface against the one-point formulas, on
+    and off the grid: cell edges, the half-cell margins, grid bounds,
+    infinities, and a NaN among the points."""
+    hm = HeightMap(origin=(-0.3, 0.2), cell_size=0.1, heights=rng.normal(size=(7, 9)), default_height=-2.0)
+    ox, oz = hm.origin
+    d = hm.cell_size
+    x = np.concatenate([rng.uniform(ox - 0.3, ox + 1.0, 300), ox + d * np.arange(8), [ox - 1e-12, ox + 0.7, np.inf, -np.inf]])
+    z = np.concatenate([rng.uniform(oz - 0.3, oz + 1.2, 300), oz + d * rng.integers(0, 10, 8), [oz, oz + 0.9, 0.5, 0.5]])
+    for xs, zs in ((x, z), (x.reshape(12, 26), z.reshape(12, 26)), (x[:1], z[:1])):
+        heights, normals = query_surface(hm, xs, zs)
+        assert np.array_equal(query_height(hm, xs, zs), heights)
+        for xi, zi, h, n in zip(xs.ravel(), zs.ravel(), heights.ravel(), normals.reshape(-1, 3)):
+            want_h, want_n = query_surface_scalar(hm, xi, zi)
+            assert h == want_h == query_height_scalar(hm, xi, zi)
+            assert np.array_equal(n, want_n)
+    bad_x, bad_z = x.copy(), z.copy()
+    bad_x[77] = bad_z[3] = np.nan
+    with pytest.raises(InvalidInputError, match=r"x coordinate \(NaN\) at index \(77,\)"):
+        query_height(hm, bad_x, z)
+    with pytest.raises(InvalidInputError, match=r"z coordinate \(NaN\) at index \(3,\)"):
+        query_height(hm, x, bad_z)
+    with pytest.raises(InvalidInputError, match=r"x coordinate \(NaN\) at index \(0, 77\)"):
+        query_surface(hm, bad_x, bad_z)  # the index in its five-point stencil
+
+
 @pytest.mark.parametrize("terrain", ["ramp", "step"])
 def test_query_surface_equals_separate_height_and_normal_queries(terrain, rng):
     """One query_surface call gives the bits of a query_height call for the
@@ -519,6 +565,35 @@ class TestFileFormats:
         path = tmp_path / "contacts.csv"
         path.write_text("frame,l_toe,r_toe,l_heel,r_heel\n" + body)
         with pytest.raises(MotionFormatError, match=f"{path.name}:{line}:"):
+            load_contacts_csv(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "10,0_1,0,0,1",  # int() reads the label 1
+            "10, +1,0,0,1",
+            "10,1 ,0,0,1",
+            "1_0,1,0,0,1",  # int() reads frame 10, which is this row's
+        ],
+    )
+    def test_contacts_csv_takes_fields_as_written(self, tmp_path, row):
+        path = tmp_path / "contacts.csv"
+        head = "frame,l_toe,r_toe,l_heel,r_heel\n" + "".join(f"{t},0,1,1,0\n" for t in range(10))
+        path.write_text(head + row + "\n")
+        with pytest.raises(MotionFormatError, match=f"{path.name}:12: expected an integer frame and four 0/1 labels"):
+            load_contacts_csv(path)
+        # the row written plainly loads
+        path.write_text(head + "10,1,0,0,1\n")
+        assert load_contacts_csv(path)[10].tolist() == [True, False, False, True]
+
+    def test_contacts_csv_frame_keeps_its_digits(self, tmp_path):
+        # leading zeros read as the integer; past the int-string limit the
+        # frame is a row mismatch, not int()'s ValueError
+        path = tmp_path / "contacts.csv"
+        path.write_text("frame,l_toe,r_toe,l_heel,r_heel\n000,1,0,0,1\n01,0,1,1,0\n")
+        assert load_contacts_csv(path).tolist() == [[True, False, False, True], [False, True, True, False]]
+        path.write_text("frame,l_toe,r_toe,l_heel,r_heel\n" + "1" * 5000 + ",1,0,0,1\n")
+        with pytest.raises(MotionFormatError, match=f"{path.name}:2: frame 1111.* in row 0"):
             load_contacts_csv(path)
 
     @pytest.mark.parametrize(
