@@ -52,12 +52,11 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError
 from .frames import NumericField
-from .rotations import cross_rows, exp_and_jacobians, exp_so3, matvec_rows, skew_rows
+from .rotations import _EYE, cross_rows, exp_and_jacobians, exp_so3, matvec_rows, skew_rows
 from .scene import CONTACT_NAMES
 
 NUM_BODIES = 24
 NV = 75  # 3 translation + 3 root orientation + 23 * 3 joints
-_EYE = np.eye(3)
 DEFAULT_DT = 1.0 / 60.0
 DEFAULT_GRAVITY = np.array([0.0, -9.81, 0.0])
 
@@ -136,7 +135,7 @@ class HumanoidModel:
             (np.flatnonzero(depth == k), self.parents[depth == k]) for k in range(1, depth.max() + 1)
         )
         # the root-to-leaf paths, one row per leaf, padded at the end with
-        # NUM_BODIES; path_slot holds, for every body, a (row, position) of it
+        # NUM_BODIES
         paths = []
         for leaf in sorted(set(range(NUM_BODIES)) - set(self.parents.tolist())):
             path = [leaf]
@@ -148,7 +147,6 @@ class HumanoidModel:
         for r, path in enumerate(paths):
             self.paths[r, : len(path)] = path
             slot_row[path] = r
-        self.path_slot = (slot_row, depth)
         # _path_sums' gathers: the paths' rows of a (NUM_BODIES + 1, k, d)
         # terms array, flattened, and per k where each body's sum lands in the
         # flattened running sums (the last of its k terms along its path)
@@ -258,10 +256,7 @@ def forward_kinematics(
     rot = np.empty((NUM_BODIES, n, 3, 3))
     rot[0] = joint_rot[0]
     for bodies, parents in model._level_index:
-        if isinstance(bodies, slice):  # a view, written in place
-            np.matmul(rot[parents], joint_rot[bodies], out=rot[bodies])
-        else:
-            rot[bodies] = rot[parents] @ joint_rot[bodies]
+        rot[bodies] = rot[parents] @ joint_rot[bodies]
     # the path sums' terms, the frames side by side in d: the root
     # translation, then each body's arm R_p offset_i
     terms = np.empty((NUM_BODIES + 1, 1, 3 * n))
@@ -371,7 +366,7 @@ def _forward_sweep(
     swing = cross_rows(omega_up, d)
     pairs[:NUM_BODIES, 0, :3] = swing
     pairs[:NUM_BODIES, 1, :3] = -0.0
-    cross_rows(omega_up, w_rel, out=pairs[:NUM_BODIES, 0, 3:])  # coriolis
+    pairs[:NUM_BODIES, 0, 3:] = cross_rows(omega_up, w_rel)  # coriolis
     pairs[:NUM_BODIES, 1, 3:] = jdot
     pairs[0, 0, :3] = qd[0:3]
     pairs[0, 0, 3:] = jdot[0]
@@ -381,8 +376,8 @@ def _forward_sweep(
     vel, omega_dot = sums[:, :3].copy(), sums[:, 3:].copy()
 
     pairs = np.empty((NUM_BODIES + 1, 2, 3))
-    cross_rows(omega_dot.take(up, axis=0), d, out=pairs[:NUM_BODIES, 0])  # tangential
-    cross_rows(omega_up, swing, out=pairs[:NUM_BODIES, 1])  # centripetal
+    pairs[:NUM_BODIES, 0] = cross_rows(omega_dot.take(up, axis=0), d)  # tangential
+    pairs[:NUM_BODIES, 1] = cross_rows(omega_up, swing)  # centripetal
     pairs[0] = ((0.0,), (-0.0,))
     pairs[NUM_BODIES] = 0.0
     acc = _path_sums(model, pairs)
@@ -397,10 +392,7 @@ def _fold(model: HumanoidModel, rows: np.ndarray, arms: Optional[np.ndarray] = N
     rounds as the last-to-first loop would."""
     for parents, bodies in model._fold_rounds:
         addend = rows[bodies] if arms is None else rows[bodies] + arms[bodies]
-        if isinstance(parents, slice):  # a view, added to in place
-            np.add(rows[parents], addend, out=rows[parents])
-        else:
-            rows[parents] += addend
+        rows[parents] += addend
 
 
 def _subtree_terms(model: HumanoidModel, cc: np.ndarray, inertia_w: np.ndarray, acc: np.ndarray) -> tuple:

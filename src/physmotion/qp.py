@@ -78,12 +78,11 @@ class _Lapack:
         return routine
 
     def lu_factor(self, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """LU factorisation with partial pivoting of a, by one LAPACK getrf
-        call: (lu, piv) with 0-based pivots, as scipy.linalg.lu_factor gives
-        them, without its input checks. A Fortran-ordered a is factored in
-        place (any other is copied first). An exactly zero pivot raises
-        LinAlgError."""
-        lu, piv, info = self.dgetrf(a, overwrite_a=1)
+        """LU factorisation with partial pivoting of a copy of a, by one
+        LAPACK getrf call: (lu, piv) with 0-based pivots, as
+        scipy.linalg.lu_factor gives them, without its input checks. An
+        exactly zero pivot raises LinAlgError."""
+        lu, piv, info = self.dgetrf(a)
         if info > 0:
             raise np.linalg.LinAlgError(f"getrf: pivot {info - 1} is exactly zero")
         return lu, piv
@@ -124,17 +123,16 @@ def _kkt_factor(kkt: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
       the regularized matrix (about 1e-6 relative from the true one on gait
       frames), and the dual method reads it only to pick its working set.
     """
-    # kkt is assembled row-major, so its transpose is the column-major
-    # array LAPACK takes (getrs then solves with trans=1); getrf factors a
-    # copy of it, regularised on the diagonal, in place
-    lu = np.array(kkt.T, order="F")
-    diag = lu.T.reshape(-1)[:: len(lu) + 1]  # a writable view
+    regularised = kkt.copy()
+    diag = np.einsum("ii->i", regularised)  # a writable view
     # P is positive semidefinite, so its largest entry is on its diagonal
     delta = 1e-9 * (1.0 + float(np.abs(diag[:n]).max()))
     diag[:n] += delta
     diag[n:] -= delta
     try:
-        lu, piv = lu_factor(lu)
+        # kkt is assembled row-major, so its transpose is the column-major
+        # array LAPACK takes; getrs solves with trans=1
+        lu, piv = lu_factor(regularised.T)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"KKT factorisation failed: {exc}") from exc
     pivots = lu.diagonal()
@@ -301,24 +299,6 @@ class _WorkingSet:
         return mu
 
 
-def _least_ratio(num: List[float], den: List[float], bound: float) -> Optional[Tuple[int, float]]:
-    """(j, num[j] / den[j]) at the least of the ratios num / den over the
-    entries whose den exceeds bound, or None when none does: the index
-    np.argmin finds among the ratios with inf at the other entries (the
-    first least one, or the first nan). The working set is a few rows, so
-    Python floats cost less than arrays here."""
-    if not any(b > bound for b in den):
-        return None
-    best_j, best = 0, math.inf
-    for i, (a, b) in enumerate(zip(num, den)):
-        r = a / b if b > bound else math.inf
-        if r != r:
-            return i, r
-        if r < best or i == 0:
-            best_j, best = i, r
-    return best_j, best
-
-
 def _dual_active_set(
     s_mat: np.ndarray, s0: np.ndarray, feas_tol: float, warm: Sequence[int]
 ) -> Tuple[_WorkingSet, int]:
@@ -367,9 +347,12 @@ def _dual_active_set(
             t, k = (slack_p / z, w) if full else (np.inf, w)
             if w:
                 mu_w = mu.take(working.rows)
-                least = _least_ratio(mu_w.tolist(), c.tolist(), 1e-12 * max(1.0, float(np.abs(c).max())))
-                if least is not None and least[1] <= t:
-                    k, t = least
+                leave = c > 1e-12 * max(1.0, float(np.abs(c).max()))
+                if leave.any():
+                    ratios = np.divide(mu_w, c, out=np.full(w, np.inf), where=leave)
+                    j = int(ratios.argmin())
+                    if ratios[j] <= t:
+                        t, k = float(ratios[j]), j
             if k == w and not full:
                 raise QPInfeasibleError(
                     f"inequality row {p} is violated and depends on rows {sorted(working.rows)}"

@@ -19,7 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -55,14 +55,12 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
-def cross_rows(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product of (..., 3) arrays, component k being
     a[k+1] b[k+2] - a[k+2] b[k+1]: np.cross's formula and bits, without its
     axis bookkeeping (take gathers the components at a fraction of the cost
-    of an index array); into out when given."""
-    return np.subtract(
-        a.take(_NEXT, axis=-1) * b.take(_PREV, axis=-1), a.take(_PREV, axis=-1) * b.take(_NEXT, axis=-1), out=out
-    )
+    of an index array)."""
+    return a.take(_NEXT, axis=-1) * b.take(_PREV, axis=-1) - a.take(_PREV, axis=-1) * b.take(_NEXT, axis=-1)
 
 
 def matvec_rows(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -359,7 +359,8 @@ class TestBatchedKernels:
             assert np.array_equal(parents, model.parents[bodies])
             assert set(parents.tolist()) <= seen
             seen |= set(bodies.tolist())
-        rows, depth = model.path_slot
+        # where each body's path sum lands: its path's row, its place on it
+        rows, depth = np.divmod(model._path_ends[1], model.paths.shape[1])
         for body in range(24):
             path = model.paths[rows[body]]
             assert path[depth[body]] == body

@@ -435,41 +435,3 @@ class TestMatchesTheReference:
             self.check((np.eye(3), np.full(3, 2.0), a, b + np.array([0.0] * (len(b) - 1) + [0.5]), g, h))
         self.check((np.eye(2), np.zeros(2), np.array([[1.0, 0.0]]), np.array([np.nan]), None, None))
 
-
-def least_ratio_numpy(num, den, bound):
-    """_least_ratio as array operations: argmin over num / den where den
-    exceeds bound and inf elsewhere, None when den exceeds it nowhere."""
-    num, den = np.array(num), np.array(den)
-    leave = den > bound
-    if not leave.any():
-        return None
-    ratios = np.divide(num, den, out=np.full(len(den), np.inf), where=leave)
-    j = int(ratios.argmin())
-    return j, float(ratios[j])
-
-
-def test_least_ratio_is_the_array_argmin_bit_for_bit(rng):
-    # a ratio that overflows, all ratios inf, a nan after the least ratio
-    for num, den in (([1e300, 1.0], [1e-300, 1.0]), ([np.inf, 1.0], [1.0, 0.0]), ([1.0, np.nan], [1.0, 1.0])):
-        with np.errstate(over="ignore"):
-            assert qp_module._least_ratio(num, den, 0.0) == least_ratio_numpy(num, den, 0.0) or np.isnan(num[1])
-    assert qp_module._least_ratio([1.0, np.nan], [1.0, 1.0], 0.0)[0] == 1  # argmin's nan
-    special = [0.0, -0.0, 1e-300, -1e-13, np.inf, -np.inf, np.nan, 1.0, 2.0]
-    for _ in range(3000):
-        w = int(rng.integers(1, 8))
-        num = rng.normal(size=w) * 10.0 ** rng.integers(-3, 4, size=w)
-        den = rng.normal(size=w)
-        for arr in (num, den):  # ties, zeros, infinities and nans
-            mask = rng.random(w) < 0.3
-            arr[mask] = rng.choice(special, size=mask.sum())
-        if rng.random() < 0.3:
-            den[rng.integers(w)] = den[rng.integers(w)]
-        bound = float(rng.choice([0.0, 1e-12, 0.5]))
-        with np.errstate(invalid="ignore", over="ignore"):
-            expected = least_ratio_numpy(num, den, bound)
-        got = qp_module._least_ratio(num.tolist(), den.tolist(), bound)
-        if expected is None:
-            assert got is None
-        else:
-            assert got[0] == expected[0]
-            assert np.array_equal(got[1], expected[1], equal_nan=True)
