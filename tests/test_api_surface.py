@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "physmotion").glob("*.py"))
 CALLERS = LIBRARY + [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
@@ -54,12 +56,37 @@ def test_every_public_name_is_reached_outside_the_tests():
     assert unreached == []
 
 
-def test_import_loads_no_scipy_linalg_spatial_or_sparse():
-    # the QP binds its LAPACK routines at its first solve, so a run without
-    # physics never loads scipy.linalg
-    code = (
-        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import physmotion; "
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.spatial', 'scipy.sparse') if m in sys.modules))"
+# One QP with an equality row and an inequality row that the equality-only
+# minimiser (1, 1) violates, so the dual method runs: the solution is (0.5, 0.5)
+SOLVE_ONE_QP = (
+    "import numpy as np; from physmotion import qp; "
+    "sol = qp.solve_qp(np.eye(2), [-1.0, -1.0], [[1.0, -1.0]], [0.0], [[1.0, 0.0]], [0.5]); "
+    "assert sol.active_set == (0,) and np.allclose(sol.x, 0.5), sol; "
+)
+
+
+def run_python(code):
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import physmotion; " + code
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("solve", ["", SOLVE_ONE_QP], ids=["import", "solve"])
+def test_import_loads_no_scipy_linalg_spatial_or_sparse(solve):
+    # the QP loads scipy's compiled LAPACK module at its first solve, and
+    # neither import nor solve runs the scipy.linalg package
+    modules = ("scipy.linalg", "scipy.spatial", "scipy.sparse", "scipy.special")
+    out = run_python(solve + f"print(sorted(m for m in {modules!r} if m in sys.modules))")
+    assert out.strip() == "[]"
+
+
+def test_qp_routines_are_scipy_linalg_lapack_routines():
+    # the QP's routines are the very objects scipy.linalg.lapack exports, so
+    # its results are those of the scipy calls; this fails first if a scipy
+    # release moves or renames scipy.linalg._flapack
+    names = ("dgetrf", "dgetrs", "dtrtrs", "dpotrf", "dpotrs", "dgeqrf")
+    out = run_python(
+        SOLVE_ONE_QP + f"names = {names!r}; routines = [getattr(qp._LAPACK, n) for n in names]; "
+        "from scipy.linalg import lapack; "
+        "print([n for n, r in zip(names, routines) if r is not getattr(lapack, n)])"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.strip() == "[]"

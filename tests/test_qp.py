@@ -383,6 +383,12 @@ def test_lapack_failures_are_solver_errors(rng, monkeypatch, factor, strict):
             solve_qp(*prob)
 
 
+def test_missing_lapack_extension_is_an_import_error_naming_where_it_looked(monkeypatch):
+    monkeypatch.setattr(qp_module, "_FLAPACK", "scipy.linalg._no_such_extension")
+    with pytest.raises(ImportError, match=r"no scipy\.linalg\._no_such_extension extension in \[.+linalg'\]"):
+        qp_module._load_flapack()
+
+
 class TestMatchesTheReference:
     """solve_qp against the plain transcription of its method
     (oracles.solve_qp_reference), bit for bit: the solution, multipliers,
