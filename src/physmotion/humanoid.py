@@ -229,15 +229,23 @@ class FKResult:
     positions: np.ndarray  # (..., 24, 3) world joint origins
 
 
+# frames forward_kinematics walks at a time; bounds its temporaries to
+# about 1.5 MB however many frames the stack holds
+_FK_BLOCK = 256
+
+
 def forward_kinematics(
     model: HumanoidModel, q: np.ndarray, joint_rot: Optional[np.ndarray] = None
 ) -> FKResult:
     """World transform of every body: parent transform * offset * joint rotation.
 
     q is one generalized position (75,) or a stack (..., 75), e.g. the (T, 75)
-    positions of a sequence; the result carries the same leading axes. The
-    joint rotations of all bodies and frames come from one exp_so3 call, or
-    are joint_rot (..., 24, 3, 3) when the caller has them already (the
+    positions of a sequence; the result carries the same leading axes. A
+    stack is walked in blocks of _FK_BLOCK frames written into the result,
+    so the memory beyond the result stays fixed however long the clip; no
+    frame's arithmetic depends on the others, so the bits do not depend on
+    the block. A block's joint rotations come from one exp_so3 call, or are
+    joint_rot (..., 24, 3, 3) when the caller has them already (the
     dynamics take them from the same pass as the left Jacobians). Every
     frame's rotations are composed down the tree one level at a time; the
     joint origins x_i = x_p + R_p offset_i are then summed along the
@@ -247,12 +255,28 @@ def forward_kinematics(
     lead = q.shape[:-1]
     q = q.reshape(-1, NV)
     n = len(q)
+    if joint_rot is not None:
+        joint_rot = joint_rot.reshape(n, NUM_BODIES, 3, 3)
+    rot = np.empty((n, NUM_BODIES, 3, 3))
+    pos = np.empty((n, NUM_BODIES, 3))
+    for s in range(0, n, _FK_BLOCK):
+        block = slice(s, s + _FK_BLOCK)
+        _fk_block(model, q[block], None if joint_rot is None else joint_rot[block], rot[block], pos[block])
+    return FKResult(rot.reshape(lead + rot.shape[1:]), pos.reshape(lead + pos.shape[1:]))
+
+
+def _fk_block(
+    model: HumanoidModel, q: np.ndarray, joint_rot: Optional[np.ndarray], rot_out: np.ndarray, pos_out: np.ndarray
+) -> None:
+    """forward_kinematics of the (n, 75) frames q into rot_out (n, 24, 3, 3)
+    and pos_out (n, 24, 3); joint_rot is (n, 24, 3, 3) or None."""
+    n = len(q)
     # body-major (24, frames, ...) while walking, so that a level's gathers
     # and scatters move whole blocks of frames
     if joint_rot is None:
         joint_rot = exp_so3(q[:, 3:].reshape(n, NUM_BODIES, 3).transpose(1, 0, 2))
     else:
-        joint_rot = joint_rot.reshape(n, NUM_BODIES, 3, 3).transpose(1, 0, 2, 3)
+        joint_rot = joint_rot.transpose(1, 0, 2, 3)
     rot = np.empty((NUM_BODIES, n, 3, 3))
     rot[0] = joint_rot[0]
     for bodies, parents in model._level_index:
@@ -264,10 +288,8 @@ def forward_kinematics(
               out=terms[:NUM_BODIES].reshape(NUM_BODIES, n, 3, 1))
     terms[0, 0] = q[:, 0:3].ravel()
     terms[NUM_BODIES] = 0.0
-    pos = _path_sums(model, terms).reshape(NUM_BODIES, n, 3)
-    rot = np.ascontiguousarray(rot.transpose(1, 0, 2, 3))
-    pos = np.ascontiguousarray(pos.transpose(1, 0, 2))
-    return FKResult(rot.reshape(lead + rot.shape[1:]), pos.reshape(lead + pos.shape[1:]))
+    rot_out[...] = rot.transpose(1, 0, 2, 3)
+    pos_out[...] = _path_sums(model, terms).reshape(NUM_BODIES, n, 3).transpose(1, 0, 2)
 
 
 def _body_points(fk: FKResult, bodies: np.ndarray, offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

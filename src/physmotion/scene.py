@@ -20,6 +20,7 @@ in CONTACT_NAMES order; the contacts file holds one row of them per frame.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -236,11 +237,14 @@ def _cell_range(centers: np.ndarray, coords: np.ndarray, tris: np.ndarray) -> Tu
     """First and one-past-last cell whose center lies in [min, max] of each
     triangle's vertex coords (V,), widened by _EPS. A search is monotone in
     its key, so each vertex is searched once and a triangle takes the least
-    and greatest of its three vertices' cells."""
-    lo = np.searchsorted(centers, coords - _EPS, side="left")[tris]
-    hi = np.searchsorted(centers, coords + _EPS, side="right")[tris]
-    first = np.minimum(np.minimum(lo[:, 0], lo[:, 1]), lo[:, 2])
-    return first, np.maximum(np.maximum(hi[:, 0], hi[:, 1]), hi[:, 2])
+    and greatest of its three vertices' cells, gathered a vertex at a time."""
+    lo = np.searchsorted(centers, coords - _EPS, side="left")
+    hi = np.searchsorted(centers, coords + _EPS, side="right")
+    first, last = lo[tris[:, 0]], hi[tris[:, 0]]
+    for k in (1, 2):
+        np.minimum(first, lo[tris[:, k]], out=first)
+        np.maximum(last, hi[tris[:, k]], out=last)
+    return first, last
 
 
 def build_height_map(
@@ -258,11 +262,13 @@ def build_height_map(
     Triangles are evaluated over their bounding boxes of cells. Those whose
     box holds at most _CHUNK_CELLS cells are grouped by box shape (rows x
     cols), and a run of m triangles of one shape, at most _CHUNK_CELLS cells
-    in all, is one (m, rows, cols) broadcast; a triangle with a larger box
-    goes by itself, in blocks of rows. Every cell gets the arithmetic of a
-    one-triangle scan, and heights fold in with a maximum, which does not
-    depend on order, so the result equals a triangle-by-triangle scan bit
-    for bit.
+    in all, is one (m, rows, cols) broadcast whose plane data (_planes) is
+    gathered for that run alone; a triangle with a larger box goes by
+    itself, in blocks of rows. Beyond the grid, memory holds a few index
+    arrays per triangle and one run's temporaries. Every cell gets the
+    arithmetic of a one-triangle scan, and heights fold in with a maximum,
+    which does not depend on order, so the result equals a
+    triangle-by-triangle scan bit for bit.
     """
     if mesh.empty:
         raise EmptySceneError("cannot build a height map from an empty mesh")
@@ -316,32 +322,34 @@ def build_height_map(
             np.maximum(block, y, out=block, where=inside)
 
     # The other triangles, grouped by box shape (rows x cols) and taken in
-    # runs of at most _CHUNK_CELLS cells: a run of m triangles is one
-    # (m, rows, cols) broadcast, folded with an unbuffered maximum since
-    # neighbouring triangles share cells.
+    # runs of at most _CHUNK_CELLS cells: a run's plane data is gathered for
+    # it alone, and its m triangles with area are one (m, rows, cols)
+    # broadcast, folded with an unbuffered maximum since neighbouring
+    # triangles share cells.
     small = np.flatnonzero((cells > 0) & (cells <= _CHUNK_CELLS))
-    shape = (i1 - i0) * (nz + 1) + (j1 - j0)  # one integer per box shape
-    small = small[np.argsort(shape[small], kind="stable")]  # file order within a shape
-    planes = _planes(verts, tris[small])
-    has_area = np.abs(planes[-1]) >= _EPS  # a vertical wall has no top surface
-    small = small[has_area]
-    ax, az, *args = (v[has_area][:, None, None] for v in planes)
-    shape, row0, col0 = shape[small], i0[small], j0[small]
-    starts = np.flatnonzero(np.diff(shape, prepend=-1))
+    shape = ((i1 - i0) * (nz + 1) + (j1 - j0))[small]  # one integer per box shape
+    order = np.argsort(shape, kind="stable")  # file order within a shape
+    small, shape = small[order], shape[order]
+    starts = np.flatnonzero(np.diff(shape, prepend=-1)).tolist()
     flat = heights.reshape(-1)
     for p, q in zip(starts, [*starts[1:], len(small)]):
         r, c = divmod(int(shape[p]), nz + 1)
         step = _CHUNK_CELLS // (r * c)
         for s in range(p, q, step):
-            run = slice(s, min(s + step, q))
-            i = row0[run, None] + np.arange(r)  # (m, rows)
-            j = col0[run, None] + np.arange(c)  # (m, cols)
-            y, inside = _plane_heights(
-                xs[i][:, :, None] - ax[run], zs[j][:, None, :] - az[run], *(v[run] for v in args)
-            )
+            run = small[s : min(s + step, q)]
+            planes = _planes(verts, tris[run])
+            has_area = np.abs(planes[-1]) >= _EPS  # a vertical wall has no top surface
+            ax, az, *args = (v[has_area][:, None, None] for v in planes)
+            run = run[has_area]
+            i = i0[run, None] + np.arange(r)  # (m, rows)
+            j = j0[run, None] + np.arange(c)  # (m, cols)
+            y, inside = _plane_heights(xs[i][:, :, None] - ax, zs[j][:, None, :] - az, *args)
             np.maximum.at(flat, (i[:, :, None] * nz + j[:, None, :])[inside], y[inside])
 
-    heights[~np.isfinite(heights)] = default
+    # one mask marks the cells no triangle covered
+    uncovered = np.isfinite(heights)
+    np.logical_not(uncovered, out=uncovered)
+    np.copyto(heights, default, where=uncovered)
     return HeightMap(origin=(float(xmin), float(zmin)), cell_size=float(cell), heights=heights, default_height=default)
 
 
@@ -464,6 +472,10 @@ def load_contacts_csv(path: str | Path) -> np.ndarray:
 
 
 _HEIGHT_MAP_MAGIC = "physmotion-heightmap 1"
+_HEIGHT_MAP_DATA = b"data float64 row-major\n"  # the header's last line
+# load_height_map reads at most this many header lines of at most this many
+# bytes before the grid, so a file with no data line is not read whole
+_HEADER_LINES, _HEADER_LINE_BYTES = 64, 4096
 
 
 def save_height_map(hm: HeightMap, path: str | Path) -> None:
@@ -475,7 +487,7 @@ def save_height_map(hm: HeightMap, path: str | Path) -> None:
         f"cell_size {hm.cell_size!r}\n"
         f"resolution {nx} {nz}\n"
         f"default_height {hm.default_height!r}\n"
-        "data float64 row-major\n"
+        f"{_HEIGHT_MAP_DATA.decode('ascii')}"
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
@@ -484,28 +496,50 @@ def save_height_map(hm: HeightMap, path: str | Path) -> None:
 
 def load_height_map(path: str | Path) -> HeightMap:
     """Read a save_height_map file. A first line other than the format's,
-    a missing or malformed header field, a grid of any length but the
-    resolution's nx * nz float64 values, or a map HeightMap rejects (a
-    non-finite origin, cell size, default height or height, fewer than 2x2
-    cells) raises MotionFormatError naming the file."""
+    a missing or malformed header field, a resolution other than two
+    integers >= 2, a grid of any length but the resolution's nx * nz
+    float64 values, or a map HeightMap rejects (a non-finite origin, cell
+    size, default height or height) raises MotionFormatError naming the
+    file.
+
+    The header is read line by line and the grid's length checked against
+    the file's size before the grid is allocated; the grid is then read
+    once, straight into the map's (nx, nz) array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        try:
+            magic = fh.readline(_HEADER_LINE_BYTES).rstrip(b"\n")
+            if magic != _HEIGHT_MAP_MAGIC.encode("ascii"):
+                raise ValueError(f"first line {magic[:40]!r} is not {_HEIGHT_MAP_MAGIC!r}")
+            lines = []
+            while (line := fh.readline(_HEADER_LINE_BYTES)) != _HEIGHT_MAP_DATA:
+                if not line.endswith(b"\n") or len(lines) == _HEADER_LINES:
+                    raise ValueError(f"header does not end in {_HEIGHT_MAP_DATA.decode('ascii')!r}")
+                lines.append(line[:-1])
+            fields = dict(line.split(b" ", 1) for line in lines)
+            ox, oz = (float(v) for v in fields[b"origin"].split())
+            cell = float(fields[b"cell_size"])
+            nx, nz = _resolution(fields[b"resolution"])
+            default = float(fields[b"default_height"])
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size == 8 * nx * nz:
+                heights = np.empty((nx, nz), dtype="<f8")
+                size = fh.readinto(heights.data.cast("B"))  # less only if the file shrank since
+            if size != 8 * nx * nz:
+                raise ValueError(f"grid holds {size} bytes, not the {nx} x {nz} float64 values of its resolution")
+            return HeightMap(origin=(ox, oz), cell_size=cell, heights=heights, default_height=default)
+        except (KeyError, ValueError, InvalidInputError) as exc:
+            raise MotionFormatError(f"{path}: malformed height map file: {exc}") from exc
+
+
+def _resolution(value: bytes) -> Tuple[int, int]:
+    """The header's resolution field: two integers, each at least 2."""
     try:
-        head, body = blob.split(b"data float64 row-major\n", 1)
-        magic, *lines = head.strip().split(b"\n")
-        if magic != _HEIGHT_MAP_MAGIC.encode("ascii"):
-            raise ValueError(f"first line {magic[:40]!r} is not {_HEIGHT_MAP_MAGIC!r}")
-        fields = dict(line.split(b" ", 1) for line in lines)
-        ox, oz = (float(v) for v in fields[b"origin"].split())
-        cell = float(fields[b"cell_size"])
-        nx, nz = (int(v) for v in fields[b"resolution"].split())
-        default = float(fields[b"default_height"])
-        if len(body) != 8 * nx * nz:
-            raise ValueError(f"grid holds {len(body)} bytes, not the {nx} x {nz} float64 values of its resolution")
-        heights = np.frombuffer(body, dtype="<f8").reshape(nx, nz)
-        return HeightMap(origin=(ox, oz), cell_size=cell, heights=heights.copy(), default_height=default)
-    except (KeyError, ValueError, InvalidInputError) as exc:
-        raise MotionFormatError(f"{path}: malformed height map file: {exc}") from exc
+        nx, nz = (int(v) for v in value.split())
+    except ValueError:
+        nx = nz = 0
+    if nx < 2 or nz < 2:
+        raise ValueError(f"resolution must be two integers >= 2, not {value.decode('ascii', 'replace')!r}")
+    return nx, nz
 
 
 def make_box_mesh(

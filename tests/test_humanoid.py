@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,31 @@ class TestForwardKinematics:
             one = contact_positions(model, forward_kinematics(model, q[t]))
             assert one.shape == (4, 3)
             assert np.abs(stacked[t] - one).max() <= 1e-12
+
+    def test_frame_blocks_equal_the_one_shot_call_in_bounded_memory(self, model, rng, monkeypatch):
+        # a stack is walked in blocks of _FK_BLOCK frames; with the block
+        # above the stack's length the whole stack is one block, the
+        # one-shot oracle
+        frames = 4000
+        assert frames > 3 * humanoid._FK_BLOCK and frames % humanoid._FK_BLOCK
+        q = np.concatenate([rng.normal(size=(frames, 3)), rng.normal(size=(frames, 72)) * 1.5], axis=1)
+        tracemalloc.start()
+        try:
+            fk = forward_kinematics(model, q)
+            beyond = tracemalloc.get_traced_memory()[1] - fk.rotations.nbytes - fk.positions.nbytes
+        finally:
+            tracemalloc.stop()
+        assert beyond <= 4e6
+        monkeypatch.setattr(humanoid, "_FK_BLOCK", frames + 1)
+        one_shot = forward_kinematics(model, q)
+        assert np.array_equal(fk.rotations, one_shot.rotations)
+        assert np.array_equal(fk.positions, one_shot.positions)
+
+    def test_empty_stack_gives_empty_results(self, model):
+        fk = forward_kinematics(model, np.zeros((0, NV)))
+        assert fk.rotations.shape == (0, 24, 3, 3) and fk.positions.shape == (0, 24, 3)
+        fk = forward_kinematics(model, np.zeros((3, 0, NV)))
+        assert fk.rotations.shape == (3, 0, 24, 3, 3) and fk.positions.shape == (3, 0, 24, 3)
 
     def test_contact_positions_equal_the_per_point_transform(self, model, rng):
         # each point found in its body's own end effectors, placed one frame

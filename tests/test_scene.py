@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import query_height_scalar, query_surface_scalar
@@ -137,6 +139,35 @@ class TestBuildHeightMap:
     def test_empty_mesh_rejected(self):
         with pytest.raises(EmptySceneError):
             build_height_map(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)), (4, 4))
+
+
+def traced_peak(call):
+    """call()'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def grid_mesh(rng, n: int) -> TriangleMesh:
+    """n x n seeded vertices over the unit square, jittered in plan and
+    height, two triangles per grid square."""
+    x, z = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n), indexing="ij")
+    x = x + rng.uniform(-0.3, 0.3, x.shape) / n
+    z = z + rng.uniform(-0.3, 0.3, z.shape) / n
+    verts = np.stack([x.ravel(), rng.normal(scale=0.05, size=n * n), z.ravel()], axis=1)
+    k = np.arange(n * n).reshape(n, n)[:-1, :-1].ravel()
+    return TriangleMesh(verts, np.concatenate([np.stack([k, k + 1, k + n + 1], 1), np.stack([k, k + n + 1, k + n], 1)]))
+
+
+def test_small_triangles_take_plane_data_one_run_at_a_time(rng):
+    # 180,000 triangles of about 4 x 4 cells each: the plane tables of every
+    # triangle at once would hold about 200 B per triangle beyond the grid
+    mesh = grid_mesh(rng, 301)
+    assert len(mesh.triangles) == 180_000
+    hm, peak = traced_peak(lambda: build_height_map(mesh, (1024, 1024)))
+    assert (peak - hm.heights.nbytes) / len(mesh.triangles) <= 120
 
 
 class TestRasteriserMatchesLoop:
@@ -529,6 +560,42 @@ class TestFileFormats:
         save_height_map(hm, path)
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(MotionFormatError, match=f"{path.name}: malformed height map file: {message}"):
+            load_height_map(path)
+
+    def test_height_map_is_read_into_one_grid(self, rng, tmp_path):
+        hm = HeightMap(origin=(0.0, 0.0), cell_size=0.01, heights=rng.normal(size=(512, 512)), default_height=0.0)
+        path = tmp_path / "map.hmap"
+        save_height_map(hm, path)
+        loaded, peak = traced_peak(lambda: load_height_map(path))
+        assert np.array_equal(loaded.heights, hm.heights)
+        assert peak <= 1.25 * hm.heights.nbytes
+
+    @pytest.mark.parametrize("value", [b"-3 -3", b"1 4", b"3", b"3 4 5", b"3 x", b"3.0 4"])
+    def test_height_map_resolution_must_be_two_integers_of_at_least_two(self, tmp_path, value):
+        hm = HeightMap(origin=(0.0, 0.0), cell_size=0.5, heights=np.zeros((3, 4)), default_height=0.0)
+        path = tmp_path / "map.hmap"
+        save_height_map(hm, path)
+        path.write_bytes(path.read_bytes().replace(b"resolution 3 4", b"resolution " + value))
+        with pytest.raises(MotionFormatError, match=f"{path.name}: malformed height map file: resolution must be"):
+            load_height_map(path)
+
+    def test_height_map_longer_than_its_file_is_rejected_before_the_grid_is_allocated(self, tmp_path):
+        hm = HeightMap(origin=(0.0, 0.0), cell_size=0.5, heights=np.zeros((3, 3)), default_height=0.0)
+        path = tmp_path / "map.hmap"
+        save_height_map(hm, path)
+        path.write_bytes(path.read_bytes().replace(b"resolution 3 3", b"resolution 100000 100000"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MotionFormatError, match="grid holds 72 bytes, not the 100000 x 100000"):
+                load_height_map(path)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    def test_height_map_header_without_its_data_line_is_rejected(self, tmp_path):
+        path = tmp_path / "map.hmap"
+        path.write_bytes(b"physmotion-heightmap 1\norigin 0.0 0.0\n" + b"\0" * 100_000)
+        with pytest.raises(MotionFormatError, match="header does not end in 'data float64 row-major"):
             load_height_map(path)
 
     def test_contacts_csv_round_trip(self, rng, tmp_path):
