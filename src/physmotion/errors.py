@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the number check that
-raises one."""
+"""Exception types shared across the package, the number check that
+raises one, and the finiteness test it uses."""
 
 import math
 
@@ -47,9 +47,18 @@ class MotionFormatError(PhysmotionError):
 _BOUNDS = {"": lambda v: True, ">= 0": lambda v: v >= 0.0, "> 0": lambda v: v > 0.0}
 
 
+def is_finite(value: float) -> bool:
+    """math.isfinite, with an int past the float range (which makes
+    math.isfinite raise OverflowError) counted as not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def check_number(name: str, value: float, bound: str = "") -> None:
     """Raise InvalidInputError unless value is finite and within bound ("",
     ">= 0" or "> 0"). A NaN fails every comparison, so a bound alone would
     let it through."""
-    if not (math.isfinite(value) and _BOUNDS[bound](value)):
+    if not (is_finite(value) and _BOUNDS[bound](value)):
         raise InvalidInputError(f"{name} must be finite{' and ' + bound if bound else ''}, not {value!r}")

@@ -17,14 +17,13 @@ one stacked call per sequence.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, MotionFormatError, check_number
+from .errors import InvalidInputError, MotionFormatError, check_number, is_finite
 from .frames import NumericField, check_quaternions, jsonl_records
 from .humanoid import NV, HumanoidModel, forward_kinematics
 from .rotations import exp_so3, log_so3, matrix_to_quat, quat_to_matrix, vector_norms
@@ -157,7 +156,7 @@ def load_motion(path: str | Path) -> MotionSequence:
         if schema != SCHEMA:
             raise MotionFormatError(f"{path}:1: schema {schema!r} not supported (expected {SCHEMA!r})")
         fps = header.get("fps")
-        if type(fps) not in (int, float) or not (math.isfinite(fps) and fps > 0.0):
+        if type(fps) not in (int, float) or not (is_finite(fps) and fps > 0.0):
             raise MotionFormatError(f"{path}:1: fps must be finite and > 0, not {fps!r}")
 
         fields = {key: NumericField(key, shape) for key, shape in _FIELDS.items()}

@@ -36,10 +36,9 @@ the kinematic input floats above the scene.
 
 A `FrameSetup` holds what every frame of a sequence shares, built once per
 sequence: the model (which holds the contact points' bodies and offsets),
-the ground, the settings and gains, the angle term's weights, the
-cone facet directions, the root-pin rows and, per pattern of active contacts,
-the contact blocks' index bookkeeping. `refine_sequence` also puts every
-labelled foot target of the sequence on the ground with one height query
+the ground, the settings and gains, the angle term's weights and the cone
+facet directions. `refine_sequence` also puts every labelled foot target of
+the sequence on the ground with one height query
 (`FrameSetup.ground_targets`), so a frame queries the ground under its
 four feet only.
 
@@ -66,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -85,7 +84,7 @@ from .humanoid import (
 from .motion import MotionSequence, resample_motion, sequence_from_generalized
 from .qp import solve_qp
 from .rotations import cross_rows, matvec_rows, vector_norms
-from .scene import CONTACT_NAMES, HeightMap, query_surface
+from .scene import CONTACT_NAMES, HeightMap, query_height, query_surface
 
 # contacts activate only when the foot is this close to the surface
 CONTACT_ACTIVATION_MARGIN = 0.01
@@ -178,18 +177,8 @@ class ReferenceFrameInput:
                 raise InvalidInputError(f"{name} contains non-finite values")
 
 
-class _ActiveContacts:
-    """`contact_names` from `active`, the (4,) bool mask of the active contacts."""
-
-    active: np.ndarray
-
-    @property
-    def contact_names(self) -> Tuple[str, ...]:
-        return tuple(name for name, on in zip(CONTACT_NAMES, self.active) if on)
-
-
 @dataclass
-class FrameSolution(_ActiveContacts):
+class FrameSolution:
     """One frame's solution. With the state it is all that frame hands to
     the next: `active` is the next frame's held contacts, and `level` and
     `active_set` its warm start."""
@@ -207,6 +196,11 @@ class FrameSolution(_ActiveContacts):
     @property
     def degraded(self) -> bool:
         return self.level != FALLBACK_LEVELS[0][0]
+
+    @property
+    def contact_names(self) -> Tuple[str, ...]:
+        """The names of the active contacts, in CONTACT_NAMES order."""
+        return tuple(name for name, on in zip(CONTACT_NAMES, self.active) if on)
 
 
 def pd_accel(rate: float, error: np.ndarray, velocity: np.ndarray) -> np.ndarray:
@@ -245,8 +239,7 @@ class FrameSetup:
     """What every frame of a sequence shares, built once: the model, the
     ground, the settings and gains, and the parts of the QP that no
     state changes (the span of the contact points' Jacobians, the angle
-    term's weights, the cone facet directions, the root-pin rows and, per
-    pattern of active contacts, the contact blocks' index bookkeeping).
+    term's weights and the cone facet directions).
 
     With hm None (or use_height_map off) the ground is the horizontal plane
     at flat_ground_height.
@@ -273,10 +266,6 @@ class FrameSetup:
         self.angle_weight = w[3:]
         ang = 2.0 * np.pi * np.arange(settings.cone_facets) / settings.cone_facets
         self.facet_cos, self.facet_sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
-        # the root pin qdd[0:3] = target, as rows over the widest x (four contacts)
-        self.root_pin = np.zeros((3, NV + 3 * len(CONTACT_NAMES)))
-        self.root_pin[:, :3] = np.eye(3)
-        self._patterns: Dict[bytes, _ContactPattern] = {}
 
     def ground(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Surface heights (k,) and upward normals (k, 3) below points (k, 3)."""
@@ -292,36 +281,12 @@ class FrameSetup:
         reference still lands the foot where the ground actually is.
         """
         out = np.array(targets, dtype=float)
-        out[contacts, 1] = self.ground(out[contacts])[0] + CONTACT_REST_OFFSET
+        ground = self.flat_ground_height
+        if self.hm is not None:
+            labelled = out[contacts]
+            ground = query_height(self.hm, labelled[:, 0], labelled[:, 2])
+        out[contacts, 1] = ground + CONTACT_REST_OFFSET
         return out
-
-    def pattern(self, active: np.ndarray) -> "_ContactPattern":
-        key = active.tobytes()
-        found = self._patterns.get(key)
-        if found is None:
-            found = self._patterns[key] = _ContactPattern(self.model.contact_bodies, active, self.settings.cone_facets)
-        return found
-
-
-class _ContactPattern:
-    """The index bookkeeping of one set of active contacts: their indices,
-    the width n of x, which of them shares its body with an earlier one (its
-    anchor), and the positions the contact blocks write, the cone's in the
-    flattened (rows, n) cone matrix."""
-
-    def __init__(self, bodies: np.ndarray, active: np.ndarray, facets: int):
-        self.idx = np.flatnonzero(active)
-        nc = len(self.idx)
-        self.n = NV + 3 * nc
-        body = bodies[self.idx].tolist()
-        first = [body.index(b) for b in body]
-        self.second = np.array([c for c, anchor in enumerate(first) if anchor != c], dtype=int)
-        self.anchors = np.array([first[c] for c in self.second], dtype=int)
-        self.basis = np.tile(np.eye(3), (nc, 1, 1))
-        self.keep = np.ones((nc, 3), dtype=bool)
-        self.keep[self.second] = False
-        rows = np.arange(nc * facets)[:, None]
-        self.cone = (rows * self.n + NV + 3 * (rows // facets) + np.arange(3)).ravel()
 
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -335,24 +300,28 @@ def _tangent_bases(n: np.ndarray) -> np.ndarray:
     return np.concatenate([t1, cross_rows(n, t1)], axis=1).reshape(-1, 2, 3)
 
 
-def _cone_rows(normals: np.ndarray, tangents: np.ndarray, setup: FrameSetup, pattern: _ContactPattern) -> np.ndarray:
+def _cone_rows(normals: np.ndarray, tangents: np.ndarray, setup: FrameSetup) -> np.ndarray:
     """The linearized friction cones of the active contacts as G x <= 0 rows
     over x = (qdd, lambda): per contact, cone_facets facet rows d_f . lambda_c <=
     mu n . lambda_c. The facet directions sum to zero, so the rows sum to
     -cone_facets mu n . lambda_c <= 0: they imply the unilateral condition
     n . lambda_c >= 0, which therefore has no row of its own."""
+    nc = len(normals)
     d = setup.facet_cos * tangents[:, :1] + setup.facet_sin * tangents[:, 1:]
-    g_mat = np.zeros((len(pattern.cone) // 3, pattern.n))
-    g_mat.put(pattern.cone, d - setup.settings.friction_mu * normals[:, None])
-    return g_mat
+    rows = d - setup.settings.friction_mu * normals[:, None]
+    # contact c's facet rows act on its force lambda_c, columns NV + 3c .. NV + 3c + 2
+    g_mat = np.zeros((nc, setup.settings.cone_facets, NV + 3 * nc))
+    for c in range(nc):
+        g_mat[c, :, NV + 3 * c : NV + 3 * c + 3] = rows[c]
+    return g_mat.reshape(-1, NV + 3 * nc)
 
 
 def _contact_blocks(
-    feet: PointKinematics, surface: np.ndarray, normals: np.ndarray, setup: FrameSetup, pattern: _ContactPattern
+    feet: PointKinematics, surface: np.ndarray, normals: np.ndarray, setup: FrameSetup, idx: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The no-sliding rows of the active contacts over qdd (k, 75) and their
-    right-hand side (k,), and their friction-cone rows G over x = (qdd, lambda)."""
-    idx, dt = pattern.idx, setup.dt
+    """The no-sliding rows of the active contacts idx over qdd (k, 75) and
+    their right-hand side (k,), and their cone rows G over x = (qdd, lambda)."""
+    dt = setup.dt
     pos, vel, normal = feet.position.take(idx, axis=0), feet.velocity.take(idx, axis=0), normals.take(idx, axis=0)
     # normal axis: a deadbeat PD (rate 1/dt) toward the surface; bound the
     # commanded velocity so deep penetration recovers at a finite rate
@@ -372,26 +341,30 @@ def _contact_blocks(
     # acceleration along the connecting axis is fixed by rigidity, so the
     # second point only contributes the two rows perpendicular to that axis
     # (full 3 rows would be inconsistent), and none when it coincides with
-    # the first.
+    # the first. A point's anchor is the first active point on its body.
     nc = len(idx)
-    axis = pos.take(pattern.second, axis=0) - pos.take(pattern.anchors, axis=0)
+    bodies = setup.model.contact_bodies[idx].tolist()
+    anchor = np.array([bodies.index(b) for b in bodies], dtype=int)
+    second = np.flatnonzero(anchor != np.arange(nc))
+    axis = pos.take(second, axis=0) - pos.take(anchor[second], axis=0)
     norm = vector_norms(axis)
     apart = ~(norm[:, 0] < 1e-9)
-    linked = pattern.second[apart]
+    linked = second[apart]
     # one tangent-basis call: the contact normals for the cone, then the axes
     tangents = _tangent_bases(np.concatenate([normal, axis[apart] / norm[apart]]))
-    basis = pattern.basis.copy()
+    basis = np.tile(np.eye(3), (nc, 1, 1))
     basis[linked, :2] = tangents[nc:]
     basis[linked, 2] = 0.0
-    keep = pattern.keep.copy()
-    keep[linked, :2] = True
+    keep = np.ones((nc, 3), dtype=bool)
+    keep[second[~apart]] = False
+    keep[linked, 2] = False
     slide = (basis @ feet.jacobian.take(idx, axis=0))[keep]
     slide_rhs = matvec_rows(basis, a_corr - feet.bias.take(idx, axis=0))[keep]
-    return slide, slide_rhs, _cone_rows(normal, tangents[:nc], setup, pattern)
+    return slide, slide_rhs, _cone_rows(normal, tangents[:nc], setup)
 
 
 @dataclass
-class FrameProblem(_ActiveContacts):
+class FrameProblem:
     """One frame's QP over x = (qdd, lambda), its blocks built once for every
     fallback level."""
 
@@ -443,7 +416,6 @@ def frame_problem(
         feet = dyn.points(setup.model.contact_bodies, setup.model.contact_offsets)
         surface, normals = setup.ground(feet.position)
         active = ref.contacts & (held | (feet.position[:, 1] < surface + CONTACT_ACTIVATION_MARGIN))
-    pattern = setup.pattern(active)
 
     m_mat, h_vec = dyn.m, dyn.h
 
@@ -452,11 +424,13 @@ def frame_problem(
     # torques out, tau[6:] = B x + h[6:] with B = [M[6:], -Jc[:, 6:]^T], so
     # they hold by construction and the torque regulariser becomes
     # reg (B^T B, B^T h[6:]) on (P, q); its floating-base rows are equalities.
-    nc, n = len(pattern.idx), pattern.n
+    idx = np.flatnonzero(active)
+    nc = len(idx)
+    n = NV + 3 * nc
     motion = np.empty((NV, n))
     motion[:, :NV] = m_mat
     if nc:
-        jac = feet.jacobian.take(pattern.idx, axis=0)
+        jac = feet.jacobian.take(idx, axis=0)
         np.negative(jac.transpose(2, 0, 1), out=motion[:, NV:].reshape(NV, nc, 3))
     b_mat = motion[6:]
 
@@ -492,12 +466,12 @@ def frame_problem(
 
     slide, slide_rhs, cone = np.zeros((0, n)), np.zeros(0), None
     if nc:
-        rows, slide_rhs, cone = _contact_blocks(feet, surface, normals, setup, pattern)
+        rows, slide_rhs, cone = _contact_blocks(feet, surface, normals, setup, idx)
         slide = np.zeros((len(rows), n))
         slide[:, :NV] = rows
     root, root_rhs = np.zeros((0, n)), np.zeros(0)
     if settings.use_root_supervision and ref.root_future is not None:
-        root = setup.root_pin[:, :n]
+        root = np.eye(3, n)
         root_rhs = root_supervision_accel(ref.root_future[1], ref.root_future[0], qd[0:3], setup.dt)
     # floating-base rows of the equation of motion: M[:6] qdd - Jc[:, :6]^T lambda = -h[:6]
     eom = (motion[:6], -h_vec[:6])

@@ -249,7 +249,10 @@ class TestMotionFile:
             load_motion(path)
         assert str(err.value).startswith(f"{path}:{2 + row}: {edits[row][0]} must ")
 
-    @pytest.mark.parametrize("fps", ["NaN", "Infinity", "0", '"fast"', "true"])
+    # an integer past the float range makes math.isfinite raise OverflowError
+    @pytest.mark.parametrize(
+        "fps", ["NaN", "Infinity", "0", '"fast"', "true", pytest.param("9" * 400, id="400-digits")]
+    )
     def test_fps_must_be_a_finite_positive_number(self, tmp_path, fps):
         path = tmp_path / "motion.jsonl"
         path.write_text(f'{{"schema": "physmotion.motion/1", "fps": {fps}, "frames": 0}}\n')

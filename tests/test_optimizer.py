@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -431,6 +432,26 @@ class TestGroundTargets:
                     targets, contact_positions(model, forward_kinematics(model, bundle.noisy.generalized_positions()))
                 )
 
+    def test_refine_queries_the_surface_once_per_labelled_frame(self, model, monkeypatch):
+        """The labelled targets ask the map for heights only: the surface
+        (heights and normals) is queried under the feet of each labelled
+        frame and nowhere else."""
+        import physmotion.optimizer as opt
+
+        bundle = generate_scenario(SyntheticScenario(scene="ramp", motion="walk", duration=0.5, seed=7), model)
+        hm = build_height_map(bundle.mesh, (64, 64))
+        calls = []
+        original = opt.query_surface
+
+        def record(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(opt, "query_surface", record)
+        refine_sequence(model, bundle.ground_truth, hm, QPSettings())
+        labelled = int(bundle.ground_truth.contacts.any(axis=1).sum())
+        assert labelled > 0 and len(calls) == labelled
+
 
 class TestContactAssembly:
     """The constraint blocks built once per frame against the per-contact,
@@ -449,6 +470,7 @@ class TestContactAssembly:
                     assert a is None, (level, name)
                 else:
                     assert a.shape == b.shape and np.array_equal(a, b), (level, name)
+        return problem
 
     def test_double_support_with_linked_toe_and_heel(self, model, flat_map, rng):
         state, ref = standing_setup(model)
@@ -479,8 +501,12 @@ class TestContactAssembly:
     def test_no_contacts_and_coincident_points(self, model, flat_map, rng):
         state, ref = standing_setup(model)
         state.qd = rng.normal(size=NV) * 0.3
-        flight = ReferenceFrameInput(ref.q_ref, ref.ee_targets, np.zeros(4, dtype=bool), ref.root_future)
-        self.assert_levels_match(model, state, flight, flat_map, QPSettings())
+        # all 16 label masks, flight (no label) first; every point is within
+        # the activation margin, so each mask is the frame's active set
+        for labels in itertools.product((False, True), repeat=4):
+            masked = ReferenceFrameInput(ref.q_ref, ref.ee_targets, np.array(labels), ref.root_future)
+            problem = self.assert_levels_match(model, state, masked, flat_map, QPSettings())
+            assert np.array_equal(problem.active, labels)
         # a heel on its toe: the second point adds no no-sliding rows
         bodies = [Body(b.name, b.parent, b.offset.copy(), b.mass, b.inertia.copy(), dict(b.end_effectors))
                   for b in model.bodies]

@@ -109,6 +109,23 @@ class TestRunConfig:
             load_config(path)
 
     @pytest.mark.parametrize(
+        "block, message",
+        [
+            ({"settings": {"friction_mu": int("9" * 400)}}, "settings: friction_mu must be finite and > 0"),
+            ({"gains": {"position_rate": int("9" * 400)}}, "gains: position_rate must be finite and >= 0"),
+            ({"filter": {"beta": int("9" * 400)}}, "filter: beta must be finite and >= 0"),
+            ({"scenario": {"drift_rate": int("9" * 400)}}, "scenario: drift_rate must be finite, not 999"),
+        ],
+    )
+    def test_integer_past_the_float_range_is_a_config_error(self, block, message):
+        # math.isfinite raises OverflowError for an integer past about 1.8e308
+        from physmotion.pipeline import config_from_dict
+
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(block)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(
         "block, key, value",
         [
             ("settings", "solver_tol", float("nan")),
